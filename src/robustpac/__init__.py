@@ -15,6 +15,7 @@ from .core import (
     LabeledExample,
     MajorityVotePredictor,
     PerturbationMap,
+    RobustTable,
     Sample,
     StructuralError,
     check_self_containment,

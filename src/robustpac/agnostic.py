@@ -30,7 +30,6 @@ from .learner import (
     WeakLearnerFailure,
     alpha_boost,
     build_candidates,
-    _robust_wrong_by_content,
 )
 
 __all__ = [
@@ -72,11 +71,7 @@ def max_realizable_subsequence(
     """
     if len(sample) == 0:
         raise ContractError("core extraction requires a nonempty sample")
-    matrix = family.matrix
-    covered = np.zeros((len(family), len(sample)), dtype=bool)
-    for j, example in enumerate(sample):
-        ball = np.asarray(perturbations[example.point], dtype=np.intp)
-        covered[:, j] = (matrix[:, ball] == example.label).all(axis=1)
+    covered = ~family.robust_table(perturbations).loss(sample)
     if mode == "exact":
         totals = covered.sum(axis=1)
         best = int(np.argmax(totals))
@@ -131,14 +126,13 @@ def learn_agnostic(
             seen.add(key)
             kept_original.append(j)
     core_sample = Sample(tuple(sample[j] for j in kept_original))
-    core_contents = [e.key() for e in core_sample]
 
     rounds = agnostic_round_count(len(core_sample))
     n0 = config.n_initial if config.n_initial is not None else vc(family).value + 1
     n = min(n0, len(core_sample))
     while True:
         candidates = build_candidates(family, core_sample, perturbations, n)
-        wrong = _robust_wrong_by_content(candidates.family, core_contents, perturbations)
+        wrong = candidates.family.robust_table(perturbations).loss(core_sample)
 
         def weak(dist: np.ndarray, wrong: np.ndarray = wrong) -> tuple[int, np.ndarray]:
             errors = wrong @ dist

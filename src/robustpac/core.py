@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "FiniteDistribution",
     "MajorityVotePredictor",
     "Predictor",
+    "RobustTable",
     "robust_loss",
     "empirical_robust_risk",
     "population_robust_risk",
@@ -48,6 +50,11 @@ class StructuralError(ValueError):
 
 class ContractError(ValueError):
     """A documented precondition was violated by the caller."""
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _check_label(value: int) -> int:
@@ -111,8 +118,70 @@ class PerturbationMap:
             raise StructuralError(f"point {point} outside instance space of size {self.size}")
         return self.sets[point]
 
-    def arrays(self) -> list[np.ndarray]:
-        return [np.asarray(s, dtype=np.intp) for s in self.sets]
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(members, starts): all sets concatenated in point order, and where each begins."""
+        starts = np.cumsum([0] + [len(s) for s in self.sets[:-1]])
+        return np.fromiter(chain.from_iterable(self.sets), dtype=np.intp), starts
+
+
+@dataclass(frozen=True)
+class RobustTable:
+    """Per label row h and point x: is h constant +1 / constant -1 on U(x)?
+
+    The robust loss sup_{z in U(x)} 1[h(z) != y] is 1 exactly when h is not
+    constant y on U(x), so the two (rows, points) matrices hold the whole
+    robust loss class.  Both are built in one pass over the CSR layout of
+    the perturbation sets.
+    """
+
+    const_plus: np.ndarray
+    const_minus: np.ndarray
+
+    @classmethod
+    def build(cls, labels: np.ndarray, perturbations: PerturbationMap) -> "RobustTable":
+        """Table of a (rows, space size) +1/-1 label matrix under `perturbations`."""
+        if labels.shape[1] != perturbations.size:
+            raise StructuralError("perturbation map and labels disagree on the instance space")
+        members, starts = perturbations.csr
+        gathered = labels[:, members]
+        return cls(
+            _read_only(np.logical_and.reduceat(gathered == 1, starts, axis=1)),
+            _read_only(np.logical_and.reduceat(gathered == -1, starts, axis=1)),
+        )
+
+    @cached_property
+    def loss_matrix(self) -> np.ndarray:
+        """(rows, 2 * points) bool robust losses; column 2x is (x, -1), 2x + 1 is (x, +1)."""
+        stacked = np.stack((self.const_minus, self.const_plus), axis=2)
+        return _read_only(~stacked.reshape(len(stacked), -1))
+
+    def loss(self, sample: Sample) -> np.ndarray:
+        """(rows, len(sample)) bool: robust 0-1 loss of each row on each example."""
+        points, labels = sample.points(), sample.labels()
+        size = self.const_plus.shape[1]
+        if len(sample) and points.max() >= size:
+            bad = points[points >= size][0]
+            raise StructuralError(f"point {bad} outside instance space of size {size}")
+        return self.loss_matrix.take(2 * points + (labels == 1), axis=1)
+
+
+class _RobustTables:
+    """Mixin: one RobustTable per perturbation map, built on first use and kept.
+
+    The table's rows are `_label_matrix()`: by default the one-row `label_row`.
+    """
+
+    def _label_matrix(self) -> np.ndarray:
+        return self.label_row[np.newaxis, :]
+
+    def robust_table(self, perturbations: PerturbationMap) -> RobustTable:
+        """The RobustTable of these labels under `perturbations`, built once per map."""
+        tables = self.__dict__.setdefault("_robust_tables", {})
+        table = tables.get(perturbations)
+        if table is None:
+            table = tables[perturbations] = RobustTable.build(self._label_matrix(), perturbations)
+        return table
 
 
 def check_self_containment(perturbations: PerturbationMap) -> None:
@@ -123,7 +192,7 @@ def check_self_containment(perturbations: PerturbationMap) -> None:
 
 
 @dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(_RobustTables):
     """A total +1/-1 labeling of the instance space."""
 
     labels: tuple[int, ...]
@@ -146,13 +215,16 @@ class Hypothesis:
             raise StructuralError(f"point {point} outside instance space of size {len(self.labels)}")
         return self.labels[point]
 
+    @cached_property
+    def label_row(self) -> np.ndarray:
+        return _read_only(np.asarray(self.labels, dtype=np.int8))
+
     def labels_at(self, points: Sequence[int]) -> np.ndarray:
-        arr = np.asarray(self.labels, dtype=np.int8)
-        return arr[np.asarray(points, dtype=np.intp)]
+        return self.label_row[np.asarray(points, dtype=np.intp)]
 
 
 @dataclass(frozen=True)
-class HypothesisFamily:
+class HypothesisFamily(_RobustTables):
     """A finite ordered hypothesis class; the index is the canonical tie-break key."""
 
     members: tuple[Hypothesis, ...]
@@ -199,9 +271,10 @@ class HypothesisFamily:
     @cached_property
     def matrix(self) -> np.ndarray:
         """(len(family), space_size) int8 matrix of labels; rows follow member order."""
-        m = np.asarray([h.labels for h in self.members], dtype=np.int8)
-        m.setflags(write=False)
-        return m
+        return _read_only(np.asarray([h.labels for h in self.members], dtype=np.int8))
+
+    def _label_matrix(self) -> np.ndarray:
+        return self.matrix
 
 
 @dataclass(frozen=True)
@@ -241,10 +314,16 @@ class Sample:
         return iter(self.examples)
 
     def points(self) -> np.ndarray:
-        return np.asarray([e.point for e in self.examples], dtype=np.intp)
+        return self._columns[0]
 
     def labels(self) -> np.ndarray:
-        return np.asarray([e.label for e in self.examples], dtype=np.int8)
+        return self._columns[1]
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        points = np.asarray([e.point for e in self.examples], dtype=np.intp)
+        labels = np.asarray([e.label for e in self.examples], dtype=np.int8)
+        return _read_only(points), _read_only(labels)
 
 
 @dataclass(frozen=True)
@@ -252,7 +331,8 @@ class FiniteDistribution:
     """Exact finite-support distribution over labeled examples.
 
     Probabilities may be Fractions (exact) or floats; they must be positive,
-    sum to 1 within 1e-12, and sit on distinct (point, label) pairs.
+    sum to 1 (exactly when all are Fractions, within 1e-12 otherwise), and
+    sit on distinct (point, label) pairs.
     """
 
     atoms: tuple[tuple[LabeledExample, Probability], ...]
@@ -275,7 +355,7 @@ class FiniteDistribution:
             else:
                 exact = False
         if exact:
-            if abs(total - 1) > PROB_TOLERANCE:
+            if total != 1:
                 raise StructuralError(f"probabilities sum to {total}, not 1")
         else:
             s = float(sum(float(p) for _, p in self.atoms))
@@ -302,7 +382,7 @@ class FiniteDistribution:
 
 
 @dataclass(frozen=True)
-class MajorityVotePredictor:
+class MajorityVotePredictor(_RobustTables):
     """An improper predictor: a list of hypotheses combined by majority vote.
 
     Exact ties resolve to +1.  `provenance[i]` holds the ordered sample
@@ -339,12 +419,14 @@ class MajorityVotePredictor:
         vote = sum(v.label_of(point) for v in self.voters)
         return +1 if vote >= 0 else -1
 
+    @cached_property
+    def label_row(self) -> np.ndarray:
+        """The vote over the whole space: voters summed once, ties to +1."""
+        votes = np.sum([v.label_row for v in self.voters], axis=0, dtype=np.int64)
+        return _read_only(np.where(votes >= 0, 1, -1).astype(np.int8))
+
     def labels_at(self, points: Sequence[int]) -> np.ndarray:
-        idx = np.asarray(points, dtype=np.intp)
-        votes = np.zeros(len(idx), dtype=np.int64)
-        for v in self.voters:
-            votes += v.labels_at(idx).astype(np.int64)
-        return np.where(votes >= 0, 1, -1).astype(np.int8)
+        return self.label_row[np.asarray(points, dtype=np.intp)]
 
 
 Predictor = Union[Hypothesis, MajorityVotePredictor]
@@ -355,11 +437,7 @@ def robust_loss(predictor: Predictor, example: LabeledExample, perturbations: Pe
 
     Returns 1 iff some z in U(example.point) is mislabeled by the predictor.
     """
-    ball = perturbations[example.point]
-    if max(ball) >= predictor.size:
-        raise StructuralError("perturbation map and predictor disagree on the instance space")
-    got = predictor.labels_at(ball)
-    return int(np.any(got != example.label))
+    return int(predictor.robust_table(perturbations).loss(Sample((example,)))[0, 0])
 
 
 def standard_loss(predictor: Predictor, example: LabeledExample) -> int:
@@ -375,7 +453,7 @@ def empirical_robust_risk(
     """Mean robust loss over the sample, counting repeats with multiplicity."""
     if len(sample) == 0:
         raise ContractError("empirical robust risk requires a nonempty sample")
-    mistakes = sum(robust_loss(predictor, e, perturbations) for e in sample)
+    mistakes = int(predictor.robust_table(perturbations).loss(sample).sum())
     return Fraction(mistakes, len(sample))
 
 
@@ -390,12 +468,11 @@ def population_robust_risk(
     predictor: Predictor, dist: FiniteDistribution, perturbations: PerturbationMap
 ) -> Probability:
     """Probability-weighted robust loss; exact when all atom weights are rational."""
-    total: Probability = Fraction(0)
+    loss = predictor.robust_table(perturbations).loss(Sample(dist.support()))[0]
     exact = all(isinstance(p, Fraction) for _, p in dist.atoms)
-    if not exact:
-        total = 0.0
-    for example, p in dist.atoms:
-        if robust_loss(predictor, example, perturbations):
+    total: Probability = Fraction(0) if exact else 0.0
+    for (_, p), lost in zip(dist.atoms, loss):
+        if lost:
             total += p
     return total
 

@@ -61,9 +61,28 @@ class DimensionWitness:
     capped: bool = False
 
 
-def _mask_of(bools: np.ndarray) -> int:
-    bits = np.packbits(np.asarray(bools, dtype=bool), bitorder="little")
-    return int.from_bytes(bits.tobytes(), "little")
+def _column_masks(matrix: np.ndarray) -> list[int]:
+    """Per column of a bool matrix: the bitmask of its set rows (row i is bit i)."""
+    packed = np.packbits(matrix, axis=0, bitorder="little")
+    return [int.from_bytes(packed[:, x].tobytes(), "little") for x in range(matrix.shape[1])]
+
+
+def _distinct_slots(plus: list[int], minus: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Slots of the distinct pairs with both masks nonempty; representative = first index."""
+    slots: list[tuple[int, int]] = []
+    reps: list[int] = []
+    seen: set[tuple[int, int]] = set()
+    for i, pair in enumerate(zip(plus, minus)):
+        if pair[0] and pair[1] and pair not in seen:
+            seen.add(pair)
+            slots.append(pair)
+            reps.append(i)
+    return slots, reps
+
+
+def _sign_slots(matrix: np.ndarray) -> tuple[list[tuple[int, int]], list[int]]:
+    """Slots of the distinct non-constant columns of a +1/-1 matrix; representative = first one."""
+    return _distinct_slots(_column_masks(matrix == 1), _column_masks(matrix == -1))
 
 
 def _max_shattered(slots: list[tuple[int, int]], limit: int) -> tuple[int, tuple[int, ...]]:
@@ -129,28 +148,9 @@ def _floor_log2(n: int) -> int:
     return n.bit_length() - 1 if n > 0 else 0
 
 
-def _column_slots(matrix: np.ndarray) -> tuple[list[tuple[int, int]], list[int]]:
-    """One slot per distinct non-constant column; representative = first point."""
-    slots: list[tuple[int, int]] = []
-    reps: list[int] = []
-    seen: set[bytes] = set()
-    for x in range(matrix.shape[1]):
-        col = matrix[:, x]
-        key = col.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        plus = _mask_of(col == 1)
-        minus = _mask_of(col == -1)
-        if plus and minus:
-            slots.append((plus, minus))
-            reps.append(x)
-    return slots, reps
-
-
 def vc(family: HypothesisFamily, cap: int = DEFAULT_CAP) -> DimensionWitness:
     """Exact VC dimension by exhaustive shattering search with early pruning."""
-    slots, reps = _column_slots(family.matrix)
+    slots, reps = _sign_slots(family.matrix)
     return _run_search("vc", slots, reps, cap, _floor_log2(len(family)))
 
 
@@ -160,36 +160,15 @@ def dual_vc(family: HypothesisFamily, cap: int = DEFAULT_CAP) -> DimensionWitnes
     Here the shattered objects are hypotheses and the masks range over points:
     member h contributes the slot ({x : h(x)=+1}, {x : h(x)=-1}).
     """
-    matrix = family.matrix
-    n_points = matrix.shape[1]
-    distinct_columns = len({matrix[:, x].tobytes() for x in range(n_points)})
-    slots: list[tuple[int, int]] = []
-    reps: list[int] = []
-    for h in range(len(family)):
-        row = matrix[h]
-        plus = _mask_of(row == 1)
-        minus = _mask_of(row == -1)
-        if plus and minus:
-            slots.append((plus, minus))
-            reps.append(h)
+    distinct_columns = len(set(_column_masks(family.matrix == 1)))
+    slots, reps = _sign_slots(family.matrix.T)
     return _run_search("dual_vc", slots, reps, cap, _floor_log2(distinct_columns))
 
 
 def _loss_matrix(family: HypothesisFamily, perturbations: PerturbationMap) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """0/1 matrix of robust losses over the domain X x {-1,+1}, plus that domain."""
-    matrix = family.matrix
-    if perturbations.size != matrix.shape[1]:
-        raise StructuralError("perturbation map and family disagree on the instance space")
-    domain: list[tuple[int, int]] = []
-    cols: list[np.ndarray] = []
-    for x in range(matrix.shape[1]):
-        ball = np.asarray(perturbations[x], dtype=np.intp)
-        has_plus = (matrix[:, ball] == 1).any(axis=1)
-        has_minus = (matrix[:, ball] == -1).any(axis=1)
-        for y, col in ((-1, has_plus), (1, has_minus)):
-            domain.append((x, y))
-            cols.append(col)
-    return np.column_stack(cols), domain
+    loss = family.robust_table(perturbations).loss_matrix
+    return loss, [(x, y) for x in range(perturbations.size) for y in (-1, 1)]
 
 
 def vc_of_robust_loss_family(
@@ -198,20 +177,8 @@ def vc_of_robust_loss_family(
     """VC dimension of {(x,y) -> sup_{z in U(x)} 1[h(z) != y] : h in family}."""
     loss, domain = _loss_matrix(family, perturbations)
     distinct_rows = len({loss[h].tobytes() for h in range(loss.shape[0])})
-    slots: list[tuple[int, int]] = []
-    reps: list[tuple[int, int]] = []
-    seen: set[bytes] = set()
-    for j in range(loss.shape[1]):
-        col = loss[:, j]
-        key = col.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        one = _mask_of(col)
-        zero = _mask_of(~col)
-        if one and zero:
-            slots.append((one, zero))
-            reps.append(domain[j])
+    slots, columns = _distinct_slots(_column_masks(loss), _column_masks(~loss))
+    reps = [domain[j] for j in columns]
     return _run_search("loss_vc", slots, reps, cap, _floor_log2(distinct_rows))
 
 
@@ -219,16 +186,8 @@ def _constant_masks(
     family: HypothesisFamily, perturbations: PerturbationMap
 ) -> tuple[list[int], list[int]]:
     """Per point x: bitmasks of members constant +1 / constant -1 on U(x)."""
-    matrix = family.matrix
-    if perturbations.size != matrix.shape[1]:
-        raise StructuralError("perturbation map and family disagree on the instance space")
-    const_plus: list[int] = []
-    const_minus: list[int] = []
-    for x in range(matrix.shape[1]):
-        ball = np.asarray(perturbations[x], dtype=np.intp)
-        const_plus.append(_mask_of((matrix[:, ball] == 1).all(axis=1)))
-        const_minus.append(_mask_of((matrix[:, ball] == -1).all(axis=1)))
-    return const_plus, const_minus
+    table = family.robust_table(perturbations)
+    return _column_masks(table.const_plus), _column_masks(table.const_minus)
 
 
 def disjoint_robust_shattering_dim(
@@ -239,17 +198,7 @@ def disjoint_robust_shattering_dim(
     A slot for point x demands members constant over all of U(x); with the
     identity adversary this degenerates to the plain VC dimension.
     """
-    const_plus, const_minus = _constant_masks(family, perturbations)
-    slots: list[tuple[int, int]] = []
-    reps: list[int] = []
-    seen: set[tuple[int, int]] = set()
-    for x in range(perturbations.size):
-        pair = (const_plus[x], const_minus[x])
-        if not pair[0] or not pair[1] or pair in seen:
-            continue
-        seen.add(pair)
-        slots.append(pair)
-        reps.append(x)
+    slots, reps = _distinct_slots(*_constant_masks(family, perturbations))
     return _run_search("disjoint_robust", slots, reps, cap, _floor_log2(len(family)))
 
 
@@ -308,11 +257,8 @@ def _patterns_realized(slots: list[tuple[int, int]]) -> bool:
 
 
 def is_shattered(family: HypothesisFamily, points: tuple[int, ...]) -> bool:
-    matrix = family.matrix
-    slots = [
-        (_mask_of(matrix[:, x] == 1), _mask_of(matrix[:, x] == -1)) for x in points
-    ]
-    return _patterns_realized(slots)
+    plus, minus = _column_masks(family.matrix == 1), _column_masks(family.matrix == -1)
+    return _patterns_realized([(plus[x], minus[x]) for x in points])
 
 
 def is_loss_shattered(
@@ -323,11 +269,8 @@ def is_loss_shattered(
     """Exhaustively check that the (point, label) pairs are shattered by the loss class."""
     loss, domain = _loss_matrix(family, perturbations)
     index = {d: j for j, d in enumerate(domain)}
-    slots = []
-    for pair in pairs:
-        col = loss[:, index[pair]]
-        slots.append((_mask_of(col), _mask_of(~col)))
-    return _patterns_realized(slots)
+    one, zero = _column_masks(loss), _column_masks(~loss)
+    return _patterns_realized([(one[index[p]], zero[index[p]]) for p in pairs])
 
 
 def is_disjoint_robustly_shattered(
@@ -364,11 +307,8 @@ def verify_witness(
     if witness.kind == "vc":
         return is_shattered(family, witness.witness)
     if witness.kind == "dual_vc":
-        matrix = family.matrix
-        slots = [
-            (_mask_of(matrix[h] == 1), _mask_of(matrix[h] == -1)) for h in witness.witness
-        ]
-        return _patterns_realized(slots)
+        plus, minus = _column_masks(family.matrix.T == 1), _column_masks(family.matrix.T == -1)
+        return _patterns_realized([(plus[h], minus[h]) for h in witness.witness])
     if perturbations is None:
         raise StructuralError(f"witness kind {witness.kind!r} needs the perturbation map")
     if witness.kind == "loss_vc":

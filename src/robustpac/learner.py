@@ -186,20 +186,6 @@ class RealizableRunReport:
         return self.n_used * self.rounds
 
 
-def _robust_wrong_by_content(
-    family: HypothesisFamily,
-    contents: Sequence[tuple[int, int]],
-    perturbations: PerturbationMap,
-) -> np.ndarray:
-    """(members, contents) bool: member robustly errs on the (point, label) pair."""
-    matrix = family.matrix
-    cols = []
-    for point, label in contents:
-        ball = np.asarray(perturbations[point], dtype=np.intp)
-        cols.append((matrix[:, ball] != label).any(axis=1))
-    return np.column_stack(cols)
-
-
 def build_candidates(
     family: HypothesisFamily,
     sample: Sample,
@@ -229,7 +215,7 @@ def build_candidates(
         counts[content_id[key]] += 1
         per_index.append(content_id[key])
 
-    wrong = _robust_wrong_by_content(family, content_order, perturbations)
+    wrong = family.robust_table(perturbations).loss(Sample.from_pairs(content_order))
     d = len(content_order)
 
     multisets: list[tuple[int, ...]] = []
@@ -319,8 +305,9 @@ def discretize(
     pattern_index: dict[tuple[int, ...], int] = {}
     reps: list[InflatedExample] = []
     columns: list[int] = []
+    patterns = wrong_full.T.astype(int).tolist()
     for j, example in enumerate(ordered):
-        pattern = tuple(int(b) for b in wrong_full[:, j])
+        pattern = tuple(patterns[j])
         if pattern not in pattern_index:
             pattern_index[pattern] = len(reps)
             reps.append(example)
@@ -440,14 +427,9 @@ def _first_unrealizable_index(
     family: HypothesisFamily, sample: Sample, perturbations: PerturbationMap
 ) -> int | None:
     """Index i such that sample[:i+1] has no robustly consistent member, or None."""
-    matrix = family.matrix
-    alive = np.ones(len(family), dtype=bool)
-    for i, example in enumerate(sample):
-        ball = np.asarray(perturbations[example.point], dtype=np.intp)
-        alive &= (matrix[:, ball] == example.label).all(axis=1)
-        if not alive.any():
-            return i
-    return None
+    correct = ~family.robust_table(perturbations).loss(sample)
+    dead = np.flatnonzero(~np.logical_and.accumulate(correct, axis=1).any(axis=0))
+    return int(dead[0]) if dead.size else None
 
 
 def learn_realizable_report(

@@ -32,13 +32,7 @@ def robust_mistake_counts(
     family: HypothesisFamily, sample: Sample, perturbations: PerturbationMap
 ) -> np.ndarray:
     """Number of robust mistakes on the sample, per family member (with multiplicity)."""
-    matrix = family.matrix
-    counts = np.zeros(len(family), dtype=np.int64)
-    for example in sample:
-        ball = np.asarray(perturbations[example.point], dtype=np.intp)
-        wrong = (matrix[:, ball] != example.label).any(axis=1)
-        counts += wrong
-    return counts
+    return family.robust_table(perturbations).loss(sample).sum(axis=1)
 
 
 def rerm(family: HypothesisFamily, sample: Sample, perturbations: PerturbationMap) -> OracleResult:

@@ -22,6 +22,7 @@ from typing import Any
 
 from .constructions import ConstructedInstance
 from .core import (
+    ContractError,
     FiniteDistribution,
     HypothesisFamily,
     InstanceSpace,
@@ -138,7 +139,17 @@ def dumps_instance(instance: ConstructedInstance) -> str:
 
 
 def loads_instance(text: str) -> ConstructedInstance:
-    return instance_from_dict(json.loads(text))
+    """Parse one instance document; malformed JSON and wrong-typed fields raise StructuralError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StructuralError(f"instance document is not valid JSON: {exc}") from exc
+    try:
+        return instance_from_dict(doc)
+    except (StructuralError, ContractError):
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise StructuralError(f"instance document has a field of the wrong type: {exc}") from exc
 
 
 def save_instance(instance: ConstructedInstance, path: str) -> None:

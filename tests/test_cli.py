@@ -143,3 +143,34 @@ def test_contract_violation_exits_two_with_message(capsys):
 
 def test_missing_instance_file_exits_two(capsys):
     assert main(["dims", "/nonexistent/inst.json"]) == 2
+
+
+def _corrupted_instance(tmp_path, name, edit):
+    path = tmp_path / "pf.json"
+    assert main(["construct", "proper-failure", "--m", "1", "--out", str(path)]) == 0
+    text = path.read_text()
+    bad = tmp_path / name
+    if edit is None:
+        bad.write_text(text[: len(text) // 2])
+    else:
+        doc = json.loads(text)
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+    return str(bad)
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("truncated.json", None),
+        ("size.json", lambda doc: doc["space"].update(size="abc")),
+        ("member.json", lambda doc: doc["family"]["members"].__setitem__(0, 5)),
+    ],
+)
+def test_malformed_instance_file_exits_two(tmp_path, capsys, name, edit):
+    path = _corrupted_instance(tmp_path, name, edit)
+    capsys.readouterr()
+    assert main(["dims", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance document ")
+    assert "Traceback" not in err

@@ -21,7 +21,12 @@ from robustpac.core import (
     robust_loss,
     standard_loss,
 )
-from robustpac.constructions import make_vc_blowup, make_lower_bound_family
+from robustpac.constructions import (
+    make_agnostic_lower_bound,
+    make_lower_bound_family,
+    make_proper_failure,
+    make_vc_blowup,
+)
 
 
 def test_identity_adversary_consistent_predictor_has_zero_loss():
@@ -123,6 +128,24 @@ def test_distribution_validation():
         FiniteDistribution(((e, Fraction(1, 2)), (e, Fraction(1, 2))))
     with pytest.raises(StructuralError):
         FiniteDistribution(((e, Fraction(0)), (LabeledExample(1, 1), Fraction(1))))
+
+
+def test_exact_distributions_sum_to_exactly_one():
+    a, b = LabeledExample(0, 1), LabeledExample(1, 1)
+    with pytest.raises(StructuralError):
+        FiniteDistribution(((a, Fraction(1, 2) + Fraction(1, 10**13)), (b, Fraction(1, 2))))
+    FiniteDistribution(((a, Fraction(1, 3)), (b, Fraction(2, 3))))
+    # floats keep the 1e-12 tolerance
+    FiniteDistribution(((a, 0.5 + 1e-13), (b, 0.5)))
+    with pytest.raises(StructuralError):
+        FiniteDistribution(((a, 0.5 + 1e-11), (b, 0.5)))
+    for inst in (
+        make_proper_failure(2),
+        make_proper_failure(3, cap=9),
+        make_agnostic_lower_bound(6, Fraction(1, 4)),
+    ):
+        for dist in inst.distributions:
+            assert sum(p for _, p in dist.atoms) == 1
 
 
 def test_perturbation_map_validation():

@@ -1,0 +1,187 @@
+"""Differential tests: every reader of the robust-loss table against a naive per-ball scan.
+
+The references below walk each perturbation set point by point, which is
+how the robust loss sup_{z in U(x)} 1[h(z) != y] reads on paper.  Balls are
+drawn freely, so a point need not lie in its own set and set sizes vary.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from robustpac.agnostic import max_realizable_subsequence
+from robustpac.core import (
+    FiniteDistribution,
+    HypothesisFamily,
+    LabeledExample,
+    MajorityVotePredictor,
+    PerturbationMap,
+    Sample,
+    StructuralError,
+    empirical_robust_risk,
+    population_robust_risk,
+    robust_loss,
+)
+from robustpac.dimensions import _constant_masks, _loss_matrix
+from robustpac.learner import _first_unrealizable_index
+from robustpac.oracles import rerm, robust_mistake_counts
+
+SIGNS = st.sampled_from((-1, 1))
+
+
+@st.composite
+def instances(draw):
+    """(family, perturbations, sample) on at most 6 points and 8 members."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.tuples(*[SIGNS] * n), min_size=1, max_size=8, unique=True))
+    point = st.integers(min_value=0, max_value=n - 1)
+    balls = draw(st.lists(st.lists(point, min_size=1, max_size=n), min_size=n, max_size=n))
+    pairs = draw(st.lists(st.tuples(point, SIGNS), min_size=1, max_size=10))
+    return HypothesisFamily.from_rows(rows), PerturbationMap(tuple(map(tuple, balls))), Sample.from_pairs(pairs)
+
+
+def naive_label(predictor, z: int) -> int:
+    if isinstance(predictor, MajorityVotePredictor):
+        return +1 if sum(v.labels[z] for v in predictor.voters) >= 0 else -1
+    return predictor.labels[z]
+
+
+def naive_loss(predictor, perturbations: PerturbationMap, point: int, label: int) -> int:
+    return int(any(naive_label(predictor, z) != label for z in perturbations.sets[point]))
+
+
+def naive_constant(h, perturbations: PerturbationMap, point: int, label: int) -> bool:
+    return all(h.labels[z] == label for z in perturbations.sets[point])
+
+
+def predictors(family: HypothesisFamily, data):
+    """A family member and a majority vote over members (repeats allowed, ties possible)."""
+    member = family[data.draw(st.integers(0, len(family) - 1))]
+    picks = data.draw(st.lists(st.integers(0, len(family) - 1), min_size=1, max_size=6))
+    return member, MajorityVotePredictor(tuple(family[i] for i in picks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.data())
+def test_losses_and_risks_match_the_per_ball_scan(case, data):
+    family, perturbations, sample = case
+    for predictor in predictors(family, data):
+        losses = [naive_loss(predictor, perturbations, e.point, e.label) for e in sample]
+        for e, expected in zip(sample, losses):
+            assert robust_loss(predictor, e, perturbations) == expected
+        assert empirical_robust_risk(predictor, sample, perturbations) == Fraction(sum(losses), len(sample))
+
+        keys = sorted({e.key() for e in sample})
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys)))
+        total = sum(weights)
+        exact = FiniteDistribution(
+            tuple((LabeledExample(p, y), Fraction(w, total)) for (p, y), w in zip(keys, weights))
+        )
+        floats = FiniteDistribution(tuple((e, float(p)) for e, p in exact.atoms))
+        for dist, zero in ((exact, Fraction(0)), (floats, 0.0)):
+            expected = zero
+            for e, p in dist.atoms:
+                if naive_loss(predictor, perturbations, e.point, e.label):
+                    expected += p
+            got = population_robust_risk(predictor, dist, perturbations)
+            assert type(got) is type(expected) and got == expected
+
+
+def test_exact_vote_ties_resolve_to_plus_one():
+    family = HypothesisFamily.from_rows([(1, 1, -1), (-1, 1, 1)])
+    vote = MajorityVotePredictor(tuple(family))
+    u = PerturbationMap(((0,), (0, 1), (2,)))
+    assert [robust_loss(vote, LabeledExample(x, 1), u) for x in range(3)] == [0, 0, 0]
+    assert [robust_loss(vote, LabeledExample(x, -1), u) for x in range(3)] == [1, 1, 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_oracle_and_learner_reads_match_the_per_ball_scan(case):
+    family, perturbations, sample = case
+    counts = [
+        sum(naive_loss(h, perturbations, e.point, e.label) for e in sample) for h in family
+    ]
+    assert robust_mistake_counts(family, sample, perturbations).tolist() == counts
+    assert rerm(family, sample, perturbations).hypothesis_index == counts.index(min(counts))
+
+    alive = set(range(len(family)))
+    expected = None
+    for i, e in enumerate(sample):
+        alive = {h for h in alive if naive_constant(family[h], perturbations, e.point, e.label)}
+        if not alive:
+            expected = i
+            break
+    assert _first_unrealizable_index(family, sample, perturbations) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_core_extraction_matches_the_per_ball_scan(case):
+    family, perturbations, sample = case
+    covered = [
+        [j for j, e in enumerate(sample) if naive_constant(h, perturbations, e.point, e.label)]
+        for h in family
+    ]
+    best = max(covered, key=len)  # max() keeps the first, i.e. lowest-index, maximizer
+    core = max_realizable_subsequence(family, sample, perturbations, mode="exact")
+    assert core.indices == tuple(best)
+
+    alive = set(range(len(family)))
+    kept = []
+    for j in range(len(sample)):
+        narrowed = {h for h in alive if j in covered[h]}
+        if narrowed:
+            alive = narrowed
+            kept.append(j)
+    assert max_realizable_subsequence(family, sample, perturbations, mode="greedy").indices == tuple(kept)
+
+
+def _mask(bits) -> int:
+    return sum(1 << i for i, b in enumerate(bits) if b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_dimension_tables_match_the_per_ball_scan(case):
+    family, perturbations, _ = case
+    loss, domain = _loss_matrix(family, perturbations)
+    assert domain == [(x, y) for x in range(perturbations.size) for y in (-1, 1)]
+    expected = [[bool(naive_loss(h, perturbations, x, y)) for x, y in domain] for h in family]
+    assert loss.tolist() == expected
+
+    const_plus, const_minus = _constant_masks(family, perturbations)
+    for x in range(perturbations.size):
+        assert const_plus[x] == _mask(naive_constant(h, perturbations, x, +1) for h in family)
+        assert const_minus[x] == _mask(naive_constant(h, perturbations, x, -1) for h in family)
+
+
+def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
+    family = HypothesisFamily.from_rows([(1, -1, 1), (1, 1, 1)])
+    u = PerturbationMap(((0, 1), (1,), (2, 0)))
+    vote = MajorityVotePredictor(tuple(family))
+    outside = Sample.from_pairs([(0, 1), (3, 1)])
+    for call in (
+        lambda: robust_loss(family[0], LabeledExample(3, 1), u),
+        lambda: empirical_robust_risk(vote, outside, u),
+        lambda: robust_mistake_counts(family, outside, u),
+        lambda: _first_unrealizable_index(family, outside, u),
+        lambda: max_realizable_subsequence(family, outside, u),
+    ):
+        with pytest.raises(StructuralError, match="point 3 outside instance space of size 3"):
+            call()
+
+    inside = Sample.from_pairs([(0, 1)])
+    for wrong_size in (PerturbationMap.identity(2), PerturbationMap.identity(4)):
+        for call in (
+            lambda: empirical_robust_risk(family[0], inside, wrong_size),
+            lambda: empirical_robust_risk(vote, inside, wrong_size),
+            lambda: robust_mistake_counts(family, inside, wrong_size),
+            lambda: _loss_matrix(family, wrong_size),
+            lambda: _constant_masks(family, wrong_size),
+        ):
+            with pytest.raises(StructuralError, match="disagree on the instance space"):
+                call()
