@@ -163,25 +163,7 @@ class RobustTable:
         if len(sample) and points.max() >= size:
             bad = points[points >= size][0]
             raise StructuralError(f"point {bad} outside instance space of size {size}")
-        return self.loss_matrix.take(2 * points + (labels == 1), axis=1)
-
-
-class _RobustTables:
-    """Mixin: one RobustTable per perturbation map, built on first use and kept.
-
-    The table's rows are `_label_matrix()`: by default the one-row `label_row`.
-    """
-
-    def _label_matrix(self) -> np.ndarray:
-        return self.label_row[np.newaxis, :]
-
-    def robust_table(self, perturbations: PerturbationMap) -> RobustTable:
-        """The RobustTable of these labels under `perturbations`, built once per map."""
-        tables = self.__dict__.setdefault("_robust_tables", {})
-        table = tables.get(perturbations)
-        if table is None:
-            table = tables[perturbations] = RobustTable.build(self._label_matrix(), perturbations)
-        return table
+        return np.where(labels == 1, ~self.const_plus[:, points], ~self.const_minus[:, points])
 
 
 def check_self_containment(perturbations: PerturbationMap) -> None:
@@ -192,7 +174,7 @@ def check_self_containment(perturbations: PerturbationMap) -> None:
 
 
 @dataclass(frozen=True)
-class Hypothesis(_RobustTables):
+class Hypothesis:
     """A total +1/-1 labeling of the instance space."""
 
     labels: tuple[int, ...]
@@ -224,7 +206,7 @@ class Hypothesis(_RobustTables):
 
 
 @dataclass(frozen=True)
-class HypothesisFamily(_RobustTables):
+class HypothesisFamily:
     """A finite ordered hypothesis class; the index is the canonical tie-break key."""
 
     members: tuple[Hypothesis, ...]
@@ -273,8 +255,13 @@ class HypothesisFamily(_RobustTables):
         """(len(family), space_size) int8 matrix of labels; rows follow member order."""
         return _read_only(np.asarray([h.labels for h in self.members], dtype=np.int8))
 
-    def _label_matrix(self) -> np.ndarray:
-        return self.matrix
+    def robust_table(self, perturbations: PerturbationMap) -> RobustTable:
+        """The RobustTable of the members under `perturbations`; the last one built is kept."""
+        cached = self.__dict__.get("_robust_table")
+        if cached is None or (cached[0] is not perturbations and cached[0] != perturbations):
+            cached = (perturbations, RobustTable.build(self.matrix, perturbations))
+            object.__setattr__(self, "_robust_table", cached)
+        return cached[1]
 
 
 @dataclass(frozen=True)
@@ -382,7 +369,7 @@ class FiniteDistribution:
 
 
 @dataclass(frozen=True)
-class MajorityVotePredictor(_RobustTables):
+class MajorityVotePredictor:
     """An improper predictor: a list of hypotheses combined by majority vote.
 
     Exact ties resolve to +1.  `provenance[i]` holds the ordered sample
@@ -432,12 +419,19 @@ class MajorityVotePredictor(_RobustTables):
 Predictor = Union[Hypothesis, MajorityVotePredictor]
 
 
+def _robust_losses(
+    predictor: Predictor, sample: Sample, perturbations: PerturbationMap
+) -> np.ndarray:
+    """Robust 0-1 loss of the predictor on each example, read from its one-row table."""
+    return RobustTable.build(predictor.label_row[np.newaxis, :], perturbations).loss(sample)[0]
+
+
 def robust_loss(predictor: Predictor, example: LabeledExample, perturbations: PerturbationMap) -> int:
     """Worst-case 0-1 loss over the example's perturbation set.
 
     Returns 1 iff some z in U(example.point) is mislabeled by the predictor.
     """
-    return int(predictor.robust_table(perturbations).loss(Sample((example,)))[0, 0])
+    return int(_robust_losses(predictor, Sample((example,)), perturbations)[0])
 
 
 def standard_loss(predictor: Predictor, example: LabeledExample) -> int:
@@ -453,7 +447,7 @@ def empirical_robust_risk(
     """Mean robust loss over the sample, counting repeats with multiplicity."""
     if len(sample) == 0:
         raise ContractError("empirical robust risk requires a nonempty sample")
-    mistakes = int(predictor.robust_table(perturbations).loss(sample).sum())
+    mistakes = int(_robust_losses(predictor, sample, perturbations).sum())
     return Fraction(mistakes, len(sample))
 
 
@@ -468,7 +462,7 @@ def population_robust_risk(
     predictor: Predictor, dist: FiniteDistribution, perturbations: PerturbationMap
 ) -> Probability:
     """Probability-weighted robust loss; exact when all atom weights are rational."""
-    loss = predictor.robust_table(perturbations).loss(Sample(dist.support()))[0]
+    loss = _robust_losses(predictor, Sample(dist.support()), perturbations)
     exact = all(isinstance(p, Fraction) for _, p in dist.atoms)
     total: Probability = Fraction(0) if exact else 0.0
     for (_, p), lost in zip(dist.atoms, loss):

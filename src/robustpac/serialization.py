@@ -105,25 +105,25 @@ def instance_from_dict(doc: dict[str, Any]) -> ConstructedInstance:
         family = HypothesisFamily.from_rows(
             doc["family"]["members"], name=doc["family"].get("name")
         )
+        if perturbations.size != space.size or family.space_size != space.size:
+            raise StructuralError("space, perturbations and family disagree on size")
+        distributions = None
+        if "distributions" in doc:
+            distributions = tuple(
+                FiniteDistribution(
+                    tuple(
+                        (
+                            LabeledExample(int(a["point"]), int(a["label"])),
+                            parse_probability(a["p"]),
+                        )
+                        for a in entry["atoms"]
+                    )
+                )
+                for entry in doc["distributions"]
+            )
+        anchors = {k: tuple(v) for k, v in doc.get("anchors", {}).items()}
     except KeyError as exc:
         raise StructuralError(f"instance document is missing key {exc}") from exc
-    if perturbations.size != space.size or family.space_size != space.size:
-        raise StructuralError("space, perturbations and family disagree on size")
-    distributions = None
-    if "distributions" in doc:
-        distributions = tuple(
-            FiniteDistribution(
-                tuple(
-                    (
-                        LabeledExample(int(a["point"]), int(a["label"])),
-                        parse_probability(a["p"]),
-                    )
-                    for a in entry["atoms"]
-                )
-            )
-            for entry in doc["distributions"]
-        )
-    anchors = {k: tuple(v) for k, v in doc.get("anchors", {}).items()}
     return ConstructedInstance(
         space=space,
         perturbations=perturbations,
@@ -148,7 +148,7 @@ def loads_instance(text: str) -> ConstructedInstance:
         return instance_from_dict(doc)
     except (StructuralError, ContractError):
         raise
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise StructuralError(f"instance document has a field of the wrong type: {exc}") from exc
 
 

@@ -165,6 +165,8 @@ def _corrupted_instance(tmp_path, name, edit):
         ("truncated.json", None),
         ("size.json", lambda doc: doc["space"].update(size="abc")),
         ("member.json", lambda doc: doc["family"]["members"].__setitem__(0, 5)),
+        ("huge.json", lambda doc: doc["space"].update(size=float("inf"))),
+        ("atom.json", lambda doc: doc["distributions"][0]["atoms"][0].pop("p")),
     ],
 )
 def test_malformed_instance_file_exits_two(tmp_path, capsys, name, edit):
