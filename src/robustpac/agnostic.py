@@ -10,6 +10,7 @@ risk on the full sample no worse than the best member of the family.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .learner import (
     WeakLearnerFailure,
     alpha_boost,
     build_candidates,
+    weak_learn,
 )
 
 __all__ = [
@@ -39,8 +41,6 @@ __all__ = [
     "agnostic_bound",
     "agnostic_round_count",
 ]
-
-WEAK_ROBUST_ERROR_BOUND = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -133,23 +133,15 @@ def learn_agnostic(
     while True:
         candidates = build_candidates(family, core_sample, perturbations, n)
         wrong = candidates.family.robust_table(perturbations).loss(core_sample)
-
-        def weak(dist: np.ndarray, wrong: np.ndarray = wrong) -> tuple[int, np.ndarray]:
-            errors = wrong @ dist
-            index = int(np.argmin(errors))
-            if errors[index] > WEAK_ROBUST_ERROR_BOUND:
-                raise WeakLearnerFailure(float(errors[index]))
-            return index, ~wrong[index]
-
         try:
             boost = alpha_boost(
-                core_sample, weak, alpha=config.alpha, margin_target=None, T_max=rounds
+                core_sample, functools.partial(weak_learn, wrong), margin_target=None, T_max=rounds
             )
             break
         except WeakLearnerFailure:
             if n >= len(core_sample):
                 raise
-            n = min(len(core_sample), max(n + 1, n * config.n_growth))
+            n = min(len(core_sample), 2 * n)
 
     if boost.min_margin <= Fraction(1, 2):
         raise RuntimeError(

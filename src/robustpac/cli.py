@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: construct, dims, learn, agnostic, bound, experiment.  Common
-flags (--seed, --threads, --out, --format) attach to every subcommand; the
-default thread count honors ROBUSTPAC_THREADS.  File and stdout payloads are
-byte-identical across runs at a fixed seed; wall-clock timings go to stderr.
+flags (--seed, --out, --format) attach to every subcommand.  File and stdout
+payloads are byte-identical across runs at a fixed seed; wall-clock timings
+go to stderr.
 
 Exit status: 0 on success, 2 on contract or validation errors (the message
 names the violated precondition).
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -50,21 +49,8 @@ from .serialization import dumps_instance, load_instance, save_instance
 __all__ = ["main"]
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ROBUSTPAC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker pool width (default $ROBUSTPAC_THREADS or 1)",
-    )
     parser.add_argument("--out", type=str, default=None, help="write the result to this path")
     parser.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format for --out"
@@ -263,7 +249,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             m=args.m,
             trials=args.trials,
             seed=args.seed,
-            threads=args.threads,
             improper_budget=args.budget,
             instance_source=f"proper-failure(m={args.m})",
         )
@@ -286,7 +271,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             m=args.m,
             trials=args.trials,
             seed=args.seed,
-            threads=args.threads,
             delta=args.delta,
             instance_source="threshold-window",
             learner="compress-boost",
@@ -302,7 +286,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         m=args.m,
         trials=args.trials,
         seed=args.seed,
-        threads=args.threads,
         instance_source=f"group-adversary(groups={args.groups})",
     )
     table = run_bounded_k_scaling(k_list, config, groups=args.groups)

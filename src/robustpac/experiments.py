@@ -1,20 +1,19 @@
 """Monte Carlo experiment orchestration.
 
-Trials are independent units dispatched to a bounded thread pool; trial t
-draws from the Philox stream keyed (seed, t), and aggregation is by trial
-index, so reports are identical for any thread count.  Population risks are
-compared against thresholds exactly (Fractions) wherever the inputs are
-rational, then stored as floats in the report rows.
+Trials run one after another; trial t draws only from the Philox stream
+keyed (seed, t), so each trial is a pure function of the seed and its index
+and reports are identical across runs.  Population risks are compared
+against thresholds exactly (Fractions) wherever the inputs are rational,
+then stored as floats in the report rows.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +54,6 @@ class ExperimentConfig:
     m: int
     trials: int
     seed: int = 0
-    threads: int = 1
     epsilon: float | Fraction | None = None
     delta: float = 0.05
     improper_budget: int = 64
@@ -67,15 +65,12 @@ class ExperimentConfig:
             raise ContractError(f"trials must be >= 1, got {self.trials}")
         if self.m < 1:
             raise ContractError(f"m must be >= 1, got {self.m}")
-        if self.threads < 1:
-            raise ContractError(f"threads must be >= 1, got {self.threads}")
 
     def echo(self, **extra) -> dict:
         doc = {
             "m": self.m,
             "trials": self.trials,
             "seed": self.seed,
-            "threads": self.threads,
             "delta": self.delta,
             "improper_budget": self.improper_budget,
             "instance_source": self.instance_source,
@@ -85,13 +80,6 @@ class ExperimentConfig:
             doc["epsilon"] = float(self.epsilon)
         doc.update(extra)
         return doc
-
-
-def _run_trials(trials: int, threads: int, fn: Callable[[int], object]) -> list:
-    if threads <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
 
 
 def run_separation_experiment(
@@ -125,7 +113,7 @@ def run_separation_experiment(
         return proper_risk, improper_risk
 
     start = time.perf_counter()
-    rows = _run_trials(config.trials, config.threads, one_trial)
+    rows = [one_trial(t) for t in range(config.trials)]
     elapsed = time.perf_counter() - start
 
     proper_risks = tuple(float(r[0]) for r in rows)
@@ -214,7 +202,7 @@ def run_bound_check(
         return risk, failed
 
     start = time.perf_counter()
-    rows = _run_trials(config.trials, config.threads, one_trial)
+    rows = [one_trial(t) for t in range(config.trials)]
     elapsed = time.perf_counter() - start
     report = ExperimentReport(
         "compression-bound-check",
@@ -351,7 +339,7 @@ def run_bounded_k_scaling(
             report = learn_realizable_report(instance.family, sample, perturbations, learner_config)
             return report.inflated_size, report.discretized_size, report.rounds, report.n_used
 
-        outcomes = _run_trials(config.trials, config.threads, one_trial)
+        outcomes = [one_trial(t) for t in range(config.trials)]
         inflated = [o[0] for o in outcomes]
         sizes = [o[1] for o in outcomes]
         rounds = [o[2] for o in outcomes]

@@ -13,6 +13,8 @@ and the compression generalization bound applies.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,6 +57,9 @@ __all__ = [
 
 WEAK_ERROR_BOUND = 1.0 / 3.0
 CANDIDATE_ENUMERATION_LIMIT = 500_000
+ALPHA = 0.125
+MARGIN_TARGET = Fraction(5, 9)
+SPARSIFY_ATTEMPTS = 100
 
 
 class WeakLearnerFailure(RuntimeError):
@@ -85,27 +90,21 @@ class LearnerConfig:
     """Knobs of the compression-boosting pipeline.
 
     `n_initial` defaults to vc(family)+1 and doubles on weak-learner failure,
-    never exceeding the sample size.  `margin_target` 5/9 leaves the 1/18
-    sparsification slack above 1/2.  `T_max` and `N_sparsify` default to
+    never exceeding the sample size.  `T_max` and `N_sparsify` default to
     ceil(1 + 48 ln |discretized|) + 10 and to the candidate family's dual VC
-    dimension (minimum 3, forced odd).
+    dimension (minimum 3, forced odd).  The rest is fixed by the module
+    constants: boosting step `ALPHA` 1/8, `MARGIN_TARGET` 5/9 (which leaves
+    the 1/18 sparsification slack above 1/2) and `SPARSIFY_ATTEMPTS` 100
+    seeded draws before the full-list fallback.
     """
 
     n_initial: int | None = None
-    n_growth: int = 2
-    alpha: float = 0.125
-    margin_target: Fraction = Fraction(5, 9)
     T_max: int | None = None
     N_sparsify: int | None = None
-    sparsify_attempts: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha < 0.5:
-            raise ContractError(f"alpha must lie in (0, 1/2), got {self.alpha}")
-        if not Fraction(1, 2) < Fraction(self.margin_target) <= 1:
-            raise ContractError(f"margin target must lie in (1/2, 1], got {self.margin_target}")
-        for name in ("n_initial", "n_growth", "T_max", "N_sparsify", "sparsify_attempts"):
+        for name in ("n_initial", "T_max", "N_sparsify"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ContractError(f"{name} must be >= 1, got {value}")
@@ -214,9 +213,15 @@ def build_candidates(
             counts.append(0)
         counts[content_id[key]] += 1
         per_index.append(content_id[key])
+    d = len(content_order)
+    total = _multiset_count(counts, n)
+    if total > CANDIDATE_ENUMERATION_LIMIT:
+        raise ContractError(
+            f"candidate enumeration needs {total} multisets of size {n} over {d} distinct "
+            f"examples, more than CANDIDATE_ENUMERATION_LIMIT = {CANDIDATE_ENUMERATION_LIMIT}"
+        )
 
     wrong = family.robust_table(perturbations).loss(Sample.from_pairs(content_order))
-    d = len(content_order)
 
     multisets: list[tuple[int, ...]] = []
     available_after = [0] * (d + 1)
@@ -226,8 +231,6 @@ def build_candidates(
     def fill(slot: int, remaining: int, chosen: list[int]) -> None:
         if remaining == 0:
             multisets.append(tuple(chosen + [0] * (d - slot)))
-            if len(multisets) > CANDIDATE_ENUMERATION_LIMIT:
-                raise ContractError("candidate subset enumeration exceeds the desk-scale limit")
             return
         if slot == d or remaining > available_after[slot]:
             return
@@ -266,6 +269,19 @@ def build_candidates(
         tuple(provenance),
         n,
     )
+
+
+def _multiset_count(counts: Sequence[int], n: int) -> int:
+    """Number of size-n multisets taking at most counts[i] copies of item i.
+
+    A bounded-composition count: after each item, ways[r] holds the number
+    of ways to pick r copies from the items so far.
+    """
+    ways = [1] + [0] * n
+    for c in counts:
+        prefix = [0, *itertools.accumulate(ways)]
+        ways = [prefix[r + 1] - prefix[max(0, r - c)] for r in range(n + 1)]
+    return ways[n]
 
 
 def inflate(sample: Sample, perturbations: PerturbationMap) -> tuple[InflatedExample, ...]:
@@ -317,33 +333,26 @@ def discretize(
     return DiscretizedSet(tuple(reps), pattern_index, wrong)
 
 
-def weak_learn(
-    candidates: CandidateSet | HypothesisFamily,
-    points: Sequence[InflatedExample],
-    dist: np.ndarray,
-) -> int:
-    """Lowest-index candidate minimizing the dist-weighted error on the points.
+def weak_learn(wrong: np.ndarray, dist: np.ndarray) -> tuple[int, np.ndarray]:
+    """Lowest-index candidate minimizing the dist-weighted error, with its correct points.
 
-    Raises WeakLearnerFailure when even the best candidate has error >= 1/3,
-    which signals the caller to grow the candidate subset size.
+    `wrong` is the (candidates, points) mistake matrix.  Raises
+    WeakLearnerFailure when even the best candidate has error >= 1/3, which
+    signals the caller to grow the candidate subset size.  Bind `wrong` with
+    functools.partial to get the `weak` callable of `alpha_boost`.
     """
-    family = candidates.family if isinstance(candidates, CandidateSet) else candidates
-    matrix = family.matrix
-    pts = np.asarray([e.point for e in points], dtype=np.intp)
-    labs = np.asarray([e.label for e in points], dtype=np.int8)
-    wrong = matrix[:, pts] != labs[np.newaxis, :]
-    errors = wrong @ np.asarray(dist, dtype=np.float64)
+    errors = wrong @ dist
     index = int(np.argmin(errors))
     if errors[index] >= WEAK_ERROR_BOUND:
         raise WeakLearnerFailure(float(errors[index]))
-    return index
+    return index, ~wrong[index]
 
 
 def alpha_boost(
     points: Sized,
     weak: Callable[[np.ndarray], tuple[object, np.ndarray]],
-    alpha: float = 0.125,
-    margin_target: Fraction | None = Fraction(5, 9),
+    alpha: float = ALPHA,
+    margin_target: Fraction | None = MARGIN_TARGET,
     T_max: int | None = None,
 ) -> BoostResult:
     """Multiplicative-weights boosting from the uniform distribution.
@@ -391,7 +400,7 @@ def sparsify(
     points: DiscretizedSet,
     N: int,
     seed: int = 0,
-    attempts: int = 100,
+    attempts: int = SPARSIFY_ATTEMPTS,
 ) -> tuple[int, ...]:
     """Indices (with replacement) whose majority stays strictly correct everywhere.
 
@@ -474,28 +483,15 @@ def learn_realizable_report(
         candidates = build_candidates(family, sample, perturbations, n)
         disc = discretize(inflated, candidates)
         round_cap = config.T_max if config.T_max is not None else default_round_cap(len(disc))
-        wrong = disc.wrong
-
-        def weak(dist: np.ndarray, wrong: np.ndarray = wrong) -> tuple[int, np.ndarray]:
-            errors = wrong @ dist
-            index = int(np.argmin(errors))
-            if errors[index] >= WEAK_ERROR_BOUND:
-                raise WeakLearnerFailure(float(errors[index]))
-            return index, ~wrong[index]
-
         try:
             boost = alpha_boost(
-                disc.representatives,
-                weak,
-                alpha=config.alpha,
-                margin_target=config.margin_target,
-                T_max=round_cap,
+                disc.representatives, functools.partial(weak_learn, disc.wrong), T_max=round_cap
             )
             break
         except WeakLearnerFailure:
             if n >= m:
                 raise
-            n = min(m, max(n + 1, n * config.n_growth))
+            n = min(m, 2 * n)
 
     if config.N_sparsify is not None:
         n_sparse = config.N_sparsify
@@ -504,9 +500,7 @@ def learn_realizable_report(
         if n_sparse % 2 == 0:
             n_sparse += 1
     voter_hyps = [candidates.family[i] for i in boost.voter_ids]
-    chosen = sparsify(
-        voter_hyps, disc, n_sparse, seed=config.seed, attempts=config.sparsify_attempts
-    )
+    chosen = sparsify(voter_hyps, disc, n_sparse, seed=config.seed)
     voters = tuple(voter_hyps[j] for j in chosen)
     provenance = tuple(candidates.provenance[boost.voter_ids[j]] for j in chosen)
     predictor = MajorityVotePredictor(voters, provenance)

@@ -3,7 +3,7 @@
 All randomness in the package flows through Philox streams keyed by
 (seed, stream).  Philox is counter-based and splittable: distinct stream
 indices give statistically independent, platform-reproducible generators,
-so parallel and serial trial schedules draw identical numbers.
+so a trial keyed (seed, t) draws the same numbers whatever ran before it.
 """
 
 from __future__ import annotations

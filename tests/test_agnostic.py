@@ -84,6 +84,17 @@ def test_agnostic_reduces_to_zero_risk_on_realizable_inputs():
         assert empirical_robust_risk(predictor, sample, perturbations) == 0
 
 
+def test_agnostic_grows_n_when_the_best_candidate_errs_on_a_third():
+    # the realizable learner's fixture: at n = 1 and n = 2 every candidate errs
+    # on exactly one of the three core examples, which is not below 1/3
+    family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, 1, 1)])
+    sample = Sample.from_pairs([(0, 1), (1, 1), (2, 1)])
+    perturbations = PerturbationMap.identity(3)
+    predictor = learn_agnostic(family, sample, perturbations, LearnerConfig(n_initial=1))
+    assert set(predictor.provenance) == {(0, 1, 2)}
+    assert empirical_robust_risk(predictor, sample, perturbations) == 0
+
+
 def test_agnostic_empty_core_returns_flagged_constant():
     family = HypothesisFamily.from_rows([(1, 1)])
     sample = Sample.from_pairs([(0, -1), (1, -1)])

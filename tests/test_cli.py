@@ -135,6 +135,13 @@ def test_unknown_subcommand_exits_two(capsys):
     assert err.value.code == 2
 
 
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "separation", "--trials", "1", "--threads", "2"])
+    assert err.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_contract_violation_exits_two_with_message(capsys):
     assert main(["construct", "vc-blowup", "--m", "99"]) == 2
     err = capsys.readouterr().err

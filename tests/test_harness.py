@@ -128,16 +128,14 @@ def test_report_frequencies_recompute_from_rows():
 # --- experiments -------------------------------------------------------------
 
 
-def test_separation_is_deterministic_and_thread_invariant():
+def test_separation_is_deterministic():
     inst = make_proper_failure(2)
-    base = ExperimentConfig(m=2, trials=30, seed=7, improper_budget=16)
-    threaded = ExperimentConfig(m=2, trials=30, seed=7, threads=4, improper_budget=16)
-    p1, i1 = run_separation_experiment(inst, base)
-    p2, i2 = run_separation_experiment(inst, threaded)
+    config = ExperimentConfig(m=2, trials=30, seed=7, improper_budget=16)
+    p1, i1 = run_separation_experiment(inst, config)
+    p2, i2 = run_separation_experiment(inst, config)
     assert p1.risks == p2.risks and p1.failures == p2.failures
     assert i1.risks == i2.risks and i1.failures == i2.failures
-    p3, _ = run_separation_experiment(inst, base)
-    assert p3.to_csv() == p1.to_csv()
+    assert p2.to_csv() == p1.to_csv()
 
 
 def test_separation_single_trial_fixed_seed():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustpac.core import (
     ContractError,
@@ -17,6 +19,7 @@ from robustpac.core import (
     empirical_robust_risk,
 )
 from robustpac.learner import (
+    CANDIDATE_ENUMERATION_LIMIT,
     BoostingFailure,
     LearnerConfig,
     WeakLearnerFailure,
@@ -29,12 +32,15 @@ from robustpac.learner import (
     learn_realizable_report,
     sparsify,
     weak_learn,
+    _multiset_count,
 )
 from robustpac.oracles import rerm
 from robustpac.constructions import make_proper_failure
 from robustpac.sampling import sample_iid
 
 from conftest import random_realizable_setup
+
+SIGNS = st.sampled_from((-1, 1))
 
 
 # --- inflation ---------------------------------------------------------------
@@ -85,21 +91,54 @@ def test_singleton_family_gives_one_candidate():
     assert len(cands) == 1
 
 
-def test_candidates_match_naive_subset_enumeration():
-    inst = make_proper_failure(2)
-    sample = sample_iid(inst.distributions[3], 4, seed=5)
-    cands = build_candidates(inst.family, sample, inst.perturbations, 2)
-    assert len(cands) <= math.comb(4, 2)
+@st.composite
+def candidate_inputs(draw):
+    """A tiny family, free perturbation sets, a sample repeating a few examples, and n."""
+    size = draw(st.integers(min_value=1, max_value=4))
+    point = st.integers(min_value=0, max_value=size - 1)
+    rows = draw(st.lists(st.tuples(*[SIGNS] * size), min_size=1, max_size=6, unique=True))
+    balls = draw(st.lists(st.lists(point, min_size=1, max_size=size), min_size=size, max_size=size))
+    distinct = draw(st.lists(st.tuples(point, SIGNS), min_size=1, max_size=3))
+    pairs = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=7))
+    n = draw(st.integers(min_value=1, max_value=len(pairs)))
+    family = HypothesisFamily.from_rows(rows)
+    return family, PerturbationMap(tuple(map(tuple, balls))), Sample.from_pairs(pairs), n
 
-    seen: dict[tuple, tuple] = {}
-    for pair in combinations(range(4), 2):
-        sub = Sample((sample[pair[0]], sample[pair[1]]))
-        pick = rerm(inst.family, sub, inst.perturbations).hypothesis_index
-        labels = inst.family[pick].labels
-        if labels not in seen:
-            seen[labels] = pair
-    assert {h.labels for h in cands.family} == set(seen)
-    assert set(cands.provenance) == set(seen.values())
+
+@settings(max_examples=150, deadline=None)
+@given(candidate_inputs())
+def test_candidates_match_naive_subset_enumeration(inputs):
+    # the literal scan: RERM on every index combination in lexicographic order,
+    # keeping the first combination that yields each distinct labeling
+    family, perturbations, sample, n = inputs
+    members: list[tuple[int, ...]] = []
+    provenance: list[tuple[int, ...]] = []
+    for combo in combinations(range(len(sample)), n):
+        sub = Sample(tuple(sample[i] for i in combo))
+        labels = family[rerm(family, sub, perturbations).hypothesis_index].labels
+        if labels not in members:
+            members.append(labels)
+            provenance.append(combo)
+    cands = build_candidates(family, sample, perturbations, n)
+    assert [h.labels for h in cands.family] == members
+    assert cands.provenance == tuple(provenance)
+    assert cands.subset_size == n
+
+
+@given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5), st.data())
+def test_multiset_count_matches_distinct_combinations(counts, data):
+    items = [i for i, c in enumerate(counts) for _ in range(c)]
+    n = data.draw(st.integers(min_value=0, max_value=len(items) + 1))
+    assert _multiset_count(counts, n) == len(set(combinations(items, n)))
+
+
+def test_candidate_enumeration_limit_fails_before_enumerating():
+    # 30 distinct examples at n = 15 give C(30, 15) multisets
+    family = HypothesisFamily.from_rows([(1,) * 30, (-1,) * 30])
+    sample = Sample.from_pairs([(x, 1) for x in range(30)])
+    assert math.comb(30, 15) > CANDIDATE_ENUMERATION_LIMIT
+    with pytest.raises(ContractError, match=r"155117520 multisets .*CANDIDATE_ENUMERATION_LIMIT"):
+        build_candidates(family, sample, PerturbationMap.identity(30), 15)
 
 
 def test_candidate_count_never_exceeds_choose_m_n():
@@ -155,12 +194,18 @@ def test_discretize_representatives_are_lexicographic_and_faithful():
 # --- weak learning and boosting ----------------------------------------------
 
 
+def _identity_wrong(family: HypothesisFamily, pairs: list[tuple[int, int]]) -> np.ndarray:
+    return family.robust_table(PerturbationMap.identity(family.space_size)).loss(
+        Sample.from_pairs(pairs)
+    )
+
+
 def test_weak_learn_picks_the_perfect_candidate():
     family = HypothesisFamily.from_rows([(1, 1, -1), (1, 1, 1)])
-    points = [LabeledExample(0, 1), LabeledExample(2, -1)]
-    inflated = [type("E", (), {"point": e.point, "label": e.label})() for e in points]
-    dist = np.array([0.5, 0.5])
-    assert weak_learn(family, inflated, dist) == 0
+    wrong = _identity_wrong(family, [(0, 1), (2, -1)])
+    index, correct = weak_learn(wrong, np.array([0.5, 0.5]))
+    assert index == 0
+    assert correct.tolist() == [True, True]
 
 
 def test_weak_learn_accepts_quarter_error_and_rejects_third():
@@ -170,15 +215,15 @@ def test_weak_learn_accepts_quarter_error_and_rejects_third():
         (1, 1, -1, 1),
         (1, 1, 1, -1),
     ]
-    family = HypothesisFamily.from_rows(rows)
-    points = [LabeledExample(x, 1) for x in range(4)]
+    points = [(x, 1) for x in range(4)]
     uniform = np.full(4, 0.25)
-    index = weak_learn(family, points, uniform)
+    index, correct = weak_learn(_identity_wrong(HypothesisFamily.from_rows(rows), points), uniform)
     assert index == 0  # everyone errs on exactly a quarter; lowest index wins
+    assert correct.tolist() == [False, True, True, True]
 
     bad = HypothesisFamily.from_rows([(-1, -1, 1, 1), (1, -1, -1, 1)])
     with pytest.raises(WeakLearnerFailure):
-        weak_learn(bad, points, uniform)
+        weak_learn(_identity_wrong(bad, points), uniform)
 
 
 def _eye_weak(n_points: int):
@@ -370,15 +415,7 @@ def test_margins_transfer_from_representatives_to_the_whole_inflation():
     cands = build_candidates(inst.family, sample, inst.perturbations, 2)
     inflated = inflate(sample, inst.perturbations)
     disc = discretize(inflated, cands)
-    wrong = disc.wrong
-
-    def weak(dist):
-        index = int(np.argmin(wrong @ dist))
-        if (wrong @ dist)[index] >= 1 / 3:
-            raise WeakLearnerFailure(float((wrong @ dist)[index]))
-        return index, ~wrong[index]
-
-    boost = alpha_boost(disc.representatives, weak, margin_target=Fraction(5, 9))
+    boost = alpha_boost(disc.representatives, functools.partial(weak_learn, disc.wrong))
     matrix = cands.family.matrix
     voters = list(boost.voter_ids)
     rep_margin = {}
