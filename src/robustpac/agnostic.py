@@ -106,8 +106,15 @@ def learn_agnostic(
     at most the best achievable within the family.  A sample with an empty
     core (no example is robustly satisfiable by any member) yields the
     constant +1 predictor flagged "empty-realizable-core".
+
+    Of `config` only `n_initial` is used.  The round count is fixed and
+    nothing is sparsified, so a set `T_max` or `N_sparsify` is a contract
+    violation; `seed` is accepted and unused, since no step draws randomness.
     """
     config = config or LearnerConfig()
+    for name in ("T_max", "N_sparsify"):
+        if getattr(config, name) is not None:
+            raise ContractError(f"learn_agnostic does not use {name}; leave it unset")
     if len(sample) == 0:
         raise ContractError("agnostic learning requires a nonempty sample")
     core = max_realizable_subsequence(family, sample, perturbations, mode="exact")

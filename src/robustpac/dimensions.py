@@ -3,9 +3,16 @@
 All five quantities reduce to one search problem: given "slots", each carrying
 a pair of disjoint member sets (who can realize + at the slot, who can realize
 -), find the largest slot subset such that every sign pattern is realized by
-some member.  Member sets are Python-int bitmasks; the search walks candidate
-tuples in lexicographic order and prunes a branch as soon as one pattern's
-member set goes empty.
+some member.  Member sets are Python-int bitmasks.  The search is a DFS over
+slot tuples in lexicographic order.  Each node keeps its cells (the member set
+of every sign pattern over the chosen slots) and its candidates (the later
+slots that split every cell into two nonempty halves); a child filters only
+its parent's candidates, since its cells refine the parent's.  A branch is cut
+when its depth plus its remaining candidates cannot beat the best size found,
+or when a cell at depth s holds fewer than 2^(best + 1 - s) members: each sign
+pattern of the slots still to come needs its own member.  Both cuts drop only
+branches that cannot beat the best, so the first maximal witness the DFS meets,
+the lexicographically first one, is the witness an unpruned scan returns.
 
 Every search is exact up to a configurable ceiling (default 12).  A result
 that hits the ceiling while larger witnesses may exist is flagged `capped`
@@ -89,44 +96,54 @@ def _max_shattered(slots: list[tuple[int, int]], limit: int) -> tuple[int, tuple
     """Largest subset of slots whose every sign pattern keeps a nonempty member set.
 
     Slots are (plus_mask, minus_mask) with plus & minus == 0.  Returns the
-    size and the lexicographically first witness of that size.
+    size and the lexicographically first witness of that size, searched with
+    the candidate lists and the cell-size bound of the module docstring.
     """
+    if limit <= 0 or not slots:
+        return 0, ()
     best_value = 0
     best_choice: tuple[int, ...] = ()
-    n = len(slots)
-    if limit <= 0 or n == 0:
-        return 0, ()
-    full = -1  # all-ones bitmask; slot masks intersect it to their own universe
 
-    def extend(start: int, masks: list[int], chosen: list[int]) -> bool:
+    def fits(cells: list[int], plus: int, minus: int, need: int) -> bool:
+        """Does the slot leave at least `need` members on both sides of every cell?"""
+        if need == 1:
+            for m in cells:
+                if not (m & plus and m & minus):
+                    return False
+            return True
+        for m in cells:
+            if (m & plus).bit_count() < need or (m & minus).bit_count() < need:
+                return False
+        return True
+
+    def extend(cells: list[int], candidates: list[int], chosen: list[int]) -> bool:
         nonlocal best_value, best_choice
-        if len(chosen) > best_value:
-            best_value = len(chosen)
+        depth = len(chosen)
+        if depth > best_value:
+            best_value = depth
             best_choice = tuple(chosen)
             if best_value == limit:
                 return True
-        for j in range(start, n):
-            if len(chosen) + (n - j) <= best_value:
+        for i, j in enumerate(candidates):
+            if depth + len(candidates) - i <= best_value:
                 break
             plus, minus = slots[j]
-            split: list[int] = []
-            ok = True
-            for m in masks:
-                a = m & plus
-                if not a:
-                    ok = False
-                    break
-                b = m & minus
-                if not b:
-                    ok = False
-                    break
-                split.append(a)
-                split.append(b)
-            if ok and extend(j + 1, split, chosen + [j]):
+            # The candidate passed `fits` when `best_value` may have been
+            # smaller, so the cell-size bound is checked again on picking.
+            need = 1 << (best_value - depth)
+            if need > 1 and not fits(cells, plus, minus, need):
+                continue
+            split = [h for m in cells for h in (m & plus, m & minus)]
+            need = 1 << max(best_value - depth - 1, 0)
+            later = [k for k in candidates[i + 1 :] if fits(split, *slots[k], need)]
+            if extend(split, later, chosen + [j]):
                 return True
         return False
 
-    extend(0, [full], [])
+    # The root cell -1 stands for every member.  Only split halves are
+    # bit-counted, never -1 itself, whose bit_count() is 1.
+    root = [-1]
+    extend(root, [j for j, (plus, minus) in enumerate(slots) if fits(root, plus, minus, 1)], [])
     return best_value, best_choice
 
 
@@ -214,26 +231,34 @@ def robust_shattering_dim(
     instance space, not only sample points.
     """
     const_plus, const_minus = _constant_masks(family, perturbations)
-    ball_sets = [frozenset(s) for s in perturbations.sets]
+    sets = perturbations.sets
+    balls = [sum(1 << x for x in s) for s in sets]  # point bitmask of U(z)
+    owners = [0] * len(sets)  # owners[x]: bitmask of the z with x in U(z)
+    for z, s in enumerate(sets):
+        for x in s:
+            owners[x] |= 1 << z
+    minus_ok = sum(1 << z for z, mask in enumerate(const_minus) if mask)
     slots: list[tuple[int, int]] = []
     reps: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int]] = set()
-    n = perturbations.size
-    for zp in range(n):
+    for zp, s in enumerate(sets):
         if not const_plus[zp]:
             continue
-        for zm in range(n):
-            if not const_minus[zm]:
-                continue
-            common = ball_sets[zp] & ball_sets[zm]
-            if not common:
-                continue
+        meets = 0  # the z_minus whose ball meets U(zp), in increasing order below
+        for x in s:
+            meets |= owners[x]
+        meets &= minus_ok
+        while meets:
+            low = meets & -meets
+            meets ^= low
+            zm = low.bit_length() - 1
             pair = (const_plus[zp], const_minus[zm])
             if pair in seen:
                 continue
             seen.add(pair)
             slots.append(pair)
-            reps.append((min(common), zp, zm))
+            common = balls[zp] & balls[zm]
+            reps.append(((common & -common).bit_length() - 1, zp, zm))
     return _run_search("robust", slots, reps, cap, _floor_log2(len(family)))
 
 

@@ -153,3 +153,22 @@ def test_agnostic_margin_exceeds_half_on_the_core():
             1 for v in voters if robust_loss(v, sample[j], perturbations) == 0
         )
         assert Fraction(correct, len(voters)) > Fraction(1, 2)
+
+
+def test_agnostic_rejects_T_max():
+    family, perturbations, sample = random_labeled_sample(3)
+    with pytest.raises(ContractError, match="T_max"):
+        learn_agnostic(family, sample, perturbations, LearnerConfig(T_max=1))
+
+
+def test_agnostic_rejects_N_sparsify():
+    family, perturbations, sample = random_labeled_sample(3)
+    with pytest.raises(ContractError, match="N_sparsify"):
+        learn_agnostic(family, sample, perturbations, LearnerConfig(N_sparsify=3))
+
+
+def test_agnostic_accepts_and_ignores_the_seed():
+    family, perturbations, sample = random_labeled_sample(3)
+    plain = learn_agnostic(family, sample, perturbations)
+    seeded = learn_agnostic(family, sample, perturbations, LearnerConfig(seed=9))
+    assert seeded.voters == plain.voters and seeded.provenance == plain.provenance

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustpac.core import HypothesisFamily, LabeledExample, PerturbationMap, robust_loss
 from robustpac.dimensions import (
+    DimensionWitness,
+    _floor_log2,
+    _max_shattered,
+    _run_search,
     disjoint_robust_shattering_dim,
     dual_vc,
     is_loss_shattered,
@@ -14,7 +21,7 @@ from robustpac.dimensions import (
     vc_of_robust_loss_family,
     verify_witness,
 )
-from robustpac.constructions import make_pair_gap, make_vc_blowup
+from robustpac.constructions import make_pair_gap, make_proper_failure, make_vc_blowup
 from robustpac.prng import rng_stream
 
 from conftest import random_family, random_perturbations
@@ -220,3 +227,191 @@ def test_every_witness_replays(tmp_path):
         robust_shattering_dim(inst.family, inst.perturbations),
     ):
         assert verify_witness(inst.family, w, inst.perturbations)
+
+
+# --- differential tests against naive subset scans ---------------------------
+
+
+def naive_first_shattered(items, shattered, limit=None) -> tuple:
+    """Lexicographically first shattered combination of the largest size (at most `limit`).
+
+    Scans sizes upward through `itertools.combinations`; shattering is
+    hereditary, so the first size with no shattered combination ends the scan.
+    """
+    best: tuple = ()
+    for k in range(1, len(items) + 1):
+        if limit is not None and k > limit:
+            break
+        hit = next((c for c in combinations(items, k) if shattered(c)), None)
+        if hit is None:
+            break
+        best = hit
+    return best
+
+
+def realizes_every_pattern(members, k: int, takes) -> bool:
+    """Every sign pattern over k slots has a member h with takes(h, i, sign) for all i."""
+    return all(
+        any(all(takes(h, i, sign) for i, sign in enumerate(pattern)) for h in members)
+        for pattern in product((1, -1), repeat=k)
+    )
+
+
+SLOT_SIDE = st.sampled_from((1, -1, 0))
+
+
+@st.composite
+def slot_lists(draw):
+    """Slots over a universe of 1..8 members; each member is +, - or absent per slot."""
+    universe = draw(st.integers(min_value=1, max_value=8))
+    sides = draw(st.lists(st.lists(SLOT_SIDE, min_size=universe, max_size=universe), max_size=7))
+    slots = [
+        (
+            sum(1 << h for h, side in enumerate(row) if side == 1),
+            sum(1 << h for h, side in enumerate(row) if side == -1),
+        )
+        for row in sides
+    ]
+    return universe, slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_lists(), st.integers(min_value=0, max_value=8))
+def test_max_shattered_matches_naive_combination_scan(inputs, limit):
+    universe, slots = inputs
+
+    def shattered(chosen):
+        return realizes_every_pattern(
+            range(universe),
+            len(chosen),
+            lambda h, i, sign: (slots[chosen[i]][0 if sign == 1 else 1] >> h) & 1,
+        )
+
+    items = range(len(slots))
+    expected = naive_first_shattered(items, shattered, limit)
+    assert _max_shattered(slots, limit) == (len(expected), expected)
+
+    # `_run_search` with cap = limit: exact unless capped, and capped only at the ceiling.
+    full = len(naive_first_shattered(items, shattered))
+    hard = min(_floor_log2(universe), len(slots))
+    ceiling = min(limit, hard)
+    w = _run_search("t", slots, list(items), limit, _floor_log2(universe))
+    assert w.value == min(full, ceiling)
+    assert w.capped == (w.value == ceiling and ceiling < hard)
+    assert w.capped or w.value == full
+
+
+@st.composite
+def tiny_free_instances(draw):
+    """Up to 4 points, up to 12 distinct members, balls not required to contain their point."""
+    size = draw(st.integers(min_value=1, max_value=4))
+    point = st.integers(min_value=0, max_value=size - 1)
+    signs = st.sampled_from((-1, 1))
+    rows = draw(st.lists(st.tuples(*[signs] * size), min_size=1, max_size=12, unique=True))
+    balls = draw(st.lists(st.lists(point, min_size=1, max_size=size), min_size=size, max_size=size))
+    return HypothesisFamily.from_rows(rows), PerturbationMap(tuple(tuple(b) for b in balls))
+
+
+def constant_on(row, ball, sign) -> bool:
+    return all(row[z] == sign for z in ball)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_free_instances())
+def test_disjoint_robust_dim_matches_naive_point_scan(instance):
+    family, perturbations = instance
+    rows = [h.labels for h in family]
+
+    def shattered(points):
+        return realizes_every_pattern(
+            rows, len(points), lambda row, i, sign: constant_on(row, perturbations[points[i]], sign)
+        )
+
+    expected = naive_first_shattered(range(perturbations.size), shattered)
+    w = disjoint_robust_shattering_dim(family, perturbations)
+    assert (w.value, w.witness, w.capped) == (len(expected), expected, False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_free_instances())
+def test_robust_dim_matches_naive_pair_scan(instance):
+    family, perturbations = instance
+    rows = [h.labels for h in family]
+    n = perturbations.size
+    pairs = [
+        (zp, zm)
+        for zp in range(n)
+        for zm in range(n)
+        if set(perturbations[zp]) & set(perturbations[zm])
+    ]
+
+    def shattered(chosen):
+        return realizes_every_pattern(
+            rows,
+            len(chosen),
+            lambda row, i, sign: constant_on(row, perturbations[chosen[i][0 if sign == 1 else 1]], sign),
+        )
+
+    expected = tuple(
+        (min(set(perturbations[zp]) & set(perturbations[zm])), zp, zm)
+        for zp, zm in naive_first_shattered(pairs, shattered)
+    )
+    w = robust_shattering_dim(family, perturbations)
+    assert (w.value, w.witness, w.capped) == (len(expected), expected, False)
+    assert verify_witness(family, w, perturbations)
+
+
+# --- pinned witnesses ---------------------------------------------------------
+
+# The five witnesses of each construction, as the unpruned lexicographic scan
+# finds them: a change to the search order or to slot building shows here even
+# when every value stays the same.
+PINNED = {
+    "vc-blowup(8)": (
+        lambda: make_vc_blowup(8),
+        {
+            "vc": DimensionWitness("vc", 1, (8,)),
+            "dual_vc": DimensionWitness("dual_vc", 1, (1,)),
+            "loss_vc": DimensionWitness("loss_vc", 8, tuple((x, 1) for x in range(8))),
+            "disjoint_robust": DimensionWitness("disjoint_robust", 1, (8,)),
+            "robust": DimensionWitness("robust", 1, ((8, 0, 8),)),
+        },
+    ),
+    "pair-gap(10)": (
+        lambda: make_pair_gap(10),
+        {
+            "vc": DimensionWitness("vc", 10, tuple(range(1, 30, 3))),
+            "dual_vc": DimensionWitness("dual_vc", 3, (7, 25, 42)),
+            "loss_vc": DimensionWitness("loss_vc", 10, tuple((x, 1) for x in range(0, 30, 3))),
+            "disjoint_robust": DimensionWitness("disjoint_robust", 0, ()),
+            "robust": DimensionWitness(
+                "robust", 10, tuple((3 * i + 1, 3 * i, 3 * i + 2) for i in range(10))
+            ),
+        },
+    ),
+    "proper-failure(3, cap=9)": (
+        lambda: make_proper_failure(3, cap=9),
+        {
+            "vc": DimensionWitness("vc", 1, (9,)),
+            "dual_vc": DimensionWitness("dual_vc", 1, (0,)),
+            "loss_vc": DimensionWitness("loss_vc", 3, ((0, 1), (1, 1), (2, 1))),
+            "disjoint_robust": DimensionWitness("disjoint_robust", 1, (9,)),
+            "robust": DimensionWitness("robust", 1, ((9, 0, 9),)),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_construction_witnesses_are_pinned(name):
+    build, expected = PINNED[name]
+    inst = build()
+    family, perturbations = inst.family, inst.perturbations
+    got = {
+        "vc": vc(family),
+        "dual_vc": dual_vc(family),
+        "loss_vc": vc_of_robust_loss_family(family, perturbations),
+        "disjoint_robust": disjoint_robust_shattering_dim(family, perturbations),
+        "robust": robust_shattering_dim(family, perturbations),
+    }
+    assert got == expected
