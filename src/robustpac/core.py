@@ -9,6 +9,7 @@ whenever the distribution's probabilities are rational.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -205,6 +206,13 @@ class Hypothesis:
         return self.label_row[np.asarray(points, dtype=np.intp)]
 
 
+def _checked_hypothesis(labels: Sequence[int]) -> Hypothesis:
+    """A Hypothesis over a nonempty row of +1/-1 Python ints, skipping the per-label check."""
+    h = object.__new__(Hypothesis)
+    object.__setattr__(h, "labels", tuple(labels))
+    return h
+
+
 @dataclass(frozen=True)
 class HypothesisFamily:
     """A finite ordered hypothesis class; the index is the canonical tie-break key."""
@@ -227,7 +235,24 @@ class HypothesisFamily:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], name: str | None = None) -> "HypothesisFamily":
-        return cls(tuple(Hypothesis(tuple(r)) for r in rows), name=name)
+        """The family of the given label rows, validated in bulk.
+
+        All labels are checked in one pass.  Rows that fail it, or differ in
+        length, go through the per-member constructors instead, which raise
+        the first error in member order.  Members hold Python ints read back
+        from the int8 label matrix, which becomes the family's `matrix`.
+        """
+        rows = [tuple(r) for r in rows]
+        try:
+            valid = all(rows) and set(chain.from_iterable(rows)) <= {+1, -1}
+        except TypeError:  # an unhashable label
+            valid = False
+        if not valid or len(set(map(len, rows))) > 1:
+            return cls(tuple(Hypothesis(r) for r in rows), name=name)
+        matrix = _read_only(np.array(rows, dtype=np.int8))
+        family = cls(tuple(_checked_hypothesis(row.tolist()) for row in matrix), name=name)
+        object.__setattr__(family, "matrix", matrix)
+        return family
 
     @classmethod
     def full_cube(cls, size: int, name: str | None = None) -> "HypothesisFamily":
@@ -329,21 +354,26 @@ class FiniteDistribution:
         if not self.atoms:
             raise StructuralError("distribution must have at least one atom")
         seen = set()
-        total = Fraction(0)
+        numerators: dict[int, int] = {}  # exact sum: numerators added per denominator
         exact = True
         for example, p in self.atoms:
-            if p <= 0:
-                raise StructuralError(f"atom probability must be positive, got {p!r}")
-            if example.key() in seen:
-                raise StructuralError(f"duplicate atom {example.key()}")
-            seen.add(example.key())
             if isinstance(p, Fraction):
-                total += p
+                n, d = p.as_integer_ratio()
+                numerators[d] = numerators.get(d, 0) + n
             else:
+                n = p
                 exact = False
+            if n <= 0:
+                raise StructuralError(f"atom probability must be positive, got {p!r}")
+            key = (example.point, example.label)
+            if key in seen:
+                raise StructuralError(f"duplicate atom {key}")
+            seen.add(key)
         if exact:
-            if total != 1:
-                raise StructuralError(f"probabilities sum to {total}, not 1")
+            common = math.lcm(*numerators)
+            total = sum(n * (common // d) for d, n in numerators.items())
+            if total != common:
+                raise StructuralError(f"probabilities sum to {Fraction(total, common)}, not 1")
         else:
             s = float(sum(float(p) for _, p in self.atoms))
             if abs(s - 1.0) > PROB_TOLERANCE:

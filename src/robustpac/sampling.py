@@ -2,7 +2,7 @@
 
 Draws go through inverse-CDF lookup over the atoms in stored order, fed by
 the package-wide Philox streams, so identical (seed, stream) keys yield
-identical samples on every platform and under any parallel schedule.
+identical samples on every platform.
 """
 
 from __future__ import annotations

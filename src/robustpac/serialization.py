@@ -12,13 +12,21 @@ Probabilities are strings parsed exactly: plain decimals ("0.25") where the
 value has a finite decimal expansion, "p/q" rationals otherwise.  Float
 inputs are converted to their exact binary fraction on write, so
 parse(serialize(x)) == x always holds.
+
+Reading validates in bulk, with the per-item constructors' checks and
+messages.  Integer fields must be JSON integers (floats and booleans are
+rejected, never truncated) and atom points must lie in the space.  Within
+one document each distinct probability value is parsed once and each
+distinct (point, label) pair becomes one LabeledExample; these memos live for
+one call, so nothing is cached across documents.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from itertools import chain
+from typing import Any, Iterable
 
 from .constructions import ConstructedInstance
 from .core import (
@@ -75,9 +83,9 @@ def parse_probability(text: str) -> Fraction:
 def instance_to_dict(instance: ConstructedInstance) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "space": {"size": instance.space.size},
-        "perturbations": [list(s) for s in instance.perturbations.sets],
+        "perturbations": list(instance.perturbations.sets),
         "family": {
-            "members": [list(h.labels) for h in instance.family],
+            "members": [h.labels for h in instance.family],
             "name": instance.family.name,
         },
     }
@@ -98,29 +106,73 @@ def instance_to_dict(instance: ConstructedInstance) -> dict[str, Any]:
     return doc
 
 
+def _non_integer(field: str, value: Any) -> StructuralError:
+    return StructuralError(f"instance document has a non-integer {field}: {value!r}")
+
+
+def _check_integers(rows: Iterable[Iterable[Any]], field: str) -> None:
+    """Raise unless every value of every row is a JSON integer; floats and booleans are not."""
+    if set(map(type, chain.from_iterable(rows))) - {int}:
+        raise _non_integer(field, next(v for v in chain.from_iterable(rows) if type(v) is not int))
+
+
+def _distributions(
+    entries: list[dict[str, Any]], space: InstanceSpace
+) -> tuple[FiniteDistribution, ...]:
+    """Parse every distribution, each distinct probability and (point, label) pair once."""
+    probabilities: dict[tuple[type, Any], Fraction] = {}
+    examples: dict[tuple[int, int], LabeledExample] = {}
+    distributions = []
+    for entry in entries:
+        atoms = []
+        for a in entry["atoms"]:
+            point, label = a["point"], a["label"]
+            if type(point) is not int:
+                raise _non_integer("atom point", point)
+            if type(label) is not int:
+                raise _non_integer("atom label", label)
+            example = examples.get((point, label))
+            if example is None:
+                example = LabeledExample(point, label)
+                if point not in space:
+                    raise StructuralError(
+                        f"instance document has atom point {point} outside instance space "
+                        f"of size {space.size}"
+                    )
+                examples[point, label] = example
+            value = a["p"]
+            try:
+                p = probabilities[type(value), value]
+            except (KeyError, TypeError):  # not seen yet, or unhashable
+                p = probabilities[type(value), value] = parse_probability(value)
+            atoms.append((example, p))
+        distributions.append(FiniteDistribution(tuple(atoms)))
+    return tuple(distributions)
+
+
 def instance_from_dict(doc: dict[str, Any]) -> ConstructedInstance:
+    """Build and validate the instance of one parsed document.
+
+    Integer fields must be JSON integers.  Each distinct probability value
+    and (point, label) pair is parsed once per call; nothing is kept across
+    calls.
+    """
     try:
-        space = InstanceSpace(int(doc["space"]["size"]))
-        perturbations = PerturbationMap(tuple(tuple(s) for s in doc["perturbations"]))
-        family = HypothesisFamily.from_rows(
-            doc["family"]["members"], name=doc["family"].get("name")
-        )
+        size = doc["space"]["size"]
+        if type(size) is not int:
+            raise _non_integer("space size", size)
+        space = InstanceSpace(size)
+        sets = doc["perturbations"]
+        _check_integers(sets, "perturbation member")
+        perturbations = PerturbationMap(tuple(tuple(s) for s in sets))
+        rows = doc["family"]["members"]
+        _check_integers(rows, "family label")
+        family = HypothesisFamily.from_rows(rows, name=doc["family"].get("name"))
         if perturbations.size != space.size or family.space_size != space.size:
             raise StructuralError("space, perturbations and family disagree on size")
         distributions = None
         if "distributions" in doc:
-            distributions = tuple(
-                FiniteDistribution(
-                    tuple(
-                        (
-                            LabeledExample(int(a["point"]), int(a["label"])),
-                            parse_probability(a["p"]),
-                        )
-                        for a in entry["atoms"]
-                    )
-                )
-                for entry in doc["distributions"]
-            )
+            distributions = _distributions(doc["distributions"], space)
         anchors = {k: tuple(v) for k, v in doc.get("anchors", {}).items()}
     except KeyError as exc:
         raise StructuralError(f"instance document is missing key {exc}") from exc

@@ -174,6 +174,13 @@ def _corrupted_instance(tmp_path, name, edit):
         ("member.json", lambda doc: doc["family"]["members"].__setitem__(0, 5)),
         ("huge.json", lambda doc: doc["space"].update(size=float("inf"))),
         ("atom.json", lambda doc: doc["distributions"][0]["atoms"][0].pop("p")),
+        ("size_float.json", lambda doc: doc["space"].update(size=6.9)),
+        ("ball_float.json", lambda doc: doc["perturbations"][0].__setitem__(1, 3.5)),
+        ("label_float.json", lambda doc: doc["family"]["members"][0].__setitem__(0, 1.0)),
+        ("label_bool.json", lambda doc: doc["family"]["members"][0].__setitem__(0, True)),
+        ("atom_point_float.json", lambda doc: doc["distributions"][0]["atoms"][0].update(point=0.7)),
+        ("atom_label_float.json", lambda doc: doc["distributions"][0]["atoms"][0].update(label=-1.5)),
+        ("atom_outside.json", lambda doc: doc["distributions"][0]["atoms"][0].update(point=999)),
     ],
 )
 def test_malformed_instance_file_exits_two(tmp_path, capsys, name, edit):

@@ -6,6 +6,7 @@ import pytest
 
 from robustpac.core import ContractError, FiniteDistribution, LabeledExample
 from robustpac.constructions import (
+    make_agnostic_lower_bound,
     make_lower_bound_family,
     make_pair_gap,
     make_proper_failure,
@@ -84,8 +85,12 @@ def test_instances_round_trip():
         make_proper_failure(2),
         make_pair_gap(2),
         make_lower_bound_family(3, Fraction(1, 12)),
+        make_agnostic_lower_bound(6, Fraction(1, 4)),
+        make_proper_failure(3, cap=9),
     ):
-        again = loads_instance(dumps_instance(inst))
+        text = dumps_instance(inst)
+        again = loads_instance(text)
+        assert dumps_instance(again) == text
         assert again.space == inst.space
         assert again.perturbations == inst.perturbations
         assert again.family == inst.family

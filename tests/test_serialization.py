@@ -1,0 +1,338 @@
+"""Differential tests: the bulk instance reader against the per-item reference.
+
+`naive_from_rows` and `naive_instance_from_dict` build every Hypothesis,
+LabeledExample and probability one item at a time and sum exact
+probabilities one Fraction at a time, which is how the reader worked before
+it validated in bulk.  On valid documents both must build equal objects; on
+corrupted ones both must raise the same exception with the same message.
+Documents hold JSON integers only and keep atom points inside the space:
+the reader rejects anything else by rules the reference does not have, and
+`tests/test_cli.py` covers those.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from robustpac import serialization
+from robustpac.constructions import ConstructedInstance, make_agnostic_lower_bound
+from robustpac.core import (
+    PROB_TOLERANCE,
+    FiniteDistribution,
+    Hypothesis,
+    HypothesisFamily,
+    InstanceSpace,
+    LabeledExample,
+    PerturbationMap,
+    StructuralError,
+)
+from robustpac.serialization import (
+    dumps_instance,
+    instance_from_dict,
+    loads_instance,
+    parse_probability,
+    probability_to_string,
+)
+
+
+def naive_from_rows(rows, name=None) -> HypothesisFamily:
+    return HypothesisFamily(tuple(Hypothesis(tuple(r)) for r in rows), name=name)
+
+
+def naive_distribution(atoms) -> FiniteDistribution:
+    atoms = tuple((e, p) for e, p in atoms)
+    if not atoms:
+        raise StructuralError("distribution must have at least one atom")
+    seen = set()
+    total = Fraction(0)
+    exact = True
+    for example, p in atoms:
+        if p <= 0:
+            raise StructuralError(f"atom probability must be positive, got {p!r}")
+        if example.key() in seen:
+            raise StructuralError(f"duplicate atom {example.key()}")
+        seen.add(example.key())
+        if isinstance(p, Fraction):
+            total += p
+        else:
+            exact = False
+    if exact:
+        if total != 1:
+            raise StructuralError(f"probabilities sum to {total}, not 1")
+    else:
+        s = float(sum(float(p) for _, p in atoms))
+        if abs(s - 1.0) > PROB_TOLERANCE:
+            raise StructuralError(f"probabilities sum to {s}, not 1")
+    dist = object.__new__(FiniteDistribution)
+    object.__setattr__(dist, "atoms", atoms)
+    return dist
+
+
+def naive_instance_from_dict(doc) -> ConstructedInstance:
+    try:
+        space = InstanceSpace(int(doc["space"]["size"]))
+        perturbations = PerturbationMap(tuple(tuple(s) for s in doc["perturbations"]))
+        family = naive_from_rows(doc["family"]["members"], name=doc["family"].get("name"))
+        if perturbations.size != space.size or family.space_size != space.size:
+            raise StructuralError("space, perturbations and family disagree on size")
+        distributions = None
+        if "distributions" in doc:
+            distributions = tuple(
+                naive_distribution(
+                    tuple(
+                        (
+                            LabeledExample(int(a["point"]), int(a["label"])),
+                            parse_probability(a["p"]),
+                        )
+                        for a in entry["atoms"]
+                    )
+                )
+                for entry in doc["distributions"]
+            )
+        anchors = {k: tuple(v) for k, v in doc.get("anchors", {}).items()}
+    except KeyError as exc:
+        raise StructuralError(f"instance document is missing key {exc}") from exc
+    return ConstructedInstance(
+        space=space,
+        perturbations=perturbations,
+        family=family,
+        anchors=anchors,
+        distributions=distributions,
+        metadata=doc.get("metadata", {}),
+    )
+
+
+def outcome(build, *args):
+    try:
+        return "built", build(*args)
+    except Exception as exc:  # the class and message are what the tests compare
+        return "raised", (type(exc), str(exc))
+
+
+def assert_same_family(bulk: HypothesisFamily, naive: HypothesisFamily) -> None:
+    assert bulk == naive
+    assert [tuple(map(type, h.labels)) for h in bulk] == [tuple(map(type, h.labels)) for h in naive]
+    assert bulk.matrix.dtype == naive.matrix.dtype == np.int8
+    assert np.array_equal(bulk.matrix, naive.matrix)
+    assert not bulk.matrix.flags.writeable
+
+
+PLUS = [1, 1.0, True, np.int8(1)]
+MINUS = [-1, -1.0, np.int8(-1)]
+BAD_LABELS = [0, 2, -2, 0.5, float("nan"), None, "1", [1]]
+
+
+@st.composite
+def label_rows(draw):
+    """Distinct rows of +1/-1 written in several numeric types, sometimes corrupted."""
+    n = draw(st.integers(1, 5))
+    codes = draw(st.lists(st.integers(0, 2**n - 1), max_size=5, unique=True))
+    rows = [
+        [draw(st.sampled_from(MINUS if (c >> b) & 1 else PLUS)) for b in range(n)] for c in codes
+    ]
+    if rows:
+        kind = draw(st.sampled_from(["none", "label", "ragged", "empty", "duplicate"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "label":
+            rows[i][draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_LABELS))
+        elif kind == "ragged":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [1]
+        elif kind == "empty":
+            rows[i] = []
+        elif kind == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_rows())
+def test_from_rows_matches_per_member_construction(rows):
+    bulk = outcome(HypothesisFamily.from_rows, rows, "f")
+    naive = outcome(naive_from_rows, rows, "f")
+    assert bulk[0] == naive[0]
+    if bulk[0] == "raised":
+        assert bulk[1] == naive[1]
+    else:
+        assert_same_family(bulk[1], naive[1])
+
+
+@st.composite
+def atom_lists(draw):
+    """Atoms on distinct examples with exact, float or mixed weights, sometimes corrupted."""
+    style = draw(st.sampled_from(["exact", "float", "mixed", "two_blocks"]))
+    if style == "two_blocks":
+        # Halves split into 1/(2 m1) and 1/(2 m2): neither denominator need be the common one.
+        m1, m2 = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        total = 2 * m1 * m2
+        probabilities = [Fraction(1, 2 * m1)] * m1 + [Fraction(1, 2 * m2)] * m2
+    else:
+        weights = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+        total = sum(weights)
+        probabilities = [Fraction(w, total) for w in weights]
+    if style == "float":
+        probabilities = [float(p) for p in probabilities]
+    elif style == "mixed":
+        probabilities[0] = float(probabilities[0])
+    size = len(probabilities)
+    examples = draw(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.sampled_from([1, -1])),
+            min_size=size,
+            max_size=size,
+            unique=True,
+        )
+    )
+    kind = draw(st.sampled_from(["none", "duplicate", "nonpositive", "off_exact", "off_float"]))
+    i = draw(st.integers(0, len(examples) - 1))
+    if kind == "duplicate":
+        examples.insert(draw(st.integers(0, len(examples))), examples[i])
+        probabilities.insert(0, probabilities[i])
+    elif kind == "nonpositive":
+        probabilities[i] = draw(st.sampled_from([Fraction(0), Fraction(-1, 4), 0.0, -0.5]))
+    elif kind == "off_exact":
+        probabilities[i] += Fraction(draw(st.sampled_from([1, -1])), total)
+    elif kind == "off_float":
+        probabilities = [float(p) * (1 + draw(st.sampled_from([1e-9, -1e-9]))) for p in probabilities]
+    return [(LabeledExample(*e), p) for e, p in zip(examples, probabilities)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(atom_lists())
+def test_distribution_checks_match_per_atom_sum(atoms):
+    bulk = outcome(FiniteDistribution, atoms)
+    naive = outcome(naive_distribution, atoms)
+    assert bulk == naive
+
+
+@st.composite
+def instance_documents(draw):
+    """JSON-shaped documents with integer fields only, sometimes corrupted."""
+    n = draw(st.integers(1, 4))
+    balls = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)) for _ in range(n)]
+    codes = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=6, unique=True))
+    members = [[-1 if (c >> b) & 1 else 1 for b in range(n)] for c in codes]
+    distributions = []
+    for _ in range(draw(st.integers(0, 3))):
+        examples = draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1])),
+                min_size=1,
+                max_size=2 * n,
+                unique=True,
+            )
+        )
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(examples), max_size=len(examples)))
+        total = sum(weights)
+        as_float = draw(st.booleans())
+        distributions.append(
+            {
+                "atoms": [
+                    {
+                        "point": x,
+                        "label": y,
+                        "p": w / total if as_float else probability_to_string(Fraction(w, total)),
+                    }
+                    for (x, y), w in zip(examples, weights)
+                ]
+            }
+        )
+    doc = {
+        "space": {"size": n},
+        "perturbations": balls,
+        "family": {"members": members, "name": "doc"},
+        "distributions": distributions,
+        "anchors": {"anchors": list(range(n))},
+        "metadata": {"generator": "test"},
+    }
+    kind = draw(
+        st.sampled_from(
+            ["none", "label", "ragged", "duplicate_member", "empty_row",
+             "duplicate_atom", "nonpositive", "off_exact", "off_float", "no_distributions"]
+        )
+    )
+    i = draw(st.integers(0, len(members) - 1))
+    if kind == "label":
+        members[i][draw(st.integers(0, n - 1))] = draw(st.sampled_from([0, 2, -2, 3]))
+    elif kind == "ragged":
+        members[i] = members[i][:-1] if draw(st.booleans()) else members[i] + [1]
+    elif kind == "duplicate_member":
+        members.append(list(members[i]))
+    elif kind == "empty_row":
+        members[i] = []
+    elif kind == "no_distributions":
+        del doc["distributions"]
+    elif distributions:
+        atoms = draw(st.sampled_from(distributions))["atoms"]
+        j = draw(st.integers(0, len(atoms) - 1))
+        if kind == "duplicate_atom":
+            atoms.append(dict(atoms[j]))
+        elif kind == "nonpositive":
+            atoms[j]["p"] = draw(st.sampled_from(["0", "-1/4", 0, -0.5]))
+        elif kind == "off_exact":
+            total = len(atoms) * 4
+            atoms[j]["p"] = probability_to_string(
+                parse_probability(atoms[j]["p"]) + Fraction(draw(st.sampled_from([1, -1])), total)
+            )
+        elif kind == "off_float":
+            for a in atoms:
+                a["p"] = float(parse_probability(a["p"])) * (1 + 1e-9)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_documents())
+def test_instance_from_dict_matches_per_item_reader(doc):
+    bulk = outcome(instance_from_dict, copy.deepcopy(doc))
+    naive = outcome(naive_instance_from_dict, copy.deepcopy(doc))
+    assert bulk[0] == naive[0]
+    if bulk[0] == "raised":
+        assert bulk[1] == naive[1]
+        return
+    got, want = bulk[1], naive[1]
+    assert got.space == want.space
+    assert got.perturbations == want.perturbations
+    assert_same_family(got.family, want.family)
+    assert got.anchors == want.anchors
+    assert got.distributions == want.distributions
+    assert got.metadata == want.metadata
+
+
+def test_probability_memo_lives_for_one_document(monkeypatch):
+    text = dumps_instance(make_agnostic_lower_bound(6, Fraction(1, 4)))
+    distinct = {a["p"] for d in json.loads(text)["distributions"] for a in d["atoms"]}
+    parsed = []
+
+    def counting_parse(value):
+        parsed.append(value)
+        return parse_probability(value)
+
+    monkeypatch.setattr(serialization, "parse_probability", counting_parse)
+    first = loads_instance(text)
+    assert sorted(parsed) == sorted(distinct)
+    parsed.clear()
+    second = loads_instance(text)
+    assert sorted(parsed) == sorted(distinct)
+    # Within one document equal values share one object; across documents none is shared.
+    for parts in (lambda atom: atom[0], lambda atom: atom[1]):
+        values = [parts(a) for d in first.distributions for a in d.atoms]
+        again = [parts(a) for d in second.distributions for a in d.atoms]
+        assert values == again
+        assert len({id(v) for v in values}) == len(set(values)) < len(values)
+        assert not {id(v) for v in values} & {id(v) for v in again}
+
+
+@pytest.mark.parametrize("p", [[0.5], {"p": 1}, None, "abc", "1/0", float("nan")])
+def test_bad_probabilities_keep_their_errors(p):
+    doc = {
+        "space": {"size": 1},
+        "perturbations": [[0]],
+        "family": {"members": [[1]]},
+        "distributions": [{"atoms": [{"point": 0, "label": 1, "p": p}]}],
+    }
+    assert outcome(instance_from_dict, doc) == outcome(naive_instance_from_dict, doc)
