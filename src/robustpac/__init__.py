@@ -42,7 +42,6 @@ from .learner import (
     BoostingFailure,
     CandidateSet,
     DiscretizedSet,
-    InflatedExample,
     LearnerConfig,
     RealizableRunReport,
     WeakLearnerFailure,

@@ -57,13 +57,11 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _emit(args: argparse.Namespace, json_text: str, csv_text: str | None = None) -> None:
-    payload = json_text if args.format == "json" or csv_text is None else csv_text
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-        if not payload.endswith("\n"):
-            fh.write("\n")
-    print(f"wrote {args.out}")
+def _write(path: str, payload: str) -> None:
+    """Write one output file, newline-terminated, and say so on stdout."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(payload if payload.endswith("\n") else payload + "\n")
+    print(f"wrote {path}")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -119,11 +117,13 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     for name, w in results.items():
         suffix = " (at least; search capped)" if w.capped else ""
         print(f"{name} = {w.value}{suffix}")
-    doc = {name: _witness_json(w) for name, w in results.items()}
-    csv_lines = ["dimension,value,capped"]
-    csv_lines += [f"{name},{w.value},{int(w.capped)}" for name, w in results.items()]
     if args.out is not None:
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True), "\n".join(csv_lines) + "\n")
+        if args.format == "json":
+            doc = {name: _witness_json(w) for name, w in results.items()}
+            _write(args.out, json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            rows = [f"{name},{w.value},{int(w.capped)}" for name, w in results.items()]
+            _write(args.out, "\n".join(["dimension,value,capped", *rows]))
     return 0
 
 
@@ -169,7 +169,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     )
     print(f"took {elapsed:.3f}s", file=sys.stderr)
     if args.out is not None:
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+        _write(args.out, json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
@@ -199,7 +199,7 @@ def _cmd_agnostic(args: argparse.Namespace) -> int:
         f"(family optimum {optimum}), {len(predictor.voters)} voters"
     )
     if args.out is not None:
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+        _write(args.out, json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
@@ -216,30 +216,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         kind = "agnostic"
     print(repr(value))
     if args.out is not None:
-        _emit(
-            args,
-            json.dumps(
-                {"kind": kind, "m": args.m, "delta": args.delta, "value": value},
-                indent=2,
-                sort_keys=True,
-            ),
-        )
+        doc = {"kind": kind, "m": args.m, "delta": args.delta, "value": value}
+        _write(args.out, json.dumps(doc, indent=2, sort_keys=True))
     return 0
-
-
-def _write_report(args: argparse.Namespace, report, suffix: str = "") -> None:
-    if args.out is None:
-        return
-    path = args.out
-    if suffix:
-        stem, dot, ext = path.rpartition(".")
-        path = f"{stem}_{suffix}.{ext}" if dot else f"{path}_{suffix}"
-    payload = report.to_json() if args.format == "json" else report.to_csv()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-        if not payload.endswith("\n"):
-            fh.write("\n")
-    print(f"wrote {path}")
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -256,15 +235,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(proper.summary())
         print(improper.summary())
         print(f"took {proper.wall_clock:.3f}s", file=sys.stderr)
-        if args.out is not None:
-            if args.format == "json":
-                doc = {"proper": proper.to_dict(), "improper": improper.to_dict()}
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-                print(f"wrote {args.out}")
-            else:
-                _write_report(args, proper, "proper")
-                _write_report(args, improper, "improper")
+        if args.out is not None and args.format == "json":
+            doc = {"proper": proper.to_dict(), "improper": improper.to_dict()}
+            _write(args.out, json.dumps(doc, indent=2, sort_keys=True))
+        elif args.out is not None:
+            # one CSV per arm: sep.csv becomes sep_proper.csv and sep_improper.csv
+            stem, dot, ext = args.out.rpartition(".")
+            for arm, report in (("proper", proper), ("improper", improper)):
+                _write(f"{stem}_{arm}.{ext}" if dot else f"{args.out}_{arm}", report.to_csv())
         return 0
     if args.kind == "bound-check":
         config = ExperimentConfig(
@@ -278,7 +256,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         report = run_bound_check(config, k=args.k)
         print(report.summary())
         print(f"took {report.wall_clock:.3f}s", file=sys.stderr)
-        _write_report(args, report)
+        if args.out is not None:
+            _write(args.out, report.to_json() if args.format == "json" else report.to_csv())
         return 0
     # k-scaling
     k_list = [int(k) for k in args.k_list.split(",") if k]
@@ -295,9 +274,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             f"(max {row.max_discretized} <= {row.mk_bound}), "
             f"compression n*T mean {row.mean_compression:.1f}"
         )
-    if args.out is not None:
-        doc = json.dumps([row.__dict__ for row in table.rows], indent=2, sort_keys=True)
-        _emit(args, doc, table.to_csv())
+    if args.out is not None and args.format == "json":
+        _write(args.out, json.dumps([row.__dict__ for row in table.rows], indent=2, sort_keys=True))
+    elif args.out is not None:
+        _write(args.out, table.to_csv())
     return 0
 
 

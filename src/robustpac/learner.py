@@ -9,6 +9,11 @@ then sparsify the ensemble to a few voters while preserving strict majority
 correctness.  Each surviving voter carries the sample indices that
 reconstruct it, so the final majority vote is a sample compression scheme
 and the compression generalization bound applies.
+
+The data between stages are arrays: the inflation is a (points, labels)
+pair, the discretized set adds the (candidates, representatives) mistake
+matrix `wrong`, and boosting and sparsification both read correctness as
+`~wrong` rows indexed by candidate id.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Sized
 
@@ -29,6 +34,7 @@ from .core import (
     MajorityVotePredictor,
     PerturbationMap,
     Sample,
+    StructuralError,
     empirical_robust_risk,
 )
 from .dimensions import dual_vc, vc
@@ -37,7 +43,6 @@ from .prng import rng_stream
 
 __all__ = [
     "LearnerConfig",
-    "InflatedExample",
     "DiscretizedSet",
     "CandidateSet",
     "BoostResult",
@@ -111,15 +116,6 @@ class LearnerConfig:
 
 
 @dataclass(frozen=True)
-class InflatedExample:
-    """A perturbation point z with the label of its min-index owning example."""
-
-    point: int
-    label: int
-    owner: int
-
-
-@dataclass(frozen=True)
 class CandidateSet:
     """Deduplicated oracle outputs over size-n subsequences, with provenance.
 
@@ -135,28 +131,25 @@ class CandidateSet:
         return len(self.family)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedSet:
-    """One representative inflated example per distinct candidate error pattern."""
+    """One representative inflated point per distinct candidate error pattern.
 
-    representatives: tuple[InflatedExample, ...]
-    pattern_index: dict[tuple[int, ...], int] = field(compare=False)
-    wrong: np.ndarray = field(compare=False)  # (candidates, representatives) bool
+    `points` (intp) and `labels` (int8) list the representatives in point
+    order; `wrong[c, j]` is True when candidate c errs on representative j.
+    """
+
+    points: np.ndarray
+    labels: np.ndarray
+    wrong: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.representatives)
-
-    def points(self) -> np.ndarray:
-        return np.asarray([e.point for e in self.representatives], dtype=np.intp)
-
-    def labels(self) -> np.ndarray:
-        return np.asarray([e.label for e in self.representatives], dtype=np.int8)
+        return len(self.points)
 
 
 @dataclass(frozen=True)
 class BoostResult:
     voter_ids: tuple[int, ...]
-    correct: np.ndarray  # (rounds, points) bool
     min_margin: Fraction
 
     @property
@@ -201,19 +194,12 @@ def build_candidates(
     m = len(sample)
     if not 1 <= n <= m:
         raise ContractError(f"subset size n={n} must lie in [1, {m}]")
-    content_order: list[tuple[int, int]] = []
-    content_id: dict[tuple[int, int], int] = {}
-    counts: list[int] = []
-    per_index: list[int] = []
-    for example in sample:
-        key = example.key()
-        if key not in content_id:
-            content_id[key] = len(content_order)
-            content_order.append(key)
-            counts.append(0)
-        counts[content_id[key]] += 1
-        per_index.append(content_id[key])
-    d = len(content_order)
+    positions: dict[tuple[int, int], list[int]] = {}
+    for i, example in enumerate(sample):
+        positions.setdefault(example.key(), []).append(i)
+    runs = list(positions.values())
+    counts = [len(r) for r in runs]
+    d = len(runs)
     total = _multiset_count(counts, n)
     if total > CANDIDATE_ENUMERATION_LIMIT:
         raise ContractError(
@@ -221,37 +207,28 @@ def build_candidates(
             f"examples, more than CANDIDATE_ENUMERATION_LIMIT = {CANDIDATE_ENUMERATION_LIMIT}"
         )
 
-    wrong = family.robust_table(perturbations).loss(Sample.from_pairs(content_order))
+    wrong = family.robust_table(perturbations).loss(Sample.from_pairs(positions))
 
-    multisets: list[tuple[int, ...]] = []
     available_after = [0] * (d + 1)
     for slot in range(d - 1, -1, -1):
         available_after[slot] = available_after[slot + 1] + counts[slot]
 
-    def fill(slot: int, remaining: int, chosen: list[int]) -> None:
+    # A multiset taking k copies of content c adds k * wrong[:, c] to every
+    # member's mistake count, and its first index tuple is the first k
+    # positions of each content, sorted.  Both are carried down the recursion.
+    entries: list[tuple[tuple[int, ...], int]] = []
+
+    def fill(slot: int, remaining: int, mistakes: np.ndarray, picked: list[int]) -> None:
         if remaining == 0:
-            multisets.append(tuple(chosen + [0] * (d - slot)))
+            entries.append((tuple(sorted(picked)), int(np.argmin(mistakes))))
             return
         if slot == d or remaining > available_after[slot]:
             return
-        for k in range(min(counts[slot], remaining), -1, -1):
-            fill(slot + 1, remaining - k, chosen + [k])
+        for k in range(min(counts[slot], remaining), 0, -1):
+            fill(slot + 1, remaining - k, mistakes + k * wrong[:, slot], picked + runs[slot][:k])
+        fill(slot + 1, remaining, mistakes, picked)
 
-    fill(0, n, [])
-
-    entries: list[tuple[tuple[int, ...], int]] = []
-    for multiset in multisets:
-        need = list(multiset)
-        indices: list[int] = []
-        for i, cid in enumerate(per_index):
-            if need[cid] > 0:
-                need[cid] -= 1
-                indices.append(i)
-                if len(indices) == n:
-                    break
-        weights = np.asarray(multiset, dtype=np.int64)
-        mistakes = wrong @ weights
-        entries.append((tuple(indices), int(np.argmin(mistakes))))
+    fill(0, n, np.zeros(len(family), dtype=np.int64), [])
 
     entries.sort(key=lambda e: e[0])
     members: list[Hypothesis] = []
@@ -284,53 +261,50 @@ def _multiset_count(counts: Sequence[int], n: int) -> int:
     return ways[n]
 
 
-def inflate(sample: Sample, perturbations: PerturbationMap) -> tuple[InflatedExample, ...]:
+def inflate(sample: Sample, perturbations: PerturbationMap) -> tuple[np.ndarray, np.ndarray]:
     """Expand the sample to all perturbation points, labeled by min-index owner.
 
-    Exactly one entry per point of the union of the perturbation sets; a point
-    reachable from several examples takes the label of the earliest one.
-    Output is sorted by point id.
+    Returns (points, labels) as intp and int8 arrays sorted by point, with
+    exactly one entry per point of the union of the perturbation sets; a
+    point reachable from several examples takes the label of the earliest one.
     """
     if len(sample) == 0:
         raise ContractError("inflation requires a nonempty sample")
-    owner_of: dict[int, InflatedExample] = {}
-    for i, example in enumerate(sample):
-        for z in perturbations[example.point]:
-            if z not in owner_of:
-                owner_of[z] = InflatedExample(z, example.label, i)
-    return tuple(owner_of[z] for z in sorted(owner_of))
+    centers = sample.points()
+    if centers.max() >= perturbations.size:
+        bad = centers[centers >= perturbations.size][0]
+        raise StructuralError(f"point {bad} outside instance space of size {perturbations.size}")
+    members, starts = perturbations.csr
+    firsts = starts[centers]
+    sizes = np.append(starts[1:], len(members))[centers] - firsts
+    ends = np.cumsum(sizes)
+    reach = members[np.arange(ends[-1]) + np.repeat(firsts - (ends - sizes), sizes)]
+    owner = np.repeat(np.arange(len(sample)), sizes)
+    points, first = np.unique(reach, return_index=True)  # first occurrence = min-index owner
+    return points, sample.labels()[owner[first]]
 
 
 def discretize(
-    inflated: Sequence[InflatedExample], candidates: CandidateSet | HypothesisFamily
+    inflated: tuple[np.ndarray, np.ndarray], candidates: CandidateSet | HypothesisFamily
 ) -> DiscretizedSet:
-    """Keep one inflated example per distinct candidate error pattern.
+    """Keep one point of an `inflate` result per distinct candidate error pattern.
 
-    The representative of a pattern is the lexicographically smallest
-    (point, label) achieving it; any representative works since the majority
-    margin only depends on the pattern.
+    The representative of a pattern is its first point in point order; any
+    representative works since the majority margin only depends on the
+    pattern.  Patterns are compared as bit-packed columns of the mistake
+    matrix, and the kept columns stay in point order.
     """
     family = candidates.family if isinstance(candidates, CandidateSet) else candidates
     if len(family) == 0:
         raise ContractError("discretization requires a nonempty candidate set")
-    ordered = sorted(inflated, key=lambda e: (e.point, e.label))
-    matrix = family.matrix
-    points = np.asarray([e.point for e in ordered], dtype=np.intp)
-    labels = np.asarray([e.label for e in ordered], dtype=np.int8)
-    wrong_full = matrix[:, points] != labels[np.newaxis, :]
-    pattern_index: dict[tuple[int, ...], int] = {}
-    reps: list[InflatedExample] = []
-    columns: list[int] = []
-    patterns = wrong_full.T.astype(int).tolist()
-    for j, example in enumerate(ordered):
-        pattern = tuple(patterns[j])
-        if pattern not in pattern_index:
-            pattern_index[pattern] = len(reps)
-            reps.append(example)
-            columns.append(j)
-    wrong = wrong_full[:, columns]
+    points, labels = inflated
+    wrong = family.matrix[:, points] != labels
+    packed = np.packbits(wrong, axis=0)
+    patterns = np.ascontiguousarray(packed.T).view(np.dtype((np.void, len(packed)))).ravel()
+    keep = np.sort(np.unique(patterns, return_index=True)[1])
+    wrong = wrong[:, keep]
     wrong.setflags(write=False)
-    return DiscretizedSet(tuple(reps), pattern_index, wrong)
+    return DiscretizedSet(points[keep], labels[keep], wrong)
 
 
 def weak_learn(wrong: np.ndarray, dist: np.ndarray) -> tuple[int, np.ndarray]:
@@ -372,21 +346,19 @@ def alpha_boost(
     dist = np.full(n_points, 1.0 / n_points)
     counts = np.zeros(n_points, dtype=np.int64)
     ids: list[object] = []
-    rows: list[np.ndarray] = []
     margin = Fraction(0)
     for t in range(1, T_max + 1):
         voter_id, correct = weak(dist)
         correct = np.asarray(correct, dtype=bool)
         ids.append(voter_id)
-        rows.append(correct)
         counts += correct
         margin = Fraction(int(counts.min()), t)
         if margin_target is not None and margin >= margin_target:
-            return BoostResult(tuple(ids), np.array(rows), margin)
+            return BoostResult(tuple(ids), margin)
         dist = dist * np.exp(-2.0 * alpha * correct)
         dist = dist / dist.sum()
     if margin_target is None:
-        return BoostResult(tuple(ids), np.array(rows), margin)
+        return BoostResult(tuple(ids), margin)
     raise BoostingFailure(margin, T_max)
 
 
@@ -396,25 +368,25 @@ def default_round_cap(n_points: int) -> int:
 
 
 def sparsify(
-    voters: Sequence[Hypothesis],
+    voter_ids: Sequence[int],
     points: DiscretizedSet,
     N: int,
     seed: int = 0,
     attempts: int = SPARSIFY_ATTEMPTS,
 ) -> tuple[int, ...]:
-    """Indices (with replacement) whose majority stays strictly correct everywhere.
+    """Positions into `voter_ids` (with replacement) whose majority stays strictly correct.
 
-    Requires the full ensemble to hold a strict majority on every discretized
-    point (guaranteed upstream by the 5/9 margin, which leaves 1/18 slack over
-    1/2).  Retries fresh seeded draws up to `attempts`, then falls back to the
-    full voter list, which satisfies the property by the precondition.
+    Voter ids index the candidates of `points.wrong`, so voter v is correct
+    on representative j exactly when `points.wrong[v, j]` is False.  Requires
+    the full ensemble to hold a strict majority on every discretized point
+    (guaranteed upstream by the 5/9 margin, which leaves 1/18 slack over
+    1/2).  Retries fresh seeded draws up to `attempts`, then falls back to
+    the full voter list, which satisfies the property by the precondition.
     """
-    T = len(voters)
+    T = len(voter_ids)
     if T == 0:
         raise ContractError("sparsification requires at least one voter")
-    pts = points.points()
-    labs = points.labels()
-    correct = np.array([v.labels_at(pts) == labs for v in voters])
+    correct = ~points.wrong[np.asarray(voter_ids, dtype=np.intp)]
     totals = correct.sum(axis=0)
     if not np.all(2 * totals > T):
         raise ContractError(
@@ -470,7 +442,7 @@ def learn_realizable_report(
         return RealizableRunReport(
             predictor=predictor,
             n_used=m,
-            inflated_size=len(inflate(sample, perturbations)),
+            inflated_size=len(inflate(sample, perturbations)[0]),
             discretized_size=1,
             rounds=1,
             min_margin=Fraction(1),
@@ -484,9 +456,7 @@ def learn_realizable_report(
         disc = discretize(inflated, candidates)
         round_cap = config.T_max if config.T_max is not None else default_round_cap(len(disc))
         try:
-            boost = alpha_boost(
-                disc.representatives, functools.partial(weak_learn, disc.wrong), T_max=round_cap
-            )
+            boost = alpha_boost(disc, functools.partial(weak_learn, disc.wrong), T_max=round_cap)
             break
         except WeakLearnerFailure:
             if n >= m:
@@ -499,9 +469,8 @@ def learn_realizable_report(
         n_sparse = max(3, dual_vc(candidates.family).value)
         if n_sparse % 2 == 0:
             n_sparse += 1
-    voter_hyps = [candidates.family[i] for i in boost.voter_ids]
-    chosen = sparsify(voter_hyps, disc, n_sparse, seed=config.seed)
-    voters = tuple(voter_hyps[j] for j in chosen)
+    chosen = sparsify(boost.voter_ids, disc, n_sparse, seed=config.seed)
+    voters = tuple(candidates.family[boost.voter_ids[j]] for j in chosen)
     provenance = tuple(candidates.provenance[boost.voter_ids[j]] for j in chosen)
     predictor = MajorityVotePredictor(voters, provenance)
     risk = empirical_robust_risk(predictor, sample, perturbations)
@@ -510,7 +479,7 @@ def learn_realizable_report(
     return RealizableRunReport(
         predictor=predictor,
         n_used=n,
-        inflated_size=len(inflated),
+        inflated_size=len(inflated[0]),
         discretized_size=len(disc),
         rounds=boost.rounds,
         min_margin=boost.min_margin,

@@ -14,8 +14,9 @@ inputs are converted to their exact binary fraction on write, so
 parse(serialize(x)) == x always holds.
 
 Reading validates in bulk, with the per-item constructors' checks and
-messages.  Integer fields must be JSON integers (floats and booleans are
-rejected, never truncated) and atom points must lie in the space.  Within
+messages.  Integer fields, anchors included, must be JSON integers (floats
+and booleans are rejected, never truncated), probabilities must not be
+booleans, and atom points and anchors must lie in the space.  Within
 one document each distinct probability value is parsed once and each
 distinct (point, label) pair becomes one LabeledExample; these memos live for
 one call, so nothing is cached across documents.
@@ -144,6 +145,10 @@ def _distributions(
             try:
                 p = probabilities[type(value), value]
             except (KeyError, TypeError):  # not seen yet, or unhashable
+                if type(value) is bool:  # Fraction(True) would be 1
+                    raise StructuralError(
+                        f"instance document has a boolean probability: {value!r}"
+                    ) from None
                 p = probabilities[type(value), value] = parse_probability(value)
             atoms.append((example, p))
         distributions.append(FiniteDistribution(tuple(atoms)))
@@ -174,6 +179,13 @@ def instance_from_dict(doc: dict[str, Any]) -> ConstructedInstance:
         if "distributions" in doc:
             distributions = _distributions(doc["distributions"], space)
         anchors = {k: tuple(v) for k, v in doc.get("anchors", {}).items()}
+        _check_integers(anchors.values(), "anchor")
+        outside = [a for a in chain.from_iterable(anchors.values()) if a not in space]
+        if outside:
+            raise StructuralError(
+                f"instance document has anchor {outside[0]} outside instance space "
+                f"of size {space.size}"
+            )
     except KeyError as exc:
         raise StructuralError(f"instance document is missing key {exc}") from exc
     return ConstructedInstance(

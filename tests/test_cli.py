@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,7 @@ def test_dims_output_file(tmp_path, capsys):
     main(["construct", "pair-gap", "--p", "2", "--out", inst_path])
     out_path = str(tmp_path / "dims.json")
     assert main(["dims", inst_path, "--out", out_path]) == 0
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(Path(out_path).read_text())
     assert doc["disjoint_robust_shattering"]["value"] == 0
     assert doc["robust_shattering"]["value"] == 2
 
@@ -38,7 +39,7 @@ def test_construct_union_and_agnostic_generators(tmp_path, capsys):
     assert main(
         ["construct", "agnostic-lower-bound", "--d", "2", "--alpha", "1/2", "--out", ag_path]
     ) == 0
-    doc = json.loads(open(ag_path).read())
+    doc = json.loads(Path(ag_path).read_text())
     assert len(doc["distributions"]) == 4
     assert doc["distributions"][0]["atoms"][0]["p"] in {"1/8", "0.125", "3/8", "0.375"}
 
@@ -66,7 +67,7 @@ def test_learn_subcommand_runs(tmp_path, capsys):
     main(["construct", "proper-failure", "--m", "2", "--out", inst_path])
     out_path = str(tmp_path / "learn.json")
     assert main(["learn", inst_path, "--m", "16", "--seed", "4", "--out", out_path]) == 0
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(Path(out_path).read_text())
     assert doc["empirical_robust_risk"] == 0.0
     assert doc["compression_size"] >= 1
 
@@ -99,7 +100,7 @@ def test_experiment_separation_is_reproducible(tmp_path, capsys):
 
     out_path = str(tmp_path / "sep.json")
     assert main(args + ["--out", out_path]) == 0
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(Path(out_path).read_text())
     assert set(doc) == {"proper", "improper"}
     assert doc["proper"]["trials"] == 25
 
@@ -111,8 +112,8 @@ def test_experiment_csv_outputs(tmp_path):
         "--budget", "8", "--seed", "1", "--format", "csv", "--out", out_path,
     ]
     assert main(args) == 0
-    proper = open(tmp_path / "sep_proper.csv").read().splitlines()
-    improper = open(tmp_path / "sep_improper.csv").read().splitlines()
+    proper = (tmp_path / "sep_proper.csv").read_text().splitlines()
+    improper = (tmp_path / "sep_improper.csv").read_text().splitlines()
     assert proper[0] == improper[0] == "trial,risk,failed"
     assert len(proper) == 6
 
@@ -124,7 +125,7 @@ def test_experiment_k_scaling_csv(tmp_path):
         "--trials", "2", "--seed", "3", "--format", "csv", "--out", out_path,
     ]
     assert main(args) == 0
-    lines = open(out_path).read().splitlines()
+    lines = Path(out_path).read_text().splitlines()
     assert lines[0].startswith("k,trials,m")
     assert len(lines) == 3
 
@@ -181,6 +182,10 @@ def _corrupted_instance(tmp_path, name, edit):
         ("atom_point_float.json", lambda doc: doc["distributions"][0]["atoms"][0].update(point=0.7)),
         ("atom_label_float.json", lambda doc: doc["distributions"][0]["atoms"][0].update(label=-1.5)),
         ("atom_outside.json", lambda doc: doc["distributions"][0]["atoms"][0].update(point=999)),
+        ("p_bool.json", lambda doc: doc["distributions"][0]["atoms"][0].update(p=True)),
+        ("anchor_outside.json", lambda doc: doc["anchors"]["anchors"].append(999)),
+        ("anchor_float.json", lambda doc: doc["anchors"]["anchors"].append(1.5)),
+        ("anchor_string.json", lambda doc: doc["anchors"]["anchors"].append("x")),
     ],
 )
 def test_malformed_instance_file_exits_two(tmp_path, capsys, name, edit):

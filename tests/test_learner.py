@@ -7,19 +7,19 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from robustpac.core import (
     ContractError,
-    Hypothesis,
     HypothesisFamily,
-    LabeledExample,
     PerturbationMap,
     Sample,
+    StructuralError,
     empirical_robust_risk,
 )
 from robustpac.learner import (
     CANDIDATE_ENUMERATION_LIMIT,
+    DiscretizedSet,
     BoostingFailure,
     LearnerConfig,
     WeakLearnerFailure,
@@ -36,6 +36,7 @@ from robustpac.learner import (
 )
 from robustpac.oracles import rerm
 from robustpac.constructions import make_proper_failure
+from robustpac.prng import rng_stream
 from robustpac.sampling import sample_iid
 
 from conftest import random_realizable_setup
@@ -49,26 +50,32 @@ SIGNS = st.sampled_from((-1, 1))
 def test_inflate_identity_dedupes_with_first_occurrence_labels():
     u = PerturbationMap.identity(3)
     sample = Sample.from_pairs([(1, 1), (0, -1), (1, -1)])
-    inflated = inflate(sample, u)
-    assert [(e.point, e.label, e.owner) for e in inflated] == [(0, -1, 1), (1, 1, 0)]
+    points, labels = inflate(sample, u)
+    assert points.dtype == np.intp and labels.dtype == np.int8
+    # point 1 is owned by example 0 (+1), not by the later example 2 (-1)
+    assert points.tolist() == [0, 1]
+    assert labels.tolist() == [-1, 1]
 
 
 def test_inflate_overlap_takes_the_earlier_label():
     u = PerturbationMap(((0, 1), (1,), (1, 2)))
     sample = Sample.from_pairs([(0, 1), (2, -1)])
-    inflated = inflate(sample, u)
-    assert [(e.point, e.label, e.owner) for e in inflated] == [
-        (0, 1, 0),
-        (1, 1, 0),  # contested point goes to the min-index owner
-        (2, -1, 1),
-    ]
+    points, labels = inflate(sample, u)
+    assert points.tolist() == [0, 1, 2]
+    assert labels.tolist() == [1, 1, -1]  # contested point 1 goes to the min-index owner
 
 
 def test_inflate_disjoint_sets_counts_the_union():
     u = PerturbationMap(((0, 1), (1,), (2, 3), (3,)))
     sample = Sample.from_pairs([(0, 1), (2, -1), (0, 1)])
-    inflated = inflate(sample, u)
-    assert len(inflated) == len(u[0]) + len(u[2])
+    points, labels = inflate(sample, u)
+    assert len(points) == len(labels) == len(u[0]) + len(u[2])
+
+
+def test_inflate_rejects_points_outside_the_space():
+    sample = Sample.from_pairs([(1, 1), (5, -1), (7, 1)])
+    with pytest.raises(StructuralError, match=r"^point 5 outside instance space of size 3$"):
+        inflate(sample, PerturbationMap.identity(3))
 
 
 # --- candidates --------------------------------------------------------------
@@ -153,13 +160,20 @@ def test_candidate_count_never_exceeds_choose_m_n():
 # --- discretization ----------------------------------------------------------
 
 
+def _patterns(wrong: np.ndarray) -> list[tuple[int, ...]]:
+    """The error pattern of each column, as a 0/1 tuple over candidates."""
+    return [tuple(column) for column in wrong.T.astype(int).tolist()]
+
+
 def test_discretize_single_candidate_has_at_most_two_patterns():
     family = HypothesisFamily.from_rows([(1, -1, 1, -1)])
     u = PerturbationMap.identity(4)
     sample = Sample.from_pairs([(0, 1), (1, 1), (2, 1), (3, -1)])
     disc = discretize(inflate(sample, u), family)
     assert len(disc) <= 2
-    assert set(disc.pattern_index) <= {(0,), (1,)}
+    assert disc.wrong.shape == (1, len(disc))
+    assert len(set(_patterns(disc.wrong))) == len(disc)
+    assert set(_patterns(disc.wrong)) <= {(0,), (1,)}
 
 
 def test_discretize_full_cube_keeps_every_point():
@@ -167,28 +181,27 @@ def test_discretize_full_cube_keeps_every_point():
     family = HypothesisFamily.full_cube(3)
     u = PerturbationMap.identity(3)
     sample = Sample.from_pairs([(0, 1), (1, 1), (2, -1)])
-    inflated = inflate(sample, u)
-    disc = discretize(inflated, family)
-    assert len(disc) == len(inflated)
+    points, labels = inflate(sample, u)
+    disc = discretize((points, labels), family)
+    assert len(disc) == len(points)
 
 
 def test_discretize_representatives_are_lexicographic_and_faithful():
     inst = make_proper_failure(2)
     sample = sample_iid(inst.distributions[0], 8, seed=9)
     cands = build_candidates(inst.family, sample, inst.perturbations, 2)
-    inflated = inflate(sample, inst.perturbations)
-    disc = discretize(inflated, cands)
+    points, labels = inflate(sample, inst.perturbations)
+    disc = discretize((points, labels), cands)
     assert len(disc) <= inst.perturbations.max_set_size * len(sample)
     matrix = cands.family.matrix
-    reps = {
-        tuple(int(b) for b in (matrix[:, e.point] != e.label)): (e.point, e.label)
-        for e in disc.representatives
-    }
-    for e in inflated:
-        pattern = tuple(int(b) for b in (matrix[:, e.point] != e.label))
-        assert pattern in disc.pattern_index
+    assert np.array_equal(disc.wrong, matrix[:, disc.points] != disc.labels)
+    reps = dict(zip(_patterns(disc.wrong), zip(disc.points.tolist(), disc.labels.tolist())))
+    assert len(reps) == len(disc)
+    for z, y in zip(points.tolist(), labels.tolist()):
+        pattern = tuple(int(b) for b in (matrix[:, z] != y))
+        assert pattern in reps
         # representative is the lexicographically smallest element of its class
-        assert reps[pattern] <= (e.point, e.label)
+        assert reps[pattern] <= (z, y)
 
 
 # --- weak learning and boosting ----------------------------------------------
@@ -281,23 +294,21 @@ def test_alpha_boost_failure_carries_the_margin():
 # --- sparsification ----------------------------------------------------------
 
 
-def _disc_for(points: list[tuple[int, int]], family: HypothesisFamily):
-    inflated = [LabeledExample(p, y) for p, y in points]
-    sample = Sample(tuple(inflated))
+def _disc_for(points: list[tuple[int, int]], family: HypothesisFamily) -> DiscretizedSet:
+    sample = Sample.from_pairs(points)
     return discretize(inflate(sample, PerturbationMap.identity(family.space_size)), family)
 
 
 def test_sparsify_single_voter_is_trivial():
     family = HypothesisFamily.from_rows([(1, 1)])
     disc = _disc_for([(0, 1), (1, 1)], family)
-    assert sparsify([family[0]], disc, N=5, seed=1) == (0,)
+    assert sparsify((0,), disc, N=5, seed=1) == (0,)
 
 
 def test_sparsify_identical_correct_voters_any_draw_works():
-    h = Hypothesis((1, 1, 1))
     family = HypothesisFamily.from_rows([(1, 1, 1), (-1, 1, 1)])
     disc = _disc_for([(0, 1), (1, 1), (2, 1)], family)
-    chosen = sparsify([h, h, h], disc, N=4, seed=3)
+    chosen = sparsify((0, 0, 0), disc, N=4, seed=3)
     assert len(chosen) == 4
     assert set(chosen) <= {0, 1, 2}
 
@@ -306,37 +317,166 @@ def test_sparsify_forty_voters_margin_five_ninths():
     # voter t errs only on point t mod 5: per-point margin 1 - 8/40 = 4/5
     n_points = 5
     rows = []
-    for t in range(40):
+    for x in range(n_points):
         row = [1] * n_points
-        row[t % n_points] = -1
+        row[x] = -1
         rows.append(tuple(row))
-    voters = [Hypothesis(r) for r in rows]
-    family = HypothesisFamily.full_cube(n_points)
+    family = HypothesisFamily.from_rows(rows)
+    voter_ids = [t % n_points for t in range(40)]
     disc = _disc_for([(x, 1) for x in range(n_points)], family)
-    chosen = sparsify(voters, disc, N=8, seed=11, attempts=100)
+    assert len(disc) == n_points
+    chosen = sparsify(voter_ids, disc, N=8, seed=11, attempts=100)
     assert len(chosen) in (8, 40)
     votes = np.zeros(n_points, dtype=int)
     for j in chosen:
-        votes += np.asarray(rows[j]) == 1
+        votes += np.asarray(rows[voter_ids[j]]) == 1
     assert np.all(2 * votes > len(chosen))
 
 
 def test_sparsify_falls_back_to_the_full_list():
     # three voters, margins 2/3; single-voter draws always fail, so N=1 falls back
-    rows = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
-    voters = [Hypothesis(r) for r in rows]
-    family = HypothesisFamily.full_cube(3)
+    family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
     disc = _disc_for([(x, 1) for x in range(3)], family)
-    assert sparsify(voters, disc, N=1, seed=0, attempts=8) == (0, 1, 2)
+    assert sparsify((0, 1, 2), disc, N=1, seed=0, attempts=8) == (0, 1, 2)
 
 
 def test_sparsify_rejects_sub_majority_ensembles():
-    rows = [(-1, 1), (1, -1)]
-    voters = [Hypothesis(r) for r in rows]
-    family = HypothesisFamily.full_cube(2)
+    family = HypothesisFamily.from_rows([(-1, 1), (1, -1)])
     disc = _disc_for([(0, 1), (1, 1)], family)
     with pytest.raises(ContractError):
-        sparsify(voters, disc, N=3, seed=0)
+        sparsify((0, 1), disc, N=3, seed=0)
+
+
+# --- differential tests against the per-example loops ------------------------
+#
+# The references below are the dict and tuple versions of inflate, discretize
+# and sparsify that the array forms replaced, kept as naive specifications.
+
+
+def _inflate_reference(sample: Sample, perturbations: PerturbationMap):
+    """(point, label, owner) per point of the union, by a min-index owner dict."""
+    owner_of: dict[int, tuple[int, int, int]] = {}
+    for i, example in enumerate(sample):
+        for z in perturbations[example.point]:
+            if z not in owner_of:
+                owner_of[z] = (z, example.label, i)
+    return [owner_of[z] for z in sorted(owner_of)]
+
+
+def _discretize_reference(inflated, family: HypothesisFamily):
+    """First (point, label) per distinct pattern, and the pattern -> column dict."""
+    matrix = family.matrix
+    pattern_index: dict[tuple[int, ...], int] = {}
+    reps: list[tuple[int, int]] = []
+    for point, label, _ in sorted(inflated):
+        pattern = tuple(int(matrix[c, point] != label) for c in range(len(family)))
+        if pattern not in pattern_index:
+            pattern_index[pattern] = len(reps)
+            reps.append((point, label))
+    return reps, pattern_index
+
+
+def _sparsify_reference(voters, reps, N, seed, attempts):
+    """Per-voter correctness recomputed from labels, then the same seeded draws."""
+    T = len(voters)
+    pts = np.asarray([z for z, _ in reps], dtype=np.intp)
+    labs = np.asarray([y for _, y in reps], dtype=np.int8)
+    correct = np.array([v.labels_at(pts) == labs for v in voters])
+    totals = correct.sum(axis=0)
+    if not np.all(2 * totals > T):
+        raise ContractError("no strict majority")
+    if T == 1:
+        return (0,)
+    rng = rng_stream(seed)
+    for _ in range(attempts):
+        draw = rng.integers(0, T, size=N)
+        votes = correct[draw].sum(axis=0)
+        if np.all(2 * votes > N):
+            return tuple(int(i) for i in draw)
+    return tuple(range(T))
+
+
+@st.composite
+def pipeline_inputs(draw):
+    """A family, free perturbation sets, a sample, and the index of a consistent row.
+
+    Some samples leave the space; they come with family None.  Otherwise the
+    family holds a row that agrees with the min-index inflation labels, so
+    voter lists that repeat it often hold a strict majority.
+    """
+    size = draw(st.integers(min_value=1, max_value=6))
+    point = st.integers(min_value=0, max_value=size - 1)
+    balls = draw(st.lists(st.lists(point, min_size=1, max_size=size), min_size=size, max_size=size))
+    perturbations = PerturbationMap(tuple(map(tuple, balls)))
+    pairs = draw(st.lists(st.tuples(point, SIGNS), min_size=1, max_size=8))
+    if draw(st.integers(min_value=0, max_value=7)) == 7:
+        pairs.insert(draw(st.integers(0, len(pairs))), (size + draw(st.integers(0, 2)), 1))
+    sample = Sample.from_pairs(pairs)
+    if any(p >= size for p, _ in pairs):
+        return None, perturbations, sample, None
+    rows = draw(st.lists(st.tuples(*[SIGNS] * size), max_size=6, unique=True))
+    target = list(draw(st.tuples(*[SIGNS] * size)))
+    for z, y, _ in _inflate_reference(sample, perturbations):
+        target[z] = y
+    if tuple(target) not in rows:
+        rows.insert(draw(st.integers(0, len(rows))), tuple(target))
+    return HypothesisFamily.from_rows(rows), perturbations, sample, rows.index(tuple(target))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pipeline_inputs())
+def test_inflate_matches_the_owner_dict_loop(inputs):
+    _, perturbations, sample, _ = inputs
+    try:
+        expected = _inflate_reference(sample, perturbations)
+    except StructuralError as exc:
+        with pytest.raises(StructuralError) as err:
+            inflate(sample, perturbations)
+        assert str(err.value) == str(exc)
+        return
+    points, labels = inflate(sample, perturbations)
+    assert points.dtype == np.intp and labels.dtype == np.int8
+    assert points.tolist() == [z for z, _, _ in expected]
+    assert labels.tolist() == [y for _, y, _ in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pipeline_inputs())
+def test_discretize_matches_the_pattern_dict_loop(inputs):
+    family, perturbations, sample, _ = inputs
+    assume(family is not None)
+    inflated = _inflate_reference(sample, perturbations)
+    reps, pattern_index = _discretize_reference(inflated, family)
+    disc = discretize(inflate(sample, perturbations), family)
+    assert disc.points.tolist() == [z for z, _ in reps]
+    assert disc.labels.tolist() == [y for _, y in reps]
+    assert disc.points.dtype == np.intp and disc.labels.dtype == np.int8
+    assert disc.wrong.shape == (len(family), len(reps))
+    assert not disc.wrong.flags.writeable
+    for pattern, column in pattern_index.items():
+        assert tuple(disc.wrong[:, column].astype(int).tolist()) == pattern
+
+
+@settings(max_examples=300, deadline=None)
+@given(pipeline_inputs(), st.data())
+def test_sparsify_matches_the_per_voter_loop(inputs, data):
+    family, perturbations, sample, target = inputs
+    assume(family is not None)
+    disc = discretize(inflate(sample, perturbations), family)
+    reps, _ = _discretize_reference(_inflate_reference(sample, perturbations), family)
+    ids = st.integers(min_value=0, max_value=len(family) - 1)
+    voter_ids = data.draw(st.lists(st.one_of(ids, st.just(target)), min_size=1, max_size=12))
+    N = data.draw(st.integers(min_value=1, max_value=9))
+    seed = data.draw(st.integers(min_value=0, max_value=3))
+    attempts = data.draw(st.integers(min_value=1, max_value=5))
+    voters = [family[v] for v in voter_ids]
+    try:
+        expected = _sparsify_reference(voters, reps, N, seed, attempts)
+    except ContractError:
+        with pytest.raises(ContractError, match="strict majority"):
+            sparsify(voter_ids, disc, N, seed=seed, attempts=attempts)
+        return
+    assert sparsify(voter_ids, disc, N, seed=seed, attempts=attempts) == expected
 
 
 # --- the full pipeline -------------------------------------------------------
@@ -413,17 +553,17 @@ def test_margins_transfer_from_representatives_to_the_whole_inflation():
     inst = make_proper_failure(2)
     sample = sample_iid(inst.distributions[2], 24, seed=33)
     cands = build_candidates(inst.family, sample, inst.perturbations, 2)
-    inflated = inflate(sample, inst.perturbations)
-    disc = discretize(inflated, cands)
-    boost = alpha_boost(disc.representatives, functools.partial(weak_learn, disc.wrong))
+    points, labels = inflate(sample, inst.perturbations)
+    disc = discretize((points, labels), cands)
+    boost = alpha_boost(disc, functools.partial(weak_learn, disc.wrong))
     matrix = cands.family.matrix
     voters = list(boost.voter_ids)
     rep_margin = {}
-    for pattern, idx in disc.pattern_index.items():
+    for pattern in _patterns(disc.wrong):
         rep_margin[pattern] = sum(1 - pattern[v] for v in voters)
-    for e in inflated:
-        pattern = tuple(int(b) for b in (matrix[:, e.point] != e.label))
-        margin = sum(int(matrix[v, e.point] == e.label) for v in voters)
+    for z, y in zip(points.tolist(), labels.tolist()):
+        pattern = tuple(int(b) for b in (matrix[:, z] != y))
+        margin = sum(int(matrix[v, z] == y) for v in voters)
         assert margin == rep_margin[pattern]
 
 

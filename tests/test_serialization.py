@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -336,3 +337,41 @@ def test_bad_probabilities_keep_their_errors(p):
         "distributions": [{"atoms": [{"point": 0, "label": 1, "p": p}]}],
     }
     assert outcome(instance_from_dict, doc) == outcome(naive_instance_from_dict, doc)
+
+
+def _six_point_doc(**fields) -> dict:
+    doc = {
+        "space": {"size": 6},
+        "perturbations": [[x] for x in range(6)],
+        "family": {"members": [[1] * 6, [-1] * 6]},
+    }
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "anchors, message",
+    [
+        ([999, 1.5, "x"], "non-integer anchor: 1.5"),
+        ([0, "x"], "non-integer anchor: 'x'"),
+        ([True], "non-integer anchor: True"),
+        ([0, 999], "anchor 999 outside instance space of size 6"),
+        ([5, 6], "anchor 6 outside instance space of size 6"),
+        ([-1], "anchor -1 outside instance space of size 6"),
+    ],
+)
+def test_anchors_must_be_integers_inside_the_space(anchors, message):
+    doc = _six_point_doc(anchors={"good": [0, 5], "bad": anchors})
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        instance_from_dict(doc)
+
+
+def test_valid_anchors_load_as_tuples():
+    instance = instance_from_dict(_six_point_doc(anchors={"good": [0, 5], "none": []}))
+    assert instance.anchors == {"good": (0, 5), "none": ()}
+
+
+def test_boolean_probability_is_rejected():
+    atoms = [{"point": 0, "label": 1, "p": True}]
+    with pytest.raises(StructuralError, match="boolean probability: True"):
+        instance_from_dict(_six_point_doc(distributions=[{"atoms": atoms}]))
