@@ -6,11 +6,15 @@ core with the robust loss (step alpha = 1/8, exactly 1 + ceil(48 ln |core|)
 rounds).  The resulting majority vote has vote margin above 1/2 on every core
 example, hence zero robust mistakes there, and therefore empirical robust
 risk on the full sample no worse than the best member of the family.
+
+Boosting reads the (candidates, core examples) robust mistake matrix.  The
+core is realizable by construction, so a candidate robustly correct on all
+of it often exists; `alpha_boost` then returns that candidate for every
+round without running them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +35,6 @@ from .learner import (
     WeakLearnerFailure,
     alpha_boost,
     build_candidates,
-    weak_learn,
 )
 
 __all__ = [
@@ -141,9 +144,7 @@ def learn_agnostic(
         candidates = build_candidates(family, core_sample, perturbations, n)
         wrong = candidates.family.robust_table(perturbations).loss(core_sample)
         try:
-            boost = alpha_boost(
-                core_sample, functools.partial(weak_learn, wrong), margin_target=None, T_max=rounds
-            )
+            boost = alpha_boost(wrong, margin_target=None, T_max=rounds)
             break
         except WeakLearnerFailure:
             if n >= len(core_sample):

@@ -354,26 +354,17 @@ class FiniteDistribution:
         if not self.atoms:
             raise StructuralError("distribution must have at least one atom")
         seen = set()
-        numerators: dict[int, int] = {}  # exact sum: numerators added per denominator
-        exact = True
         for example, p in self.atoms:
-            if isinstance(p, Fraction):
-                n, d = p.as_integer_ratio()
-                numerators[d] = numerators.get(d, 0) + n
-            else:
-                n = p
-                exact = False
-            if n <= 0:
+            if p <= 0:
                 raise StructuralError(f"atom probability must be positive, got {p!r}")
             key = (example.point, example.label)
             if key in seen:
                 raise StructuralError(f"duplicate atom {key}")
             seen.add(key)
-        if exact:
-            common = math.lcm(*numerators)
-            total = sum(n * (common // d) for d, n in numerators.items())
-            if total != common:
-                raise StructuralError(f"probabilities sum to {Fraction(total, common)}, not 1")
+        if all(isinstance(p, Fraction) for _, p in self.atoms):
+            total = _exact_sum(p for _, p in self.atoms)
+            if total != 1:
+                raise StructuralError(f"probabilities sum to {total}, not 1")
         else:
             s = float(sum(float(p) for _, p in self.atoms))
             if abs(s - 1.0) > PROB_TOLERANCE:
@@ -396,6 +387,25 @@ class FiniteDistribution:
 
     def probabilities(self) -> np.ndarray:
         return np.asarray([float(p) for _, p in self.atoms], dtype=np.float64)
+
+
+def _exact_sum(probabilities: Iterable[Fraction]) -> Fraction:
+    """Sum of Fractions in integers: numerators added per denominator, one lcm at the end."""
+    numerators: dict[int, int] = {}
+    for p in probabilities:
+        n, d = p.as_integer_ratio()
+        numerators[d] = numerators.get(d, 0) + n
+    common = math.lcm(*numerators)
+    return Fraction(sum(n * (common // d) for d, n in numerators.items()), common)
+
+
+def _checked_distribution(
+    atoms: tuple[tuple[LabeledExample, Fraction], ...]
+) -> FiniteDistribution:
+    """A FiniteDistribution over atoms already known valid, skipping the per-atom checks."""
+    dist = object.__new__(FiniteDistribution)
+    object.__setattr__(dist, "atoms", atoms)
+    return dist
 
 
 @dataclass(frozen=True)

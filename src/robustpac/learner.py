@@ -18,12 +18,11 @@ matrix `wrong`, and boosting and sparsification both read correctness as
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Sized
+from typing import Sequence
 
 import numpy as np
 
@@ -312,8 +311,7 @@ def weak_learn(wrong: np.ndarray, dist: np.ndarray) -> tuple[int, np.ndarray]:
 
     `wrong` is the (candidates, points) mistake matrix.  Raises
     WeakLearnerFailure when even the best candidate has error >= 1/3, which
-    signals the caller to grow the candidate subset size.  Bind `wrong` with
-    functools.partial to get the `weak` callable of `alpha_boost`.
+    signals the caller to grow the candidate subset size.
     """
     errors = wrong @ dist
     index = int(np.argmin(errors))
@@ -323,40 +321,53 @@ def weak_learn(wrong: np.ndarray, dist: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def alpha_boost(
-    points: Sized,
-    weak: Callable[[np.ndarray], tuple[object, np.ndarray]],
+    wrong: np.ndarray,
     alpha: float = ALPHA,
     margin_target: Fraction | None = MARGIN_TARGET,
     T_max: int | None = None,
 ) -> BoostResult:
-    """Multiplicative-weights boosting from the uniform distribution.
+    """Multiplicative-weights boosting of `weak_learn` over a mistake matrix.
 
-    `weak(dist)` must return (voter id, boolean per-point correctness) and
-    raise WeakLearnerFailure when it cannot achieve error below 1/3.  Weights
-    update by exp(-2 alpha) on points the round's voter gets right.  With
+    `wrong` is the (candidates, points) mistake matrix; each round's voter is
+    `weak_learn(wrong, dist)`, starting from the uniform distribution, and
+    weights update by exp(-2 alpha) on points that voter gets right.  With
     margin_target set, stops at the first round where every point's exact
     vote margin reaches the target and raises BoostingFailure at T_max
-    otherwise; with margin_target None, runs exactly T_max rounds.
+    otherwise; with margin_target None, runs exactly T_max rounds.  A
+    candidate with no mistakes would win every round, so it is returned
+    without running them.
     """
-    n_points = len(points)
+    n_points = wrong.shape[1]
     if n_points < 1:
         raise ContractError("boosting requires a nonempty point set")
     if T_max is None:
         T_max = default_round_cap(n_points)
+    if T_max < 1:
+        raise ContractError(f"T_max must be >= 1, got {T_max}")
+    # A row with no mistakes has weighted error exactly 0.0 under every
+    # distribution, while every lower-index row errs on a point of positive
+    # weight, so weak_learn picks the lowest perfect row in round 1.  It is
+    # right everywhere, so the update scales every weight by the same factor:
+    # the weights stay positive and it wins every later round too, with vote
+    # margin 1.  The loop would return it once, or T_max times without a target.
+    perfect = np.flatnonzero(~wrong.any(axis=1))
+    if perfect.size and (margin_target is None or margin_target <= 1):
+        rounds = T_max if margin_target is None else 1
+        return BoostResult((int(perfect[0]),) * rounds, Fraction(1))
+    target = None if margin_target is None else Fraction(margin_target).as_integer_ratio()
     dist = np.full(n_points, 1.0 / n_points)
     counts = np.zeros(n_points, dtype=np.int64)
-    ids: list[object] = []
-    margin = Fraction(0)
+    ids: list[int] = []
     for t in range(1, T_max + 1):
-        voter_id, correct = weak(dist)
-        correct = np.asarray(correct, dtype=bool)
+        voter_id, correct = weak_learn(wrong, dist)
         ids.append(voter_id)
         counts += correct
-        margin = Fraction(int(counts.min()), t)
-        if margin_target is not None and margin >= margin_target:
-            return BoostResult(tuple(ids), margin)
+        low = int(counts.min())
+        if target is not None and low * target[1] >= target[0] * t:
+            return BoostResult(tuple(ids), Fraction(low, t))
         dist = dist * np.exp(-2.0 * alpha * correct)
         dist = dist / dist.sum()
+    margin = Fraction(low, T_max)
     if margin_target is None:
         return BoostResult(tuple(ids), margin)
     raise BoostingFailure(margin, T_max)
@@ -456,7 +467,7 @@ def learn_realizable_report(
         disc = discretize(inflated, candidates)
         round_cap = config.T_max if config.T_max is not None else default_round_cap(len(disc))
         try:
-            boost = alpha_boost(disc, functools.partial(weak_learn, disc.wrong), T_max=round_cap)
+            boost = alpha_boost(disc.wrong, T_max=round_cap)
             break
         except WeakLearnerFailure:
             if n >= m:

@@ -38,6 +38,8 @@ from .core import (
     LabeledExample,
     PerturbationMap,
     StructuralError,
+    _checked_distribution,
+    _exact_sum,
 )
 
 __all__ = [
@@ -74,7 +76,10 @@ def probability_to_string(p: Fraction | float) -> str:
     return f"{digits[:-k]}.{digits[-k:]}"
 
 
-def parse_probability(text: str) -> Fraction:
+def parse_probability(text: str | float) -> Fraction:
+    """The exact value of a decimal or "p/q" string, or of a JSON number; booleans are refused."""
+    if type(text) is bool:  # Fraction(True) would be 1
+        raise StructuralError(f"instance document has a boolean probability: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -120,12 +125,22 @@ def _check_integers(rows: Iterable[Iterable[Any]], field: str) -> None:
 def _distributions(
     entries: list[dict[str, Any]], space: InstanceSpace
 ) -> tuple[FiniteDistribution, ...]:
-    """Parse every distribution, each distinct probability and (point, label) pair once."""
+    """Parse every distribution, each distinct probability and (point, label) pair once.
+
+    A distribution whose atoms are positive, on distinct pairs and sum to
+    exactly 1 is built trusted; any other goes through the FiniteDistribution
+    constructor, which raises its first error.  Positivity is checked when a
+    probability is first parsed, and the sum once per distinct multiset of
+    parsed probabilities (documents often list one multiset in many orders).
+    """
     probabilities: dict[tuple[type, Any], Fraction] = {}
+    nonpositive: set[int] = set()  # ids of parsed probabilities <= 0
     examples: dict[tuple[int, int], LabeledExample] = {}
+    valid_sums: dict[tuple[int, ...], bool] = {}  # sorted probability ids -> positive, sum 1
     distributions = []
     for entry in entries:
-        atoms = []
+        support: list[LabeledExample] = []
+        masses: list[Fraction] = []
         for a in entry["atoms"]:
             point, label = a["point"], a["label"]
             if type(point) is not int:
@@ -145,13 +160,20 @@ def _distributions(
             try:
                 p = probabilities[type(value), value]
             except (KeyError, TypeError):  # not seen yet, or unhashable
-                if type(value) is bool:  # Fraction(True) would be 1
-                    raise StructuralError(
-                        f"instance document has a boolean probability: {value!r}"
-                    ) from None
                 p = probabilities[type(value), value] = parse_probability(value)
-            atoms.append((example, p))
-        distributions.append(FiniteDistribution(tuple(atoms)))
+                if p <= 0:
+                    nonpositive.add(id(p))
+            support.append(example)
+            masses.append(p)
+        atoms = tuple(zip(support, masses))
+        key = tuple(sorted(map(id, masses)))
+        valid = valid_sums.get(key)
+        if valid is None:
+            valid = valid_sums[key] = nonpositive.isdisjoint(key) and _exact_sum(masses) == 1
+        if valid and len(set(map(id, support))) == len(support):
+            distributions.append(_checked_distribution(atoms))
+        else:  # an empty atom list lands here too: its sum is 0
+            distributions.append(FiniteDistribution(atoms))
     return tuple(distributions)
 
 
@@ -178,7 +200,12 @@ def instance_from_dict(doc: dict[str, Any]) -> ConstructedInstance:
         distributions = None
         if "distributions" in doc:
             distributions = _distributions(doc["distributions"], space)
-        anchors = {k: tuple(v) for k, v in doc.get("anchors", {}).items()}
+        anchors = doc.get("anchors", {})
+        if type(anchors) is not dict or any(type(v) is not list for v in anchors.values()):
+            raise StructuralError(
+                f"instance document has anchors that are not named point lists: {anchors!r}"
+            )
+        anchors = {k: tuple(v) for k, v in anchors.items()}
         _check_integers(anchors.values(), "anchor")
         outside = [a for a in chain.from_iterable(anchors.values()) if a not in space]
         if outside:

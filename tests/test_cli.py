@@ -186,6 +186,8 @@ def _corrupted_instance(tmp_path, name, edit):
         ("anchor_outside.json", lambda doc: doc["anchors"]["anchors"].append(999)),
         ("anchor_float.json", lambda doc: doc["anchors"]["anchors"].append(1.5)),
         ("anchor_string.json", lambda doc: doc["anchors"]["anchors"].append("x")),
+        ("anchors_list.json", lambda doc: doc.update(anchors=[0, 1])),
+        ("anchor_scalar.json", lambda doc: doc["anchors"].update(anchors=5)),
     ],
 )
 def test_malformed_instance_file_exits_two(tmp_path, capsys, name, edit):

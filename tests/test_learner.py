@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -18,9 +17,12 @@ from robustpac.core import (
     empirical_robust_risk,
 )
 from robustpac.learner import (
+    ALPHA,
     CANDIDATE_ENUMERATION_LIMIT,
+    MARGIN_TARGET,
     DiscretizedSet,
     BoostingFailure,
+    BoostResult,
     LearnerConfig,
     WeakLearnerFailure,
     alpha_boost,
@@ -239,31 +241,22 @@ def test_weak_learn_accepts_quarter_error_and_rejects_third():
         weak_learn(_identity_wrong(bad, points), uniform)
 
 
-def _eye_weak(n_points: int):
-    wrong = np.eye(n_points, dtype=bool)  # candidate i errs exactly on point i
-
-    def weak(dist: np.ndarray):
-        index = int(np.argmin(wrong @ dist))
-        return index, ~wrong[index]
-
-    return weak
-
-
 def test_alpha_boost_stops_immediately_on_a_perfect_voter():
-    def weak(dist):
-        return "perfect", np.ones(4, dtype=bool)
-
-    result = alpha_boost(range(4), weak, margin_target=Fraction(5, 9))
+    wrong = np.array([[True, False, False, False], [False] * 4, [False] * 4])
+    result = alpha_boost(wrong, margin_target=Fraction(5, 9))
+    assert result.voter_ids == (1,)  # the lowest-index perfect row
     assert result.rounds == 1
     assert result.min_margin == 1
+    fixed = alpha_boost(wrong, margin_target=None, T_max=7)
+    assert fixed.voter_ids == (1,) * 7
+    assert fixed.min_margin == 1
 
 
 def test_alpha_boost_margin_lower_bound():
     # min margin >= 2/3 - (2/3)a - ln(n)/(2aT) for the multiplicative-weights run
     n_points, rounds, alpha = 10, 300, 0.125
-    result = alpha_boost(
-        range(n_points), _eye_weak(n_points), alpha=alpha, margin_target=None, T_max=rounds
-    )
+    wrong = np.eye(n_points, dtype=bool)  # candidate i errs exactly on point i
+    result = alpha_boost(wrong, alpha=alpha, margin_target=None, T_max=rounds)
     bound = 2 / 3 - (2 / 3) * alpha - math.log(n_points) / (2 * alpha * rounds)
     assert result.rounds == rounds
     assert float(result.min_margin) >= bound
@@ -275,20 +268,83 @@ def test_alpha_boost_beats_half_at_the_prescribed_round_count():
     for n_points in (4, 5, 17):
         rounds = 1 + math.ceil(48 * math.log(n_points))
         result = alpha_boost(
-            range(n_points), _eye_weak(n_points), alpha=0.125, margin_target=None, T_max=rounds
+            np.eye(n_points, dtype=bool), alpha=0.125, margin_target=None, T_max=rounds
         )
         assert result.min_margin > Fraction(1, 2)
 
 
 def test_alpha_boost_failure_carries_the_margin():
-    def weak(dist):
-        # alternately right on one half, never building margin past 1/2
-        return "stuck", np.array([True, False])
-
+    # round 1 takes row 0, round 2 the lighter row 1: every point has one or
+    # two right votes of two, short of 5/9
     with pytest.raises(BoostingFailure) as err:
-        alpha_boost(range(2), weak, margin_target=Fraction(5, 9), T_max=7)
-    assert err.value.achieved_margin == 0
-    assert err.value.rounds == 7
+        alpha_boost(np.eye(4, dtype=bool), margin_target=Fraction(5, 9), T_max=2)
+    assert err.value.achieved_margin == Fraction(1, 2)
+    assert err.value.rounds == 2
+
+
+def test_alpha_boost_rejects_an_empty_point_set_and_a_zero_round_cap():
+    with pytest.raises(ContractError, match="nonempty point set"):
+        alpha_boost(np.zeros((2, 0), dtype=bool))
+    with pytest.raises(ContractError, match="T_max must be >= 1"):
+        alpha_boost(np.eye(4, dtype=bool), T_max=0)
+
+
+def _reference_alpha_boost(wrong, margin_target, T_max, alpha=ALPHA):
+    """Plain multiplicative weights over weak_learn, every round run: no perfect-row exit."""
+    n_points = wrong.shape[1]
+    if T_max is None:
+        T_max = math.ceil(1.0 + 48.0 * math.log(max(n_points, 1))) + 10
+    dist = np.full(n_points, 1.0 / n_points)
+    counts = np.zeros(n_points, dtype=np.int64)
+    ids = []
+    margin = Fraction(0)
+    for t in range(1, T_max + 1):
+        voter_id, correct = weak_learn(wrong, dist)
+        correct = np.asarray(correct, dtype=bool)
+        ids.append(voter_id)
+        counts += correct
+        margin = Fraction(int(counts.min()), t)
+        if margin_target is not None and margin >= margin_target:
+            return tuple(ids), margin
+        dist = dist * np.exp(-2.0 * alpha * correct)
+        dist = dist / dist.sum()
+    if margin_target is None:
+        return tuple(ids), margin
+    raise BoostingFailure(margin, T_max)
+
+
+def _boost_outcome(run):
+    try:
+        return run()
+    except (BoostingFailure, WeakLearnerFailure) as exc:
+        return type(exc), str(exc)
+
+
+def test_alpha_boost_matches_the_reference_loop():
+    rng = np.random.default_rng(20260)
+    kinds = set()
+    for case in range(240):
+        n_candidates, n_points = int(rng.integers(1, 7)), int(rng.integers(1, 13))
+        wrong = rng.random((n_candidates, n_points)) < rng.choice([0.1, 0.25, 0.5])
+        if case % 2:
+            wrong[rng.integers(n_candidates)] = False  # plant an all-correct row
+        perfect = bool((~wrong.any(axis=1)).any())
+        for target in (MARGIN_TARGET, Fraction(1), Fraction(3, 2), None):
+            for T_max in (1, 2, 7, None):
+                got = _boost_outcome(lambda: alpha_boost(wrong, margin_target=target, T_max=T_max))
+                want = _boost_outcome(lambda: _reference_alpha_boost(wrong, target, T_max))
+                if isinstance(got, BoostResult):
+                    got = got.voter_ids, got.min_margin
+                assert got == want, (case, target, T_max)
+                kinds.add((perfect, want[0] if isinstance(want[0], type) else BoostResult))
+    # every outcome occurs; a perfect row can only fail a target above 1
+    assert kinds == {
+        (True, BoostResult),
+        (True, BoostingFailure),
+        (False, BoostResult),
+        (False, BoostingFailure),
+        (False, WeakLearnerFailure),
+    }
 
 
 # --- sparsification ----------------------------------------------------------
@@ -555,7 +611,7 @@ def test_margins_transfer_from_representatives_to_the_whole_inflation():
     cands = build_candidates(inst.family, sample, inst.perturbations, 2)
     points, labels = inflate(sample, inst.perturbations)
     disc = discretize((points, labels), cands)
-    boost = alpha_boost(disc, functools.partial(weak_learn, disc.wrong))
+    boost = alpha_boost(disc.wrong)
     matrix = cands.family.matrix
     voters = list(boost.voter_ids)
     rep_margin = {}

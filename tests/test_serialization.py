@@ -254,11 +254,36 @@ def instance_documents(draw):
     kind = draw(
         st.sampled_from(
             ["none", "label", "ragged", "duplicate_member", "empty_row",
-             "duplicate_atom", "nonpositive", "off_exact", "off_float", "no_distributions"]
+             "duplicate_atom", "nonpositive", "off_exact", "off_float", "no_distributions",
+             "later_reordered", "later_sum", "later_duplicate", "later_nonpositive"]
         )
     )
     i = draw(st.integers(0, len(members) - 1))
-    if kind == "label":
+    if kind.startswith("later_") and distributions:
+        # A later distribution lists an earlier one's probabilities in another
+        # order: valid, or spoiled by a missing atom, a repeated pair or a bad p.
+        atoms = [dict(a) for a in draw(st.sampled_from(distributions))["atoms"]]
+        for a, p in zip(atoms, draw(st.permutations([a["p"] for a in atoms]))):
+            a["p"] = p
+        j = draw(st.integers(0, len(atoms) - 1))
+        if kind == "later_sum":
+            del atoms[j]
+        elif kind == "later_duplicate" and len(atoms) > 1:
+            k = (j + draw(st.integers(1, len(atoms) - 1))) % len(atoms)
+            atoms[j].update(point=atoms[k]["point"], label=atoms[k]["label"])
+        elif kind == "later_duplicate":
+            atoms.append(dict(atoms[0]))
+        elif kind == "later_nonpositive" and len(atoms) > 1 and draw(st.booleans()):
+            # move the atom's mass and more onto its neighbour: the sum stays put
+            q = draw(st.sampled_from([Fraction(0), Fraction(-1, 4)]))
+            k = (j + 1) % len(atoms)
+            moved = parse_probability(atoms[j]["p"]) - q
+            atoms[k]["p"] = probability_to_string(parse_probability(atoms[k]["p"]) + moved)
+            atoms[j]["p"] = probability_to_string(q)
+        elif kind == "later_nonpositive":
+            atoms[j]["p"] = draw(st.sampled_from(["0", "-1/4", 0, -0.5]))
+        distributions.append({"atoms": atoms})
+    elif kind == "label":
         members[i][draw(st.integers(0, n - 1))] = draw(st.sampled_from([0, 2, -2, 3]))
     elif kind == "ragged":
         members[i] = members[i][:-1] if draw(st.booleans()) else members[i] + [1]
@@ -369,6 +394,18 @@ def test_anchors_must_be_integers_inside_the_space(anchors, message):
 def test_valid_anchors_load_as_tuples():
     instance = instance_from_dict(_six_point_doc(anchors={"good": [0, 5], "none": []}))
     assert instance.anchors == {"good": (0, 5), "none": ()}
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_probability_refuses_booleans(value):
+    with pytest.raises(StructuralError, match=f"boolean probability: {value}"):
+        parse_probability(value)
+
+
+@pytest.mark.parametrize("anchors", [[0, 1], {"a": 5}, {"a": "01"}, None])
+def test_wrong_shaped_anchors_are_structural_errors(anchors):
+    with pytest.raises(StructuralError, match="anchors that are not named point lists"):
+        instance_from_dict(_six_point_doc(anchors=anchors))
 
 
 def test_boolean_probability_is_rejected():
