@@ -14,11 +14,19 @@ pattern of the slots still to come needs its own member.  Both cuts drop only
 branches that cannot beat the best, so the first maximal witness the DFS meets,
 the lexicographically first one, is the witness an unpruned scan returns.
 
+Slot lists keep the first of each set of equal slots and drop a slot whose
+mirror (minus, plus) came earlier: the two never lie in one shattered set, and
+swapping the later for the earlier keeps a set shattered and makes it
+lexicographically smaller, so the first maximal witness never uses the later
+one.  A singleton ball makes (x, -1) and (x, +1) such a pair in the loss class.
+
 Every search is exact up to a configurable ceiling (default 12).  A result
 that hits the ceiling while larger witnesses may exist is flagged `capped`
 ("at least this much") rather than silently truncated.  Structural bounds
 (a family of N members can never shatter more than log2(N) slots) are used
-to declare exactness below the ceiling whenever possible.
+to declare exactness below the ceiling whenever possible, as is the slot
+count: dropping mirrors can shrink it, so `capped` can only turn False, and
+only where the shorter list proves the value exact.
 """
 
 from __future__ import annotations
@@ -75,12 +83,20 @@ def _column_masks(matrix: np.ndarray) -> list[int]:
 
 
 def _distinct_slots(plus: list[int], minus: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
-    """Slots of the distinct pairs with both masks nonempty; representative = first index."""
+    """Slots with both masks nonempty, less later copies and mirrors; representative = first index.
+
+    A slot (plus, minus) and its mirror (minus, plus) never lie in one
+    shattered set: the pattern (+, +) would need a member in plus & minus,
+    which is empty.  Swapping one for the other keeps a set shattered, as it
+    only renames the signs of one coordinate.  So the lexicographically first
+    largest witness never uses the later of a mirror pair, and dropping it, as
+    an exact copy is dropped, changes neither the value nor the witness.
+    """
     slots: list[tuple[int, int]] = []
     reps: list[int] = []
     seen: set[tuple[int, int]] = set()
     for i, pair in enumerate(zip(plus, minus)):
-        if pair[0] and pair[1] and pair not in seen:
+        if pair[0] and pair[1] and pair not in seen and pair[::-1] not in seen:
             seen.add(pair)
             slots.append(pair)
             reps.append(i)
@@ -253,7 +269,7 @@ def robust_shattering_dim(
             meets ^= low
             zm = low.bit_length() - 1
             pair = (const_plus[zp], const_minus[zm])
-            if pair in seen:
+            if pair in seen or pair[::-1] in seen:  # copies and mirrors, as in _distinct_slots
                 continue
             seen.add(pair)
             slots.append(pair)

@@ -96,10 +96,12 @@ class LearnerConfig:
     `n_initial` defaults to vc(family)+1 and doubles on weak-learner failure,
     never exceeding the sample size.  `T_max` and `N_sparsify` default to
     ceil(1 + 48 ln |discretized|) + 10 and to the candidate family's dual VC
-    dimension (minimum 3, forced odd).  The rest is fixed by the module
-    constants: boosting step `ALPHA` 1/8, `MARGIN_TARGET` 5/9 (which leaves
-    the 1/18 sparsification slack above 1/2) and `SPARSIFY_ATTEMPTS` 100
-    seeded draws before the full-list fallback.
+    dimension (minimum 3, forced odd), computed only when boosting returns
+    more than one voter, since sparsify keeps a lone voter.  The rest is
+    fixed by the module constants: boosting step `ALPHA` 1/8,
+    `MARGIN_TARGET` 5/9 (which leaves the 1/18 sparsification slack above
+    1/2) and `SPARSIFY_ATTEMPTS` 100 seeded draws before the full-list
+    fallback.
     """
 
     n_initial: int | None = None
@@ -476,6 +478,8 @@ def learn_realizable_report(
 
     if config.N_sparsify is not None:
         n_sparse = config.N_sparsify
+    elif len(boost.voter_ids) == 1:
+        n_sparse = 1  # sparsify keeps a lone voter whatever N is, so skip the dual-VC search
     else:
         n_sparse = max(3, dual_vc(candidates.family).value)
         if n_sparse % 2 == 0:

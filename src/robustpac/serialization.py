@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Iterable
 
 from .constructions import ConstructedInstance
@@ -226,7 +226,14 @@ def instance_from_dict(doc: dict[str, Any]) -> ConstructedInstance:
 
 
 def dumps_instance(instance: ConstructedInstance) -> str:
-    return json.dumps(instance_to_dict(instance), indent=2, sort_keys=True)
+    """`json.dumps(instance_to_dict(instance), indent=2, sort_keys=True)`, joined in batches.
+
+    The indenting encoder yields one short, never empty, string per label or
+    bracket; joining them a batch at a time keeps only one batch of those
+    strings alive, where `json.dumps` holds them all.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(instance_to_dict(instance))
+    return "".join(iter(lambda: "".join(islice(chunks, 16384)), ""))
 
 
 def loads_instance(text: str) -> ConstructedInstance:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from robustpac.core import HypothesisFamily, LabeledExample, PerturbationMap, robust_loss
 from robustpac.dimensions import (
     DimensionWitness,
+    _distinct_slots,
     _floor_log2,
     _max_shattered,
     _run_search,
@@ -98,42 +99,45 @@ def test_assouad_bound_holds():
         assert dual_vc(family).value < 2 ** (vc(family).value + 1)
 
 
+def check_loss_vc_against_direct_enumeration(family, perturbations):
+    """Value and witness against the lexicographically first (x, y) combination scan."""
+    domain = [(x, y) for x in range(perturbations.size) for y in (-1, 1)]
+    table = [
+        tuple(robust_loss(h, LabeledExample(x, y), perturbations) for x, y in domain)
+        for h in family
+    ]
+
+    def shattered(pairs):
+        columns = [domain.index(p) for p in pairs]
+        return realizes_every_pattern(
+            table, len(pairs), lambda row, i, sign: row[columns[i]] == (sign == 1)
+        )
+
+    expected = naive_first_shattered(domain, shattered)
+    assert len(expected) == brute_force_vc_of_table(table)
+    got = vc_of_robust_loss_family(family, perturbations)
+    assert (got.value, got.witness, got.capped) == (len(expected), expected, False)
+    assert verify_witness(family, got, perturbations)
+
+
 def test_loss_vc_identity_adversary_matches_direct_enumeration():
+    # every ball is a singleton, so (x, -1) and (x, +1) are mirror slots everywhere
     for seed in range(20):
         rng = rng_stream(seed, 13)
         n = int(rng.integers(2, 6))
         family = random_family(rng, n, 12)
-        identity = PerturbationMap.identity(n)
-        table = [
-            tuple(
-                robust_loss(h, LabeledExample(x, y), identity)
-                for x in range(n)
-                for y in (-1, 1)
-            )
-            for h in family
-        ]
-        expected = brute_force_vc_of_table(table)
-        assert vc_of_robust_loss_family(family, identity).value == expected
+        check_loss_vc_against_direct_enumeration(family, PerturbationMap.identity(n))
 
 
 def test_loss_vc_random_adversary_matches_direct_enumeration():
-    for seed in range(20):
-        rng = rng_stream(seed, 14)
-        n = int(rng.integers(2, 6))
-        family = random_family(rng, n, 12)
-        perturbations = random_perturbations(rng, n)
-        table = [
-            tuple(
-                robust_loss(h, LabeledExample(x, y), perturbations)
-                for x in range(n)
-                for y in (-1, 1)
-            )
-            for h in family
-        ]
-        expected = brute_force_vc_of_table(table)
-        got = vc_of_robust_loss_family(family, perturbations)
-        assert got.value == expected
-        assert verify_witness(family, got, perturbations)
+    # at extra rate 0.1 most balls are singletons: mirror slots at some points only
+    for stream, extra_rate in ((14, 0.25), (19, 0.1)):
+        for seed in range(20):
+            rng = rng_stream(seed, stream)
+            n = int(rng.integers(2, 6))
+            family = random_family(rng, n, 12)
+            perturbations = random_perturbations(rng, n, extra_rate)
+            check_loss_vc_against_direct_enumeration(family, perturbations)
 
 
 def test_loss_vc_of_constant_family_is_zero():
@@ -217,6 +221,13 @@ def test_capped_search_reports_a_lower_bound():
     assert verify_witness(family, w)
 
 
+def test_distinct_slots_drops_later_copies_and_mirrors():
+    plus = [0b001, 0b110, 0b001, 0b011, 0b110, 0b000, 0b100, 0b100]
+    minus = [0b110, 0b001, 0b110, 0b100, 0b001, 0b111, 0b011, 0b010]
+    # 1 and 4 mirror 0, 2 copies 0, 5 has an empty side, 6 mirrors 3
+    assert _distinct_slots(plus, minus) == ([(0b001, 0b110), (0b011, 0b100), (0b100, 0b010)], [0, 3, 7])
+
+
 def test_every_witness_replays(tmp_path):
     inst = make_pair_gap(2)
     for w in (
@@ -275,17 +286,20 @@ def slot_lists(draw):
     return universe, slots
 
 
+def slot_shattering(universe: int, slots):
+    """Naive test of whether members 0..universe-1 shatter the slots at the given indices."""
+    return lambda chosen: realizes_every_pattern(
+        range(universe),
+        len(chosen),
+        lambda h, i, sign: (slots[chosen[i]][0 if sign == 1 else 1] >> h) & 1,
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(slot_lists(), st.integers(min_value=0, max_value=8))
 def test_max_shattered_matches_naive_combination_scan(inputs, limit):
     universe, slots = inputs
-
-    def shattered(chosen):
-        return realizes_every_pattern(
-            range(universe),
-            len(chosen),
-            lambda h, i, sign: (slots[chosen[i]][0 if sign == 1 else 1] >> h) & 1,
-        )
+    shattered = slot_shattering(universe, slots)
 
     items = range(len(slots))
     expected = naive_first_shattered(items, shattered, limit)
@@ -299,6 +313,33 @@ def test_max_shattered_matches_naive_combination_scan(inputs, limit):
     assert w.value == min(full, ceiling)
     assert w.capped == (w.value == ceiling and ceiling < hard)
     assert w.capped or w.value == full
+
+
+@st.composite
+def slot_lists_with_echoes(draw):
+    """`slot_lists` plus copies and mirrors of its slots planted at later positions."""
+    universe, slots = draw(slot_lists())
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if not slots:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(slots) - 1))
+        plus, minus = slots[i]
+        echo = draw(st.sampled_from(((plus, minus), (minus, plus))))
+        slots.insert(draw(st.integers(min_value=i + 1, max_value=len(slots))), echo)
+    return universe, slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_lists_with_echoes(), st.integers(min_value=0, max_value=8))
+def test_dropping_copies_and_mirrors_keeps_the_first_witness(inputs, limit):
+    universe, slots = inputs
+    shattered = slot_shattering(universe, slots)
+
+    reduced, reps = _distinct_slots([p for p, _ in slots], [m for _, m in slots])
+    value, chosen = _max_shattered(reduced, limit)
+    mapped = tuple(reps[j] for j in chosen)
+    assert (value, mapped) == _max_shattered(slots, limit)
+    assert mapped == naive_first_shattered(range(len(slots)), shattered, limit)
 
 
 @st.composite

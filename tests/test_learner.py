@@ -36,6 +36,7 @@ from robustpac.learner import (
     weak_learn,
     _multiset_count,
 )
+from robustpac import learner
 from robustpac.oracles import rerm
 from robustpac.constructions import make_proper_failure
 from robustpac.prng import rng_stream
@@ -576,6 +577,29 @@ def test_learner_grows_n_until_weak_learning_succeeds():
     assert report.n_used == 3
     assert report.min_margin == 1
     assert empirical_robust_risk(report.predictor, sample, PerturbationMap.identity(3)) == 0
+
+
+def test_dual_vc_runs_only_when_sparsify_uses_it(monkeypatch):
+    calls = []
+
+    def counted(family, *args, **kwargs):
+        calls.append(len(family))
+        return learner_dual_vc(family, *args, **kwargs)
+
+    learner_dual_vc = learner.dual_vc
+    monkeypatch.setattr(learner, "dual_vc", counted)
+    # a perfect candidate at n = 3 (see above): one voter, whatever N_sparsify is
+    family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, 1, 1)])
+    sample = Sample.from_pairs([(0, 1), (1, 1), (2, 1)])
+    report = learn_realizable_report(
+        family, sample, PerturbationMap.identity(3), LearnerConfig(n_initial=1)
+    )
+    assert (report.rounds, report.sparsified_to, calls) == (1, 1, [])
+    # three boosting rounds: N_sparsify comes from the dual VC dimension
+    inst = make_proper_failure(2)
+    sample = sample_iid(inst.distributions[7], 32, seed=21)
+    report = learn_realizable_report(inst.family, sample, inst.perturbations)
+    assert report.rounds == 3 and len(calls) == 1
 
 
 def test_boosting_failure_propagates_from_the_pipeline():

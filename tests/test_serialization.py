@@ -22,7 +22,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustpac import serialization
-from robustpac.constructions import ConstructedInstance, make_agnostic_lower_bound
+from robustpac.constructions import (
+    ConstructedInstance,
+    make_agnostic_lower_bound,
+    make_lower_bound_family,
+    make_pair_gap,
+    make_proper_failure,
+    make_union_truncation,
+    make_vc_blowup,
+)
 from robustpac.core import (
     PROB_TOLERANCE,
     FiniteDistribution,
@@ -36,6 +44,7 @@ from robustpac.core import (
 from robustpac.serialization import (
     dumps_instance,
     instance_from_dict,
+    instance_to_dict,
     loads_instance,
     parse_probability,
     probability_to_string,
@@ -412,3 +421,22 @@ def test_boolean_probability_is_rejected():
     atoms = [{"point": 0, "label": 1, "p": True}]
     with pytest.raises(StructuralError, match="boolean probability: True"):
         instance_from_dict(_six_point_doc(distributions=[{"atoms": atoms}]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_vc_blowup(8),
+        lambda: make_proper_failure(2),
+        lambda: make_proper_failure(3, cap=9),
+        lambda: make_union_truncation([1, 2]),
+        lambda: make_pair_gap(10),
+        lambda: make_lower_bound_family(3, Fraction(1, 12)),
+        lambda: make_agnostic_lower_bound(6, Fraction(1, 4)),
+    ],
+    ids=["vc-blowup(8)", "proper-failure(2)", "proper-failure(3)", "union-truncation",
+         "pair-gap(10)", "lower-bound(3)", "agnostic-lower-bound(6)"],
+)
+def test_batched_writer_emits_the_json_dumps_bytes(build):
+    inst = build()
+    assert dumps_instance(inst) == json.dumps(instance_to_dict(inst), indent=2, sort_keys=True)
