@@ -37,7 +37,7 @@ def main() -> None:
     print(f"sample of {len(sample)} with {flipped} flipped labels")
 
     core = max_realizable_subsequence(instance.family, sample, instance.perturbations)
-    print(f"maximal realizable core: {len(core.indices)} of {len(sample)} examples")
+    print(f"maximal realizable core: {len(core)} of {len(sample)} examples")
 
     optimum = rerm(instance.family, sample, instance.perturbations).risk
     predictor = learn_agnostic(

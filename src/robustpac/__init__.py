@@ -55,12 +55,7 @@ from .learner import (
     sparsify,
     weak_learn,
 )
-from .agnostic import (
-    RealizableCore,
-    agnostic_bound,
-    learn_agnostic,
-    max_realizable_subsequence,
-)
+from .agnostic import agnostic_bound, learn_agnostic, max_realizable_subsequence
 from .constructions import (
     ConstructedInstance,
     make_agnostic_lower_bound,

@@ -7,16 +7,19 @@ rounds).  The resulting majority vote has vote margin above 1/2 on every core
 example, hence zero robust mistakes there, and therefore empirical robust
 risk on the full sample no worse than the best member of the family.
 
-Boosting reads the (candidates, core examples) robust mistake matrix.  The
-core is realizable by construction, so a candidate robustly correct on all
-of it often exists; `alpha_boost` then returns that candidate for every
-round without running them.
+The boosting loop is the realizable learner's (`learner._boost_growing_n`):
+candidates are robust-ERM outputs on size-n subsamples of the core, with n
+starting at vc(family)+1 and doubling until weak learning succeeds.  Here
+boosting reads the (candidates, core examples) robust mistake matrix, with no
+margin target and a fixed round count.  The core is realizable by
+construction, so a candidate robustly correct on all of it often exists;
+`alpha_boost` then returns that candidate for every round without running
+them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,15 +33,9 @@ from .core import (
     Sample,
 )
 from .dimensions import vc
-from .learner import (
-    LearnerConfig,
-    WeakLearnerFailure,
-    alpha_boost,
-    build_candidates,
-)
+from .learner import LearnerConfig, _boost_growing_n
 
 __all__ = [
-    "RealizableCore",
     "max_realizable_subsequence",
     "learn_agnostic",
     "agnostic_bound",
@@ -46,50 +43,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RealizableCore:
-    """Indices of a robustly realizable subsequence of the input sample.
-
-    When `exact` is set the subsequence is maximal: no strictly larger
-    subsequence admits a member with zero empirical robust risk.
-    """
-
-    indices: tuple[int, ...]
-    exact: bool
-
-
 def max_realizable_subsequence(
     family: HypothesisFamily,
     sample: Sample,
     perturbations: PerturbationMap,
-    mode: str = "exact",
-) -> RealizableCore:
-    """Largest subsequence on which the robust loss can be zero.
+) -> tuple[int, ...]:
+    """Indices of the largest subsequence on which the robust loss can be zero.
 
-    Exact mode scans per member: a set of examples is realizable iff a single
-    member robustly covers all of them, so the maximal core is the largest
-    per-member coverage set (lowest member index on ties).  Greedy mode keeps
-    each example whose addition preserves realizability of the kept prefix;
-    it is reserved for families given only implicitly and may be suboptimal.
+    A set of examples is realizable iff a single member robustly covers all
+    of them, so the maximal core is the largest per-member coverage set
+    (lowest member index on ties), returned in sample order.  No strictly
+    larger subsequence admits a member with zero empirical robust risk.
     """
     if len(sample) == 0:
         raise ContractError("core extraction requires a nonempty sample")
     covered = ~family.robust_table(perturbations).loss(sample)
-    if mode == "exact":
-        totals = covered.sum(axis=1)
-        best = int(np.argmax(totals))
-        indices = tuple(int(j) for j in np.flatnonzero(covered[best]))
-        return RealizableCore(indices, exact=True)
-    if mode == "greedy":
-        alive = np.ones(len(family), dtype=bool)
-        kept: list[int] = []
-        for j in range(len(sample)):
-            narrowed = alive & covered[:, j]
-            if narrowed.any():
-                alive = narrowed
-                kept.append(j)
-        return RealizableCore(tuple(kept), exact=False)
-    raise ContractError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    best = int(np.argmax(covered.sum(axis=1)))
+    return tuple(int(j) for j in np.flatnonzero(covered[best]))
 
 
 def agnostic_round_count(core_size: int) -> int:
@@ -110,56 +80,51 @@ def learn_agnostic(
     core (no example is robustly satisfiable by any member) yields the
     constant +1 predictor flagged "empty-realizable-core".
 
-    Of `config` only `n_initial` is used.  The round count is fixed and
-    nothing is sparsified, so a set `T_max` or `N_sparsify` is a contract
-    violation; `seed` is accepted and unused, since no step draws randomness.
+    Repeated core examples are boosted once, at their first position.  Of
+    `config` only `n_initial` is used, as in the realizable learner.  The
+    round count 1 + ceil(48 ln |core|) is fixed and nothing is sparsified,
+    so a set `N_sparsify` is a contract violation; `seed` is accepted and
+    unused, since no step draws randomness.
     """
     config = config or LearnerConfig()
-    for name in ("T_max", "N_sparsify"):
-        if getattr(config, name) is not None:
-            raise ContractError(f"learn_agnostic does not use {name}; leave it unset")
+    if config.N_sparsify is not None:
+        raise ContractError("learn_agnostic does not use N_sparsify; leave it unset")
     if len(sample) == 0:
         raise ContractError("agnostic learning requires a nonempty sample")
-    core = max_realizable_subsequence(family, sample, perturbations, mode="exact")
-    if not core.indices:
+    core = max_realizable_subsequence(family, sample, perturbations)
+    if not core:
         return MajorityVotePredictor(
             (Hypothesis.constant(family.space_size, +1),),
             ((),),
             flags=("empty-realizable-core",),
         )
 
-    seen: set[tuple[int, int]] = set()
-    kept_original: list[int] = []
-    for j in core.indices:
-        key = sample[j].key()
-        if key not in seen:
-            seen.add(key)
-            kept_original.append(j)
+    first: dict[tuple[int, int], int] = {}
+    for j in core:
+        first.setdefault(sample[j].key(), j)
+    kept_original = list(first.values())
     core_sample = Sample(tuple(sample[j] for j in kept_original))
 
-    rounds = agnostic_round_count(len(core_sample))
     n0 = config.n_initial if config.n_initial is not None else vc(family).value + 1
-    n = min(n0, len(core_sample))
-    while True:
-        candidates = build_candidates(family, core_sample, perturbations, n)
-        wrong = candidates.family.robust_table(perturbations).loss(core_sample)
-        try:
-            boost = alpha_boost(wrong, margin_target=None, T_max=rounds)
-            break
-        except WeakLearnerFailure:
-            if n >= len(core_sample):
-                raise
-            n = min(len(core_sample), 2 * n)
+    candidates, _, boost = _boost_growing_n(
+        family,
+        core_sample,
+        perturbations,
+        n0,
+        lambda c: c.family.robust_table(perturbations).loss(core_sample),
+        margin_target=None,
+        T_max=agnostic_round_count(len(core_sample)),
+    )
 
     if boost.min_margin <= Fraction(1, 2):
         raise RuntimeError(
             f"agnostic boosting ended with margin {boost.min_margin} <= 1/2 on the core"
         )
+    origin = {
+        i: tuple(kept_original[j] for j in candidates.provenance[i]) for i in set(boost.voter_ids)
+    }
     voters = tuple(candidates.family[i] for i in boost.voter_ids)
-    provenance = tuple(
-        tuple(kept_original[j] for j in candidates.provenance[i]) for i in boost.voter_ids
-    )
-    return MajorityVotePredictor(voters, provenance)
+    return MajorityVotePredictor(voters, tuple(origin[i] for i in boost.voter_ids))
 
 
 def agnostic_bound(sc_re: int, m: int, delta: float) -> float:

@@ -53,13 +53,17 @@ class ConstructedInstance:
 
 
 def _blowup_parts(
-    anchor_count: int, patterns: Sequence[tuple[int, ...]], first_fresh: int
-) -> tuple[list[list[int]], list[list[int]], int]:
-    """Lay out one fresh point per (pattern, set bit); returns per-anchor and
-    per-pattern fresh point lists plus the next free point id."""
+    anchor_count: int, patterns: Sequence[tuple[int, ...]]
+) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Lay out one fresh point per (pattern, set bit) after the anchors.
+
+    Returns the space size, the perturbation sets (anchor i with the fresh
+    points of its bit, then a singleton per fresh point) and one member row
+    per pattern, labeling exactly that pattern's fresh points -1.
+    """
     fresh_by_anchor: list[list[int]] = [[] for _ in range(anchor_count)]
     fresh_by_pattern: list[list[int]] = []
-    next_point = first_fresh
+    next_point = anchor_count
     for pattern in patterns:
         mine: list[int] = []
         for i in pattern:
@@ -67,7 +71,15 @@ def _blowup_parts(
             mine.append(next_point)
             next_point += 1
         fresh_by_pattern.append(mine)
-    return fresh_by_anchor, fresh_by_pattern, next_point
+    sets = [tuple([i] + fresh) for i, fresh in enumerate(fresh_by_anchor)]
+    sets += [(z,) for z in range(anchor_count, next_point)]
+    rows = []
+    for mine in fresh_by_pattern:
+        row = [+1] * next_point
+        for z in mine:
+            row[z] = -1
+        rows.append(tuple(row))
+    return next_point, sets, rows
 
 
 def make_vc_blowup(m: int, cap: int = BLOWUP_CAP) -> ConstructedInstance:
@@ -85,18 +97,7 @@ def make_vc_blowup(m: int, cap: int = BLOWUP_CAP) -> ConstructedInstance:
     if m > cap:
         raise ContractError(f"m={m} exceeds the cap {cap} (space grows as m * 2^(m-1))")
     patterns = [tuple(i for i in range(m) if (code >> i) & 1) for code in range(2 ** m)]
-    fresh_by_anchor, fresh_by_pattern, size = _blowup_parts(m, patterns, m)
-    sets: list[tuple[int, ...]] = []
-    for i in range(m):
-        sets.append(tuple([i] + fresh_by_anchor[i]))
-    for z in range(m, size):
-        sets.append((z,))
-    rows = []
-    for mine in fresh_by_pattern:
-        row = [+1] * size
-        for z in mine:
-            row[z] = -1
-        rows.append(tuple(row))
+    size, sets, rows = _blowup_parts(m, patterns)
     return ConstructedInstance(
         space=InstanceSpace(size),
         perturbations=PerturbationMap(tuple(sets)),
@@ -122,18 +123,7 @@ def make_proper_failure(m: int, cap: int = BLOWUP_CAP) -> ConstructedInstance:
     if anchor_count > cap:
         raise ContractError(f"3m={anchor_count} exceeds the cap {cap}")
     patterns = list(combinations(range(anchor_count), m))
-    fresh_by_anchor, fresh_by_pattern, size = _blowup_parts(anchor_count, patterns, anchor_count)
-    sets: list[tuple[int, ...]] = []
-    for i in range(anchor_count):
-        sets.append(tuple([i] + fresh_by_anchor[i]))
-    for z in range(anchor_count, size):
-        sets.append((z,))
-    rows = []
-    for mine in fresh_by_pattern:
-        row = [+1] * size
-        for z in mine:
-            row[z] = -1
-        rows.append(tuple(row))
+    size, sets, rows = _blowup_parts(anchor_count, patterns)
     distributions = tuple(
         FiniteDistribution.uniform([LabeledExample(i, +1) for i in support])
         for support in combinations(range(anchor_count), 2 * m)

@@ -443,8 +443,9 @@ class MajorityVotePredictor:
         return sum(len(t) for t in self.provenance)
 
     def label_of(self, point: int) -> int:
-        vote = sum(v.label_of(point) for v in self.voters)
-        return +1 if vote >= 0 else -1
+        if not 0 <= point < self.size:
+            raise StructuralError(f"point {point} outside instance space of size {self.size}")
+        return int(self.label_row[point])
 
     @cached_property
     def label_row(self) -> np.ndarray:

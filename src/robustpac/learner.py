@@ -4,11 +4,13 @@ Pipeline: generate candidate predictors by running the exact robust-ERM oracle
 on every size-n subsequence of the sample, inflate the sample to all
 perturbation points with min-index labels, discretize the inflation down to
 one representative per candidate error pattern, boost weak candidates by
-multiplicative weights until every representative has vote margin >= 5/9,
-then sparsify the ensemble to a few voters while preserving strict majority
-correctness.  Each surviving voter carries the sample indices that
-reconstruct it, so the final majority vote is a sample compression scheme
-and the compression generalization bound applies.
+multiplicative weights until every representative has vote margin >= 5/9
+(doubling n while no candidate is a weak learner, in `_boost_growing_n`,
+which the agnostic reduction shares), then sparsify the ensemble to a few
+voters while preserving strict majority correctness.  Each surviving voter
+carries the sample indices that reconstruct it, so the final majority vote
+is a sample compression scheme and the compression generalization bound
+applies.
 
 The data between stages are arrays: the inflation is a (points, labels)
 pair, the discretized set adds the (candidates, representatives) mistake
@@ -22,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .core import (
     empirical_robust_risk,
 )
 from .dimensions import dual_vc, vc
-from .oracles import rerm
 from .prng import rng_stream
 
 __all__ = [
@@ -93,24 +94,23 @@ class BoostingFailure(RuntimeError):
 class LearnerConfig:
     """Knobs of the compression-boosting pipeline.
 
-    `n_initial` defaults to vc(family)+1 and doubles on weak-learner failure,
-    never exceeding the sample size.  `T_max` and `N_sparsify` default to
-    ceil(1 + 48 ln |discretized|) + 10 and to the candidate family's dual VC
-    dimension (minimum 3, forced odd), computed only when boosting returns
-    more than one voter, since sparsify keeps a lone voter.  The rest is
-    fixed by the module constants: boosting step `ALPHA` 1/8,
-    `MARGIN_TARGET` 5/9 (which leaves the 1/18 sparsification slack above
-    1/2) and `SPARSIFY_ATTEMPTS` 100 seeded draws before the full-list
-    fallback.
+    `n_initial` defaults to vc(family)+1, is clamped to the sample size and
+    doubles on weak-learner failure up to it.  `N_sparsify` defaults to the
+    candidate family's dual VC dimension (minimum 3, forced odd), computed
+    only when boosting returns more than one voter, since sparsify keeps a
+    lone voter.  `seed` drives sparsification's draws.  The rest is fixed:
+    the realizable round cap ceil(1 + 48 ln |discretized|) + 10
+    (`default_round_cap`), boosting step `ALPHA` 1/8, `MARGIN_TARGET` 5/9
+    (which leaves the 1/18 sparsification slack above 1/2) and
+    `SPARSIFY_ATTEMPTS` 100 seeded draws before the full-list fallback.
     """
 
     n_initial: int | None = None
-    T_max: int | None = None
     N_sparsify: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_initial", "T_max", "N_sparsify"):
+        for name in ("n_initial", "N_sparsify"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ContractError(f"{name} must be >= 1, got {value}")
@@ -285,17 +285,14 @@ def inflate(sample: Sample, perturbations: PerturbationMap) -> tuple[np.ndarray,
     return points, sample.labels()[owner[first]]
 
 
-def discretize(
-    inflated: tuple[np.ndarray, np.ndarray], candidates: CandidateSet | HypothesisFamily
-) -> DiscretizedSet:
-    """Keep one point of an `inflate` result per distinct candidate error pattern.
+def discretize(inflated: tuple[np.ndarray, np.ndarray], family: HypothesisFamily) -> DiscretizedSet:
+    """Keep one point of an `inflate` result per distinct error pattern of `family`.
 
     The representative of a pattern is its first point in point order; any
     representative works since the majority margin only depends on the
     pattern.  Patterns are compared as bit-packed columns of the mistake
     matrix, and the kept columns stay in point order.
     """
-    family = candidates.family if isinstance(candidates, CandidateSet) else candidates
     if len(family) == 0:
         raise ContractError("discretization requires a nonempty candidate set")
     points, labels = inflated
@@ -382,24 +379,24 @@ def default_round_cap(n_points: int) -> int:
 
 def sparsify(
     voter_ids: Sequence[int],
-    points: DiscretizedSet,
+    wrong: np.ndarray,
     N: int,
     seed: int = 0,
     attempts: int = SPARSIFY_ATTEMPTS,
 ) -> tuple[int, ...]:
     """Positions into `voter_ids` (with replacement) whose majority stays strictly correct.
 
-    Voter ids index the candidates of `points.wrong`, so voter v is correct
-    on representative j exactly when `points.wrong[v, j]` is False.  Requires
-    the full ensemble to hold a strict majority on every discretized point
-    (guaranteed upstream by the 5/9 margin, which leaves 1/18 slack over
-    1/2).  Retries fresh seeded draws up to `attempts`, then falls back to
+    Voter ids index the rows of the (candidates, points) mistake matrix
+    `wrong`, so voter v is correct on point j exactly when `wrong[v, j]` is
+    False.  Requires the full ensemble to hold a strict majority on every
+    point (guaranteed upstream by the 5/9 margin, which leaves 1/18 slack
+    over 1/2).  Retries fresh seeded draws up to `attempts`, then falls back to
     the full voter list, which satisfies the property by the precondition.
     """
     T = len(voter_ids)
     if T == 0:
         raise ContractError("sparsification requires at least one voter")
-    correct = ~points.wrong[np.asarray(voter_ids, dtype=np.intp)]
+    correct = ~wrong[np.asarray(voter_ids, dtype=np.intp)]
     totals = correct.sum(axis=0)
     if not np.all(2 * totals > T):
         raise ContractError(
@@ -415,6 +412,35 @@ def sparsify(
         if np.all(2 * votes > N):
             return tuple(int(i) for i in draw)
     return tuple(range(T))
+
+
+def _boost_growing_n(
+    family: HypothesisFamily,
+    sample: Sample,
+    perturbations: PerturbationMap,
+    n: int,
+    mistakes: Callable[[CandidateSet], np.ndarray],
+    margin_target: Fraction | None = MARGIN_TARGET,
+    T_max: int | None = None,
+) -> tuple[CandidateSet, np.ndarray, BoostResult]:
+    """Boost the candidates of size-n subsamples, doubling n until weak learning succeeds.
+
+    The loop both learners share: n starts at min(n, |sample|), `mistakes`
+    maps the candidate set to the mistake matrix boosting reads, and a
+    WeakLearnerFailure doubles n (capped at |sample|) or, at n = |sample|,
+    propagates.  Returns the candidates, their mistake matrix and the boost.
+    """
+    m = len(sample)
+    n = min(n, m)
+    while True:
+        candidates = build_candidates(family, sample, perturbations, n)
+        wrong = mistakes(candidates)
+        try:
+            return candidates, wrong, alpha_boost(wrong, margin_target=margin_target, T_max=T_max)
+        except WeakLearnerFailure:
+            if n == m:
+                raise
+            n = min(m, 2 * n)
 
 
 def _first_unrealizable_index(
@@ -445,36 +471,11 @@ def learn_realizable_report(
             f"(point={example.point}, label={example.label:+d})"
         )
 
-    m = len(sample)
-    n0 = config.n_initial if config.n_initial is not None else vc(family).value + 1
-    if m <= n0:
-        result = rerm(family, sample, perturbations)
-        predictor = MajorityVotePredictor(
-            (family[result.hypothesis_index],), (tuple(range(m)),)
-        )
-        return RealizableRunReport(
-            predictor=predictor,
-            n_used=m,
-            inflated_size=len(inflate(sample, perturbations)[0]),
-            discretized_size=1,
-            rounds=1,
-            min_margin=Fraction(1),
-            sparsified_to=1,
-        )
-
     inflated = inflate(sample, perturbations)
-    n = n0
-    while True:
-        candidates = build_candidates(family, sample, perturbations, n)
-        disc = discretize(inflated, candidates)
-        round_cap = config.T_max if config.T_max is not None else default_round_cap(len(disc))
-        try:
-            boost = alpha_boost(disc.wrong, T_max=round_cap)
-            break
-        except WeakLearnerFailure:
-            if n >= m:
-                raise
-            n = min(m, 2 * n)
+    n0 = config.n_initial if config.n_initial is not None else vc(family).value + 1
+    candidates, wrong, boost = _boost_growing_n(
+        family, sample, perturbations, n0, lambda c: discretize(inflated, c.family).wrong
+    )
 
     if config.N_sparsify is not None:
         n_sparse = config.N_sparsify
@@ -484,7 +485,7 @@ def learn_realizable_report(
         n_sparse = max(3, dual_vc(candidates.family).value)
         if n_sparse % 2 == 0:
             n_sparse += 1
-    chosen = sparsify(boost.voter_ids, disc, n_sparse, seed=config.seed)
+    chosen = sparsify(boost.voter_ids, wrong, n_sparse, seed=config.seed)
     voters = tuple(candidates.family[boost.voter_ids[j]] for j in chosen)
     provenance = tuple(candidates.provenance[boost.voter_ids[j]] for j in chosen)
     predictor = MajorityVotePredictor(voters, provenance)
@@ -493,9 +494,9 @@ def learn_realizable_report(
         raise RuntimeError(f"pipeline produced nonzero empirical robust risk {risk}")
     return RealizableRunReport(
         predictor=predictor,
-        n_used=n,
+        n_used=candidates.subset_size,
         inflated_size=len(inflated[0]),
-        discretized_size=len(disc),
+        discretized_size=wrong.shape[1],
         rounds=boost.rounds,
         min_margin=boost.min_margin,
         sparsified_to=len(chosen),

@@ -28,8 +28,7 @@ from conftest import random_labeled_sample, random_realizable_setup
 def test_core_of_a_realizable_sample_is_everything():
     family, perturbations, sample, _ = random_realizable_setup(1)
     core = max_realizable_subsequence(family, sample, perturbations)
-    assert core.exact
-    assert core.indices == tuple(range(len(sample)))
+    assert core == tuple(range(len(sample)))
 
 
 def test_core_is_the_best_member_coverage():
@@ -41,11 +40,11 @@ def test_core_is_the_best_member_coverage():
             for h in family
         ]
         best = max(len(c) for c in coverages)
-        assert len(core.indices) == best
-        assert list(core.indices) in coverages
+        assert len(core) == best
+        assert list(core) in coverages
         # the kept subsequence really is realizable
-        if core.indices:
-            kept = Sample(tuple(sample[j] for j in core.indices))
+        if core:
+            kept = Sample(tuple(sample[j] for j in core))
             assert rerm(family, kept, perturbations).risk == 0
 
 
@@ -53,19 +52,7 @@ def test_core_can_be_empty():
     family = HypothesisFamily.from_rows([(1, 1)])
     sample = Sample.from_pairs([(0, -1), (1, -1)])
     core = max_realizable_subsequence(family, sample, PerturbationMap.identity(2))
-    assert core.indices == ()
-
-
-def test_greedy_mode_is_realizable_but_possibly_smaller():
-    for seed in range(10):
-        family, perturbations, sample = random_labeled_sample(seed)
-        exact = max_realizable_subsequence(family, sample, perturbations, mode="exact")
-        greedy = max_realizable_subsequence(family, sample, perturbations, mode="greedy")
-        assert not greedy.exact
-        assert len(greedy.indices) <= len(exact.indices)
-        if greedy.indices:
-            kept = Sample(tuple(sample[j] for j in greedy.indices))
-            assert rerm(family, kept, perturbations).risk == 0
+    assert core == ()
 
 
 def test_agnostic_never_loses_to_the_oracle():
@@ -108,7 +95,7 @@ def test_agnostic_provenance_points_into_the_original_sample():
     predictor = learn_agnostic(family, sample, perturbations)
     core = max_realizable_subsequence(family, sample, perturbations)
     for tup in predictor.provenance:
-        assert set(tup) <= set(core.indices)
+        assert set(tup) <= set(core)
 
 
 def test_round_count_formula():
@@ -148,17 +135,11 @@ def test_agnostic_margin_exceeds_half_on_the_core():
     predictor = learn_agnostic(family, sample, perturbations, LearnerConfig(seed=2))
     core = max_realizable_subsequence(family, sample, perturbations)
     voters = predictor.voters
-    for j in core.indices:
+    for j in core:
         correct = sum(
             1 for v in voters if robust_loss(v, sample[j], perturbations) == 0
         )
         assert Fraction(correct, len(voters)) > Fraction(1, 2)
-
-
-def test_agnostic_rejects_T_max():
-    family, perturbations, sample = random_labeled_sample(3)
-    with pytest.raises(ContractError, match="T_max"):
-        learn_agnostic(family, sample, perturbations, LearnerConfig(T_max=1))
 
 
 def test_agnostic_rejects_N_sparsify():

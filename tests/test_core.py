@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from robustpac.core import (
     ContractError,
@@ -109,6 +109,27 @@ def test_majority_tie_resolves_to_plus_one():
     assert vote.label_of(1) == 1
     strict = MajorityVotePredictor((plus, minus, minus))
     assert strict.label_of(0) == -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda size: st.lists(
+            st.lists(st.sampled_from((-1, 1)), min_size=size, max_size=size),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_majority_label_of_reads_label_row(rows):
+    # even voter counts make exact ties, which both must resolve to +1
+    vote = MajorityVotePredictor(tuple(Hypothesis(tuple(r)) for r in rows))
+    for x in range(vote.size):
+        assert vote.label_of(x) == vote.label_row[x]
+        assert type(vote.label_of(x)) is int
+    for bad in (vote.size, vote.size + 3, -1):
+        with pytest.raises(StructuralError, match=f"point {bad} outside instance space of size {vote.size}"):
+            vote.label_of(bad)
 
 
 def test_majority_robust_loss_matches_margin_rule():

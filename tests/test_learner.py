@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from robustpac.core import (
     ContractError,
     HypothesisFamily,
+    MajorityVotePredictor,
     PerturbationMap,
     Sample,
     StructuralError,
@@ -24,6 +26,7 @@ from robustpac.learner import (
     BoostingFailure,
     BoostResult,
     LearnerConfig,
+    RealizableRunReport,
     WeakLearnerFailure,
     alpha_boost,
     build_candidates,
@@ -194,7 +197,7 @@ def test_discretize_representatives_are_lexicographic_and_faithful():
     sample = sample_iid(inst.distributions[0], 8, seed=9)
     cands = build_candidates(inst.family, sample, inst.perturbations, 2)
     points, labels = inflate(sample, inst.perturbations)
-    disc = discretize((points, labels), cands)
+    disc = discretize((points, labels), cands.family)
     assert len(disc) <= inst.perturbations.max_set_size * len(sample)
     matrix = cands.family.matrix
     assert np.array_equal(disc.wrong, matrix[:, disc.points] != disc.labels)
@@ -359,13 +362,13 @@ def _disc_for(points: list[tuple[int, int]], family: HypothesisFamily) -> Discre
 def test_sparsify_single_voter_is_trivial():
     family = HypothesisFamily.from_rows([(1, 1)])
     disc = _disc_for([(0, 1), (1, 1)], family)
-    assert sparsify((0,), disc, N=5, seed=1) == (0,)
+    assert sparsify((0,), disc.wrong, N=5, seed=1) == (0,)
 
 
 def test_sparsify_identical_correct_voters_any_draw_works():
     family = HypothesisFamily.from_rows([(1, 1, 1), (-1, 1, 1)])
     disc = _disc_for([(0, 1), (1, 1), (2, 1)], family)
-    chosen = sparsify((0, 0, 0), disc, N=4, seed=3)
+    chosen = sparsify((0, 0, 0), disc.wrong, N=4, seed=3)
     assert len(chosen) == 4
     assert set(chosen) <= {0, 1, 2}
 
@@ -382,7 +385,7 @@ def test_sparsify_forty_voters_margin_five_ninths():
     voter_ids = [t % n_points for t in range(40)]
     disc = _disc_for([(x, 1) for x in range(n_points)], family)
     assert len(disc) == n_points
-    chosen = sparsify(voter_ids, disc, N=8, seed=11, attempts=100)
+    chosen = sparsify(voter_ids, disc.wrong, N=8, seed=11, attempts=100)
     assert len(chosen) in (8, 40)
     votes = np.zeros(n_points, dtype=int)
     for j in chosen:
@@ -394,14 +397,14 @@ def test_sparsify_falls_back_to_the_full_list():
     # three voters, margins 2/3; single-voter draws always fail, so N=1 falls back
     family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
     disc = _disc_for([(x, 1) for x in range(3)], family)
-    assert sparsify((0, 1, 2), disc, N=1, seed=0, attempts=8) == (0, 1, 2)
+    assert sparsify((0, 1, 2), disc.wrong, N=1, seed=0, attempts=8) == (0, 1, 2)
 
 
 def test_sparsify_rejects_sub_majority_ensembles():
     family = HypothesisFamily.from_rows([(-1, 1), (1, -1)])
     disc = _disc_for([(0, 1), (1, 1)], family)
     with pytest.raises(ContractError):
-        sparsify((0, 1), disc, N=3, seed=0)
+        sparsify((0, 1), disc.wrong, N=3, seed=0)
 
 
 # --- differential tests against the per-example loops ------------------------
@@ -531,9 +534,9 @@ def test_sparsify_matches_the_per_voter_loop(inputs, data):
         expected = _sparsify_reference(voters, reps, N, seed, attempts)
     except ContractError:
         with pytest.raises(ContractError, match="strict majority"):
-            sparsify(voter_ids, disc, N, seed=seed, attempts=attempts)
+            sparsify(voter_ids, disc.wrong, N, seed=seed, attempts=attempts)
         return
-    assert sparsify(voter_ids, disc, N, seed=seed, attempts=attempts) == expected
+    assert sparsify(voter_ids, disc.wrong, N, seed=seed, attempts=attempts) == expected
 
 
 # --- the full pipeline -------------------------------------------------------
@@ -547,6 +550,68 @@ def test_small_sample_returns_a_single_oracle_voter():
     assert report.sparsified_to == 1
     assert report.predictor.provenance == ((0, 1),)
     assert empirical_robust_risk(report.predictor, sample, inst.perturbations) == 0
+
+
+def _single_rerm_voter_report(family, sample, perturbations) -> RealizableRunReport:
+    """The report of the former m <= n_initial special case, kept as a reference.
+
+    It skipped candidates and boosting: one robust-ERM voter over the whole
+    sample, reconstructed from every index.
+    """
+    m = len(sample)
+    result = rerm(family, sample, perturbations)
+    predictor = MajorityVotePredictor((family[result.hypothesis_index],), (tuple(range(m)),))
+    return RealizableRunReport(
+        predictor=predictor,
+        n_used=m,
+        inflated_size=len(inflate(sample, perturbations)[0]),
+        discretized_size=1,
+        rounds=1,
+        min_margin=Fraction(1),
+        sparsified_to=1,
+    )
+
+
+def test_a_sample_no_larger_than_n_initial_gets_the_single_rerm_voter():
+    for seed in range(60):
+        family, perturbations, sample, _ = random_realizable_setup(seed)
+        m = len(sample)
+        want = _single_rerm_voter_report(family, sample, perturbations)
+        for config in (
+            LearnerConfig(n_initial=m),
+            LearnerConfig(n_initial=m + 1, seed=seed),
+            LearnerConfig(n_initial=m + 5, N_sparsify=3),
+        ):
+            got = learn_realizable_report(family, sample, perturbations, config)
+            for field in fields(RealizableRunReport):
+                assert getattr(got, field.name) == getattr(want, field.name), (seed, config, field.name)
+            assert [v.labels for v in got.predictor.voters] == [v.labels for v in want.predictor.voters]
+            assert np.array_equal(got.predictor.label_row, want.predictor.label_row)
+
+
+def test_boost_growing_n_clamps_doubles_and_reraises_at_the_sample_size():
+    family = HypothesisFamily.from_rows([(1,) * 5, (-1,) * 5])
+    sample = Sample.from_pairs([(x, 1) for x in range(5)])
+    perturbations = PerturbationMap.identity(5)
+    sizes: list[int] = []
+
+    def never_weak(candidates):
+        assert len(sizes) < 8, f"n kept growing: {sizes}"
+        sizes.append(candidates.subset_size)
+        return np.ones((len(candidates), 3), dtype=bool)  # every candidate errs everywhere
+
+    for n, expected in ((1, [1, 2, 4, 5]), (3, [3, 5]), (5, [5]), (9, [5])):
+        sizes.clear()
+        with pytest.raises(WeakLearnerFailure):
+            learner._boost_growing_n(family, sample, perturbations, n, never_weak)
+        assert sizes == expected, n
+
+
+def test_learner_config_has_three_validated_fields():
+    assert [f.name for f in fields(LearnerConfig)] == ["n_initial", "N_sparsify", "seed"]
+    for name in ("n_initial", "N_sparsify"):
+        with pytest.raises(ContractError, match=f"{name} must be >= 1"):
+            LearnerConfig(**{name: 0})
 
 
 def test_learner_achieves_zero_risk_on_random_realizable_instances():
@@ -602,16 +667,6 @@ def test_dual_vc_runs_only_when_sparsify_uses_it(monkeypatch):
     assert report.rounds == 3 and len(calls) == 1
 
 
-def test_boosting_failure_propagates_from_the_pipeline():
-    inst = make_proper_failure(2)
-    sample = sample_iid(inst.distributions[0], 64, seed=7)
-    with pytest.raises(BoostingFailure) as err:
-        learn_realizable_report(
-            inst.family, sample, inst.perturbations, LearnerConfig(T_max=1)
-        )
-    assert err.value.rounds == 1
-
-
 def test_learner_rejects_unrealizable_samples_naming_the_example():
     family = HypothesisFamily.from_rows([(1, 1), (-1, 1)])
     sample = Sample.from_pairs([(1, 1), (0, 1), (0, -1)])
@@ -634,7 +689,7 @@ def test_margins_transfer_from_representatives_to_the_whole_inflation():
     sample = sample_iid(inst.distributions[2], 24, seed=33)
     cands = build_candidates(inst.family, sample, inst.perturbations, 2)
     points, labels = inflate(sample, inst.perturbations)
-    disc = discretize((points, labels), cands)
+    disc = discretize((points, labels), cands.family)
     boost = alpha_boost(disc.wrong)
     matrix = cands.family.matrix
     voters = list(boost.voter_ids)
