@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Subcommands: construct, dims, learn, agnostic, bound, experiment.  Common
-flags (--seed, --out, --format) attach to every subcommand.  File and stdout
-payloads are byte-identical across runs at a fixed seed; wall-clock timings
-go to stderr.
+Subcommands: construct <generator>, dims, learn, agnostic, bound and
+experiment <kind>.  Each accepts exactly the flags it reads: a generator
+takes only its own shape flags, `--seed` goes to the commands that sample,
+`--format json|csv` to those that write both formats, and `--out` to all.
+File and stdout payloads are byte-identical across runs at a fixed seed;
+wall-clock timings go to stderr.
 
-Exit status: 0 on success, 2 on contract or validation errors (the message
-names the violated precondition).
+Exit status: 0 on success, 2 on a malformed flag value or a contract or
+validation error (the message names the violated precondition).
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .agnostic import agnostic_bound, learn_agnostic
 from .constructions import (
-    ConstructedInstance,
     make_agnostic_lower_bound,
     make_lower_bound_family,
     make_pair_gap,
@@ -29,6 +29,7 @@ from .constructions import (
 )
 from .core import ContractError, StructuralError, empirical_robust_risk, population_robust_risk
 from .dimensions import (
+    DEFAULT_CAP,
     disjoint_robust_shattering_dim,
     dual_vc,
     robust_shattering_dim,
@@ -44,17 +45,27 @@ from .experiments import (
 from .learner import LearnerConfig, compression_bound, learn_realizable_report
 from .oracles import rerm
 from .sampling import sample_iid
-from .serialization import dumps_instance, load_instance, save_instance
+from .serialization import dumps_instance, load_instance, parse_probability, save_instance
 
 __all__ = ["main"]
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    parser.add_argument("--out", type=str, default=None, help="write the result to this path")
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format for --out"
-    )
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+# generator -> (its required flags with their types, in the maker's argument order; maker)
+GENERATORS = {
+    "vc-blowup": ((("--m", int),), make_vc_blowup),
+    "proper-failure": ((("--m", int),), make_proper_failure),
+    "union-truncation": ((("--blocks", _int_list),), make_union_truncation),
+    "pair-gap": ((("--p", int),), make_pair_gap),
+    "lower-bound": ((("--d", int), ("--epsilon", parse_probability)), make_lower_bound_family),
+    "agnostic-lower-bound": ((("--d", int), ("--alpha", parse_probability)), make_agnostic_lower_bound),
+}
 
 
 def _write(path: str, payload: str) -> None:
@@ -64,30 +75,13 @@ def _write(path: str, payload: str) -> None:
     print(f"wrote {path}")
 
 
+def _write_json(path: str, doc) -> None:
+    _write(path, json.dumps(doc, indent=2, sort_keys=True))
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
-    generator = args.generator
-    instance: ConstructedInstance
-    if generator == "vc-blowup":
-        _require(args.m is not None, "construct vc-blowup requires --m")
-        instance = make_vc_blowup(args.m)
-    elif generator == "proper-failure":
-        _require(args.m is not None, "construct proper-failure requires --m")
-        instance = make_proper_failure(args.m)
-    elif generator == "union-truncation":
-        _require(args.blocks is not None, "construct union-truncation requires --blocks")
-        blocks = [int(b) for b in args.blocks.split(",") if b]
-        instance = make_union_truncation(blocks)
-    elif generator == "pair-gap":
-        _require(args.p is not None, "construct pair-gap requires --p")
-        instance = make_pair_gap(args.p)
-    elif generator == "lower-bound":
-        _require(args.d is not None, "construct lower-bound requires --d")
-        _require(args.epsilon is not None, "construct lower-bound requires --epsilon")
-        instance = make_lower_bound_family(args.d, Fraction(args.epsilon))
-    else:  # agnostic-lower-bound
-        _require(args.d is not None, "construct agnostic-lower-bound requires --d")
-        _require(args.alpha is not None, "construct agnostic-lower-bound requires --alpha")
-        instance = make_agnostic_lower_bound(args.d, Fraction(args.alpha))
+    flags, maker = GENERATORS[args.generator]
+    instance = maker(*(getattr(args, flag[2:]) for flag, _ in flags))
     if args.out is None:
         sys.stdout.write(dumps_instance(instance) + "\n")
     else:
@@ -117,33 +111,31 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     for name, w in results.items():
         suffix = " (at least; search capped)" if w.capped else ""
         print(f"{name} = {w.value}{suffix}")
-    if args.out is not None:
-        if args.format == "json":
-            doc = {name: _witness_json(w) for name, w in results.items()}
-            _write(args.out, json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            rows = [f"{name},{w.value},{int(w.capped)}" for name, w in results.items()]
-            _write(args.out, "\n".join(["dimension,value,capped", *rows]))
+    if args.out is not None and args.format == "json":
+        _write_json(args.out, {name: _witness_json(w) for name, w in results.items()})
+    elif args.out is not None:
+        rows = [f"{name},{w.value},{int(w.capped)}" for name, w in results.items()]
+        _write(args.out, "\n".join(["dimension,value,capped", *rows]))
     return 0
 
 
-def _pick_distribution(instance: ConstructedInstance, index: int):
-    _require(
-        bool(instance.distributions),
-        "this instance ships no distributions; `learn` needs one to sample from",
-    )
-    _require(
-        0 <= index < len(instance.distributions),
-        f"--dist must lie in [0, {len(instance.distributions) - 1}]",
-    )
-    return instance.distributions[index]
+def _sampled(args: argparse.Namespace):
+    """The instance, its `--dist` distribution, an m-point sample and the learner config."""
+    instance = load_instance(args.instance)
+    dists = instance.distributions or ()
+    if not dists:
+        raise ContractError(
+            f"this instance ships no distributions; `{args.command}` needs one to sample from"
+        )
+    if not 0 <= args.dist < len(dists):
+        raise ContractError(f"--dist must lie in [0, {len(dists) - 1}]")
+    dist = dists[args.dist]
+    config = LearnerConfig(n_initial=args.n_initial, seed=args.seed)
+    return instance, dist, sample_iid(dist, args.m, args.seed), config
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    instance = load_instance(args.instance)
-    dist = _pick_distribution(instance, args.dist)
-    sample = sample_iid(dist, args.m, args.seed)
-    config = LearnerConfig(n_initial=args.n_initial, seed=args.seed)
+    instance, dist, sample, config = _sampled(args)
     start = time.perf_counter()
     report = learn_realizable_report(instance.family, sample, instance.perturbations, config)
     elapsed = time.perf_counter() - start
@@ -169,15 +161,12 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     )
     print(f"took {elapsed:.3f}s", file=sys.stderr)
     if args.out is not None:
-        _write(args.out, json.dumps(doc, indent=2, sort_keys=True))
+        _write_json(args.out, doc)
     return 0
 
 
 def _cmd_agnostic(args: argparse.Namespace) -> int:
-    instance = load_instance(args.instance)
-    dist = _pick_distribution(instance, args.dist)
-    sample = sample_iid(dist, args.m, args.seed)
-    config = LearnerConfig(n_initial=args.n_initial, seed=args.seed)
+    instance, dist, sample, config = _sampled(args)
     predictor = learn_agnostic(instance.family, sample, instance.perturbations, config)
     achieved = empirical_robust_risk(predictor, sample, instance.perturbations)
     optimum = rerm(instance.family, sample, instance.perturbations).risk
@@ -199,15 +188,13 @@ def _cmd_agnostic(args: argparse.Namespace) -> int:
         f"(family optimum {optimum}), {len(predictor.voters)} voters"
     )
     if args.out is not None:
-        _write(args.out, json.dumps(doc, indent=2, sort_keys=True))
+        _write_json(args.out, doc)
     return 0
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    _require(
-        (args.k is None) != (args.sc_re is None),
-        "bound needs exactly one of --k (compression) or --sc-re (agnostic)",
-    )
+    if (args.k is None) == (args.sc_re is None):
+        raise ContractError("bound needs exactly one of --k (compression) or --sc-re (agnostic)")
     if args.k is not None:
         value = compression_bound(args.k, args.m, args.delta)
         kind = "compression"
@@ -216,58 +203,57 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         kind = "agnostic"
     print(repr(value))
     if args.out is not None:
-        doc = {"kind": kind, "m": args.m, "delta": args.delta, "value": value}
-        _write(args.out, json.dumps(doc, indent=2, sort_keys=True))
+        _write_json(args.out, {"kind": kind, "m": args.m, "delta": args.delta, "value": value})
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.kind == "separation":
-        instance = make_proper_failure(args.m)
-        config = ExperimentConfig(
-            m=args.m,
-            trials=args.trials,
-            seed=args.seed,
-            improper_budget=args.budget,
-            instance_source=f"proper-failure(m={args.m})",
-        )
-        proper, improper = run_separation_experiment(instance, config)
-        print(proper.summary())
-        print(improper.summary())
-        print(f"took {proper.wall_clock:.3f}s", file=sys.stderr)
-        if args.out is not None and args.format == "json":
-            doc = {"proper": proper.to_dict(), "improper": improper.to_dict()}
-            _write(args.out, json.dumps(doc, indent=2, sort_keys=True))
-        elif args.out is not None:
-            # one CSV per arm: sep.csv becomes sep_proper.csv and sep_improper.csv
-            stem, dot, ext = args.out.rpartition(".")
-            for arm, report in (("proper", proper), ("improper", improper)):
-                _write(f"{stem}_{arm}.{ext}" if dot else f"{args.out}_{arm}", report.to_csv())
-        return 0
-    if args.kind == "bound-check":
-        config = ExperimentConfig(
-            m=args.m,
-            trials=args.trials,
-            seed=args.seed,
-            delta=args.delta,
-            instance_source="threshold-window",
-            learner="compress-boost",
-        )
-        report = run_bound_check(config, k=args.k)
-        print(report.summary())
-        print(f"took {report.wall_clock:.3f}s", file=sys.stderr)
-        if args.out is not None:
-            _write(args.out, report.to_json() if args.format == "json" else report.to_csv())
-        return 0
-    # k-scaling
-    k_list = [int(k) for k in args.k_list.split(",") if k]
+def _cmd_separation(args: argparse.Namespace) -> int:
+    instance = make_proper_failure(args.m)
+    config = ExperimentConfig(
+        m=args.m,
+        trials=args.trials,
+        seed=args.seed,
+        improper_budget=args.budget,
+        instance_source=f"proper-failure(m={args.m})",
+    )
+    proper, improper = run_separation_experiment(instance, config)
+    print(proper.summary())
+    print(improper.summary())
+    print(f"took {proper.wall_clock:.3f}s", file=sys.stderr)
+    if args.out is not None and args.format == "json":
+        _write_json(args.out, {"proper": proper.to_dict(), "improper": improper.to_dict()})
+    elif args.out is not None:
+        # one CSV per arm: sep.csv becomes sep_proper.csv and sep_improper.csv
+        stem, dot, ext = args.out.rpartition(".")
+        for arm, report in (("proper", proper), ("improper", improper)):
+            _write(f"{stem}_{arm}.{ext}" if dot else f"{args.out}_{arm}", report.to_csv())
+    return 0
+
+
+def _cmd_bound_check(args: argparse.Namespace) -> int:
+    config = ExperimentConfig(
+        m=args.m,
+        trials=args.trials,
+        seed=args.seed,
+        delta=args.delta,
+        instance_source="threshold-window",
+    )
+    report = run_bound_check(config, k=args.k)
+    print(report.summary())
+    print(f"took {report.wall_clock:.3f}s", file=sys.stderr)
+    if args.out is not None:
+        _write(args.out, report.to_json() if args.format == "json" else report.to_csv())
+    return 0
+
+
+def _cmd_k_scaling(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         m=args.m,
         trials=args.trials,
         seed=args.seed,
         instance_source=f"group-adversary(groups={args.groups})",
     )
-    table = run_bounded_k_scaling(k_list, config, groups=args.groups)
+    table = run_bounded_k_scaling(args.k_list, config, groups=args.groups)
     for row in table.rows:
         print(
             f"k={row.k}: |discretized| mean {row.mean_discretized:.1f} "
@@ -275,18 +261,20 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             f"compression n*T mean {row.mean_compression:.1f}"
         )
     if args.out is not None and args.format == "json":
-        _write(args.out, json.dumps([row.__dict__ for row in table.rows], indent=2, sort_keys=True))
+        _write_json(args.out, [row.__dict__ for row in table.rows])
     elif args.out is not None:
         _write(args.out, table.to_csv())
     return 0
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ContractError(message)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=str, default=None, help="write the result to this path")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json", help="format for --out")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+
     parser = argparse.ArgumentParser(
         prog="robustpac",
         description="Desk-scale laboratory for adversarially robust PAC learning",
@@ -294,80 +282,62 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_construct = sub.add_parser("construct", help="generate an instance file")
-    p_construct.add_argument(
-        "generator",
-        choices=(
-            "vc-blowup",
-            "proper-failure",
-            "union-truncation",
-            "pair-gap",
-            "lower-bound",
-            "agnostic-lower-bound",
-        ),
-    )
-    p_construct.add_argument("--m", type=int, default=None)
-    p_construct.add_argument("--p", type=int, default=None)
-    p_construct.add_argument("--d", type=int, default=None)
-    p_construct.add_argument("--blocks", type=str, default=None, help="comma-separated block sizes")
-    p_construct.add_argument("--epsilon", type=str, default=None)
-    p_construct.add_argument("--alpha", type=str, default=None)
-    _common_flags(p_construct)
-    p_construct.set_defaults(func=_cmd_construct)
+    generators = p_construct.add_subparsers(dest="generator", required=True)
+    for name, (flags, maker) in GENERATORS.items():
+        p_gen = generators.add_parser(name, parents=[out], help=maker.__doc__.splitlines()[0])
+        for flag, kind in flags:
+            p_gen.add_argument(flag, type=kind, required=True)
+        p_gen.set_defaults(func=_cmd_construct)
 
-    p_dims = sub.add_parser("dims", help="compute all dimensions of an instance")
+    p_dims = sub.add_parser("dims", parents=[out, fmt], help="compute all dimensions of an instance")
     p_dims.add_argument("instance")
-    p_dims.add_argument("--cap", type=int, default=12, help="search ceiling (default 12)")
-    _common_flags(p_dims)
+    p_dims.add_argument("--cap", type=int, default=DEFAULT_CAP, help=f"search ceiling (default {DEFAULT_CAP})")
     p_dims.set_defaults(func=_cmd_dims)
 
-    p_learn = sub.add_parser("learn", help="run the compress-boost learner on a sampled dataset")
-    p_learn.add_argument("instance")
-    p_learn.add_argument("--m", type=int, required=True, help="sample size")
-    p_learn.add_argument("--dist", type=int, default=0, help="distribution index (default 0)")
-    p_learn.add_argument("--n-initial", type=int, default=None)
-    _common_flags(p_learn)
-    p_learn.set_defaults(func=_cmd_learn)
+    sampled = argparse.ArgumentParser(add_help=False, parents=[out, seed])
+    sampled.add_argument("instance")
+    sampled.add_argument("--m", type=int, required=True, help="sample size")
+    sampled.add_argument("--dist", type=int, default=0, help="distribution index (default 0)")
+    sampled.add_argument("--n-initial", type=int, default=None)
+    sub.add_parser(
+        "learn", parents=[sampled], help="run the compress-boost learner on a sampled dataset"
+    ).set_defaults(func=_cmd_learn)
+    sub.add_parser(
+        "agnostic", parents=[sampled], help="run the agnostic reduction on a sampled dataset"
+    ).set_defaults(func=_cmd_agnostic)
 
-    p_ag = sub.add_parser("agnostic", help="run the agnostic reduction on a sampled dataset")
-    p_ag.add_argument("instance")
-    p_ag.add_argument("--m", type=int, required=True, help="sample size")
-    p_ag.add_argument("--dist", type=int, default=0, help="distribution index (default 0)")
-    p_ag.add_argument("--n-initial", type=int, default=None)
-    _common_flags(p_ag)
-    p_ag.set_defaults(func=_cmd_agnostic)
-
-    p_bound = sub.add_parser("bound", help="evaluate a generalization bound")
+    p_bound = sub.add_parser("bound", parents=[out], help="evaluate a generalization bound")
     p_bound.add_argument("--k", type=int, default=None, help="compression size")
     p_bound.add_argument("--sc-re", type=int, default=None, help="realizable sample complexity at (1/3,1/3)")
     p_bound.add_argument("--m", type=int, required=True)
     p_bound.add_argument("--delta", type=float, default=0.05)
-    _common_flags(p_bound)
     p_bound.set_defaults(func=_cmd_bound)
 
+    trials = argparse.ArgumentParser(add_help=False, parents=[out, fmt, seed])
+    trials.add_argument("--m", type=int, default=2)
+    trials.add_argument("--trials", type=int, default=200)
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    p_exp.add_argument("kind", choices=("separation", "bound-check", "k-scaling"))
-    p_exp.add_argument("--m", type=int, default=2)
-    p_exp.add_argument("--trials", type=int, default=200)
-    p_exp.add_argument("--budget", type=int, default=64, help="improper arm sample budget")
-    p_exp.add_argument("--k", type=int, default=3, help="compression size for bound-check")
-    p_exp.add_argument("--delta", type=float, default=0.05)
-    p_exp.add_argument("--k-list", type=str, default="1,2,4,8,16")
-    p_exp.add_argument("--groups", type=int, default=4)
-    _common_flags(p_exp)
-    p_exp.set_defaults(func=_cmd_experiment)
+    kinds = p_exp.add_subparsers(dest="kind", required=True)
+    p_sep = kinds.add_parser("separation", parents=[trials])
+    p_sep.add_argument("--budget", type=int, default=64, help="improper arm sample budget")
+    p_sep.set_defaults(func=_cmd_separation)
+    p_check = kinds.add_parser("bound-check", parents=[trials])
+    p_check.add_argument("--k", type=int, default=3, help="compression size")
+    p_check.add_argument("--delta", type=float, default=0.05)
+    p_check.set_defaults(func=_cmd_bound_check)
+    p_scale = kinds.add_parser("k-scaling", parents=[trials])
+    p_scale.add_argument("--k-list", type=_int_list, default="1,2,4,8,16")
+    p_scale.add_argument("--groups", type=int, default=4)
+    p_scale.set_defaults(func=_cmd_k_scaling)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ContractError, StructuralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ContractError, StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

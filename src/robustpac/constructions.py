@@ -82,7 +82,7 @@ def _blowup_parts(
     return next_point, sets, rows
 
 
-def make_vc_blowup(m: int, cap: int = BLOWUP_CAP) -> ConstructedInstance:
+def make_vc_blowup(m: int) -> ConstructedInstance:
     """Family with VC dimension <= 1 whose robust loss class shatters m points.
 
     m anchor points have mutually disjoint perturbation sets; every bit
@@ -90,12 +90,12 @@ def make_vc_blowup(m: int, cap: int = BLOWUP_CAP) -> ConstructedInstance:
     inside each selected anchor's set, and the pattern's member labels exactly
     that batch -1.  The worst-case loss at anchor i then reads off bit i, so
     the loss class shatters the anchors while no two points of the base space
-    are ever labeled (-1, -1) by one member.
+    are ever labeled (-1, -1) by one member.  m is at most BLOWUP_CAP.
     """
     if m < 1:
         raise ContractError(f"m must be >= 1, got {m}")
-    if m > cap:
-        raise ContractError(f"m={m} exceeds the cap {cap} (space grows as m * 2^(m-1))")
+    if m > BLOWUP_CAP:
+        raise ContractError(f"m={m} exceeds the cap {BLOWUP_CAP} (space grows as m * 2^(m-1))")
     patterns = [tuple(i for i in range(m) if (code >> i) & 1) for code in range(2 ** m)]
     size, sets, rows = _blowup_parts(m, patterns)
     return ConstructedInstance(
@@ -138,16 +138,17 @@ def make_proper_failure(m: int, cap: int = BLOWUP_CAP) -> ConstructedInstance:
     )
 
 
-def make_union_truncation(block_sizes: Sequence[int], cap: int = BLOWUP_CAP) -> ConstructedInstance:
+def make_union_truncation(block_sizes: Sequence[int]) -> ConstructedInstance:
     """Finite union of proper-failure blocks with the cross-block adjustment.
 
     Members of one block additionally label every other block's anchors -1,
     so they are robustly wrong there; this keeps the union's VC dimension at 1
-    while each block retains its own realizable distributions.
+    while each block retains its own realizable distributions.  Each block
+    size m needs 3m <= BLOWUP_CAP.
     """
     if not block_sizes:
         raise ContractError("at least one block size is required")
-    blocks = [make_proper_failure(m, cap=cap) for m in block_sizes]
+    blocks = [make_proper_failure(m) for m in block_sizes]
     offsets: list[int] = []
     total = 0
     for inst in blocks:
@@ -226,7 +227,7 @@ def _pair_gap_family(p: int, size: int) -> HypothesisFamily:
     return HypothesisFamily.from_rows(rows, name=f"pair-gap(p={p})")
 
 
-def make_pair_gap(p: int, cap: int = PAIR_CAP) -> ConstructedInstance:
+def make_pair_gap(p: int) -> ConstructedInstance:
     """p point pairs whose perturbation sets intersect in a single point each.
 
     Per pair: U(a_i) = {a_i, u_i} can be labeled all +1, U(c_i) = {u_i, c_i}
@@ -234,11 +235,12 @@ def make_pair_gap(p: int, cap: int = PAIR_CAP) -> ConstructedInstance:
     can be labeled constantly both ways (disjoint robust shattering dimension
     0), yet the shared points u_1..u_p are robustly shattered through the
     witnesses (a_i, c_i), so the robust shattering dimension is exactly p.
+    p is at most PAIR_CAP.
     """
     if p < 1:
         raise ContractError(f"p must be >= 1, got {p}")
-    if p > cap:
-        raise ContractError(f"p={p} exceeds the cap {cap} (family has 2^p members)")
+    if p > PAIR_CAP:
+        raise ContractError(f"p={p} exceeds the cap {PAIR_CAP} (family has 2^p members)")
     sets, plus_side, shared, minus_side = _pair_gap_layout(p)
     size = 3 * p
     return ConstructedInstance(
@@ -260,20 +262,20 @@ def _sign_vector(code: int, d: int) -> tuple[int, ...]:
     return tuple(-1 if (code >> i) & 1 else +1 for i in range(d))
 
 
-def make_lower_bound_family(d: int, epsilon: RationalLike, cap: int = PAIR_CAP) -> ConstructedInstance:
+def make_lower_bound_family(d: int, epsilon: RationalLike) -> ConstructedInstance:
     """Robustly shattered base plus the 2^d realizable hard distributions.
 
     Distribution D_y places mass 1-8eps on (witness of y_1, y_1) and
     8eps/(d-1) on each remaining (witness of y_i, y_i); the member whose bits
     match y has robust risk 0 on D_y.  Distributions are indexed by the bit
-    code of y (bit i set means y_i = -1).
+    code of y (bit i set means y_i = -1).  d is at most PAIR_CAP.
     """
     if d < 2:
         raise ContractError(f"d must be >= 2, got {d}")
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 8):
         raise ContractError(f"epsilon must lie in (0, 1/8), got {eps}")
-    base = make_pair_gap(d, cap=cap)
+    base = make_pair_gap(d)
     plus_side = base.anchors["witness_plus"]
     minus_side = base.anchors["witness_minus"]
     head = 1 - 8 * eps
@@ -297,21 +299,22 @@ def make_lower_bound_family(d: int, epsilon: RationalLike, cap: int = PAIR_CAP) 
     )
 
 
-def make_agnostic_lower_bound(d: int, alpha: RationalLike, cap: int = PAIR_CAP) -> ConstructedInstance:
+def make_agnostic_lower_bound(d: int, alpha: RationalLike) -> ConstructedInstance:
     """The agnostic hard distributions over the robustly shattered base.
 
     For each bit vector b, both labels appear at every pair: coordinate i
     carries mass (1 +/- alpha)/(2d) on its positive and negative atoms, with
     the favored side selected by b_i.  The best member in the family has
     population robust risk exactly (1-alpha)/2.  alpha is exposed as a raw
-    parameter; no sample-complexity calibration is implied.
+    parameter; no sample-complexity calibration is implied.  d is at most
+    PAIR_CAP.
     """
     if d < 2:
         raise ContractError(f"d must be >= 2, got {d}")
     a = Fraction(alpha)
     if not 0 < a < 1:
         raise ContractError(f"alpha must lie in (0, 1), got {a}")
-    base = make_pair_gap(d, cap=cap)
+    base = make_pair_gap(d)
     plus_side = base.anchors["witness_plus"]
     minus_side = base.anchors["witness_minus"]
     light = (1 - a) / (2 * d)

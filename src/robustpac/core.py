@@ -425,14 +425,10 @@ class MajorityVotePredictor:
         object.__setattr__(self, "voters", tuple(self.voters))
         if not self.voters:
             raise StructuralError("majority vote needs at least one voter")
-        size = self.voters[0].size
-        if any(v.size != size for v in self.voters):
+        if len({v.size for v in self.voters}) != 1:
             raise StructuralError("voters must share one instance space")
-        if self.provenance:
-            prov = tuple(tuple(int(i) for i in t) for t in self.provenance)
-            if len(prov) != len(self.voters):
-                raise StructuralError("provenance must list one index tuple per voter")
-            object.__setattr__(self, "provenance", prov)
+        if self.provenance and len(self.provenance) != len(self.voters):
+            raise StructuralError("provenance must list one index tuple per voter")
 
     @property
     def size(self) -> int:

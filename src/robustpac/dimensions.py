@@ -36,7 +36,7 @@ from math import comb
 
 import numpy as np
 
-from .core import HypothesisFamily, PerturbationMap, StructuralError
+from .core import ContractError, HypothesisFamily, PerturbationMap, StructuralError
 
 __all__ = [
     "DEFAULT_CAP",
@@ -170,6 +170,8 @@ def _run_search(
     cap: int,
     structural_bound: int,
 ) -> DimensionWitness:
+    if cap < 0:
+        raise ContractError(f"cap must be >= 0, got {cap}")
     hard = min(structural_bound, len(slots))
     limit = min(cap, hard)
     value, chosen = _max_shattered(slots, limit)

@@ -49,16 +49,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved knobs of one experiment run; every field is echoed in reports."""
+    """Resolved knobs of one experiment run; every field is echoed in reports.
+
+    The echo also names the learner, always "compress-boost".  Failure
+    thresholds are not knobs: 1/8 for separation, the compression bound at
+    (k, m, delta) for bound checks.
+    """
 
     m: int
     trials: int
     seed: int = 0
-    epsilon: float | Fraction | None = None
     delta: float = 0.05
     improper_budget: int = 64
     instance_source: str | None = None
-    learner: str = "compress-boost"
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -67,19 +70,16 @@ class ExperimentConfig:
             raise ContractError(f"m must be >= 1, got {self.m}")
 
     def echo(self, **extra) -> dict:
-        doc = {
+        return {
             "m": self.m,
             "trials": self.trials,
             "seed": self.seed,
             "delta": self.delta,
             "improper_budget": self.improper_budget,
             "instance_source": self.instance_source,
-            "learner": self.learner,
+            "learner": "compress-boost",
+            **extra,
         }
-        if self.epsilon is not None:
-            doc["epsilon"] = float(self.epsilon)
-        doc.update(extra)
-        return doc
 
 
 def run_separation_experiment(
@@ -90,11 +90,11 @@ def run_separation_experiment(
     Each trial draws a distribution uniformly from the instance's family of
     hard distributions, then an m-point sample for the proper arm and an
     `improper_budget`-point sample for the improper arm.  Reported failures
-    are trials whose population robust risk exceeds epsilon (default 1/8).
+    are trials whose population robust risk exceeds epsilon = 1/8.
     """
     if not instance.distributions:
         raise ContractError("separation experiment needs an instance with distributions")
-    eps = Fraction(1, 8) if config.epsilon is None else config.epsilon
+    eps = Fraction(1, 8)
     dists = instance.distributions
     family = instance.family
     perturbations = instance.perturbations
@@ -132,16 +132,15 @@ def run_separation_experiment(
     return proper, improper
 
 
-def make_threshold_window_instance(n_points: int = 12) -> ConstructedInstance:
-    """Threshold predictors on a line with a +/-1 window adversary.
+def make_threshold_window_instance() -> ConstructedInstance:
+    """Threshold predictors on a 12-point line with a +/-1 window adversary.
 
     h_t labels +1 exactly the points >= t; U(x) is the radius-1 window around
     x.  A labeling by h_t with one point of slack around the threshold is
     robustly realizable, which makes this the stock fixture for compression
     bound checks.
     """
-    if n_points < 6:
-        raise ContractError(f"need at least 6 points for a nondegenerate window, got {n_points}")
+    n_points = 12
     sets = tuple(
         tuple(z for z in (x - 1, x, x + 1) if 0 <= z < n_points) for x in range(n_points)
     )
@@ -172,12 +171,7 @@ def _random_threshold_distribution(
     return FiniteDistribution(tuple(zip(support, (float(p) for p in probs))))
 
 
-def run_bound_check(
-    config: ExperimentConfig,
-    k: int = 3,
-    instance: ConstructedInstance | None = None,
-    enforce: bool = True,
-) -> ExperimentReport:
+def run_bound_check(config: ExperimentConfig, k: int = 3) -> ExperimentReport:
     """Frequency of compression-bound violations over realizable trials.
 
     Each trial builds a random robustly realizable distribution on the
@@ -185,11 +179,11 @@ def run_bound_check(
     at most 3 sparsified voters (compression size <= k = 3), and flags the
     trial when the population robust risk exceeds the bound at (k, m, delta).
     Trials whose realized compression exceeds k are counted as violations,
-    conservatively.  With `enforce` set, a violation rate beyond
-    delta + 3 sigma Monte Carlo slack raises.
+    conservatively.  A violation rate beyond delta + 3 sigma Monte Carlo
+    slack raises RuntimeError.
     """
-    inst = instance if instance is not None else make_threshold_window_instance()
-    eps = compression_bound(k, config.m, config.delta) if config.epsilon is None else float(config.epsilon)
+    inst = make_threshold_window_instance()
+    eps = compression_bound(k, config.m, config.delta)
     learner_config = LearnerConfig(n_initial=1, N_sparsify=k, seed=config.seed)
 
     def one_trial(t: int) -> tuple[float, bool]:
@@ -212,15 +206,12 @@ def run_bound_check(
         tuple(r[1] for r in rows),
         wall_clock=elapsed,
     )
-    if enforce:
-        slack = config.delta + 3.0 * math.sqrt(
-            config.delta * (1.0 - config.delta) / config.trials
+    slack = config.delta + 3.0 * math.sqrt(config.delta * (1.0 - config.delta) / config.trials)
+    if float(report.failure_frequency) > slack:
+        raise RuntimeError(
+            f"compression bound violated too often: rate "
+            f"{float(report.failure_frequency):.4f} > delta + 3 sigma = {slack:.4f}"
         )
-        if float(report.failure_frequency) > slack:
-            raise RuntimeError(
-                f"compression bound violated too often: rate "
-                f"{float(report.failure_frequency):.4f} > delta + 3 sigma = {slack:.4f}"
-            )
     return report
 
 

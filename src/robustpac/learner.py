@@ -321,7 +321,6 @@ def weak_learn(wrong: np.ndarray, dist: np.ndarray) -> tuple[int, np.ndarray]:
 
 def alpha_boost(
     wrong: np.ndarray,
-    alpha: float = ALPHA,
     margin_target: Fraction | None = MARGIN_TARGET,
     T_max: int | None = None,
 ) -> BoostResult:
@@ -329,11 +328,11 @@ def alpha_boost(
 
     `wrong` is the (candidates, points) mistake matrix; each round's voter is
     `weak_learn(wrong, dist)`, starting from the uniform distribution, and
-    weights update by exp(-2 alpha) on points that voter gets right.  With
-    margin_target set, stops at the first round where every point's exact
-    vote margin reaches the target and raises BoostingFailure at T_max
-    otherwise; with margin_target None, runs exactly T_max rounds.  A
-    candidate with no mistakes would win every round, so it is returned
+    weights update by exp(-2 ALPHA) = exp(-1/4) on points that voter gets
+    right.  With margin_target set, stops at the first round where every
+    point's exact vote margin reaches the target and raises BoostingFailure
+    at T_max otherwise; with margin_target None, runs exactly T_max rounds.
+    A candidate with no mistakes would win every round, so it is returned
     without running them.
     """
     n_points = wrong.shape[1]
@@ -364,7 +363,7 @@ def alpha_boost(
         low = int(counts.min())
         if target is not None and low * target[1] >= target[0] * t:
             return BoostResult(tuple(ids), Fraction(low, t))
-        dist = dist * np.exp(-2.0 * alpha * correct)
+        dist = dist * np.exp(-2.0 * ALPHA * correct)
         dist = dist / dist.sum()
     margin = Fraction(low, T_max)
     if margin_target is None:

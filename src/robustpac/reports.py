@@ -18,11 +18,11 @@ __all__ = ["ExperimentReport", "wilson_interval"]
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-def wilson_interval(successes: int, total: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion; behaves at small counts."""
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion; behaves at small counts."""
     if total <= 0:
         raise ValueError("total must be positive")
-    p = successes / total
+    p, z = successes / total, WILSON_Z
     denom = 1.0 + z * z / total
     center = (p + z * z / (2 * total)) / denom
     half = z * math.sqrt(p * (1.0 - p) / total + z * z / (4 * total * total)) / denom

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from robustpac.cli import main
+from robustpac.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_construct_then_dims_flow(tmp_path, capsys):
@@ -143,14 +147,79 @@ def test_threads_flag_is_gone(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["construct", "lower-bound", "--d", "3", "--epsilon", "abc"], "--epsilon"),
+        (["construct", "lower-bound", "--d", "3", "--epsilon", "1/0"], "--epsilon"),
+        (["construct", "agnostic-lower-bound", "--d", "3", "--alpha", "0.5.5"], "--alpha"),
+        (["construct", "union-truncation", "--blocks", "1,x"], "--blocks"),
+        (["experiment", "k-scaling", "--k-list", "1,x"], "--k-list"),
+    ],
+)
+def test_malformed_flag_values_exit_two_without_a_traceback(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"argument {flag}" in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["construct", "pair-gap", "--p", "2", "--m", "7"], "--m"),
+        (["construct", "vc-blowup", "--m", "3", "--seed", "1"], "--seed"),
+        (["dims", "inst.json", "--seed", "1"], "--seed"),
+        (["learn", "inst.json", "--m", "4", "--format", "csv"], "--format"),
+        (["bound", "--k", "3", "--m", "50", "--format", "csv"], "--format"),
+        (["experiment", "bound-check", "--budget", "3"], "--budget"),
+        (["experiment", "separation", "--k-list", "1,2"], "--k-list"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_flags_go_after_the_experiment_kind(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--trials", "5", "separation"])
+    assert err.value.code == 2
+
+
+def test_every_readme_cli_line_parses():
+    block = re.search(r"## CLI\n.*?```bash\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("robustpac ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
+
+
+def test_dims_negative_cap_exits_two(tmp_path, capsys):
+    inst_path = str(tmp_path / "inst.json")
+    assert main(["construct", "vc-blowup", "--m", "3", "--out", inst_path]) == 0
+    assert main(["dims", inst_path, "--cap", "-1"]) == 2
+    assert "cap must be >= 0" in capsys.readouterr().err
+
+
 def test_contract_violation_exits_two_with_message(capsys):
     assert main(["construct", "vc-blowup", "--m", "99"]) == 2
     err = capsys.readouterr().err
     assert "cap" in err
 
 
-def test_missing_instance_file_exits_two(capsys):
+def test_missing_instance_file_exits_two(tmp_path, capsys):
     assert main(["dims", "/nonexistent/inst.json"]) == 2
+    assert main(["dims", str(tmp_path)]) == 2  # a directory, not a file
+    assert "Is a directory" in capsys.readouterr().err
 
 
 def _corrupted_instance(tmp_path, name, edit):

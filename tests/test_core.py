@@ -111,6 +111,21 @@ def test_majority_tie_resolves_to_plus_one():
     assert strict.label_of(0) == -1
 
 
+def test_majority_vote_checks_voters_and_keeps_provenance_as_given():
+    plus, minus = Hypothesis((1, 1)), Hypothesis((-1, -1))
+    shared = (0, 2)
+    vote = MajorityVotePredictor((plus, minus, plus), (shared, shared, (1,)))
+    assert vote.provenance == ((0, 2), (0, 2), (1,))
+    assert vote.provenance[0] is vote.provenance[1] is shared
+    assert vote.compression_size == 5
+    with pytest.raises(StructuralError, match="at least one voter"):
+        MajorityVotePredictor(())
+    with pytest.raises(StructuralError, match="share one instance space"):
+        MajorityVotePredictor((plus, Hypothesis((1, 1, 1))))
+    with pytest.raises(StructuralError, match="one index tuple per voter"):
+        MajorityVotePredictor((plus, minus), ((0,),))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6).flatmap(

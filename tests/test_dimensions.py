@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustpac.core import HypothesisFamily, LabeledExample, PerturbationMap, robust_loss
+from robustpac.core import ContractError, HypothesisFamily, LabeledExample, PerturbationMap, robust_loss
 from robustpac.dimensions import (
     DimensionWitness,
     _distinct_slots,
@@ -219,6 +219,22 @@ def test_capped_search_reports_a_lower_bound():
     w = vc(family, cap=3)
     assert w.value == 3 and w.capped
     assert verify_witness(family, w)
+
+
+def test_a_negative_cap_is_a_contract_error_and_cap_zero_is_capped():
+    family, perturbations = HypothesisFamily.full_cube(3), PerturbationMap.identity(3)
+    searches = (
+        lambda cap: vc(family, cap=cap),
+        lambda cap: dual_vc(family, cap=cap),
+        lambda cap: vc_of_robust_loss_family(family, perturbations, cap=cap),
+        lambda cap: disjoint_robust_shattering_dim(family, perturbations, cap=cap),
+        lambda cap: robust_shattering_dim(family, perturbations, cap=cap),
+    )
+    for search in searches:
+        with pytest.raises(ContractError, match="cap must be >= 0"):
+            search(-1)
+        w = search(0)
+        assert (w.value, w.witness, w.capped) == (0, (), True)
 
 
 def test_distinct_slots_drops_later_copies_and_mirrors():

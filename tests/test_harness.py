@@ -160,7 +160,7 @@ def test_bound_check_respects_the_compression_budget():
 
 
 def test_threshold_window_instance_is_realizable_fixture():
-    inst = make_threshold_window_instance(12)
+    inst = make_threshold_window_instance()
     assert inst.space.size == 12
     assert len(inst.family) == 13
     assert vc(inst.family).value == 1

@@ -258,9 +258,10 @@ def test_alpha_boost_stops_immediately_on_a_perfect_voter():
 
 def test_alpha_boost_margin_lower_bound():
     # min margin >= 2/3 - (2/3)a - ln(n)/(2aT) for the multiplicative-weights run
-    n_points, rounds, alpha = 10, 300, 0.125
+    n_points, rounds, alpha = 10, 300, ALPHA
+    assert alpha == 0.125
     wrong = np.eye(n_points, dtype=bool)  # candidate i errs exactly on point i
-    result = alpha_boost(wrong, alpha=alpha, margin_target=None, T_max=rounds)
+    result = alpha_boost(wrong, margin_target=None, T_max=rounds)
     bound = 2 / 3 - (2 / 3) * alpha - math.log(n_points) / (2 * alpha * rounds)
     assert result.rounds == rounds
     assert float(result.min_margin) >= bound
@@ -271,9 +272,7 @@ def test_alpha_boost_beats_half_at_the_prescribed_round_count():
     # only for n >= 4, so the guarantee is asserted there
     for n_points in (4, 5, 17):
         rounds = 1 + math.ceil(48 * math.log(n_points))
-        result = alpha_boost(
-            np.eye(n_points, dtype=bool), alpha=0.125, margin_target=None, T_max=rounds
-        )
+        result = alpha_boost(np.eye(n_points, dtype=bool), margin_target=None, T_max=rounds)
         assert result.min_margin > Fraction(1, 2)
 
 
