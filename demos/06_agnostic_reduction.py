@@ -8,7 +8,6 @@ and matches the family optimum on the full corrupted sample.
 
 from robustpac import (
     LabeledExample,
-    LearnerConfig,
     Sample,
     empirical_robust_risk,
     learn_agnostic,
@@ -40,9 +39,7 @@ def main() -> None:
     print(f"maximal realizable core: {len(core)} of {len(sample)} examples")
 
     optimum = rerm(instance.family, sample, instance.perturbations).risk
-    predictor = learn_agnostic(
-        instance.family, sample, instance.perturbations, LearnerConfig(seed=5)
-    )
+    predictor = learn_agnostic(instance.family, sample, instance.perturbations)
     achieved = empirical_robust_risk(predictor, sample, instance.perturbations)
     print(f"family optimum robust risk : {optimum}")
     print(f"majority vote robust risk  : {achieved}")

@@ -21,7 +21,6 @@ from .core import (
     check_self_containment,
     empirical_error,
     empirical_robust_risk,
-    population_error,
     population_robust_risk,
     robust_loss,
     standard_loss,

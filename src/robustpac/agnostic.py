@@ -83,8 +83,9 @@ def learn_agnostic(
     Repeated core examples are boosted once, at their first position.  Of
     `config` only `n_initial` is used, as in the realizable learner.  The
     round count 1 + ceil(48 ln |core|) is fixed and nothing is sparsified,
-    so a set `N_sparsify` is a contract violation; `seed` is accepted and
-    unused, since no step draws randomness.
+    so a set `N_sparsify` is a contract violation.  No step draws
+    randomness, so unlike `learn_realizable` it takes no generator; a set
+    `seed`, which no library code reads, changes nothing.
     """
     config = config or LearnerConfig()
     if config.N_sparsify is not None:

@@ -44,7 +44,8 @@ from .experiments import (
 )
 from .learner import LearnerConfig, compression_bound, learn_realizable_report
 from .oracles import rerm
-from .sampling import sample_iid
+from .prng import rng_stream
+from .sampling import draw_sample
 from .serialization import dumps_instance, load_instance, parse_probability, save_instance
 
 __all__ = ["main"]
@@ -120,7 +121,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 
 def _sampled(args: argparse.Namespace):
-    """The instance, its `--dist` distribution, an m-point sample and the learner config."""
+    """Instance, `--dist` distribution, m-point sample, config, and the generator after the sample."""
     instance = load_instance(args.instance)
     dists = instance.distributions or ()
     if not dists:
@@ -130,14 +131,15 @@ def _sampled(args: argparse.Namespace):
     if not 0 <= args.dist < len(dists):
         raise ContractError(f"--dist must lie in [0, {len(dists) - 1}]")
     dist = dists[args.dist]
-    config = LearnerConfig(n_initial=args.n_initial, seed=args.seed)
-    return instance, dist, sample_iid(dist, args.m, args.seed), config
+    rng = rng_stream(args.seed)
+    sample = draw_sample(dist, args.m, rng)
+    return instance, dist, sample, LearnerConfig(n_initial=args.n_initial), rng
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    instance, dist, sample, config = _sampled(args)
+    instance, dist, sample, config, rng = _sampled(args)
     start = time.perf_counter()
-    report = learn_realizable_report(instance.family, sample, instance.perturbations, config)
+    report = learn_realizable_report(instance.family, sample, instance.perturbations, config, rng=rng)
     elapsed = time.perf_counter() - start
     risk = population_robust_risk(report.predictor, dist, instance.perturbations)
     doc = {
@@ -166,7 +168,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _cmd_agnostic(args: argparse.Namespace) -> int:
-    instance, dist, sample, config = _sampled(args)
+    instance, dist, sample, config, _ = _sampled(args)
     predictor = learn_agnostic(instance.family, sample, instance.perturbations, config)
     achieved = empirical_robust_risk(predictor, sample, instance.perturbations)
     optimum = rerm(instance.family, sample, instance.perturbations).risk
@@ -314,18 +316,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(func=_cmd_bound)
 
     trials = argparse.ArgumentParser(add_help=False, parents=[out, fmt, seed])
-    trials.add_argument("--m", type=int, default=2)
     trials.add_argument("--trials", type=int, default=200)
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
     kinds = p_exp.add_subparsers(dest="kind", required=True)
     p_sep = kinds.add_parser("separation", parents=[trials])
+    p_sep.add_argument("--m", type=int, default=2, help="proper-failure(m) and proper sample size (default 2)")
     p_sep.add_argument("--budget", type=int, default=64, help="improper arm sample budget")
     p_sep.set_defaults(func=_cmd_separation)
     p_check = kinds.add_parser("bound-check", parents=[trials])
+    p_check.add_argument("--m", type=int, default=50, help="sample size, above --k (default 50)")
     p_check.add_argument("--k", type=int, default=3, help="compression size")
     p_check.add_argument("--delta", type=float, default=0.05)
     p_check.set_defaults(func=_cmd_bound_check)
     p_scale = kinds.add_parser("k-scaling", parents=[trials])
+    p_scale.add_argument("--m", type=int, default=20, help="sample size (default 20)")
     p_scale.add_argument("--k-list", type=_int_list, default="1,2,4,8,16")
     p_scale.add_argument("--groups", type=int, default=4)
     p_scale.set_defaults(func=_cmd_k_scaling)

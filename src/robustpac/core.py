@@ -36,7 +36,6 @@ __all__ = [
     "population_robust_risk",
     "standard_loss",
     "empirical_error",
-    "population_error",
     "check_self_containment",
 ]
 
@@ -506,8 +505,3 @@ def population_robust_risk(
         if lost:
             total += p
     return total
-
-
-def population_error(predictor: Predictor, dist: FiniteDistribution) -> Probability:
-    """Standard population error: robust risk under the identity adversary."""
-    return population_robust_risk(predictor, dist, PerturbationMap.identity(predictor.size))

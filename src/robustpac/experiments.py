@@ -1,19 +1,20 @@
 """Monte Carlo experiment orchestration.
 
-Trials run one after another; trial t draws only from the Philox stream
-keyed (seed, t), so each trial is a pure function of the seed and its index
-and reports are identical across runs.  Population risks are compared
-against thresholds exactly (Fractions) wherever the inputs are rational,
-then stored as floats in the report rows.
+Trials run one after another in `_run_trials`, which hands trial t the
+Philox stream keyed (seed, t).  The trial draws its data from it and the
+learner's sparsification continues it, so each trial is a pure function of
+the seed and its index and reports are identical across runs.  Population
+risks are compared against thresholds exactly (Fractions) wherever the
+inputs are rational, then stored as floats in the report rows.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,6 +83,15 @@ class ExperimentConfig:
         }
 
 
+def _run_trials(
+    config: ExperimentConfig, one_trial: Callable[[np.random.Generator], tuple]
+) -> tuple[list[tuple], float]:
+    """Run each trial t on the generator keyed (seed, t); the rows and the wall time."""
+    start = time.perf_counter()
+    rows = [one_trial(rng_stream(config.seed, t)) for t in range(config.trials)]
+    return rows, time.perf_counter() - start
+
+
 def run_separation_experiment(
     instance: ConstructedInstance, config: ExperimentConfig
 ) -> tuple[ExperimentReport, ExperimentReport]:
@@ -99,23 +109,19 @@ def run_separation_experiment(
     family = instance.family
     perturbations = instance.perturbations
     n_initial = vc(family).value + 1
-    learner_config = LearnerConfig(n_initial=n_initial, seed=config.seed)
+    learner_config = LearnerConfig(n_initial=n_initial)
 
-    def one_trial(t: int) -> tuple:
-        rng = rng_stream(config.seed, t)
+    def one_trial(rng: np.random.Generator) -> tuple:
         dist = dists[int(rng.integers(len(dists)))]
         proper_sample = draw_sample(dist, config.m, rng)
         proper_pick = rerm(family, proper_sample, perturbations)
         proper_risk = population_robust_risk(family[proper_pick.hypothesis_index], dist, perturbations)
         improper_sample = draw_sample(dist, config.improper_budget, rng)
-        report = learn_realizable_report(family, improper_sample, perturbations, learner_config)
+        report = learn_realizable_report(family, improper_sample, perturbations, learner_config, rng=rng)
         improper_risk = population_robust_risk(report.predictor, dist, perturbations)
         return proper_risk, improper_risk
 
-    start = time.perf_counter()
-    rows = [one_trial(t) for t in range(config.trials)]
-    elapsed = time.perf_counter() - start
-
+    rows, elapsed = _run_trials(config, one_trial)
     proper_risks = tuple(float(r[0]) for r in rows)
     improper_risks = tuple(float(r[1]) for r in rows)
     proper_failed = tuple(r[0] > eps for r in rows)
@@ -184,20 +190,17 @@ def run_bound_check(config: ExperimentConfig, k: int = 3) -> ExperimentReport:
     """
     inst = make_threshold_window_instance()
     eps = compression_bound(k, config.m, config.delta)
-    learner_config = LearnerConfig(n_initial=1, N_sparsify=k, seed=config.seed)
+    learner_config = LearnerConfig(n_initial=1, N_sparsify=k)
 
-    def one_trial(t: int) -> tuple[float, bool]:
-        rng = rng_stream(config.seed, t)
+    def one_trial(rng: np.random.Generator) -> tuple[float, bool]:
         dist = _random_threshold_distribution(inst, rng)
         sample = draw_sample(dist, config.m, rng)
-        report = learn_realizable_report(inst.family, sample, inst.perturbations, learner_config)
+        report = learn_realizable_report(inst.family, sample, inst.perturbations, learner_config, rng=rng)
         risk = float(population_robust_risk(report.predictor, dist, inst.perturbations))
         failed = risk > eps or report.compression_size > k
         return risk, failed
 
-    start = time.perf_counter()
-    rows = [one_trial(t) for t in range(config.trials)]
-    elapsed = time.perf_counter() - start
+    rows, elapsed = _run_trials(config, one_trial)
     report = ExperimentReport(
         "compression-bound-check",
         config.echo(k=k, instance=inst.metadata.get("generator")),
@@ -283,17 +286,10 @@ class ScalingTable:
     rows: tuple[ScalingRow, ...]
 
     def to_csv(self) -> str:
-        header = (
-            "k,trials,m,mean_inflated,mean_discretized,max_discretized,mk_bound,"
-            "mean_rounds,mean_n,mean_compression,max_compression"
-        )
-        lines = [header]
-        for r in self.rows:
-            lines.append(
-                f"{r.k},{r.trials},{r.m},{r.mean_inflated!r},{r.mean_discretized!r},"
-                f"{r.max_discretized},{r.mk_bound},{r.mean_rounds!r},{r.mean_n!r},"
-                f"{r.mean_compression!r},{r.max_compression}"
-            )
+        """One column per `ScalingRow` field, in field order; values as their repr."""
+        names = [f.name for f in fields(ScalingRow)]
+        lines = [",".join(names)]
+        lines += [",".join(repr(getattr(r, name)) for name in names) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -318,23 +314,19 @@ def run_bounded_k_scaling(
     dist = FiniteDistribution.uniform(
         [LabeledExample(c, lab) for c, lab in zip(centers, labels)]
     )
-    learner_config = LearnerConfig(n_initial=3, seed=config.seed)
+    learner_config = LearnerConfig(n_initial=3)
 
     rows = []
     for k in k_list:
         perturbations = group_adversary_for_k(instance, k)
 
-        def one_trial(t: int) -> tuple[int, int, int, int]:
-            rng = rng_stream(config.seed, t)
+        def one_trial(rng: np.random.Generator) -> tuple[int, int, int, int]:
             sample = draw_sample(dist, config.m, rng)
-            report = learn_realizable_report(instance.family, sample, perturbations, learner_config)
+            report = learn_realizable_report(instance.family, sample, perturbations, learner_config, rng=rng)
             return report.inflated_size, report.discretized_size, report.rounds, report.n_used
 
-        outcomes = [one_trial(t) for t in range(config.trials)]
-        inflated = [o[0] for o in outcomes]
-        sizes = [o[1] for o in outcomes]
-        rounds = [o[2] for o in outcomes]
-        ns = [o[3] for o in outcomes]
+        outcomes, _ = _run_trials(config, one_trial)
+        inflated, sizes, rounds, ns = zip(*outcomes)
         compressions = [n * r for n, r in zip(ns, rounds)]
         rows.append(
             ScalingRow(

@@ -39,7 +39,6 @@ from .core import (
     empirical_robust_risk,
 )
 from .dimensions import dual_vc, vc
-from .prng import rng_stream
 
 __all__ = [
     "LearnerConfig",
@@ -98,11 +97,12 @@ class LearnerConfig:
     doubles on weak-learner failure up to it.  `N_sparsify` defaults to the
     candidate family's dual VC dimension (minimum 3, forced odd), computed
     only when boosting returns more than one voter, since sparsify keeps a
-    lone voter.  `seed` drives sparsification's draws.  The rest is fixed:
-    the realizable round cap ceil(1 + 48 ln |discretized|) + 10
-    (`default_round_cap`), boosting step `ALPHA` 1/8, `MARGIN_TARGET` 5/9
-    (which leaves the 1/18 sparsification slack above 1/2) and
-    `SPARSIFY_ATTEMPTS` 100 seeded draws before the full-list fallback.
+    lone voter.  The rest is fixed: the realizable round cap
+    ceil(1 + 48 ln |discretized|) + 10 (`default_round_cap`), boosting step
+    `ALPHA` 1/8, `MARGIN_TARGET` 5/9 (which leaves the 1/18 sparsification
+    slack above 1/2) and `SPARSIFY_ATTEMPTS` 100 draws before the full-list
+    fallback.  `seed` is read by no library code (sparsify draws from the
+    caller's generator); it stays while `perfbench/workloads.py` passes it.
     """
 
     n_initial: int | None = None
@@ -380,8 +380,7 @@ def sparsify(
     voter_ids: Sequence[int],
     wrong: np.ndarray,
     N: int,
-    seed: int = 0,
-    attempts: int = SPARSIFY_ATTEMPTS,
+    rng: np.random.Generator,
 ) -> tuple[int, ...]:
     """Positions into `voter_ids` (with replacement) whose majority stays strictly correct.
 
@@ -389,8 +388,9 @@ def sparsify(
     `wrong`, so voter v is correct on point j exactly when `wrong[v, j]` is
     False.  Requires the full ensemble to hold a strict majority on every
     point (guaranteed upstream by the 5/9 margin, which leaves 1/18 slack
-    over 1/2).  Retries fresh seeded draws up to `attempts`, then falls back to
-    the full voter list, which satisfies the property by the precondition.
+    over 1/2).  Draws N positions from `rng` up to `SPARSIFY_ATTEMPTS` times,
+    then falls back to the full voter list, which satisfies the property by
+    the precondition.
     """
     T = len(voter_ids)
     if T == 0:
@@ -404,8 +404,7 @@ def sparsify(
         )
     if T == 1:
         return (0,)
-    rng = rng_stream(seed)
-    for _ in range(attempts):
+    for _ in range(SPARSIFY_ATTEMPTS):
         draw = rng.integers(0, T, size=N)
         votes = correct[draw].sum(axis=0)
         if np.all(2 * votes > N):
@@ -456,8 +455,13 @@ def learn_realizable_report(
     sample: Sample,
     perturbations: PerturbationMap,
     config: LearnerConfig | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> RealizableRunReport:
-    """Full pipeline run returning the predictor plus per-stage diagnostics."""
+    """Full pipeline run returning the predictor plus per-stage diagnostics.
+
+    Sparsification, the only random step, continues the caller's generator `rng`.
+    """
     config = config or LearnerConfig()
     if len(sample) == 0:
         raise ContractError("learning requires a nonempty sample")
@@ -484,7 +488,7 @@ def learn_realizable_report(
         n_sparse = max(3, dual_vc(candidates.family).value)
         if n_sparse % 2 == 0:
             n_sparse += 1
-    chosen = sparsify(boost.voter_ids, wrong, n_sparse, seed=config.seed)
+    chosen = sparsify(boost.voter_ids, wrong, n_sparse, rng)
     voters = tuple(candidates.family[boost.voter_ids[j]] for j in chosen)
     provenance = tuple(candidates.provenance[boost.voter_ids[j]] for j in chosen)
     predictor = MajorityVotePredictor(voters, provenance)
@@ -507,9 +511,11 @@ def learn_realizable(
     sample: Sample,
     perturbations: PerturbationMap,
     config: LearnerConfig | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> MajorityVotePredictor:
     """Majority-vote predictor with empirical robust risk 0 on the sample."""
-    return learn_realizable_report(family, sample, perturbations, config).predictor
+    return learn_realizable_report(family, sample, perturbations, config, rng=rng).predictor
 
 
 def compression_bound(k: int, m: int, delta: float) -> float:

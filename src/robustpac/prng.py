@@ -1,4 +1,4 @@
-"""Counter-based pseudo-randomness shared by the learner and the harness.
+"""Counter-based pseudo-randomness for the experiment harness, the CLI and sampling.
 
 All randomness in the package flows through Philox streams keyed by
 (seed, stream).  Philox is counter-based and splittable: distinct stream

@@ -7,9 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from robustpac import learner
 from robustpac.cli import build_parser, main
+from robustpac.prng import rng_stream
+from robustpac.sampling import draw_sample
+from robustpac.serialization import load_instance
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_construct_then_dims_flow(tmp_path, capsys):
@@ -83,6 +88,27 @@ def test_learn_needs_distributions(tmp_path, capsys):
     assert "no distributions" in capsys.readouterr().err
 
 
+def test_learn_continues_the_sample_generator_into_sparsify(monkeypatch, capsys):
+    # sparsify continues the generator past the sample; a fresh (seed, 0)
+    # stream would replay the sample's uniforms
+    path = str(GOLDEN / "proper_failure_2.json")
+    calls = []
+    real = learner.sparsify
+
+    def recorded(voter_ids, wrong, N, *args, **kwargs):
+        calls.append((voter_ids, wrong, N, real(voter_ids, wrong, N, *args, **kwargs)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(learner, "sparsify", recorded)
+    assert main(["learn", path, "--m", "64", "--seed", "7"]) == 0
+    [(voter_ids, wrong, N, chosen)] = calls
+    assert len(voter_ids) > 1
+    rng = rng_stream(7)
+    draw_sample(load_instance(path).distributions[0], 64, rng)
+    assert chosen == real(voter_ids, wrong, N, rng)
+    assert chosen != real(voter_ids, wrong, N, rng_stream(7))
+
+
 def test_agnostic_subcommand_runs(tmp_path, capsys):
     inst_path = str(tmp_path / "pf.json")
     main(["construct", "proper-failure", "--m", "1", "--out", inst_path])
@@ -132,6 +158,13 @@ def test_experiment_k_scaling_csv(tmp_path):
     lines = Path(out_path).read_text().splitlines()
     assert lines[0].startswith("k,trials,m")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("kind, m", [("separation", 2), ("bound-check", 50), ("k-scaling", 20)])
+def test_each_experiment_kind_runs_at_its_defaults(capsys, kind, m):
+    assert build_parser().parse_args(["experiment", kind]).m == m
+    assert main(["experiment", kind, "--trials", "3"]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two(capsys):

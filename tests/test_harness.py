@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from robustpac.experiments import (
     run_bounded_k_scaling,
     run_separation_experiment,
 )
+from robustpac import learner
 from robustpac.dimensions import vc
 from robustpac.reports import ExperimentReport, wilson_interval
 from robustpac.sampling import sample_iid
@@ -151,6 +153,24 @@ def test_separation_single_trial_fixed_seed():
     assert proper.risks == run_separation_experiment(inst, config)[0].risks
 
 
+def test_trials_sparsify_from_their_own_generators(monkeypatch):
+    # trial t's learner continues stream (seed, t): calls with the same voter
+    # count and draw size must not all return the same positions
+    draws = defaultdict(list)
+    real = learner.sparsify
+
+    def recorded(voter_ids, wrong, N, *args, **kwargs):
+        chosen = real(voter_ids, wrong, N, *args, **kwargs)
+        if len(voter_ids) > 1:
+            draws[(len(voter_ids), N)].append(chosen)
+        return chosen
+
+    monkeypatch.setattr(learner, "sparsify", recorded)
+    run_separation_experiment(make_proper_failure(2), ExperimentConfig(m=2, trials=40, seed=3))
+    assert sum(map(len, draws.values())) == 23
+    assert any(len(set(chosen)) > 1 for chosen in draws.values() if len(chosen) > 1)
+
+
 def test_bound_check_respects_the_compression_budget():
     config = ExperimentConfig(m=50, trials=40, seed=13)
     report = run_bound_check(config, k=3)
@@ -187,5 +207,8 @@ def test_k_scaling_table_shape_and_bounds():
     for row in table.rows:
         assert row.max_discretized <= row.mk_bound
     csv = table.to_csv().splitlines()
-    assert csv[0].startswith("k,trials,m,mean_inflated")
+    assert csv[0] == (
+        "k,trials,m,mean_inflated,mean_discretized,max_discretized,mk_bound,"
+        "mean_rounds,mean_n,mean_compression,max_compression"
+    )
     assert len(csv) == 4

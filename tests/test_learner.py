@@ -22,6 +22,7 @@ from robustpac.learner import (
     ALPHA,
     CANDIDATE_ENUMERATION_LIMIT,
     MARGIN_TARGET,
+    SPARSIFY_ATTEMPTS,
     DiscretizedSet,
     BoostingFailure,
     BoostResult,
@@ -361,13 +362,13 @@ def _disc_for(points: list[tuple[int, int]], family: HypothesisFamily) -> Discre
 def test_sparsify_single_voter_is_trivial():
     family = HypothesisFamily.from_rows([(1, 1)])
     disc = _disc_for([(0, 1), (1, 1)], family)
-    assert sparsify((0,), disc.wrong, N=5, seed=1) == (0,)
+    assert sparsify((0,), disc.wrong, N=5, rng=rng_stream(1)) == (0,)
 
 
 def test_sparsify_identical_correct_voters_any_draw_works():
     family = HypothesisFamily.from_rows([(1, 1, 1), (-1, 1, 1)])
     disc = _disc_for([(0, 1), (1, 1), (2, 1)], family)
-    chosen = sparsify((0, 0, 0), disc.wrong, N=4, seed=3)
+    chosen = sparsify((0, 0, 0), disc.wrong, N=4, rng=rng_stream(3))
     assert len(chosen) == 4
     assert set(chosen) <= {0, 1, 2}
 
@@ -384,7 +385,7 @@ def test_sparsify_forty_voters_margin_five_ninths():
     voter_ids = [t % n_points for t in range(40)]
     disc = _disc_for([(x, 1) for x in range(n_points)], family)
     assert len(disc) == n_points
-    chosen = sparsify(voter_ids, disc.wrong, N=8, seed=11, attempts=100)
+    chosen = sparsify(voter_ids, disc.wrong, N=8, rng=rng_stream(11))
     assert len(chosen) in (8, 40)
     votes = np.zeros(n_points, dtype=int)
     for j in chosen:
@@ -393,17 +394,22 @@ def test_sparsify_forty_voters_margin_five_ninths():
 
 
 def test_sparsify_falls_back_to_the_full_list():
-    # three voters, margins 2/3; single-voter draws always fail, so N=1 falls back
+    # three voters, margins 2/3; single-voter draws always fail, so N=1 falls
+    # back after SPARSIFY_ATTEMPTS draws
     family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
     disc = _disc_for([(x, 1) for x in range(3)], family)
-    assert sparsify((0, 1, 2), disc.wrong, N=1, seed=0, attempts=8) == (0, 1, 2)
+    rng = rng_stream(0)
+    assert sparsify((0, 1, 2), disc.wrong, N=1, rng=rng) == (0, 1, 2)
+    fresh = rng_stream(0)
+    fresh.integers(0, 3, size=(SPARSIFY_ATTEMPTS, 1))
+    assert rng.random() == fresh.random()  # exactly SPARSIFY_ATTEMPTS draws were made
 
 
 def test_sparsify_rejects_sub_majority_ensembles():
     family = HypothesisFamily.from_rows([(-1, 1), (1, -1)])
     disc = _disc_for([(0, 1), (1, 1)], family)
     with pytest.raises(ContractError):
-        sparsify((0, 1), disc.wrong, N=3, seed=0)
+        sparsify((0, 1), disc.wrong, N=3, rng=rng_stream(0))
 
 
 # --- differential tests against the per-example loops ------------------------
@@ -435,8 +441,8 @@ def _discretize_reference(inflated, family: HypothesisFamily):
     return reps, pattern_index
 
 
-def _sparsify_reference(voters, reps, N, seed, attempts):
-    """Per-voter correctness recomputed from labels, then the same seeded draws."""
+def _sparsify_reference(voters, reps, N, rng):
+    """Per-voter correctness recomputed from labels, then the same draws from `rng`."""
     T = len(voters)
     pts = np.asarray([z for z, _ in reps], dtype=np.intp)
     labs = np.asarray([y for _, y in reps], dtype=np.int8)
@@ -446,8 +452,7 @@ def _sparsify_reference(voters, reps, N, seed, attempts):
         raise ContractError("no strict majority")
     if T == 1:
         return (0,)
-    rng = rng_stream(seed)
-    for _ in range(attempts):
+    for _ in range(SPARSIFY_ATTEMPTS):
         draw = rng.integers(0, T, size=N)
         votes = correct[draw].sum(axis=0)
         if np.all(2 * votes > N):
@@ -527,15 +532,16 @@ def test_sparsify_matches_the_per_voter_loop(inputs, data):
     voter_ids = data.draw(st.lists(st.one_of(ids, st.just(target)), min_size=1, max_size=12))
     N = data.draw(st.integers(min_value=1, max_value=9))
     seed = data.draw(st.integers(min_value=0, max_value=3))
-    attempts = data.draw(st.integers(min_value=1, max_value=5))
     voters = [family[v] for v in voter_ids]
+    ours, theirs = rng_stream(seed), rng_stream(seed)
     try:
-        expected = _sparsify_reference(voters, reps, N, seed, attempts)
+        expected = _sparsify_reference(voters, reps, N, theirs)
     except ContractError:
         with pytest.raises(ContractError, match="strict majority"):
-            sparsify(voter_ids, disc.wrong, N, seed=seed, attempts=attempts)
+            sparsify(voter_ids, disc.wrong, N, ours)
         return
-    assert sparsify(voter_ids, disc.wrong, N, seed=seed, attempts=attempts) == expected
+    assert sparsify(voter_ids, disc.wrong, N, ours) == expected
+    assert ours.random() == theirs.random()  # both made the same draws
 
 
 # --- the full pipeline -------------------------------------------------------
@@ -545,7 +551,7 @@ def test_small_sample_returns_a_single_oracle_voter():
     inst = make_proper_failure(1)
     sample = Sample(inst.distributions[0].support()[:2])
     config = LearnerConfig(n_initial=4)
-    report = learn_realizable_report(inst.family, sample, inst.perturbations, config)
+    report = learn_realizable_report(inst.family, sample, inst.perturbations, config, rng=rng_stream(0))
     assert report.sparsified_to == 1
     assert report.predictor.provenance == ((0, 1),)
     assert empirical_robust_risk(report.predictor, sample, inst.perturbations) == 0
@@ -578,10 +584,10 @@ def test_a_sample_no_larger_than_n_initial_gets_the_single_rerm_voter():
         want = _single_rerm_voter_report(family, sample, perturbations)
         for config in (
             LearnerConfig(n_initial=m),
-            LearnerConfig(n_initial=m + 1, seed=seed),
+            LearnerConfig(n_initial=m + 1),
             LearnerConfig(n_initial=m + 5, N_sparsify=3),
         ):
-            got = learn_realizable_report(family, sample, perturbations, config)
+            got = learn_realizable_report(family, sample, perturbations, config, rng=rng_stream(seed))
             for field in fields(RealizableRunReport):
                 assert getattr(got, field.name) == getattr(want, field.name), (seed, config, field.name)
             assert [v.labels for v in got.predictor.voters] == [v.labels for v in want.predictor.voters]
@@ -616,17 +622,23 @@ def test_learner_config_has_three_validated_fields():
 def test_learner_achieves_zero_risk_on_random_realizable_instances():
     for seed in range(12):
         family, perturbations, sample, _ = random_realizable_setup(seed)
-        predictor = learn_realizable(family, sample, perturbations)
+        predictor = learn_realizable(family, sample, perturbations, rng=rng_stream(seed))
         assert empirical_robust_risk(predictor, sample, perturbations) == 0
 
 
 def test_learner_is_deterministic_given_seed():
-    family, perturbations, sample, _ = random_realizable_setup(3)
-    config = LearnerConfig(seed=17)
-    a = learn_realizable(family, sample, perturbations, config)
-    b = learn_realizable(family, sample, perturbations, config)
-    assert a.voters == b.voters
-    assert a.provenance == b.provenance
+    # equal generator keys give equal votes, and the config's seed is unread;
+    # the proper-failure sample boosts three voters, so sparsify draws
+    inst = make_proper_failure(2)
+    setups = [
+        random_realizable_setup(3)[:3],
+        (inst.family, inst.perturbations, sample_iid(inst.distributions[7], 32, seed=21)),
+    ]
+    for family, perturbations, sample in setups:
+        a = learn_realizable(family, sample, perturbations, rng=rng_stream(17))
+        b = learn_realizable(family, sample, perturbations, LearnerConfig(seed=5), rng=rng_stream(17))
+        assert a.voters == b.voters
+        assert a.provenance == b.provenance
 
 
 def test_learner_grows_n_until_weak_learning_succeeds():
@@ -636,7 +648,7 @@ def test_learner_grows_n_until_weak_learning_succeeds():
     family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, 1, 1)])
     sample = Sample.from_pairs([(0, 1), (1, 1), (2, 1)])
     report = learn_realizable_report(
-        family, sample, PerturbationMap.identity(3), LearnerConfig(n_initial=1)
+        family, sample, PerturbationMap.identity(3), LearnerConfig(n_initial=1), rng=rng_stream(0)
     )
     assert report.n_used == 3
     assert report.min_margin == 1
@@ -656,13 +668,13 @@ def test_dual_vc_runs_only_when_sparsify_uses_it(monkeypatch):
     family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, 1, 1)])
     sample = Sample.from_pairs([(0, 1), (1, 1), (2, 1)])
     report = learn_realizable_report(
-        family, sample, PerturbationMap.identity(3), LearnerConfig(n_initial=1)
+        family, sample, PerturbationMap.identity(3), LearnerConfig(n_initial=1), rng=rng_stream(0)
     )
     assert (report.rounds, report.sparsified_to, calls) == (1, 1, [])
     # three boosting rounds: N_sparsify comes from the dual VC dimension
     inst = make_proper_failure(2)
     sample = sample_iid(inst.distributions[7], 32, seed=21)
-    report = learn_realizable_report(inst.family, sample, inst.perturbations)
+    report = learn_realizable_report(inst.family, sample, inst.perturbations, rng=rng_stream(21, 1))
     assert report.rounds == 3 and len(calls) == 1
 
 
@@ -670,13 +682,13 @@ def test_learner_rejects_unrealizable_samples_naming_the_example():
     family = HypothesisFamily.from_rows([(1, 1), (-1, 1)])
     sample = Sample.from_pairs([(1, 1), (0, 1), (0, -1)])
     with pytest.raises(ContractError, match="example 2"):
-        learn_realizable(family, sample, PerturbationMap.identity(2))
+        learn_realizable(family, sample, PerturbationMap.identity(2), rng=rng_stream(0))
 
 
 def test_pipeline_margin_implies_zero_risk_and_small_compression():
     inst = make_proper_failure(2)
     sample = sample_iid(inst.distributions[7], 32, seed=21)
-    report = learn_realizable_report(inst.family, sample, inst.perturbations)
+    report = learn_realizable_report(inst.family, sample, inst.perturbations, rng=rng_stream(21, 1))
     assert report.min_margin > Fraction(1, 2)
     assert empirical_robust_risk(report.predictor, sample, inst.perturbations) == 0
     assert report.compression_size <= report.n_used * report.sparsified_to
