@@ -31,10 +31,12 @@ __all__ = [
     "make_lower_bound_family",
     "make_agnostic_lower_bound",
     "BLOWUP_CAP",
+    "PROPER_FAILURE_CAP",
     "PAIR_CAP",
 ]
 
 BLOWUP_CAP = 8
+PROPER_FAILURE_CAP = 12  # anchors 3m, so m <= 4: the family has C(3m, m) members
 PAIR_CAP = 10
 
 RationalLike = Union[Fraction, float, int, str]
@@ -108,7 +110,7 @@ def make_vc_blowup(m: int) -> ConstructedInstance:
     )
 
 
-def make_proper_failure(m: int, cap: int = BLOWUP_CAP) -> ConstructedInstance:
+def make_proper_failure(m: int, cap: int = PROPER_FAILURE_CAP) -> ConstructedInstance:
     """Instance family on which every proper rule fails with constant probability.
 
     The blowup construction on 3m anchors, restricted to the members that are
@@ -116,6 +118,7 @@ def make_proper_failure(m: int, cap: int = BLOWUP_CAP) -> ConstructedInstance:
     distributions over 2m-subsets of the positively-labeled anchors: each has
     a unique zero-robust-risk member (the one wrong precisely on the excluded
     m anchors), while any member a learner picks must sacrifice m anchors.
+    3m is at most `cap`, by default PROPER_FAILURE_CAP (m <= 4).
     """
     if m < 1:
         raise ContractError(f"m must be >= 1, got {m}")
@@ -144,7 +147,7 @@ def make_union_truncation(block_sizes: Sequence[int]) -> ConstructedInstance:
     Members of one block additionally label every other block's anchors -1,
     so they are robustly wrong there; this keeps the union's VC dimension at 1
     while each block retains its own realizable distributions.  Each block
-    size m needs 3m <= BLOWUP_CAP.
+    size m needs 3m <= PROPER_FAILURE_CAP.
     """
     if not block_sizes:
         raise ContractError("at least one block size is required")

@@ -20,13 +20,21 @@ booleans, and atom points and anchors must lie in the space.  Within
 one document each distinct probability value is parsed once and each
 distinct (point, label) pair becomes one LabeledExample; these memos live for
 one call, so nothing is cached across documents.
+
+Writing produces exactly the bytes of `json.dumps(doc, indent=2,
+sort_keys=True)` for the document `instance_to_dict` builds.  A list of
+plain integers (a member's label row, a perturbation set, an anchor list)
+is rendered with one string join; non-empty lists, tuples and string-keyed
+dicts are written recursively; any other value goes to `json.dumps` itself,
+re-indented to its depth, so its bytes and its errors are json's own.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable
 
 from .constructions import ConstructedInstance
@@ -225,15 +233,39 @@ def instance_from_dict(doc: dict[str, Any]) -> ConstructedInstance:
     )
 
 
-def dumps_instance(instance: ConstructedInstance) -> str:
-    """`json.dumps(instance_to_dict(instance), indent=2, sort_keys=True)`, joined in batches.
+def _encode(obj: Any, level: int, out: list[str]) -> None:
+    """Append `json.dumps(obj, indent=2, sort_keys=True)`, indented to depth `level`, to `out`."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif (kind is list or kind is tuple) and obj:
+        pad = "\n" + "  " * (level + 1)
+        if set(map(type, obj)) == {int}:
+            out.append("[" + pad + ("," + pad).join(map(int.__repr__, obj)))
+        else:
+            out.append("[")
+            for i, item in enumerate(obj):
+                out.append("," + pad if i else pad)
+                _encode(item, level + 1, out)
+        out.append("\n" + "  " * level + "]")
+    elif kind is dict and obj and all(type(k) is str for k in obj):
+        pad = "\n" + "  " * (level + 1)
+        out.append("{")
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            out.append(("," + pad if i else pad) + encode_basestring_ascii(key) + ": ")
+            _encode(value, level + 1, out)
+        out.append("\n" + "  " * level + "}")
+    else:  # bool, None, floats, empty containers, other keys, subclasses, unserializable
+        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level))
 
-    The indenting encoder yields one short, never empty, string per label or
-    bracket; joining them a batch at a time keeps only one batch of those
-    strings alive, where `json.dumps` holds them all.
-    """
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(instance_to_dict(instance))
-    return "".join(iter(lambda: "".join(islice(chunks, 16384)), ""))
+
+def dumps_instance(instance: ConstructedInstance) -> str:
+    """`json.dumps(instance_to_dict(instance), indent=2, sort_keys=True)`, one join per integer row."""
+    out: list[str] = []
+    _encode(instance_to_dict(instance), 0, out)
+    return "".join(out)
 
 
 def loads_instance(text: str) -> ConstructedInstance:
@@ -251,8 +283,10 @@ def loads_instance(text: str) -> ConstructedInstance:
 
 
 def save_instance(instance: ConstructedInstance, path: str) -> None:
+    """Write the instance document; it is encoded first, so a failure leaves `path` untouched."""
+    text = dumps_instance(instance)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_instance(instance))
+        fh.write(text)
         fh.write("\n")
 
 

@@ -249,6 +249,20 @@ def test_contract_violation_exits_two_with_message(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("m, status", [("3", 0), ("4", 0), ("5", 2)])
+def test_proper_failure_allows_m_up_to_four(tmp_path, capsys, m, status):
+    path = tmp_path / "pf.json"
+    assert main(["construct", "proper-failure", "--m", m, "--out", str(path)]) == status
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if status:
+        assert err == "error: 3m=15 exceeds the cap 12\n"
+        assert not path.exists()
+    else:
+        assert err == ""
+        assert json.loads(path.read_text())["anchors"]["anchors"] == list(range(3 * int(m)))
+
+
 def test_missing_instance_file_exits_two(tmp_path, capsys):
     assert main(["dims", "/nonexistent/inst.json"]) == 2
     assert main(["dims", str(tmp_path)]) == 2  # a directory, not a file

@@ -6,6 +6,10 @@ change to how risks, dimensions or learners are computed must reproduce
 them exactly.  After a deliberate output change, regenerate them with
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+The instance files these commands read are goldens too: `construct` must
+write exactly their bytes, both to stdout and to `--out`.  The script above
+does not rewrite them.
 """
 
 from __future__ import annotations
@@ -34,6 +38,12 @@ CASES = {
     "dims": ["dims", "{vc_blowup_3}"],
 }
 
+CONSTRUCT_CASES = {
+    "vc_blowup_3": ["vc-blowup", "--m", "3"],
+    "proper_failure_2": ["proper-failure", "--m", "2"],
+    "agnostic_lower_bound_4": ["agnostic-lower-bound", "--d", "4", "--alpha", "1/4"],
+}
+
 
 def _argv(case: str) -> list[str]:
     instances = {p.stem: str(p) for p in GOLDEN.glob("*.json")}
@@ -57,6 +67,16 @@ def test_cli_output_matches_golden(case, tmp_path):
     stdout, out = _run(case, tmp_path)
     assert stdout == (GOLDEN / f"{case}.stdout").read_bytes()
     assert out == (GOLDEN / f"{case}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_CASES))
+def test_construct_writes_the_golden_instance(name, tmp_path, capsys):
+    golden = (GOLDEN / f"{name}.json").read_bytes()
+    argv = ["construct", *CONSTRUCT_CASES[name]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == golden
+    assert main([*argv, "--out", str(tmp_path / "i.json")]) == 0
+    assert (tmp_path / "i.json").read_bytes() == golden
 
 
 if __name__ == "__main__":

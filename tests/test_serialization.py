@@ -8,12 +8,19 @@ corrupted ones both must raise the same exception with the same message.
 Documents hold JSON integers only and keep atom points inside the space:
 the reader rejects anything else by rules the reference does not have, and
 `tests/test_cli.py` covers those.
+
+The writer is checked the same way, against `json.dumps(doc, indent=2,
+sort_keys=True)` as the reference: on every constructor's document and on
+generated instance-shaped documents that also hold values the writer hands
+back to `json.dumps` (booleans, floats, None, int-keyed dicts).
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -48,6 +55,7 @@ from robustpac.serialization import (
     loads_instance,
     parse_probability,
     probability_to_string,
+    save_instance,
 )
 
 
@@ -429,14 +437,88 @@ def test_boolean_probability_is_rejected():
         lambda: make_vc_blowup(8),
         lambda: make_proper_failure(2),
         lambda: make_proper_failure(3, cap=9),
+        lambda: make_proper_failure(4),
         lambda: make_union_truncation([1, 2]),
         lambda: make_pair_gap(10),
         lambda: make_lower_bound_family(3, Fraction(1, 12)),
         lambda: make_agnostic_lower_bound(6, Fraction(1, 4)),
     ],
-    ids=["vc-blowup(8)", "proper-failure(2)", "proper-failure(3)", "union-truncation",
-         "pair-gap(10)", "lower-bound(3)", "agnostic-lower-bound(6)"],
+    ids=["vc-blowup(8)", "proper-failure(2)", "proper-failure(3)", "proper-failure(4)",
+         "union-truncation", "pair-gap(10)", "lower-bound(3)", "agnostic-lower-bound(6)"],
 )
 def test_batched_writer_emits_the_json_dumps_bytes(build):
     inst = build()
     assert dumps_instance(inst) == json.dumps(instance_to_dict(inst), indent=2, sort_keys=True)
+
+
+def _written(doc) -> str:
+    out: list[str] = []
+    serialization._encode(doc, 0, out)
+    return "".join(out)
+
+
+_texts = st.text(max_size=6) | st.sampled_from(
+    ["", 'say "hi"', "back\\slash", "line\nbreak\ttab", "\x00\x1f\x7f", "naïve", "☃", "\U0001f600"]
+)
+_integers = st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
+_special_floats = st.sampled_from([-0.0, 0.0, 1e16, 1e-7, math.nan, math.inf, -math.inf])
+_scalars = st.none() | st.booleans() | _integers | st.floats() | _special_floats | _texts
+_int_rows = st.lists(_integers, max_size=8)
+_mixed_rows = st.lists(_integers | st.booleans() | st.floats() | _special_floats, max_size=8)
+_values = st.recursive(
+    _scalars | _int_rows | _int_rows.map(tuple) | _mixed_rows,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_texts, inner, max_size=4)
+    | st.dictionaries(_integers, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+_atoms = st.lists(
+    st.fixed_dictionaries({"point": _integers, "label": st.sampled_from([1, -1]), "p": _texts}),
+    max_size=4,
+)
+# instance-shaped, with rows, names and metadata that stray from what the reader accepts
+_written_documents = st.fixed_dictionaries(
+    {
+        "space": st.fixed_dictionaries({"size": _integers}),
+        "perturbations": st.lists(_int_rows | _int_rows.map(tuple), max_size=4),
+        "family": st.fixed_dictionaries(
+            {"members": st.lists(_int_rows | _mixed_rows, max_size=4), "name": st.none() | _texts}
+        ),
+        "distributions": st.lists(st.fixed_dictionaries({"atoms": _atoms}), max_size=3),
+        "anchors": st.dictionaries(_texts, _int_rows, max_size=3),
+        "metadata": st.dictionaries(_texts, _values, max_size=4),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_written_documents)
+def test_writer_matches_json_dumps_on_instance_shaped_documents(doc):
+    assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 3), {1, 2}, [1, {"deep": [Fraction(1, 2)]}], {"a": 1, 2: "mixed keys"}],
+    ids=["fraction", "set", "nested-fraction", "mixed-keys"],
+)
+def test_writer_raises_what_json_dumps_raises(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        _written({"metadata": value})
+    assert str(got.value) == str(want.value)
+
+
+def test_failed_save_leaves_the_target_untouched(tmp_path):
+    path = tmp_path / "keep.json"
+    inst = make_proper_failure(1)
+    save_instance(inst, str(path))
+    kept = path.read_bytes()
+    bad = dataclasses.replace(inst, metadata={"alpha": Fraction(1, 3)})
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        save_instance(bad, str(path))
+    assert path.read_bytes() == kept
