@@ -10,8 +10,8 @@ risk on the full sample no worse than the best member of the family.
 The boosting loop is the realizable learner's (`learner._boost_growing_n`):
 candidates are robust-ERM outputs on size-n subsamples of the core, with n
 starting at vc(family)+1 and doubling until weak learning succeeds.  Here
-boosting reads the (candidates, core examples) robust mistake matrix, with no
-margin target and a fixed round count.  The core is realizable by
+boosting reads the candidates' rows of the family's robust mistakes on the
+core, with no margin target and a fixed round count.  The core is realizable by
 construction, so a candidate robustly correct on all of it often exists;
 `alpha_boost` then returns that candidate for every round without running
 them.
@@ -107,12 +107,13 @@ def learn_agnostic(
     core_sample = Sample(tuple(sample[j] for j in kept_original))
 
     n0 = config.n_initial if config.n_initial is not None else vc(family).value + 1
+    loss = family.robust_table(perturbations).loss(core_sample)
     candidates, _, boost = _boost_growing_n(
         family,
         core_sample,
         perturbations,
         n0,
-        lambda c: c.family.robust_table(perturbations).loss(core_sample),
+        lambda c: loss[list(c.members)],
         margin_target=None,
         T_max=agnostic_round_count(len(core_sample)),
     )
@@ -124,7 +125,7 @@ def learn_agnostic(
     origin = {
         i: tuple(kept_original[j] for j in candidates.provenance[i]) for i in set(boost.voter_ids)
     }
-    voters = tuple(candidates.family[i] for i in boost.voter_ids)
+    voters = tuple(family[candidates.members[i]] for i in boost.voter_ids)
     return MajorityVotePredictor(voters, tuple(origin[i] for i in boost.voter_ids))
 
 
@@ -136,6 +137,8 @@ def agnostic_bound(sc_re: int, m: int, delta: float) -> float:
     """
     if sc_re < 1:
         raise ContractError(f"sc_re must be >= 1, got {sc_re}")
+    if not (isinstance(m, int) and m >= 1):
+        raise ContractError(f"agnostic bound requires an integer m >= 1, got m={m}")
     if not 0 < delta < 1:
         raise ContractError(f"delta must lie in (0, 1), got {delta}")
     t_m = 1.0 + 48.0 * math.log(m)

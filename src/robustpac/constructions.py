@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Sequence, Union
+
+import numpy as np
 
 from .core import (
     ContractError,
@@ -152,43 +154,30 @@ def make_union_truncation(block_sizes: Sequence[int]) -> ConstructedInstance:
     if not block_sizes:
         raise ContractError("at least one block size is required")
     blocks = [make_proper_failure(m) for m in block_sizes]
-    offsets: list[int] = []
-    total = 0
-    for inst in blocks:
-        offsets.append(total)
-        total += inst.space.size
-    sets: list[tuple[int, ...]] = []
-    for inst, off in zip(blocks, offsets):
-        for s in inst.perturbations.sets:
-            sets.append(tuple(z + off for z in s))
-    all_anchors: list[int] = []
-    anchor_lists: list[tuple[int, ...]] = []
-    for inst, off in zip(blocks, offsets):
-        shifted = tuple(a + off for a in inst.anchors["anchors"])
-        anchor_lists.append(shifted)
-        all_anchors.extend(shifted)
-    rows = []
-    for j, (inst, off) in enumerate(zip(blocks, offsets)):
-        foreign = [a for jj, anchors in enumerate(anchor_lists) if jj != j for a in anchors]
-        for h in inst.family:
-            row = [+1] * total
-            for z, lab in enumerate(h.labels):
-                if lab == -1:
-                    row[z + off] = -1
-            for a in foreign:
-                row[a] = -1
-            rows.append(tuple(row))
+    offsets = list(accumulate((inst.space.size for inst in blocks[:-1]), initial=0))
+    total = offsets[-1] + blocks[-1].space.size
+    pairs = list(zip(blocks, offsets))
+    sets = [tuple(z + off for z in s) for inst, off in pairs for s in inst.perturbations.sets]
+    all_anchors = [a + off for inst, off in pairs for a in inst.anchors["anchors"]]
+    matrices = []
+    for inst, off in pairs:
+        block = np.ones((len(inst.family), total), dtype=np.int8)
+        block[:, all_anchors] = -1  # the foreign anchors: the block's own are overwritten next
+        block[:, off : off + inst.space.size] = inst.family.matrix
+        matrices.append(block)
     distributions = tuple(
         FiniteDistribution(
             tuple((LabeledExample(e.point + off, e.label), p) for e, p in dist.atoms)
         )
-        for inst, off in zip(blocks, offsets)
+        for inst, off in pairs
         for dist in (inst.distributions or ())
     )
     return ConstructedInstance(
         space=InstanceSpace(total),
         perturbations=PerturbationMap(tuple(sets)),
-        family=HypothesisFamily.from_rows(rows, name=f"union-truncation({list(block_sizes)})"),
+        family=HypothesisFamily(
+            np.concatenate(matrices), name=f"union-truncation({list(block_sizes)})"
+        ),
         anchors={"anchors": tuple(all_anchors)},
         distributions=distributions,
         metadata={
@@ -216,18 +205,14 @@ def _pair_gap_layout(p: int) -> tuple[list[tuple[int, ...]], list[int], list[int
     return sets, plus_side, shared, minus_side
 
 
-def _pair_gap_family(p: int, size: int) -> HypothesisFamily:
-    # Bit i flips only the shared point u_i; the witness points keep fixed
-    # labels, so no single perturbation set is ever labeled both ways.
-    rows = []
-    for code in range(2 ** p):
-        row = [+1] * size
-        for i in range(p):
-            row[3 * i + 2] = -1
-            if (code >> i) & 1:
-                row[3 * i + 1] = -1
-        rows.append(tuple(row))
-    return HypothesisFamily.from_rows(rows, name=f"pair-gap(p={p})")
+def _pair_gap_family(p: int) -> HypothesisFamily:
+    # Bit i of a member's code flips only the shared point u_i (code order is
+    # full_cube's); the witness points keep fixed labels, so no single
+    # perturbation set is ever labeled both ways.
+    labels = np.ones((2 ** p, p, 3), dtype=np.int8)
+    labels[:, :, 1] = HypothesisFamily.full_cube(p).matrix
+    labels[:, :, 2] = -1
+    return HypothesisFamily(labels.reshape(2 ** p, 3 * p), name=f"pair-gap(p={p})")
 
 
 def make_pair_gap(p: int) -> ConstructedInstance:
@@ -249,7 +234,7 @@ def make_pair_gap(p: int) -> ConstructedInstance:
     return ConstructedInstance(
         space=InstanceSpace(size),
         perturbations=PerturbationMap(tuple(sets)),
-        family=_pair_gap_family(p, size),
+        family=_pair_gap_family(p),
         anchors={
             "shattered": tuple(shared),
             "witness_plus": tuple(plus_side),

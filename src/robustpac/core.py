@@ -205,64 +205,77 @@ class Hypothesis:
         return self.label_row[np.asarray(points, dtype=np.intp)]
 
 
-def _checked_hypothesis(labels: Sequence[int]) -> Hypothesis:
-    """A Hypothesis over a nonempty row of +1/-1 Python ints, skipping the per-label check."""
-    h = object.__new__(Hypothesis)
-    object.__setattr__(h, "labels", tuple(labels))
-    return h
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypothesisFamily:
-    """A finite ordered hypothesis class; the index is the canonical tie-break key."""
+    """A finite ordered hypothesis class, stored as its label matrix.
 
-    members: tuple[Hypothesis, ...]
+    `matrix` is the read-only int8 (members, points) matrix whose row i is
+    member i's labels; the index is the canonical tie-break key.  The
+    constructor is the family's one validator: the matrix must be 2-D and
+    nonempty, hold only +1/-1, and have pairwise distinct rows.  `members`
+    holds the rows as Hypothesis objects, built on first use.  Families are
+    equal when their names and matrices are.
+    """
+
+    matrix: np.ndarray
     name: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        if not self.members:
+        matrix = np.asarray(self.matrix)
+        if matrix.ndim != 2:
+            raise StructuralError(f"family label matrix must be 2-D, got shape {matrix.shape}")
+        if matrix.size == 0:
             raise StructuralError("hypothesis family must be nonempty")
-        size = self.members[0].size
-        seen = set()
-        for h in self.members:
-            if h.size != size:
-                raise StructuralError("family members must share one instance space")
-            if h.labels in seen:
-                raise StructuralError("family members must be pairwise distinct label sequences")
-            seen.add(h.labels)
+        bad = (matrix != 1) & (matrix != -1)
+        if bad.any():
+            raise StructuralError(f"label must be +1 or -1, got {matrix[bad].tolist()[0]!r}")
+        object.__setattr__(self, "matrix", _read_only(matrix.astype(np.int8)))
+        if len({row.tobytes() for row in self.matrix}) < len(self.matrix):
+            raise StructuralError("family members must be pairwise distinct label sequences")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], name: str | None = None) -> "HypothesisFamily":
-        """The family of the given label rows, validated in bulk.
+        """The family of the given label rows.
 
-        All labels are checked in one pass.  Rows that fail it, or differ in
-        length, go through the per-member constructors instead, which raise
-        the first error in member order.  Members hold Python ints read back
-        from the int8 label matrix, which becomes the family's `matrix`.
+        A row with a bad label, or an empty row, raises through `Hypothesis`
+        in member order; then come the nonempty and equal-length checks, and
+        the checked rows become the family's matrix.
         """
         rows = [tuple(r) for r in rows]
         try:
             valid = all(rows) and set(chain.from_iterable(rows)) <= {+1, -1}
         except TypeError:  # an unhashable label
             valid = False
-        if not valid or len(set(map(len, rows))) > 1:
-            return cls(tuple(Hypothesis(r) for r in rows), name=name)
-        matrix = _read_only(np.array(rows, dtype=np.int8))
-        family = cls(tuple(_checked_hypothesis(row.tolist()) for row in matrix), name=name)
-        object.__setattr__(family, "matrix", matrix)
-        return family
+        if not valid:
+            for row in rows:
+                Hypothesis(row)
+        if not rows:
+            raise StructuralError("hypothesis family must be nonempty")
+        if len(set(map(len, rows))) > 1:
+            raise StructuralError("family members must share one instance space")
+        return cls(np.array(rows, dtype=np.int8), name=name)
 
     @classmethod
     def full_cube(cls, size: int, name: str | None = None) -> "HypothesisFamily":
-        """All 2^size labelings of the space (desk-scale sizes only)."""
-        rows = []
-        for bits in range(2 ** size):
-            rows.append(tuple(+1 if (bits >> i) & 1 == 0 else -1 for i in range(size)))
-        return cls.from_rows(rows, name=name)
+        """All 2^size labelings of the space (desk-scale sizes only); bit i of row r set is -1."""
+        bits = (np.arange(2 ** size)[:, np.newaxis] >> np.arange(size)) & 1
+        return cls(1 - 2 * bits, name=name)
+
+    @cached_property
+    def members(self) -> tuple[Hypothesis, ...]:
+        """The rows as Hypothesis objects whose `label_row` is the row; the constructor checked them."""
+        members = tuple(object.__new__(Hypothesis) for _ in range(len(self.matrix)))
+        for h, row in zip(members, self.matrix):
+            h.__dict__.update(labels=tuple(row.tolist()), label_row=row)
+        return members
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HypothesisFamily):
+            return NotImplemented
+        return self.name == other.name and np.array_equal(self.matrix, other.matrix)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.matrix)
 
     def __getitem__(self, index: int) -> Hypothesis:
         return self.members[index]
@@ -272,12 +285,7 @@ class HypothesisFamily:
 
     @property
     def space_size(self) -> int:
-        return self.members[0].size
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """(len(family), space_size) int8 matrix of labels; rows follow member order."""
-        return _read_only(np.asarray([h.labels for h in self.members], dtype=np.int8))
+        return self.matrix.shape[1]
 
     def robust_table(self, perturbations: PerturbationMap) -> RobustTable:
         """The RobustTable of the members under `perturbations`; the last one built is kept."""
@@ -354,7 +362,7 @@ class FiniteDistribution:
             raise StructuralError("distribution must have at least one atom")
         seen = set()
         for example, p in self.atoms:
-            if p <= 0:
+            if not p > 0:  # a NaN fails this test too
                 raise StructuralError(f"atom probability must be positive, got {p!r}")
             key = (example.point, example.label)
             if key in seen:

@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -231,22 +232,14 @@ def make_group_adversary_instance(groups: int = 4, k_max: int = 16) -> Construct
     if k_max < 1:
         raise ContractError(f"k_max must be >= 1, got {k_max}")
     size = groups * k_max
-    rows = []
-    flips: list[tuple[int, ...]] = [()]
-    flips += [(g,) for g in range(groups)]
-    flips += list(
-        (i, j) for i in range(groups) for j in range(i + 1, groups)
-    )
-    for flip in flips:
-        row = [+1] * size
-        for g in flip:
-            for z in range(g * k_max, (g + 1) * k_max):
-                row[z] = -1
-        rows.append(tuple(row))
+    flips = [(), *combinations(range(groups), 1), *combinations(range(groups), 2)]
+    labels = np.ones((len(flips), groups, k_max), dtype=np.int8)
+    for member, flip in enumerate(flips):
+        labels[member, list(flip)] = -1
     return ConstructedInstance(
         space=InstanceSpace(size),
         perturbations=PerturbationMap.identity(size),
-        family=HypothesisFamily.from_rows(rows, name=f"group-flips({groups}x{k_max})"),
+        family=HypothesisFamily(labels.reshape(len(flips), size), name=f"group-flips({groups}x{k_max})"),
         anchors={"centers": tuple(g * k_max for g in range(groups))},
         distributions=None,
         metadata={"generator": "group_adversary", "groups": groups, "k_max": k_max},

@@ -30,7 +30,6 @@ import numpy as np
 
 from .core import (
     ContractError,
-    Hypothesis,
     HypothesisFamily,
     MajorityVotePredictor,
     PerturbationMap,
@@ -118,18 +117,20 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Deduplicated oracle outputs over size-n subsequences, with provenance.
+    """Distinct oracle outputs over size-n subsequences, as member indices, with provenance.
 
-    `provenance[i]` is the lexicographically first ordered index tuple whose
-    subsequence reproduces candidate i through the oracle.
+    `members[i]` is the index of candidate i in the family the oracle ran
+    over, and `provenance[i]` is the lexicographically first ordered index
+    tuple whose subsequence makes the oracle return it; candidates are in
+    provenance order.
     """
 
-    family: HypothesisFamily
+    members: tuple[int, ...]
     provenance: tuple[tuple[int, ...], ...]
     subset_size: int
 
     def __len__(self) -> int:
-        return len(self.family)
+        return len(self.members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,12 +186,13 @@ def build_candidates(
     perturbations: PerturbationMap,
     n: int,
 ) -> CandidateSet:
-    """Oracle outputs over all size-n subsequences, deduplicated.
+    """Oracle outputs over all size-n subsequences, deduplicated by member index.
 
     Subsequences with equal example multisets share one oracle call; the
     provenance kept for each distinct candidate is the lexicographically
     first index tuple that produces it, so results match a naive scan over
-    all C(m, n) index combinations.
+    all C(m, n) index combinations.  Family rows are distinct, so distinct
+    members are distinct labelings.
     """
     m = len(sample)
     if not 1 <= n <= m:
@@ -231,22 +233,10 @@ def build_candidates(
 
     fill(0, n, np.zeros(len(family), dtype=np.int64), [])
 
-    entries.sort(key=lambda e: e[0])
-    members: list[Hypothesis] = []
-    provenance: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for indices, member in entries:
-        labels = family[member].labels
-        if labels in seen:
-            continue
-        seen.add(labels)
-        members.append(family[member])
-        provenance.append(indices)
-    return CandidateSet(
-        HypothesisFamily(tuple(members), name=f"candidates(n={n})"),
-        tuple(provenance),
-        n,
-    )
+    first: dict[int, tuple[int, ...]] = {}
+    for indices, member in sorted(entries):  # index tuples are distinct
+        first.setdefault(member, indices)
+    return CandidateSet(tuple(first), tuple(first.values()), n)
 
 
 def _multiset_count(counts: Sequence[int], n: int) -> int:
@@ -285,18 +275,20 @@ def inflate(sample: Sample, perturbations: PerturbationMap) -> tuple[np.ndarray,
     return points, sample.labels()[owner[first]]
 
 
-def discretize(inflated: tuple[np.ndarray, np.ndarray], family: HypothesisFamily) -> DiscretizedSet:
-    """Keep one point of an `inflate` result per distinct error pattern of `family`.
+def discretize(inflated: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> DiscretizedSet:
+    """Keep one point of an `inflate` result per distinct error pattern of `rows`.
 
-    The representative of a pattern is its first point in point order; any
-    representative works since the majority margin only depends on the
-    pattern.  Patterns are compared as bit-packed columns of the mistake
-    matrix, and the kept columns stay in point order.
+    `rows` is a (candidates, space size) +1/-1 label matrix, such as
+    `family.matrix[list(candidates.members)]`.  The representative of a
+    pattern is its first point in point order; any representative works
+    since the majority margin only depends on the pattern.  Patterns are
+    compared as bit-packed columns of the mistake matrix, and the kept
+    columns stay in point order.
     """
-    if len(family) == 0:
+    if len(rows) == 0:
         raise ContractError("discretization requires a nonempty candidate set")
     points, labels = inflated
-    wrong = family.matrix[:, points] != labels
+    wrong = rows[:, points] != labels
     packed = np.packbits(wrong, axis=0)
     patterns = np.ascontiguousarray(packed.T).view(np.dtype((np.void, len(packed)))).ravel()
     keep = np.sort(np.unique(patterns, return_index=True)[1])
@@ -477,7 +469,11 @@ def learn_realizable_report(
     inflated = inflate(sample, perturbations)
     n0 = config.n_initial if config.n_initial is not None else vc(family).value + 1
     candidates, wrong, boost = _boost_growing_n(
-        family, sample, perturbations, n0, lambda c: discretize(inflated, c.family).wrong
+        family,
+        sample,
+        perturbations,
+        n0,
+        lambda c: discretize(inflated, family.matrix[list(c.members)]).wrong,
     )
 
     if config.N_sparsify is not None:
@@ -485,11 +481,11 @@ def learn_realizable_report(
     elif len(boost.voter_ids) == 1:
         n_sparse = 1  # sparsify keeps a lone voter whatever N is, so skip the dual-VC search
     else:
-        n_sparse = max(3, dual_vc(candidates.family).value)
+        n_sparse = max(3, dual_vc(HypothesisFamily(family.matrix[list(candidates.members)])).value)
         if n_sparse % 2 == 0:
             n_sparse += 1
     chosen = sparsify(boost.voter_ids, wrong, n_sparse, rng)
-    voters = tuple(candidates.family[boost.voter_ids[j]] for j in chosen)
+    voters = tuple(family[candidates.members[boost.voter_ids[j]]] for j in chosen)
     provenance = tuple(candidates.provenance[boost.voter_ids[j]] for j in chosen)
     predictor = MajorityVotePredictor(voters, provenance)
     risk = empirical_robust_risk(predictor, sample, perturbations)

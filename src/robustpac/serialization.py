@@ -99,7 +99,7 @@ def instance_to_dict(instance: ConstructedInstance) -> dict[str, Any]:
         "space": {"size": instance.space.size},
         "perturbations": list(instance.perturbations.sets),
         "family": {
-            "members": [h.labels for h in instance.family],
+            "members": instance.family.matrix.tolist(),
             "name": instance.family.name,
         },
     }

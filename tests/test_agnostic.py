@@ -129,6 +129,13 @@ def test_agnostic_bound_contracts():
         agnostic_bound(5, 10**4, 1.5)
 
 
+@pytest.mark.parametrize("m", [0, -3, 2.5])
+def test_agnostic_bound_requires_a_positive_integer_m(m):
+    # checked before ln(m) is taken, which would fail with a math domain error at m <= 0
+    with pytest.raises(ContractError, match="integer m >= 1"):
+        agnostic_bound(1, m, 0.05)
+
+
 def test_agnostic_margin_exceeds_half_on_the_core():
     # rebuild the boost by hand to observe the terminal margin
     family, perturbations, sample = random_labeled_sample(8)

@@ -243,6 +243,26 @@ def test_dims_negative_cap_exits_two(tmp_path, capsys):
     assert "cap must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "--sc-re", "1", "--m", "0"], "integer m >= 1"),
+        (["experiment", "separation", "--trials", "1", "--seed", "-1"], "seed=-1"),
+        (["experiment", "separation", "--trials", "1", "--seed", str(2**64)], f"seed={2**64}"),
+        (["learn", "PF", "--m", "4", "--seed", "-1"], "seed=-1"),
+        (["learn", "PF", "--m", "4", "--seed", str(2**64)], f"seed={2**64}"),
+    ],
+)
+def test_out_of_range_numbers_exit_two_without_traceback(tmp_path, capsys, argv, message):
+    path = str(tmp_path / "pf.json")
+    assert main(["construct", "proper-failure", "--m", "2", "--out", path]) == 0
+    capsys.readouterr()
+    assert main([path if a == "PF" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_contract_violation_exits_two_with_message(capsys):
     assert main(["construct", "vc-blowup", "--m", "99"]) == 2
     err = capsys.readouterr().err

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from robustpac.core import (
     ContractError,
     FiniteDistribution,
     Hypothesis,
+    HypothesisFamily,
     LabeledExample,
     MajorityVotePredictor,
     PerturbationMap,
@@ -164,6 +166,45 @@ def test_distribution_validation():
         FiniteDistribution(((e, Fraction(1, 2)), (e, Fraction(1, 2))))
     with pytest.raises(StructuralError):
         FiniteDistribution(((e, Fraction(0)), (LabeledExample(1, 1), Fraction(1))))
+
+
+def test_distribution_rejects_a_nan_probability():
+    # NaN compares False both ways, so neither `p <= 0` nor the float sum check catches it
+    e0, e1 = LabeledExample(0, 1), LabeledExample(1, 1)
+    with pytest.raises(StructuralError, match="must be positive, got nan"):
+        FiniteDistribution(((e0, float("nan")), (e1, 1.0)))
+
+
+def test_family_constructor_is_the_one_validator():
+    with pytest.raises(StructuralError, match="must be 2-D"):
+        HypothesisFamily(np.array([1, -1]))
+    with pytest.raises(StructuralError, match="hypothesis family must be nonempty"):
+        HypothesisFamily(np.empty((0, 3), dtype=np.int8))
+    for bad in (0, 2):
+        with pytest.raises(StructuralError, match=rf"^label must be \+1 or -1, got {bad}$"):
+            HypothesisFamily(np.array([[1, -1], [1, bad]]))
+    with pytest.raises(StructuralError, match="pairwise distinct label sequences"):
+        HypothesisFamily(np.array([[1, -1], [-1, 1], [1, -1]]))
+    source = np.array([[1, -1], [-1, -1]])
+    family = HypothesisFamily(source, name="f")
+    source[0, 0] = -1  # the family keeps its own read-only int8 copy
+    assert family.matrix.tolist() == [[1, -1], [-1, -1]]
+    assert family.matrix.dtype == np.int8 and not family.matrix.flags.writeable
+    assert family == HypothesisFamily.from_rows([(1, -1), (-1, -1)], name="f")
+    assert family != HypothesisFamily.from_rows([(1, -1), (-1, -1)], name="g")
+    assert family != HypothesisFamily.from_rows([(-1, -1), (1, -1)], name="f")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(*[st.sampled_from((1, -1))] * 4), min_size=1, max_size=10, unique=True))
+def test_members_are_the_matrix_rows(rows):
+    family = HypothesisFamily.from_rows(rows)
+    assert (len(family), family.space_size) == family.matrix.shape == (len(rows), 4)
+    for i, row in enumerate(rows):
+        h = family[i]
+        assert h is family.members[i] is list(family)[i]
+        assert np.array_equal(family.matrix[i], h.label_row)
+        assert h.labels == row and all(type(v) is int for v in h.labels)
 
 
 def test_exact_distributions_sum_to_exactly_one():

@@ -24,6 +24,7 @@ from robustpac.experiments import (
 )
 from robustpac import learner
 from robustpac.dimensions import vc
+from robustpac.prng import rng_stream
 from robustpac.reports import ExperimentReport, wilson_interval
 from robustpac.sampling import sample_iid
 from robustpac.serialization import (
@@ -51,6 +52,13 @@ def test_two_equal_atoms_frequency_golden():
     freq = sum(1 for e in sample if e.point == 0) / 10_000
     assert 0.47 <= freq <= 0.53
     assert freq == 0.5022  # pinned after the first draw
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_rng_stream_keys_are_64_bit(seed, stream):
+    with pytest.raises(ContractError, match=r"must lie in \[0, 2\^64\)"):
+        rng_stream(seed, stream)
+    assert rng_stream(2**64 - 1, 2**64 - 1).integers(0, 10) == rng_stream(2**64 - 1, 2**64 - 1).integers(0, 10)
 
 
 def test_same_seed_same_sample():

@@ -94,7 +94,7 @@ def test_candidates_full_subset_is_single_oracle_output():
     cands = build_candidates(inst.family, sample, inst.perturbations, len(sample))
     assert len(cands) == 1
     expected = rerm(inst.family, sample, inst.perturbations)
-    assert cands.family[0] == inst.family[expected.hypothesis_index]
+    assert cands.members == (expected.hypothesis_index,)
     assert cands.provenance == (tuple(range(len(sample))),)
 
 
@@ -123,18 +123,18 @@ def candidate_inputs(draw):
 @given(candidate_inputs())
 def test_candidates_match_naive_subset_enumeration(inputs):
     # the literal scan: RERM on every index combination in lexicographic order,
-    # keeping the first combination that yields each distinct labeling
+    # keeping the first combination that yields each distinct member
     family, perturbations, sample, n = inputs
-    members: list[tuple[int, ...]] = []
+    members: list[int] = []
     provenance: list[tuple[int, ...]] = []
     for combo in combinations(range(len(sample)), n):
         sub = Sample(tuple(sample[i] for i in combo))
-        labels = family[rerm(family, sub, perturbations).hypothesis_index].labels
-        if labels not in members:
-            members.append(labels)
+        member = rerm(family, sub, perturbations).hypothesis_index
+        if member not in members:
+            members.append(member)
             provenance.append(combo)
     cands = build_candidates(family, sample, perturbations, n)
-    assert [h.labels for h in cands.family] == members
+    assert cands.members == tuple(members)
     assert cands.provenance == tuple(provenance)
     assert cands.subset_size == n
 
@@ -176,7 +176,7 @@ def test_discretize_single_candidate_has_at_most_two_patterns():
     family = HypothesisFamily.from_rows([(1, -1, 1, -1)])
     u = PerturbationMap.identity(4)
     sample = Sample.from_pairs([(0, 1), (1, 1), (2, 1), (3, -1)])
-    disc = discretize(inflate(sample, u), family)
+    disc = discretize(inflate(sample, u), family.matrix)
     assert len(disc) <= 2
     assert disc.wrong.shape == (1, len(disc))
     assert len(set(_patterns(disc.wrong))) == len(disc)
@@ -189,7 +189,7 @@ def test_discretize_full_cube_keeps_every_point():
     u = PerturbationMap.identity(3)
     sample = Sample.from_pairs([(0, 1), (1, 1), (2, -1)])
     points, labels = inflate(sample, u)
-    disc = discretize((points, labels), family)
+    disc = discretize((points, labels), family.matrix)
     assert len(disc) == len(points)
 
 
@@ -198,9 +198,9 @@ def test_discretize_representatives_are_lexicographic_and_faithful():
     sample = sample_iid(inst.distributions[0], 8, seed=9)
     cands = build_candidates(inst.family, sample, inst.perturbations, 2)
     points, labels = inflate(sample, inst.perturbations)
-    disc = discretize((points, labels), cands.family)
+    matrix = inst.family.matrix[list(cands.members)]
+    disc = discretize((points, labels), matrix)
     assert len(disc) <= inst.perturbations.max_set_size * len(sample)
-    matrix = cands.family.matrix
     assert np.array_equal(disc.wrong, matrix[:, disc.points] != disc.labels)
     reps = dict(zip(_patterns(disc.wrong), zip(disc.points.tolist(), disc.labels.tolist())))
     assert len(reps) == len(disc)
@@ -356,7 +356,7 @@ def test_alpha_boost_matches_the_reference_loop():
 
 def _disc_for(points: list[tuple[int, int]], family: HypothesisFamily) -> DiscretizedSet:
     sample = Sample.from_pairs(points)
-    return discretize(inflate(sample, PerturbationMap.identity(family.space_size)), family)
+    return discretize(inflate(sample, PerturbationMap.identity(family.space_size)), family.matrix)
 
 
 def test_sparsify_single_voter_is_trivial():
@@ -511,7 +511,7 @@ def test_discretize_matches_the_pattern_dict_loop(inputs):
     assume(family is not None)
     inflated = _inflate_reference(sample, perturbations)
     reps, pattern_index = _discretize_reference(inflated, family)
-    disc = discretize(inflate(sample, perturbations), family)
+    disc = discretize(inflate(sample, perturbations), family.matrix)
     assert disc.points.tolist() == [z for z, _ in reps]
     assert disc.labels.tolist() == [y for _, y in reps]
     assert disc.points.dtype == np.intp and disc.labels.dtype == np.int8
@@ -526,7 +526,7 @@ def test_discretize_matches_the_pattern_dict_loop(inputs):
 def test_sparsify_matches_the_per_voter_loop(inputs, data):
     family, perturbations, sample, target = inputs
     assume(family is not None)
-    disc = discretize(inflate(sample, perturbations), family)
+    disc = discretize(inflate(sample, perturbations), family.matrix)
     reps, _ = _discretize_reference(_inflate_reference(sample, perturbations), family)
     ids = st.integers(min_value=0, max_value=len(family) - 1)
     voter_ids = data.draw(st.lists(st.one_of(ids, st.just(target)), min_size=1, max_size=12))
@@ -700,9 +700,9 @@ def test_margins_transfer_from_representatives_to_the_whole_inflation():
     sample = sample_iid(inst.distributions[2], 24, seed=33)
     cands = build_candidates(inst.family, sample, inst.perturbations, 2)
     points, labels = inflate(sample, inst.perturbations)
-    disc = discretize((points, labels), cands.family)
+    matrix = inst.family.matrix[list(cands.members)]
+    disc = discretize((points, labels), matrix)
     boost = alpha_boost(disc.wrong)
-    matrix = cands.family.matrix
     voters = list(boost.voter_ids)
     rep_margin = {}
     for pattern in _patterns(disc.wrong):

@@ -60,7 +60,14 @@ from robustpac.serialization import (
 
 
 def naive_from_rows(rows, name=None) -> HypothesisFamily:
-    return HypothesisFamily(tuple(Hypothesis(tuple(r)) for r in rows), name=name)
+    members = [Hypothesis(tuple(r)) for r in rows]
+    if not members:
+        raise StructuralError("hypothesis family must be nonempty")
+    if len({h.size for h in members}) > 1:
+        raise StructuralError("family members must share one instance space")
+    if len({h.labels for h in members}) < len(members):
+        raise StructuralError("family members must be pairwise distinct label sequences")
+    return HypothesisFamily(np.array([h.labels for h in members], dtype=np.int8), name=name)
 
 
 def naive_distribution(atoms) -> FiniteDistribution:
