@@ -32,7 +32,6 @@ from .core import (
     PerturbationMap,
     Sample,
 )
-from .dimensions import vc
 from .learner import LearnerConfig, _boost_growing_n
 
 __all__ = [
@@ -106,13 +105,12 @@ def learn_agnostic(
     kept_original = list(first.values())
     core_sample = Sample(tuple(sample[j] for j in kept_original))
 
-    n0 = config.n_initial if config.n_initial is not None else vc(family).value + 1
     loss = family.robust_table(perturbations).loss(core_sample)
     candidates, _, boost = _boost_growing_n(
         family,
         core_sample,
         perturbations,
-        n0,
+        config.n_initial,
         lambda c: loss[list(c.members)],
         margin_target=None,
         T_max=agnostic_round_count(len(core_sample)),

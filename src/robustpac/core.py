@@ -237,18 +237,21 @@ class HypothesisFamily:
     def from_rows(cls, rows: Iterable[Sequence[int]], name: str | None = None) -> "HypothesisFamily":
         """The family of the given label rows.
 
-        A row with a bad label, or an empty row, raises through `Hypothesis`
-        in member order; then come the nonempty and equal-length checks, and
-        the checked rows become the family's matrix.
+        The rows are converted once and, if numeric, handed to the
+        constructor.  Otherwise, or if the constructor fails, they are
+        replayed for the error: a row with a bad label, or an empty row,
+        raises through `Hypothesis` in member order; then come the nonempty
+        and equal-length checks, and last the constructor's own.
         """
         rows = [tuple(r) for r in rows]
         try:
-            valid = all(rows) and set(chain.from_iterable(rows)) <= {+1, -1}
-        except TypeError:  # an unhashable label
-            valid = False
-        if not valid:
-            for row in rows:
-                Hypothesis(row)
+            matrix = np.array(rows)
+            if matrix.dtype.kind in "biuf":  # complex, string and object labels are replayed
+                return cls(matrix, name=name)
+        except ValueError:  # a StructuralError, or rows numpy cannot stack
+            pass
+        for row in rows:
+            Hypothesis(row)
         if not rows:
             raise StructuralError("hypothesis family must be nonempty")
         if len(set(map(len, rows))) > 1:

@@ -1,24 +1,27 @@
 """Brute-force computation of combinatorial dimensions, with explicit witnesses.
 
-All five quantities reduce to one search problem: given "slots", each carrying
-a pair of disjoint member sets (who can realize + at the slot, who can realize
--), find the largest slot subset such that every sign pattern is realized by
-some member.  Member sets are Python-int bitmasks.  The search is a DFS over
-slot tuples in lexicographic order.  Each node keeps its cells (the member set
-of every sign pattern over the chosen slots) and its candidates (the later
-slots that split every cell into two nonempty halves); a child filters only
-its parent's candidates, since its cells refine the parent's.  A branch is cut
-when its depth plus its remaining candidates cannot beat the best size found,
-or when a cell at depth s holds fewer than 2^(best + 1 - s) members: each sign
-pattern of the slots still to come needs its own member.  Both cuts drop only
-branches that cannot beat the best, so the first maximal witness the DFS meets,
-the lexicographically first one, is the witness an unpruned scan returns.
+Each of the five kinds is one slot table, built by `_slot_table`: per slot,
+the member sets realizing + and - there (Python-int bitmasks) and the
+descriptor that names the slot in a `DimensionWitness`.  The same table feeds
+the search and the witness replay.
 
-Slot lists keep the first of each set of equal slots and drop a slot whose
-mirror (minus, plus) came earlier: the two never lie in one shattered set, and
-swapping the later for the earlier keeps a set shattered and makes it
-lexicographically smaller, so the first maximal witness never uses the later
-one.  A singleton ball makes (x, -1) and (x, +1) such a pair in the loss class.
+The search finds the largest slot subset whose every sign pattern is realized
+by some member.  It is a DFS over slot tuples in lexicographic order.  Each
+node keeps its cells (the member set of every sign pattern over the chosen
+slots) and its candidates (the later slots that split every cell into two
+nonempty halves); a child filters only its parent's candidates, since its
+cells refine the parent's.  A branch is cut when its depth plus its remaining
+candidates cannot beat the best size found, or when a cell at depth s holds
+fewer than 2^(best + 1 - s) members: each sign pattern of the slots still to
+come needs its own member.  Both cuts drop only branches that cannot beat the
+best, so the first maximal witness the DFS meets, the lexicographically first
+one, is the witness an unpruned scan returns.
+
+Before the search, `_distinct_slots` drops later copies and mirrors of a slot,
+which changes neither the value nor the witness.  `verify_witness` maps each
+descriptor of a witness to its slot in the table and checks every sign pattern
+directly, without the search; a descriptor outside the kind's domain fails to
+verify.
 
 Every search is exact up to a configurable ceiling (default 12).  A result
 that hits the ceiling while larger witnesses may exist is flagged `capped`
@@ -47,10 +50,6 @@ __all__ = [
     "disjoint_robust_shattering_dim",
     "robust_shattering_dim",
     "verify_witness",
-    "is_shattered",
-    "is_loss_shattered",
-    "is_disjoint_robustly_shattered",
-    "is_robustly_shattered",
     "restriction_count",
     "sauer_bound",
 ]
@@ -101,11 +100,6 @@ def _distinct_slots(plus: list[int], minus: list[int]) -> tuple[list[tuple[int, 
             slots.append(pair)
             reps.append(i)
     return slots, reps
-
-
-def _sign_slots(matrix: np.ndarray) -> tuple[list[tuple[int, int]], list[int]]:
-    """Slots of the distinct non-constant columns of a +1/-1 matrix; representative = first one."""
-    return _distinct_slots(_column_masks(matrix == 1), _column_masks(matrix == -1))
 
 
 def _max_shattered(slots: list[tuple[int, int]], limit: int) -> tuple[int, tuple[int, ...]]:
@@ -183,10 +177,65 @@ def _floor_log2(n: int) -> int:
     return n.bit_length() - 1 if n > 0 else 0
 
 
+def _slot_table(
+    kind: str, family: HypothesisFamily, perturbations: PerturbationMap | None
+) -> tuple[list[int], list[int], list, int]:
+    """A kind's slots before `_distinct_slots`: plus masks, minus masks, descriptors, bound.
+
+    The bound is floor(log2) of the number of distinct objects that split
+    the slots, which no shattered set can exceed.
+    """
+    if kind in ("vc", "dual_vc"):
+        # dual slots are members, with masks over points; its objects are the distinct columns
+        matrix = family.matrix if kind == "vc" else family.matrix.T
+        plus, minus = _column_masks(matrix == 1), _column_masks(matrix == -1)
+        objects = len(family) if kind == "vc" else len(set(_column_masks(family.matrix == 1)))
+        return plus, minus, list(range(len(plus))), _floor_log2(objects)
+    if kind not in ("loss_vc", "disjoint_robust", "robust"):
+        raise StructuralError(f"unknown witness kind {kind!r}")
+    table = family.robust_table(perturbations)
+    if kind == "loss_vc":
+        loss = table.loss_matrix
+        domain = [(x, y) for x in range(perturbations.size) for y in (-1, 1)]
+        distinct_rows = len({row.tobytes() for row in loss})
+        return _column_masks(loss), _column_masks(~loss), domain, _floor_log2(distinct_rows)
+    const_plus, const_minus = _column_masks(table.const_plus), _column_masks(table.const_minus)
+    if kind == "disjoint_robust":
+        return const_plus, const_minus, list(range(perturbations.size)), _floor_log2(len(family))
+    # robust: the pairs (z_plus, z_minus) whose balls meet, z_plus ascending, then z_minus,
+    # where some member is constant +1 on U(z_plus) and some member constant -1 on U(z_minus)
+    sets = perturbations.sets
+    owners = [[] for _ in sets]  # owners[x]: the z with x in U(z)
+    for z, s in enumerate(sets):
+        for x in s:
+            owners[x].append(z)
+    plus, minus, triples = [], [], []
+    for zp, s in enumerate(sets):
+        if not const_plus[zp]:
+            continue
+        least = {}  # z_minus -> the least point of U(zp) & U(z_minus); sets are sorted
+        for x in s:
+            for zm in owners[x]:
+                least.setdefault(zm, x)
+        for zm in sorted(least):
+            if const_minus[zm]:
+                plus.append(const_plus[zp])
+                minus.append(const_minus[zm])
+                triples.append((least[zm], zp, zm))
+    return plus, minus, triples, _floor_log2(len(family))
+
+
+def _search(
+    kind: str, family: HypothesisFamily, perturbations: PerturbationMap | None, cap: int
+) -> DimensionWitness:
+    plus, minus, descriptors, bound = _slot_table(kind, family, perturbations)
+    slots, reps = _distinct_slots(plus, minus)
+    return _run_search(kind, slots, [descriptors[j] for j in reps], cap, bound)
+
+
 def vc(family: HypothesisFamily, cap: int = DEFAULT_CAP) -> DimensionWitness:
     """Exact VC dimension by exhaustive shattering search with early pruning."""
-    slots, reps = _sign_slots(family.matrix)
-    return _run_search("vc", slots, reps, cap, _floor_log2(len(family)))
+    return _search("vc", family, None, cap)
 
 
 def dual_vc(family: HypothesisFamily, cap: int = DEFAULT_CAP) -> DimensionWitness:
@@ -195,34 +244,14 @@ def dual_vc(family: HypothesisFamily, cap: int = DEFAULT_CAP) -> DimensionWitnes
     Here the shattered objects are hypotheses and the masks range over points:
     member h contributes the slot ({x : h(x)=+1}, {x : h(x)=-1}).
     """
-    distinct_columns = len(set(_column_masks(family.matrix == 1)))
-    slots, reps = _sign_slots(family.matrix.T)
-    return _run_search("dual_vc", slots, reps, cap, _floor_log2(distinct_columns))
-
-
-def _loss_matrix(family: HypothesisFamily, perturbations: PerturbationMap) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """0/1 matrix of robust losses over the domain X x {-1,+1}, plus that domain."""
-    loss = family.robust_table(perturbations).loss_matrix
-    return loss, [(x, y) for x in range(perturbations.size) for y in (-1, 1)]
+    return _search("dual_vc", family, None, cap)
 
 
 def vc_of_robust_loss_family(
     family: HypothesisFamily, perturbations: PerturbationMap, cap: int = DEFAULT_CAP
 ) -> DimensionWitness:
     """VC dimension of {(x,y) -> sup_{z in U(x)} 1[h(z) != y] : h in family}."""
-    loss, domain = _loss_matrix(family, perturbations)
-    distinct_rows = len({loss[h].tobytes() for h in range(loss.shape[0])})
-    slots, columns = _distinct_slots(_column_masks(loss), _column_masks(~loss))
-    reps = [domain[j] for j in columns]
-    return _run_search("loss_vc", slots, reps, cap, _floor_log2(distinct_rows))
-
-
-def _constant_masks(
-    family: HypothesisFamily, perturbations: PerturbationMap
-) -> tuple[list[int], list[int]]:
-    """Per point x: bitmasks of members constant +1 / constant -1 on U(x)."""
-    table = family.robust_table(perturbations)
-    return _column_masks(table.const_plus), _column_masks(table.const_minus)
+    return _search("loss_vc", family, perturbations, cap)
 
 
 def disjoint_robust_shattering_dim(
@@ -233,8 +262,7 @@ def disjoint_robust_shattering_dim(
     A slot for point x demands members constant over all of U(x); with the
     identity adversary this degenerates to the plain VC dimension.
     """
-    slots, reps = _distinct_slots(*_constant_masks(family, perturbations))
-    return _run_search("disjoint_robust", slots, reps, cap, _floor_log2(len(family)))
+    return _search("disjoint_robust", family, perturbations, cap)
 
 
 def robust_shattering_dim(
@@ -248,36 +276,7 @@ def robust_shattering_dim(
     element of the intersection.  Witness points range over the full
     instance space, not only sample points.
     """
-    const_plus, const_minus = _constant_masks(family, perturbations)
-    sets = perturbations.sets
-    balls = [sum(1 << x for x in s) for s in sets]  # point bitmask of U(z)
-    owners = [0] * len(sets)  # owners[x]: bitmask of the z with x in U(z)
-    for z, s in enumerate(sets):
-        for x in s:
-            owners[x] |= 1 << z
-    minus_ok = sum(1 << z for z, mask in enumerate(const_minus) if mask)
-    slots: list[tuple[int, int]] = []
-    reps: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for zp, s in enumerate(sets):
-        if not const_plus[zp]:
-            continue
-        meets = 0  # the z_minus whose ball meets U(zp), in increasing order below
-        for x in s:
-            meets |= owners[x]
-        meets &= minus_ok
-        while meets:
-            low = meets & -meets
-            meets ^= low
-            zm = low.bit_length() - 1
-            pair = (const_plus[zp], const_minus[zm])
-            if pair in seen or pair[::-1] in seen:  # copies and mirrors, as in _distinct_slots
-                continue
-            seen.add(pair)
-            slots.append(pair)
-            common = balls[zp] & balls[zm]
-            reps.append(((common & -common).bit_length() - 1, zp, zm))
-    return _run_search("robust", slots, reps, cap, _floor_log2(len(family)))
+    return _search("robust", family, perturbations, cap)
 
 
 # --- witness replay ---------------------------------------------------------
@@ -299,72 +298,37 @@ def _patterns_realized(slots: list[tuple[int, int]]) -> bool:
     return True
 
 
-def is_shattered(family: HypothesisFamily, points: tuple[int, ...]) -> bool:
-    plus, minus = _column_masks(family.matrix == 1), _column_masks(family.matrix == -1)
-    return _patterns_realized([(plus[x], minus[x]) for x in points])
-
-
-def is_loss_shattered(
-    family: HypothesisFamily,
-    perturbations: PerturbationMap,
-    pairs: tuple[tuple[int, int], ...],
-) -> bool:
-    """Exhaustively check that the (point, label) pairs are shattered by the loss class."""
-    loss, domain = _loss_matrix(family, perturbations)
-    index = {d: j for j, d in enumerate(domain)}
-    one, zero = _column_masks(loss), _column_masks(~loss)
-    return _patterns_realized([(one[index[p]], zero[index[p]]) for p in pairs])
-
-
-def is_disjoint_robustly_shattered(
-    family: HypothesisFamily, perturbations: PerturbationMap, points: tuple[int, ...]
-) -> bool:
-    const_plus, const_minus = _constant_masks(family, perturbations)
-    slots = [(const_plus[x], const_minus[x]) for x in points]
-    return _patterns_realized(slots)
-
-
-def is_robustly_shattered(
-    family: HypothesisFamily,
-    perturbations: PerturbationMap,
-    triples: tuple[tuple[int, int, int], ...],
-) -> bool:
-    """Replay an (x, z_plus, z_minus) witness against Definition-style shattering."""
-    const_plus, const_minus = _constant_masks(family, perturbations)
-    slots = []
-    for x, zp, zm in triples:
-        if x not in perturbations[zp] or x not in perturbations[zm]:
-            return False
-        slots.append((const_plus[zp], const_minus[zm]))
-    return _patterns_realized(slots)
-
-
 def verify_witness(
-    family: HypothesisFamily,
-    witness: DimensionWitness,
-    perturbations: PerturbationMap | None = None,
+    family: HypothesisFamily, witness: DimensionWitness, perturbations: PerturbationMap | None = None
 ) -> bool:
-    """Replay a witness through the checker matching its kind."""
+    """Replay a witness against the slot table of its kind.
+
+    Each descriptor must name a slot of the kind's domain, else the witness
+    fails; a robust (x, z_plus, z_minus) names the slot of the pair and must
+    have x in U(z_plus) & U(z_minus).  The named slots are then checked
+    pattern by pattern, independently of the search.
+    """
     if len(witness.witness) != witness.value:
         return False
-    if witness.kind == "vc":
-        return is_shattered(family, witness.witness)
-    if witness.kind == "dual_vc":
-        plus, minus = _column_masks(family.matrix.T == 1), _column_masks(family.matrix.T == -1)
-        return _patterns_realized([(plus[h], minus[h]) for h in witness.witness])
-    if perturbations is None:
+    if witness.kind not in ("vc", "dual_vc") and perturbations is None:
         raise StructuralError(f"witness kind {witness.kind!r} needs the perturbation map")
-    if witness.kind == "loss_vc":
-        return is_loss_shattered(family, perturbations, witness.witness)
-    if witness.kind == "disjoint_robust":
-        return is_disjoint_robustly_shattered(family, perturbations, witness.witness)
-    if witness.kind == "robust":
-        return is_robustly_shattered(family, perturbations, witness.witness)
-    raise StructuralError(f"unknown witness kind {witness.kind!r}")
+    plus, minus, descriptors, _ = _slot_table(witness.kind, family, perturbations)
+    robust = witness.kind == "robust"
+    index = {(d[1:] if robust else d): j for j, d in enumerate(descriptors)}
+    slots = []
+    for d in witness.witness:
+        j = index.get(d[1:] if robust else d)
+        if j is None or robust and any(d[0] not in perturbations.sets[z] for z in d[1:]):
+            return False
+        slots.append((plus[j], minus[j]))
+    return _patterns_realized(slots)
 
 
 def restriction_count(family: HypothesisFamily, points: tuple[int, ...]) -> int:
     """Number of distinct restrictions of the family to the given points."""
+    for x in points:
+        if not 0 <= x < family.space_size:
+            raise StructuralError(f"point {x} outside instance space of size {family.space_size}")
     sub = family.matrix[:, np.asarray(points, dtype=np.intp)]
     return len({sub[h].tobytes() for h in range(sub.shape[0])})
 

@@ -408,20 +408,20 @@ def _boost_growing_n(
     family: HypothesisFamily,
     sample: Sample,
     perturbations: PerturbationMap,
-    n: int,
+    n_initial: int | None,
     mistakes: Callable[[CandidateSet], np.ndarray],
     margin_target: Fraction | None = MARGIN_TARGET,
     T_max: int | None = None,
 ) -> tuple[CandidateSet, np.ndarray, BoostResult]:
     """Boost the candidates of size-n subsamples, doubling n until weak learning succeeds.
 
-    The loop both learners share: n starts at min(n, |sample|), `mistakes`
-    maps the candidate set to the mistake matrix boosting reads, and a
-    WeakLearnerFailure doubles n (capped at |sample|) or, at n = |sample|,
-    propagates.  Returns the candidates, their mistake matrix and the boost.
+    The loop both learners share: n starts at min(n_initial, |sample|), where
+    a None `n_initial` means vc(family) + 1, `mistakes` maps the candidate
+    set to the mistake matrix boosting reads, and a WeakLearnerFailure
+    doubles n (capped at |sample|) or, at n = |sample|, propagates.  Returns the candidates, their mistake matrix and the boost.
     """
     m = len(sample)
-    n = min(n, m)
+    n = min(vc(family).value + 1 if n_initial is None else n_initial, m)
     while True:
         candidates = build_candidates(family, sample, perturbations, n)
         wrong = mistakes(candidates)
@@ -467,12 +467,11 @@ def learn_realizable_report(
         )
 
     inflated = inflate(sample, perturbations)
-    n0 = config.n_initial if config.n_initial is not None else vc(family).value + 1
     candidates, wrong, boost = _boost_growing_n(
         family,
         sample,
         perturbations,
-        n0,
+        config.n_initial,
         lambda c: discretize(inflated, family.matrix[list(c.members)]).wrong,
     )
 

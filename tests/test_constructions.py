@@ -20,10 +20,11 @@ from robustpac.core import (
     robust_loss,
 )
 from robustpac.dimensions import (
+    DimensionWitness,
     disjoint_robust_shattering_dim,
-    is_loss_shattered,
     robust_shattering_dim,
     vc,
+    verify_witness,
 )
 
 
@@ -43,7 +44,8 @@ def test_blowup_shape_and_counts():
 def test_blowup_m1_has_two_members_and_loss_dimension_one():
     inst = make_vc_blowup(1)
     assert len(inst.family) == 2
-    assert is_loss_shattered(inst.family, inst.perturbations, ((0, 1),))
+    pairs = ((0, 1),)
+    assert verify_witness(inst.family, DimensionWitness("loss_vc", len(pairs), pairs), inst.perturbations)
 
 
 def test_blowup_vc_at_most_one_and_loss_class_shatters_anchors():
@@ -51,7 +53,7 @@ def test_blowup_vc_at_most_one_and_loss_class_shatters_anchors():
         inst = make_vc_blowup(m)
         assert vc(inst.family).value <= 1
         anchors = tuple((x, 1) for x in inst.anchors["anchors"])
-        assert is_loss_shattered(inst.family, inst.perturbations, anchors)
+        assert verify_witness(inst.family, DimensionWitness("loss_vc", len(anchors), anchors), inst.perturbations)
 
 
 def test_blowup_cap_is_enforced():

@@ -5,7 +5,14 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustpac.core import ContractError, HypothesisFamily, LabeledExample, PerturbationMap, robust_loss
+from robustpac.core import (
+    ContractError,
+    HypothesisFamily,
+    LabeledExample,
+    PerturbationMap,
+    StructuralError,
+    robust_loss,
+)
 from robustpac.dimensions import (
     DimensionWitness,
     _distinct_slots,
@@ -14,7 +21,6 @@ from robustpac.dimensions import (
     _run_search,
     disjoint_robust_shattering_dim,
     dual_vc,
-    is_loss_shattered,
     restriction_count,
     robust_shattering_dim,
     sauer_bound,
@@ -154,7 +160,7 @@ def test_blowup_gap_between_vc_and_loss_vc():
         assert w.value >= m
         # the anchors with label +1 are the canonical shattered set
         anchors = tuple((x, 1) for x in inst.anchors["anchors"])
-        assert is_loss_shattered(inst.family, inst.perturbations, anchors)
+        assert verify_witness(inst.family, DimensionWitness("loss_vc", len(anchors), anchors), inst.perturbations)
 
 
 def test_disjoint_robust_dim_equals_vc_under_identity():
@@ -254,6 +260,59 @@ def test_every_witness_replays(tmp_path):
         robust_shattering_dim(inst.family, inst.perturbations),
     ):
         assert verify_witness(inst.family, w, inst.perturbations)
+
+
+# Two members on three points.  Only point 2 takes both signs, and only member 1
+# takes both signs in the dual, so a wrapped index -1 would name a shattered slot.
+TWO = HypothesisFamily.from_rows([(1, 1, 1), (1, 1, -1)])
+IDENTITY3 = PerturbationMap.identity(3)
+
+
+def test_vc_witness_outside_the_space_fails():
+    assert verify_witness(TWO, DimensionWitness("vc", 1, (2,)))
+    for point in (-1, 3):
+        assert not verify_witness(TWO, DimensionWitness("vc", 1, (point,)))
+
+
+def test_dual_vc_witness_outside_the_family_fails():
+    assert verify_witness(TWO, DimensionWitness("dual_vc", 1, (1,)))
+    for member in (-1, 2):
+        assert not verify_witness(TWO, DimensionWitness("dual_vc", 1, (member,)))
+
+
+def test_loss_vc_witness_outside_the_domain_fails():
+    assert verify_witness(TWO, DimensionWitness("loss_vc", 1, ((2, 1),)), IDENTITY3)
+    for pair in ((3, 1), (-1, 1), (2, 0), (2, 2)):
+        assert not verify_witness(TWO, DimensionWitness("loss_vc", 1, (pair,)), IDENTITY3)
+
+
+def test_disjoint_robust_witness_outside_the_space_fails():
+    assert verify_witness(TWO, DimensionWitness("disjoint_robust", 1, (2,)), IDENTITY3)
+    for point in (-1, 3):
+        assert not verify_witness(TWO, DimensionWitness("disjoint_robust", 1, (point,)), IDENTITY3)
+
+
+def test_robust_witness_outside_the_space_fails():
+    assert verify_witness(TWO, DimensionWitness("robust", 1, ((2, 2, 2),)), IDENTITY3)
+    for triple in ((2, -1, 2), (2, 2, -1), (2, 3, 2), (-1, 2, 2), (1, 2, 2)):
+        assert not verify_witness(TWO, DimensionWitness("robust", 1, (triple,)), IDENTITY3)
+
+
+def test_verify_witness_checks_length_then_map_then_kind():
+    for kind in ("vc", "loss_vc", "robust", "no_such_kind"):
+        assert not verify_witness(TWO, DimensionWitness(kind, 2, (0,)))
+    for kind in ("loss_vc", "disjoint_robust", "robust", "no_such_kind"):
+        with pytest.raises(StructuralError, match="needs the perturbation map"):
+            verify_witness(TWO, DimensionWitness(kind, 1, (0,)))
+    with pytest.raises(StructuralError, match="unknown witness kind 'no_such_kind'"):
+        verify_witness(TWO, DimensionWitness("no_such_kind", 1, (0,)), IDENTITY3)
+
+
+def test_restriction_count_rejects_points_outside_the_space():
+    assert restriction_count(TWO, (0, 2)) == 2
+    for point in (-1, 3):
+        with pytest.raises(StructuralError, match=f"point {point} outside instance space of size 3"):
+            restriction_count(TWO, (0, point))
 
 
 # --- differential tests against naive subset scans ---------------------------
@@ -416,6 +475,71 @@ def test_robust_dim_matches_naive_pair_scan(instance):
     w = robust_shattering_dim(family, perturbations)
     assert (w.value, w.witness, w.capped) == (len(expected), expected, False)
     assert verify_witness(family, w, perturbations)
+
+
+def naive_replay(kind, rows, perturbations, descriptors) -> bool:
+    """Definition-level check of a witness: domain membership, then every sign pattern."""
+    n, ball = perturbations.size, perturbations.sets
+    if kind == "vc":
+        valid = all(0 <= x < n for x in descriptors)
+        objects, takes = rows, lambda row, i, sign: row[descriptors[i]] == sign
+    elif kind == "dual_vc":
+        valid = all(0 <= h < len(rows) for h in descriptors)
+        objects, takes = range(n), lambda x, i, sign: rows[descriptors[i]][x] == sign
+    elif kind == "loss_vc":
+        valid = all(0 <= x < n and y in (-1, 1) for x, y in descriptors)
+
+        def takes(row, i, sign):  # sign +1: robust loss 1 at (x, y)
+            x, y = descriptors[i]
+            return (not constant_on(row, ball[x], y)) == (sign == 1)
+
+        objects = rows
+    elif kind == "disjoint_robust":
+        valid = all(0 <= x < n for x in descriptors)
+        objects, takes = rows, lambda row, i, sign: constant_on(row, ball[descriptors[i]], sign)
+    else:
+        valid = all(
+            0 <= zp < n and 0 <= zm < n and x in ball[zp] and x in ball[zm] for x, zp, zm in descriptors
+        )
+        objects = rows
+        takes = lambda row, i, sign: constant_on(row, ball[descriptors[i][1 if sign == 1 else 2]], sign)
+    return valid and realizes_every_pattern(objects, len(descriptors), takes)
+
+
+SEARCHES = {
+    "vc": lambda f, u: vc(f),
+    "dual_vc": lambda f, u: dual_vc(f),
+    "loss_vc": vc_of_robust_loss_family,
+    "disjoint_robust": disjoint_robust_shattering_dim,
+    "robust": robust_shattering_dim,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_verify_witness_matches_naive_replay(seed, data):
+    """Random descriptor tuples, shattered or not, in or out of range, and the search's witness."""
+    rng = rng_stream(seed, 20)
+    n = int(rng.integers(1, 5))
+    family = random_family(rng, n, 8)
+    perturbations = random_perturbations(rng, n, 0.3, self_contained=bool(rng.integers(2)))
+    rows = [h.labels for h in family]
+    point = st.integers(min_value=-1, max_value=n)
+    descriptor = {
+        "vc": point,
+        "dual_vc": st.integers(min_value=-1, max_value=len(family)),
+        "loss_vc": st.tuples(point, st.sampled_from((-1, 0, 1))),
+        "disjoint_robust": point,
+        "robust": st.tuples(point, point, point),
+    }
+    for kind, search in SEARCHES.items():
+        found = search(family, perturbations)
+        assert naive_replay(kind, rows, perturbations, found.witness)
+        assert verify_witness(family, found, perturbations)
+        for _ in range(4):
+            drawn = tuple(data.draw(st.lists(descriptor[kind], max_size=3)))
+            w = DimensionWitness(kind, len(drawn), drawn)
+            assert verify_witness(family, w, perturbations) == naive_replay(kind, rows, perturbations, drawn)
 
 
 # --- pinned witnesses ---------------------------------------------------------

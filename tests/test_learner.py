@@ -605,7 +605,8 @@ def test_boost_growing_n_clamps_doubles_and_reraises_at_the_sample_size():
         sizes.append(candidates.subset_size)
         return np.ones((len(candidates), 3), dtype=bool)  # every candidate errs everywhere
 
-    for n, expected in ((1, [1, 2, 4, 5]), (3, [3, 5]), (5, [5]), (9, [5])):
+    # None starts at vc(family) + 1 = 2
+    for n, expected in ((1, [1, 2, 4, 5]), (3, [3, 5]), (5, [5]), (9, [5]), (None, [2, 4, 5])):
         sizes.clear()
         with pytest.raises(WeakLearnerFailure):
             learner._boost_growing_n(family, sample, perturbations, n, never_weak)

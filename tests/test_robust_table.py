@@ -25,7 +25,7 @@ from robustpac.core import (
     population_robust_risk,
     robust_loss,
 )
-from robustpac.dimensions import _constant_masks, _loss_matrix
+from robustpac.dimensions import _slot_table
 from robustpac.learner import _first_unrealizable_index
 from robustpac.oracles import rerm, robust_mistake_counts
 
@@ -138,15 +138,32 @@ def _mask(bits) -> int:
 @given(instances())
 def test_dimension_tables_match_the_per_ball_scan(case):
     family, perturbations, _ = case
-    loss, domain = _loss_matrix(family, perturbations)
+    # loss_vc slot (x, y): + is robust loss 1 there, - is robust loss 0
+    loss, no_loss, domain, _ = _slot_table("loss_vc", family, perturbations)
     assert domain == [(x, y) for x in range(perturbations.size) for y in (-1, 1)]
-    expected = [[bool(naive_loss(h, perturbations, x, y)) for x, y in domain] for h in family]
-    assert loss.tolist() == expected
+    for j, (x, y) in enumerate(domain):
+        assert loss[j] == _mask(naive_loss(h, perturbations, x, y) for h in family)
+        assert no_loss[j] == _mask(not naive_loss(h, perturbations, x, y) for h in family)
 
-    const_plus, const_minus = _constant_masks(family, perturbations)
-    for x in range(perturbations.size):
+    const_plus, const_minus, points, _ = _slot_table("disjoint_robust", family, perturbations)
+    assert points == list(range(perturbations.size))
+    for x in points:
         assert const_plus[x] == _mask(naive_constant(h, perturbations, x, +1) for h in family)
         assert const_minus[x] == _mask(naive_constant(h, perturbations, x, -1) for h in family)
+
+    # robust slots: (z_plus, z_minus) with meeting balls and both sides realized, x the least common point
+    plus, minus, triples, _ = _slot_table("robust", family, perturbations)
+    expected = [
+        (min(set(perturbations[zp]) & set(perturbations[zm])), zp, zm)
+        for zp in points
+        for zm in points
+        if set(perturbations[zp]) & set(perturbations[zm])
+        and any(naive_constant(h, perturbations, zp, +1) for h in family)
+        and any(naive_constant(h, perturbations, zm, -1) for h in family)
+    ]
+    assert triples == expected
+    assert plus == [_mask(naive_constant(h, perturbations, zp, +1) for h in family) for _, zp, _ in triples]
+    assert minus == [_mask(naive_constant(h, perturbations, zm, -1) for h in family) for _, _, zm in triples]
 
 
 def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
@@ -170,8 +187,8 @@ def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
             lambda: empirical_robust_risk(family[0], inside, wrong_size),
             lambda: empirical_robust_risk(vote, inside, wrong_size),
             lambda: robust_mistake_counts(family, inside, wrong_size),
-            lambda: _loss_matrix(family, wrong_size),
-            lambda: _constant_masks(family, wrong_size),
+            lambda: _slot_table("loss_vc", family, wrong_size),
+            lambda: _slot_table("disjoint_robust", family, wrong_size),
         ):
             with pytest.raises(StructuralError, match="disagree on the instance space"):
                 call()

@@ -150,7 +150,7 @@ def assert_same_family(bulk: HypothesisFamily, naive: HypothesisFamily) -> None:
 
 PLUS = [1, 1.0, True, np.int8(1)]
 MINUS = [-1, -1.0, np.int8(-1)]
-BAD_LABELS = [0, 2, -2, 0.5, float("nan"), None, "1", [1]]
+BAD_LABELS = [0, 2, -2, 0.5, 1 + 0j, float("nan"), None, "1", [1]]
 
 
 @st.composite
