@@ -99,10 +99,9 @@ def learn_agnostic(
             flags=("empty-realizable-core",),
         )
 
-    first: dict[tuple[int, int], int] = {}
-    for j in core:
-        first.setdefault(sample[j].key(), j)
-    kept_original = list(first.values())
+    # the core holds every copy of its examples, so it keeps their first positions
+    in_core = set(core)
+    kept_original = [run[0] for run in sample.distinct.positions if run[0] in in_core]
     core_sample = Sample(tuple(sample[j] for j in kept_original))
 
     loss = family.robust_table(perturbations).loss(core_sample)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -158,9 +158,12 @@ class RobustTable:
 
     def loss(self, sample: Sample) -> np.ndarray:
         """(rows, len(sample)) bool: robust 0-1 loss of each row on each example."""
-        points, labels = sample.points(), sample.labels()
+        return self.loss_at(sample.points(), sample.labels())
+
+    def loss_at(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """(rows, len(points)) bool: robust 0-1 loss of each row on each (point, label) column."""
         size = self.const_plus.shape[1]
-        if len(sample) and points.max() >= size:
+        if len(points) and points.max() >= size:
             bad = points[points >= size][0]
             raise StructuralError(f"point {bad} outside instance space of size {size}")
         return np.where(labels == 1, ~self.const_plus[:, points], ~self.const_minus[:, points])
@@ -313,9 +316,28 @@ class LabeledExample:
         return (self.point, self.label)
 
 
+class DistinctExamples(NamedTuple):
+    """A sample's distinct examples in first-appearance order.
+
+    `positions[s]` lists, ascending, the sample positions holding distinct
+    example s, so `positions[s][0]` is where it first appears; `points`
+    (intp) and `labels` (int8) are the distinct examples' columns.
+    """
+
+    positions: tuple[tuple[int, ...], ...]
+    points: np.ndarray
+    labels: np.ndarray
+
+
 @dataclass(frozen=True)
 class Sample:
-    """An ordered sequence of labeled examples; repeats allowed and counted."""
+    """An ordered sequence of labeled examples; repeats allowed and counted.
+
+    Two views are built on first use and kept: `points()` / `labels()`, the
+    examples as intp and int8 columns, and `distinct`, the distinct examples
+    with their positions, which every learner stage that treats repeats
+    alike reads instead of grouping the examples again.
+    """
 
     examples: tuple[LabeledExample, ...]
 
@@ -346,6 +368,29 @@ class Sample:
         points = np.asarray([e.point for e in self.examples], dtype=np.intp)
         labels = np.asarray([e.label for e in self.examples], dtype=np.int8)
         return _read_only(points), _read_only(labels)
+
+    @cached_property
+    def distinct(self) -> DistinctExamples:
+        """The distinct examples in first-appearance order, with their positions."""
+        points, labels = self._columns
+        positions: dict[tuple[int, int], list[int]] = {}
+        for i, key in enumerate(zip(points.tolist(), labels.tolist())):
+            positions.setdefault(key, []).append(i)
+        firsts = [run[0] for run in positions.values()]
+        return DistinctExamples(
+            tuple(map(tuple, positions.values())),
+            _read_only(points[firsts]),
+            _read_only(labels[firsts]),
+        )
+
+
+def _sample_with_columns(
+    examples: tuple[LabeledExample, ...], points: np.ndarray, labels: np.ndarray
+) -> Sample:
+    """A Sample of the examples that keeps the given arrays, their points and labels, as columns."""
+    sample = Sample(examples)
+    sample.__dict__["_columns"] = (_read_only(points), _read_only(labels))
+    return sample
 
 
 @dataclass(frozen=True)
@@ -397,6 +442,21 @@ class FiniteDistribution:
 
     def probabilities(self) -> np.ndarray:
         return np.asarray([float(p) for _, p in self.atoms], dtype=np.float64)
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """(points, labels, cdf, exact) of the atoms in stored order, built on first use.
+
+        `cdf` is the running float sum of the probabilities with its last
+        entry set to 1.0, and `exact` says whether every probability is a
+        Fraction.  Sampling and population risk read these columns.
+        """
+        points = np.asarray([e.point for e, _ in self.atoms], dtype=np.intp)
+        labels = np.asarray([e.label for e, _ in self.atoms], dtype=np.int8)
+        cdf = np.cumsum(self.probabilities())
+        cdf[-1] = 1.0
+        exact = all(isinstance(p, Fraction) for _, p in self.atoms)
+        return _read_only(points), _read_only(labels), _read_only(cdf), exact
 
 
 def _exact_sum(probabilities: Iterable[Fraction]) -> Fraction:
@@ -508,11 +568,20 @@ def empirical_error(predictor: Predictor, sample: Sample) -> Fraction:
 def population_robust_risk(
     predictor: Predictor, dist: FiniteDistribution, perturbations: PerturbationMap
 ) -> Probability:
-    """Probability-weighted robust loss; exact when all atom weights are rational."""
-    loss = _robust_losses(predictor, Sample(dist.support()), perturbations)
-    exact = all(isinstance(p, Fraction) for _, p in dist.atoms)
-    total: Probability = Fraction(0) if exact else 0.0
-    for (_, p), lost in zip(dist.atoms, loss):
-        if lost:
-            total += p
+    """Probability-weighted robust loss; exact when all atom weights are rational.
+
+    The predictor is scored on the distribution's cached support columns.
+    The weights of the atoms it loses are summed as a Fraction when every
+    weight is one, and otherwise added one by one in atom order from 0.0,
+    so a float risk does not depend on how the losses were computed.
+    """
+    points, labels, _, exact = dist._columns
+    table = RobustTable.build(predictor.label_row[np.newaxis, :], perturbations)
+    losses = table.loss_at(points, labels)[0].tolist()
+    weights = [p for (_, p), lost in zip(dist.atoms, losses) if lost]
+    if exact:
+        return _exact_sum(weights)
+    total = 0.0
+    for p in weights:
+        total += p
     return total

@@ -26,7 +26,8 @@ verify.
 Every search is exact up to a configurable ceiling (default 12).  A result
 that hits the ceiling while larger witnesses may exist is flagged `capped`
 ("at least this much") rather than silently truncated.  Structural bounds
-(a family of N members can never shatter more than log2(N) slots) are used
+(a family of N members can never shatter more than log2(N) slots, computed
+by `_structural_bound` for the search only; a replay needs none) are used
 to declare exactness below the ceiling whenever possible, as is the slot
 count: dropping mirrors can shrink it, so `capped` can only turn False, and
 only where the shorter list proves the value exact.
@@ -179,29 +180,22 @@ def _floor_log2(n: int) -> int:
 
 def _slot_table(
     kind: str, family: HypothesisFamily, perturbations: PerturbationMap | None
-) -> tuple[list[int], list[int], list, int]:
-    """A kind's slots before `_distinct_slots`: plus masks, minus masks, descriptors, bound.
-
-    The bound is floor(log2) of the number of distinct objects that split
-    the slots, which no shattered set can exceed.
-    """
+) -> tuple[list[int], list[int], list]:
+    """A kind's slots before `_distinct_slots`: plus masks, minus masks and descriptors."""
     if kind in ("vc", "dual_vc"):
-        # dual slots are members, with masks over points; its objects are the distinct columns
         matrix = family.matrix if kind == "vc" else family.matrix.T
         plus, minus = _column_masks(matrix == 1), _column_masks(matrix == -1)
-        objects = len(family) if kind == "vc" else len(set(_column_masks(family.matrix == 1)))
-        return plus, minus, list(range(len(plus))), _floor_log2(objects)
+        return plus, minus, list(range(len(plus)))
     if kind not in ("loss_vc", "disjoint_robust", "robust"):
         raise StructuralError(f"unknown witness kind {kind!r}")
     table = family.robust_table(perturbations)
     if kind == "loss_vc":
         loss = table.loss_matrix
         domain = [(x, y) for x in range(perturbations.size) for y in (-1, 1)]
-        distinct_rows = len({row.tobytes() for row in loss})
-        return _column_masks(loss), _column_masks(~loss), domain, _floor_log2(distinct_rows)
+        return _column_masks(loss), _column_masks(~loss), domain
     const_plus, const_minus = _column_masks(table.const_plus), _column_masks(table.const_minus)
     if kind == "disjoint_robust":
-        return const_plus, const_minus, list(range(perturbations.size)), _floor_log2(len(family))
+        return const_plus, const_minus, list(range(perturbations.size))
     # robust: the pairs (z_plus, z_minus) whose balls meet, z_plus ascending, then z_minus,
     # where some member is constant +1 on U(z_plus) and some member constant -1 on U(z_minus)
     sets = perturbations.sets
@@ -222,14 +216,33 @@ def _slot_table(
                 plus.append(const_plus[zp])
                 minus.append(const_minus[zm])
                 triples.append((least[zm], zp, zm))
-    return plus, minus, triples, _floor_log2(len(family))
+    return plus, minus, triples
+
+
+def _structural_bound(
+    kind: str, family: HypothesisFamily, perturbations: PerturbationMap | None
+) -> int:
+    """floor(log2) of the number of distinct objects that split a kind's slots.
+
+    No shattered set can exceed it.  The objects are the members, except for
+    the dual dimension, whose slots are members split by the distinct
+    columns, and the loss class, whose objects are the distinct loss rows.
+    """
+    if kind == "dual_vc":
+        objects = len(set(_column_masks(family.matrix == 1)))
+    elif kind == "loss_vc":
+        objects = len({row.tobytes() for row in family.robust_table(perturbations).loss_matrix})
+    else:
+        objects = len(family)
+    return _floor_log2(objects)
 
 
 def _search(
     kind: str, family: HypothesisFamily, perturbations: PerturbationMap | None, cap: int
 ) -> DimensionWitness:
-    plus, minus, descriptors, bound = _slot_table(kind, family, perturbations)
+    plus, minus, descriptors = _slot_table(kind, family, perturbations)
     slots, reps = _distinct_slots(plus, minus)
+    bound = _structural_bound(kind, family, perturbations)
     return _run_search(kind, slots, [descriptors[j] for j in reps], cap, bound)
 
 
@@ -312,7 +325,7 @@ def verify_witness(
         return False
     if witness.kind not in ("vc", "dual_vc") and perturbations is None:
         raise StructuralError(f"witness kind {witness.kind!r} needs the perturbation map")
-    plus, minus, descriptors, _ = _slot_table(witness.kind, family, perturbations)
+    plus, minus, descriptors = _slot_table(witness.kind, family, perturbations)
     robust = witness.kind == "robust"
     index = {(d[1:] if robust else d): j for j, d in enumerate(descriptors)}
     slots = []

@@ -60,6 +60,7 @@ __all__ = [
 
 WEAK_ERROR_BOUND = 1.0 / 3.0
 CANDIDATE_ENUMERATION_LIMIT = 500_000
+_SCORE_BLOCK = 1 << 17  # count vectors x members per product in build_candidates
 ALPHA = 0.125
 MARGIN_TARGET = Fraction(5, 9)
 SPARSIFY_ATTEMPTS = 100
@@ -94,10 +95,11 @@ class LearnerConfig:
 
     `n_initial` defaults to vc(family)+1, is clamped to the sample size and
     doubles on weak-learner failure up to it.  `N_sparsify` defaults to the
-    candidate family's dual VC dimension (minimum 3, forced odd), computed
-    only when boosting returns more than one voter, since sparsify keeps a
-    lone voter.  The rest is fixed: the realizable round cap
-    ceil(1 + 48 ln |discretized|) + 10 (`default_round_cap`), boosting step
+    candidate family's dual VC dimension (minimum 3, forced odd).  The
+    search is skipped when boosting returns one voter, since sparsify keeps
+    a lone voter, and when there are at most 3 candidates, whose dual VC
+    dimension is at most 3, so N is 3.  The rest is fixed: the realizable
+    round cap ceil(1 + 48 ln |discretized|) + 10 (`default_round_cap`), boosting step
     `ALPHA` 1/8, `MARGIN_TARGET` 5/9 (which leaves the 1/18 sparsification
     slack above 1/2) and `SPARSIFY_ATTEMPTS` 100 draws before the full-list
     fallback.  `seed` is read by no library code (sparsify draws from the
@@ -188,55 +190,76 @@ def build_candidates(
 ) -> CandidateSet:
     """Oracle outputs over all size-n subsequences, deduplicated by member index.
 
-    Subsequences with equal example multisets share one oracle call; the
-    provenance kept for each distinct candidate is the lexicographically
-    first index tuple that produces it, so results match a naive scan over
-    all C(m, n) index combinations.  Family rows are distinct, so distinct
-    members are distinct labelings.
+    Subsequences with equal example multisets share one oracle call: the
+    multisets are count vectors over `sample.distinct`, generated a block
+    at a time and scored by one matrix product per block.  The provenance
+    kept for each distinct candidate is the lexicographically first index
+    tuple that produces it, so results match a naive scan over all C(m, n)
+    index combinations.  Family rows are distinct, so distinct members are
+    distinct labelings.
     """
     m = len(sample)
     if not 1 <= n <= m:
         raise ContractError(f"subset size n={n} must lie in [1, {m}]")
-    positions: dict[tuple[int, int], list[int]] = {}
-    for i, example in enumerate(sample):
-        positions.setdefault(example.key(), []).append(i)
-    runs = list(positions.values())
+    distinct = sample.distinct
+    runs = distinct.positions
     counts = [len(r) for r in runs]
     d = len(runs)
-    total = _multiset_count(counts, n)
-    if total > CANDIDATE_ENUMERATION_LIMIT:
-        raise ContractError(
-            f"candidate enumeration needs {total} multisets of size {n} over {d} distinct "
-            f"examples, more than CANDIDATE_ENUMERATION_LIMIT = {CANDIDATE_ENUMERATION_LIMIT}"
-        )
+    # C(d + n - 1, n) bounds the count, so it is computed only near the limit
+    if math.comb(d + n - 1, n) > CANDIDATE_ENUMERATION_LIMIT:
+        total = _multiset_count(counts, n)
+        if total > CANDIDATE_ENUMERATION_LIMIT:
+            raise ContractError(
+                f"candidate enumeration needs {total} multisets of size {n} over {d} distinct "
+                f"examples, more than CANDIDATE_ENUMERATION_LIMIT = {CANDIDATE_ENUMERATION_LIMIT}"
+            )
 
-    wrong = family.robust_table(perturbations).loss(Sample.from_pairs(positions))
+    wrong = family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
+    scores = wrong.T.astype(np.float64)
 
     available_after = [0] * (d + 1)
     for slot in range(d - 1, -1, -1):
         available_after[slot] = available_after[slot + 1] + counts[slot]
 
-    # A multiset taking k copies of content c adds k * wrong[:, c] to every
-    # member's mistake count, and its first index tuple is the first k
-    # positions of each content, sorted.  Both are carried down the recursion.
-    entries: list[tuple[tuple[int, ...], int]] = []
-
-    def fill(slot: int, remaining: int, mistakes: np.ndarray, picked: list[int]) -> None:
-        if remaining == 0:
-            entries.append((tuple(sorted(picked)), int(np.argmin(mistakes))))
-            return
-        if slot == d or remaining > available_after[slot]:
-            return
-        for k in range(min(counts[slot], remaining), 0, -1):
-            fill(slot + 1, remaining - k, mistakes + k * wrong[:, slot], picked + runs[slot][:k])
-        fill(slot + 1, remaining, mistakes, picked)
-
-    fill(0, n, np.zeros(len(family), dtype=np.int64), [])
-
+    # A multiset taking k copies of distinct example s adds k * wrong[:, s] to
+    # every member's mistake count, and its first index tuple is the first k
+    # positions of each example, sorted.  Count vectors are scored a block at
+    # a time in one float product, exact since the counts are integers <= n;
+    # argmin takes the lowest member on ties, as the oracle does.
+    block = max(1, _SCORE_BLOCK // len(family))
+    vector = [0] * d
+    vectors: list[int] = []  # the block's count vectors, concatenated
+    tuples: list[tuple[int, ...]] = []
     first: dict[int, tuple[int, ...]] = {}
-    for indices, member in sorted(entries):  # index tuples are distinct
-        first.setdefault(member, indices)
-    return CandidateSet(tuple(first), tuple(first.values()), n)
+
+    def score() -> None:
+        mistakes = np.array(vectors, dtype=np.float64).reshape(len(tuples), d) @ scores
+        for indices, member in zip(tuples, mistakes.argmin(axis=1).tolist()):
+            known = first.get(member)
+            if known is None or indices < known:
+                first[member] = indices
+        vectors.clear()
+        tuples.clear()
+
+    def fill(slot: int, remaining: int, picked: tuple[int, ...]) -> None:
+        if remaining == 0:
+            vectors.extend(vector)
+            tuples.append(tuple(sorted(picked)))
+            if len(tuples) == block:
+                score()
+            return
+        # k copies of this example leave remaining - k for the later ones, which hold `rest`
+        rest = available_after[slot + 1]
+        for k in range(min(counts[slot], remaining), max(remaining - rest, 0) - 1, -1):
+            vector[slot] = k
+            fill(slot + 1, remaining - k, picked + runs[slot][:k])
+        vector[slot] = 0
+
+    fill(0, n, ())
+    if tuples:
+        score()
+    order = sorted(first, key=first.__getitem__)  # index tuples are distinct
+    return CandidateSet(tuple(order), tuple(first[c] for c in order), n)
 
 
 def _multiset_count(counts: Sequence[int], n: int) -> int:
@@ -261,7 +284,10 @@ def inflate(sample: Sample, perturbations: PerturbationMap) -> tuple[np.ndarray,
     """
     if len(sample) == 0:
         raise ContractError("inflation requires a nonempty sample")
-    centers = sample.points()
+    # a repeat reaches the same points as its first appearance, so the
+    # distinct examples, in first-appearance order, own exactly what the sample owns
+    distinct = sample.distinct
+    centers = distinct.points
     if centers.max() >= perturbations.size:
         bad = centers[centers >= perturbations.size][0]
         raise StructuralError(f"point {bad} outside instance space of size {perturbations.size}")
@@ -270,9 +296,9 @@ def inflate(sample: Sample, perturbations: PerturbationMap) -> tuple[np.ndarray,
     sizes = np.append(starts[1:], len(members))[centers] - firsts
     ends = np.cumsum(sizes)
     reach = members[np.arange(ends[-1]) + np.repeat(firsts - (ends - sizes), sizes)]
-    owner = np.repeat(np.arange(len(sample)), sizes)
+    owner = np.repeat(np.arange(len(centers)), sizes)
     points, first = np.unique(reach, return_index=True)  # first occurrence = min-index owner
-    return points, sample.labels()[owner[first]]
+    return points, distinct.labels[owner[first]]
 
 
 def discretize(inflated: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> DiscretizedSet:
@@ -436,10 +462,16 @@ def _boost_growing_n(
 def _first_unrealizable_index(
     family: HypothesisFamily, sample: Sample, perturbations: PerturbationMap
 ) -> int | None:
-    """Index i such that sample[:i+1] has no robustly consistent member, or None."""
-    correct = ~family.robust_table(perturbations).loss(sample)
+    """Index i such that sample[:i+1] has no robustly consistent member, or None.
+
+    The prefixes of the sample cover the prefixes of its distinct examples,
+    each growing where an example first appears, so the first dead prefix
+    ends at the first position of the first dead distinct example.
+    """
+    distinct = sample.distinct
+    correct = ~family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
     dead = np.flatnonzero(~np.logical_and.accumulate(correct, axis=1).any(axis=0))
-    return int(dead[0]) if dead.size else None
+    return distinct.positions[dead[0]][0] if dead.size else None
 
 
 def learn_realizable_report(
@@ -479,6 +511,8 @@ def learn_realizable_report(
         n_sparse = config.N_sparsify
     elif len(boost.voter_ids) == 1:
         n_sparse = 1  # sparsify keeps a lone voter whatever N is, so skip the dual-VC search
+    elif len(candidates) <= 3:
+        n_sparse = 3  # the dual VC dimension is at most the member count, so max(3, .) is 3
     else:
         n_sparse = max(3, dual_vc(HypothesisFamily(family.matrix[list(candidates.members)])).value)
         if n_sparse % 2 == 0:

@@ -9,22 +9,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ContractError, FiniteDistribution, Sample
+from .core import ContractError, FiniteDistribution, Sample, _sample_with_columns
 from .prng import rng_stream
 
 __all__ = ["sample_iid", "draw_sample"]
 
 
 def draw_sample(dist: FiniteDistribution, m: int, rng: np.random.Generator) -> Sample:
-    """m inverse-CDF draws from an already-positioned generator."""
+    """m inverse-CDF draws from an already-positioned generator.
+
+    Takes exactly one `rng.random(m)` call.  The draws index the
+    distribution's cached support columns (points, labels and CDF), and the
+    sample keeps the indexed points and labels as its own columns.
+    """
     if m < 1:
         raise ContractError(f"sample size must be >= 1, got {m}")
-    cdf = np.cumsum(dist.probabilities())
-    cdf[-1] = 1.0
-    u = rng.random(m)
-    idx = np.searchsorted(cdf, u, side="right")
-    support = dist.support()
-    return Sample(tuple(support[int(i)] for i in idx))
+    points, labels, cdf, _ = dist._columns
+    idx = np.searchsorted(cdf, rng.random(m), side="right")
+    atoms = dist.atoms
+    return _sample_with_columns(tuple(atoms[i][0] for i in idx.tolist()), points[idx], labels[idx])
 
 
 def sample_iid(dist: FiniteDistribution, m: int, seed: int, stream: int = 0) -> Sample:

@@ -29,6 +29,8 @@ from robustpac.constructions import (
     make_proper_failure,
     make_vc_blowup,
 )
+from robustpac.prng import rng_stream
+from robustpac.sampling import draw_sample
 
 
 def test_identity_adversary_consistent_predictor_has_zero_loss():
@@ -272,3 +274,66 @@ def test_standard_risk_delegates_to_identity_adversary():
     assert empirical_error(h, sample) == empirical_robust_risk(
         h, sample, PerturbationMap.identity(4)
     )
+
+
+# --- differential tests for the cached distribution columns -------------------
+
+
+@st.composite
+def distribution_cases(draw):
+    """A small space, perturbation sets, a predictor and a distribution over it.
+
+    The weights are all Fractions, all floats or a mix of both.
+    """
+    size = draw(st.integers(min_value=1, max_value=5))
+    point = st.integers(min_value=0, max_value=size - 1)
+    balls = draw(st.lists(st.lists(point, min_size=1, max_size=size), min_size=size, max_size=size))
+    pair = st.tuples(point, st.sampled_from((-1, 1)))
+    keys = draw(st.lists(pair, min_size=1, max_size=2 * size, unique=True))
+    weight = st.integers(min_value=1, max_value=9)
+    weights = draw(st.lists(weight, min_size=len(keys), max_size=len(keys)))
+    kind = draw(st.sampled_from(("fraction", "float", "mixed")))
+    total = sum(weights)
+    probs: list = [Fraction(w, total) for w in weights]
+    if kind != "fraction":
+        probs = [float(p) for p in probs]
+    if kind == "mixed":
+        probs[0] = Fraction(weights[0], total)
+    dist = FiniteDistribution(tuple((LabeledExample(x, y), p) for (x, y), p in zip(keys, probs)))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from((-1, 1))] * size), min_size=1, max_size=3))
+    voters = tuple(map(Hypothesis, rows))
+    predictor = MajorityVotePredictor(voters) if len(voters) > 1 else voters[0]
+    return PerturbationMap(tuple(map(tuple, balls))), predictor, dist
+
+
+@settings(max_examples=150, deadline=None)
+@given(distribution_cases(), st.integers(min_value=1, max_value=40), st.integers(0, 2**32))
+def test_draw_sample_matches_the_per_draw_support_lookup(case, m, seed):
+    _, _, dist = case
+    rng, reference_rng = rng_stream(seed, 3), rng_stream(seed, 3)
+    sample = draw_sample(dist, m, rng)
+    cdf = np.cumsum(dist.probabilities())
+    cdf[-1] = 1.0
+    support = dist.support()
+    expected = Sample(
+        tuple(support[int(i)] for i in np.searchsorted(cdf, reference_rng.random(m), side="right"))
+    )
+    assert sample == expected
+    rebuilt = Sample(sample.examples)
+    for got, want in zip(sample._columns, rebuilt._columns):
+        assert got.dtype == want.dtype and np.array_equal(got, want) and not got.flags.writeable
+    # both generators stand at the same position: one rng.random(m) call each
+    assert np.array_equal(rng.random(8), reference_rng.random(8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(distribution_cases())
+def test_population_risk_matches_the_per_atom_robust_loss_sum(case):
+    perturbations, predictor, dist = case
+    exact = all(isinstance(p, Fraction) for _, p in dist.atoms)
+    expected = Fraction(0) if exact else 0.0
+    for example, p in dist.atoms:
+        if robust_loss(predictor, example, perturbations):
+            expected += p
+    risk = population_robust_risk(predictor, dist, perturbations)
+    assert type(risk) is type(expected) and risk == expected

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 from dataclasses import fields
@@ -38,13 +39,15 @@ from robustpac.learner import (
     learn_realizable_report,
     sparsify,
     weak_learn,
+    _first_unrealizable_index,
     _multiset_count,
 )
 from robustpac import learner
 from robustpac.oracles import rerm
 from robustpac.constructions import make_proper_failure
+from robustpac.experiments import _random_threshold_distribution, make_threshold_window_instance
 from robustpac.prng import rng_stream
-from robustpac.sampling import sample_iid
+from robustpac.sampling import draw_sample, sample_iid
 
 from conftest import random_realizable_setup
 
@@ -120,8 +123,8 @@ def candidate_inputs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(candidate_inputs())
-def test_candidates_match_naive_subset_enumeration(inputs):
+@given(candidate_inputs(), st.sampled_from((1, 2, 3, None)))
+def test_candidates_match_naive_subset_enumeration(inputs, block_rows):
     # the literal scan: RERM on every index combination in lexicographic order,
     # keeping the first combination that yields each distinct member
     family, perturbations, sample, n = inputs
@@ -133,7 +136,11 @@ def test_candidates_match_naive_subset_enumeration(inputs):
         if member not in members:
             members.append(member)
             provenance.append(combo)
-    cands = build_candidates(family, sample, perturbations, n)
+    # blocks of 1-3 count vectors put block boundaries inside the enumeration
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows is not None:
+            patch.setattr(learner, "_SCORE_BLOCK", block_rows * len(family))
+        cands = build_candidates(family, sample, perturbations, n)
     assert cands.members == tuple(members)
     assert cands.provenance == tuple(provenance)
     assert cands.subset_size == n
@@ -672,11 +679,37 @@ def test_dual_vc_runs_only_when_sparsify_uses_it(monkeypatch):
         family, sample, PerturbationMap.identity(3), LearnerConfig(n_initial=1), rng=rng_stream(0)
     )
     assert (report.rounds, report.sparsified_to, calls) == (1, 1, [])
-    # three boosting rounds: N_sparsify comes from the dual VC dimension
+    # three boosting rounds over 3 candidates: the dual VC dimension is at
+    # most 3, so N_sparsify is 3 without the search
     inst = make_proper_failure(2)
     sample = sample_iid(inst.distributions[7], 32, seed=21)
     report = learn_realizable_report(inst.family, sample, inst.perturbations, rng=rng_stream(21, 1))
-    assert report.rounds == 3 and len(calls) == 1
+    assert len(build_candidates(inst.family, sample, inst.perturbations, report.n_used)) == 3
+    assert (report.rounds, report.sparsified_to, calls) == (3, 3, [])
+    # three boosting rounds over 6 candidates: N_sparsify comes from the dual VC dimension
+    sample = sample_iid(inst.distributions[0], 32, seed=21)
+    report = learn_realizable_report(inst.family, sample, inst.perturbations, rng=rng_stream(21, 1))
+    assert len(build_candidates(inst.family, sample, inst.perturbations, report.n_used)) == 6
+    assert report.rounds == 3 and calls == [6]
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidate_inputs(), st.integers(min_value=0, max_value=8), st.data())
+def test_first_unrealizable_index_matches_the_prefix_scan(inputs, outside, data):
+    family, perturbations, sample, _ = inputs
+    if outside < 2:  # a point past the space, at any position
+        pairs = [e.key() for e in sample]
+        pairs.insert(data.draw(st.integers(0, len(pairs))), (perturbations.size + outside, 1))
+        with pytest.raises(StructuralError, match=f"point {perturbations.size + outside} outside"):
+            _first_unrealizable_index(family, Sample.from_pairs(pairs), perturbations)
+        return
+    expected = None
+    for i in range(len(sample)):
+        prefix = Sample(sample.examples[: i + 1])
+        if all(empirical_robust_risk(h, prefix, perturbations) > 0 for h in family):
+            expected = i
+            break
+    assert _first_unrealizable_index(family, sample, perturbations) == expected
 
 
 def test_learner_rejects_unrealizable_samples_naming_the_example():
@@ -735,3 +768,36 @@ def test_compression_bound_limits_and_contracts():
         compression_bound(0, 10, 0.5)
     with pytest.raises(ContractError):
         compression_bound(1, 10, 0.0)
+
+
+# --- pinned learner output -----------------------------------------------------
+
+
+def test_learner_output_is_pinned():
+    # sha256 over every report field, voter member index and provenance of
+    # 120 runs, each on the generator keyed (seed, trial) as the experiments
+    # key them: 60 separation-style runs on proper-failure(2) at m = 64 and
+    # 60 bound-check runs on the threshold-window fixture at m = 50.  A change
+    # to any learner stage that alters its output moves the digest.
+    runs = [
+        (make_proper_failure(2), 64, None),
+        (make_threshold_window_instance(), 50, LearnerConfig(n_initial=1, N_sparsify=3)),
+    ]
+    digest = hashlib.sha256()
+    for inst, m, config in runs:
+        index = {row.tobytes(): i for i, row in enumerate(inst.family.matrix)}
+        for trial in range(60):
+            rng = rng_stream(15, trial)
+            if inst.distributions:
+                dist = inst.distributions[int(rng.integers(len(inst.distributions)))]
+            else:
+                dist = _random_threshold_distribution(inst, rng)
+            sample = draw_sample(dist, m, rng)
+            report = learn_realizable_report(
+                inst.family, sample, inst.perturbations, config, rng=rng
+            )
+            vote = report.predictor
+            voters = [index[v.label_row.tobytes()] for v in vote.voters]
+            sizes = [getattr(report, f.name) for f in fields(report) if f.name != "predictor"]
+            digest.update(repr((sizes, voters, vote.provenance, vote.flags)).encode())
+    assert digest.hexdigest() == "4c4bf752eb6d329ce23d41201f315daa294b5d12bff6276761c0e606d10716cc"

@@ -139,20 +139,20 @@ def _mask(bits) -> int:
 def test_dimension_tables_match_the_per_ball_scan(case):
     family, perturbations, _ = case
     # loss_vc slot (x, y): + is robust loss 1 there, - is robust loss 0
-    loss, no_loss, domain, _ = _slot_table("loss_vc", family, perturbations)
+    loss, no_loss, domain = _slot_table("loss_vc", family, perturbations)
     assert domain == [(x, y) for x in range(perturbations.size) for y in (-1, 1)]
     for j, (x, y) in enumerate(domain):
         assert loss[j] == _mask(naive_loss(h, perturbations, x, y) for h in family)
         assert no_loss[j] == _mask(not naive_loss(h, perturbations, x, y) for h in family)
 
-    const_plus, const_minus, points, _ = _slot_table("disjoint_robust", family, perturbations)
+    const_plus, const_minus, points = _slot_table("disjoint_robust", family, perturbations)
     assert points == list(range(perturbations.size))
     for x in points:
         assert const_plus[x] == _mask(naive_constant(h, perturbations, x, +1) for h in family)
         assert const_minus[x] == _mask(naive_constant(h, perturbations, x, -1) for h in family)
 
     # robust slots: (z_plus, z_minus) with meeting balls and both sides realized, x the least common point
-    plus, minus, triples, _ = _slot_table("robust", family, perturbations)
+    plus, minus, triples = _slot_table("robust", family, perturbations)
     expected = [
         (min(set(perturbations[zp]) & set(perturbations[zm])), zp, zm)
         for zp in points
