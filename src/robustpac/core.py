@@ -240,13 +240,15 @@ class HypothesisFamily:
     def from_rows(cls, rows: Iterable[Sequence[int]], name: str | None = None) -> "HypothesisFamily":
         """The family of the given label rows.
 
-        The rows are converted once and, if numeric, handed to the
-        constructor.  Otherwise, or if the constructor fails, they are
+        The rows are stacked once and, if numeric, handed to the
+        constructor; a row that is not a list or tuple is first read into a
+        tuple, so one-shot iterables are replayed with the same values.  If
+        the labels are not numeric, or the constructor fails, the rows are
         replayed for the error: a row with a bad label, or an empty row,
         raises through `Hypothesis` in member order; then come the nonempty
         and equal-length checks, and last the constructor's own.
         """
-        rows = [tuple(r) for r in rows]
+        rows = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows]
         try:
             matrix = np.array(rows)
             if matrix.dtype.kind in "biuf":  # complex, string and object labels are replayed

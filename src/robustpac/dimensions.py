@@ -15,7 +15,11 @@ candidates cannot beat the best size found, or when a cell at depth s holds
 fewer than 2^(best + 1 - s) members: each sign pattern of the slots still to
 come needs its own member.  Both cuts drop only branches that cannot beat the
 best, so the first maximal witness the DFS meets, the lexicographically first
-one, is the witness an unpruned scan returns.
+one, is the witness an unpruned scan returns.  A child's candidate list is
+built inline, one loop over the parent's later candidates and the child's
+cells with no call per candidate.  The one helper, `wide`, checks the
+cell-size bound again when a candidate is picked, since the best size may
+have grown after the candidate was filtered.
 
 Before the search, `_distinct_slots` drops later copies and mirrors of a slot,
 which changes neither the value nor the witness.  `verify_witness` maps each
@@ -78,8 +82,9 @@ class DimensionWitness:
 
 def _column_masks(matrix: np.ndarray) -> list[int]:
     """Per column of a bool matrix: the bitmask of its set rows (row i is bit i)."""
-    packed = np.packbits(matrix, axis=0, bitorder="little")
-    return [int.from_bytes(packed[:, x].tobytes(), "little") for x in range(matrix.shape[1])]
+    columns = np.ascontiguousarray(np.packbits(matrix, axis=0, bitorder="little").T)
+    width, data = columns.shape[1], columns.tobytes()
+    return [int.from_bytes(data[x * width : (x + 1) * width], "little") for x in range(len(columns))]
 
 
 def _distinct_slots(plus: list[int], minus: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -114,20 +119,16 @@ def _max_shattered(slots: list[tuple[int, int]], limit: int) -> tuple[int, tuple
         return 0, ()
     best_value = 0
     best_choice: tuple[int, ...] = ()
+    chosen: list[int] = []
 
-    def fits(cells: list[int], plus: int, minus: int, need: int) -> bool:
+    def wide(cells: list[int], plus: int, minus: int, need: int) -> bool:
         """Does the slot leave at least `need` members on both sides of every cell?"""
-        if need == 1:
-            for m in cells:
-                if not (m & plus and m & minus):
-                    return False
-            return True
         for m in cells:
             if (m & plus).bit_count() < need or (m & minus).bit_count() < need:
                 return False
         return True
 
-    def extend(cells: list[int], candidates: list[int], chosen: list[int]) -> bool:
+    def extend(cells: list[int], candidates: list[int]) -> bool:
         nonlocal best_value, best_choice
         depth = len(chosen)
         if depth > best_value:
@@ -139,22 +140,43 @@ def _max_shattered(slots: list[tuple[int, int]], limit: int) -> tuple[int, tuple
             if depth + len(candidates) - i <= best_value:
                 break
             plus, minus = slots[j]
-            # The candidate passed `fits` when `best_value` may have been
+            # The candidate passed the filter when `best_value` may have been
             # smaller, so the cell-size bound is checked again on picking.
-            need = 1 << (best_value - depth)
-            if need > 1 and not fits(cells, plus, minus, need):
-                continue
+            need = 1
+            if best_value > depth:
+                if not wide(cells, plus, minus, 1 << (best_value - depth)):
+                    continue
+                need = 1 << (best_value - depth - 1)
             split = [h for m in cells for h in (m & plus, m & minus)]
-            need = 1 << max(best_value - depth - 1, 0)
-            later = [k for k in candidates[i + 1 :] if fits(split, *slots[k], need)]
-            if extend(split, later, chosen + [j]):
+            # The child's candidates: the later ones that leave `need` members
+            # on both sides of every child cell.
+            later = []
+            if need == 1:
+                for k in candidates[i + 1 :]:
+                    p, q = slots[k]
+                    for m in split:
+                        if not (m & p and m & q):
+                            break
+                    else:
+                        later.append(k)
+            else:
+                for k in candidates[i + 1 :]:
+                    p, q = slots[k]
+                    for m in split:
+                        if (m & p).bit_count() < need or (m & q).bit_count() < need:
+                            break
+                    else:
+                        later.append(k)
+            chosen.append(j)
+            if extend(split, later):
                 return True
+            chosen.pop()
         return False
 
-    # The root cell -1 stands for every member.  Only split halves are
-    # bit-counted, never -1 itself, whose bit_count() is 1.
-    root = [-1]
-    extend(root, [j for j, (plus, minus) in enumerate(slots) if fits(root, plus, minus, 1)], [])
+    # The root cell -1 stands for every member: a slot splits it when both
+    # masks are nonempty.  Only split halves are bit-counted, never -1 itself,
+    # whose bit_count() is 1.
+    extend([-1], [j for j, (plus, minus) in enumerate(slots) if plus and minus])
     return best_value, best_choice
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -347,10 +348,12 @@ SLOT_SIDE = st.sampled_from((1, -1, 0))
 
 
 @st.composite
-def slot_lists(draw):
-    """Slots over a universe of 1..8 members; each member is +, - or absent per slot."""
-    universe = draw(st.integers(min_value=1, max_value=8))
-    sides = draw(st.lists(st.lists(SLOT_SIDE, min_size=universe, max_size=universe), max_size=7))
+def slot_lists(draw, min_universe: int = 1, max_universe: int = 8, max_slots: int = 7):
+    """Slots over a universe of min..max_universe members; each member is +, - or absent per slot."""
+    universe = draw(st.integers(min_value=min_universe, max_value=max_universe))
+    sides = draw(
+        st.lists(st.lists(SLOT_SIDE, min_size=universe, max_size=universe), max_size=max_slots)
+    )
     slots = [
         (
             sum(1 << h for h, side in enumerate(row) if side == 1),
@@ -370,10 +373,7 @@ def slot_shattering(universe: int, slots):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(slot_lists(), st.integers(min_value=0, max_value=8))
-def test_max_shattered_matches_naive_combination_scan(inputs, limit):
-    universe, slots = inputs
+def check_max_shattered_against_naive_scan(universe: int, slots, limit: int) -> None:
     shattered = slot_shattering(universe, slots)
 
     items = range(len(slots))
@@ -388,6 +388,19 @@ def test_max_shattered_matches_naive_combination_scan(inputs, limit):
     assert w.value == min(full, ceiling)
     assert w.capped == (w.value == ceiling and ceiling < hard)
     assert w.capped or w.value == full
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_lists(), st.integers(min_value=0, max_value=8))
+def test_max_shattered_matches_naive_combination_scan(inputs, limit):
+    check_max_shattered_against_naive_scan(*inputs, limit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(slot_lists(min_universe=60, max_universe=70, max_slots=6), st.integers(min_value=0, max_value=8))
+def test_max_shattered_matches_naive_combination_scan_past_64_members(inputs, limit):
+    # masks of more than one machine word, and cells wide enough for the bit-counted cut
+    check_max_shattered_against_naive_scan(*inputs, limit)
 
 
 @st.composite
@@ -415,6 +428,79 @@ def test_dropping_copies_and_mirrors_keeps_the_first_witness(inputs, limit):
     mapped = tuple(reps[j] for j in chosen)
     assert (value, mapped) == _max_shattered(slots, limit)
     assert mapped == naive_first_shattered(range(len(slots)), shattered, limit)
+
+
+def reference_max_shattered(slots, limit):
+    """`_max_shattered` as it stood with one `fits` call per candidate, frozen as a reference."""
+    if limit <= 0 or not slots:
+        return 0, ()
+    best_value = 0
+    best_choice = ()
+
+    def fits(cells, plus, minus, need):
+        if need == 1:
+            for m in cells:
+                if not (m & plus and m & minus):
+                    return False
+            return True
+        for m in cells:
+            if (m & plus).bit_count() < need or (m & minus).bit_count() < need:
+                return False
+        return True
+
+    def extend(cells, candidates, chosen):
+        nonlocal best_value, best_choice
+        depth = len(chosen)
+        if depth > best_value:
+            best_value = depth
+            best_choice = tuple(chosen)
+            if best_value == limit:
+                return True
+        for i, j in enumerate(candidates):
+            if depth + len(candidates) - i <= best_value:
+                break
+            plus, minus = slots[j]
+            need = 1 << (best_value - depth)
+            if need > 1 and not fits(cells, plus, minus, need):
+                continue
+            split = [h for m in cells for h in (m & plus, m & minus)]
+            need = 1 << max(best_value - depth - 1, 0)
+            later = [k for k in candidates[i + 1 :] if fits(split, *slots[k], need)]
+            if extend(split, later, chosen + [j]):
+                return True
+        return False
+
+    root = [-1]
+    extend(root, [j for j, (plus, minus) in enumerate(slots) if fits(root, plus, minus, 1)], [])
+    return best_value, best_choice
+
+
+def random_slots(rng, n_slots: int, members: int, absent: float) -> list[tuple[int, int]]:
+    """Each member is absent from a slot with probability `absent`, else + or - evenly."""
+    draws = rng.random((n_slots, members))
+    plus, minus = draws < (1 - absent) / 2, draws >= (1 + absent) / 2
+    return [
+        (sum(1 << h for h in np.flatnonzero(p).tolist()), sum(1 << h for h in np.flatnonzero(q).tolist()))
+        for p, q in zip(plus, minus)
+    ]
+
+
+# Robust kinds: few slots over many members, some of them absent from a slot.
+# Dual: many slots over few members, every member on one side.
+DIMS_SHAPES = {
+    "robust": lambda rng: random_slots(
+        rng, int(rng.integers(10, 14)), int(rng.integers(64, 257)), float(rng.uniform(0.05, 0.6))
+    ),
+    "dual": lambda rng: random_slots(rng, int(rng.integers(100, 301)), int(rng.integers(10, 14)), 0.0),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DIMS_SHAPES))
+def test_max_shattered_matches_the_per_candidate_reference_on_dims_sizes(shape):
+    for seed in range(25):
+        slots = DIMS_SHAPES[shape](rng_stream(seed, 21))
+        for limit in range(13):
+            assert _max_shattered(slots, limit) == reference_max_shattered(slots, limit), (seed, limit)
 
 
 @st.composite

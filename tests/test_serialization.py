@@ -187,6 +187,24 @@ def test_from_rows_matches_per_member_construction(rows):
         assert_same_family(bulk[1], naive[1])
 
 
+@settings(max_examples=150, deadline=None)
+@given(label_rows())
+def test_from_rows_reads_one_shot_rows_like_lists(rows):
+    # lists are stacked as they are; other rows are read once, so generators replay the same labels
+    listed = outcome(HypothesisFamily.from_rows, rows, "f")
+    for form in (
+        [tuple(r) for r in rows],
+        (iter(r) for r in rows),
+        ((v for v in r) for r in rows),
+    ):
+        once = outcome(HypothesisFamily.from_rows, form, "f")
+        assert once[0] == listed[0]
+        if once[0] == "raised":
+            assert once[1] == listed[1]
+        else:
+            assert_same_family(once[1], listed[1])
+
+
 @st.composite
 def atom_lists(draw):
     """Atoms on distinct examples with exact, float or mixed weights, sometimes corrupted."""
