@@ -15,29 +15,28 @@ from robustpac import (
     MajorityVotePredictor,
     PerturbationMap,
     Sample,
-    empirical_error,
     empirical_robust_risk,
     population_robust_risk,
     robust_loss,
-    standard_loss,
 )
 
 
 def main() -> None:
     # Four points on a line; the adversary may shift each point one step right.
     shift_right = PerturbationMap(((0, 1), (1, 2), (2, 3), (3,)))
+    identity = PerturbationMap.identity(4)  # U(x) = {x}: robust loss is plain 0-1 loss
     h = Hypothesis((+1, +1, -1, -1))
 
     example = LabeledExample(1, +1)
     print("predictor labels:", h.labels)
     print("U(1) =", shift_right[1])
-    print("standard loss at (1, +1):", standard_loss(h, example))
+    print("standard loss at (1, +1):", robust_loss(h, example, identity))
     print("robust   loss at (1, +1):", robust_loss(h, example, shift_right))
     print("(point 2 sits inside U(1) and is labeled -1, so the adversary wins)\n")
 
     sample = Sample.from_pairs([(0, +1), (1, +1), (2, -1), (3, -1)])
     print("sample:", [(e.point, e.label) for e in sample])
-    print("empirical error      :", empirical_error(h, sample))
+    print("empirical error      :", empirical_robust_risk(h, sample, identity))
     print("empirical robust risk:", empirical_robust_risk(h, sample, shift_right))
 
     dist = FiniteDistribution.uniform(sample.examples)

@@ -19,13 +19,11 @@ from .core import (
     Sample,
     StructuralError,
     check_self_containment,
-    empirical_error,
     empirical_robust_risk,
     population_robust_risk,
     robust_loss,
-    standard_loss,
 )
-from .oracles import OracleResult, erm, rerm, robustly_consistent
+from .oracles import OracleResult, rerm
 from .dimensions import (
     DimensionWitness,
     disjoint_robust_shattering_dim,

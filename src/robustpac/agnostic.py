@@ -56,7 +56,7 @@ def max_realizable_subsequence(
     """
     if len(sample) == 0:
         raise ContractError("core extraction requires a nonempty sample")
-    covered = ~family.robust_table(perturbations).loss(sample)
+    covered = ~family.robust_table(perturbations).loss_at(sample.points(), sample.labels())
     best = int(np.argmax(covered.sum(axis=1)))
     return tuple(int(j) for j in np.flatnonzero(covered[best]))
 
@@ -104,7 +104,7 @@ def learn_agnostic(
     kept_original = [run[0] for run in sample.distinct.positions if run[0] in in_core]
     core_sample = Sample(tuple(sample[j] for j in kept_original))
 
-    loss = family.robust_table(perturbations).loss(core_sample)
+    loss = family.robust_table(perturbations).loss_at(core_sample.points(), core_sample.labels())
     candidates, _, boost = _boost_growing_n(
         family,
         core_sample,

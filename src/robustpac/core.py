@@ -34,8 +34,6 @@ __all__ = [
     "robust_loss",
     "empirical_robust_risk",
     "population_robust_risk",
-    "standard_loss",
-    "empirical_error",
     "check_self_containment",
 ]
 
@@ -109,10 +107,6 @@ class PerturbationMap:
     def size(self) -> int:
         return len(self.sets)
 
-    @property
-    def max_set_size(self) -> int:
-        return max(len(s) for s in self.sets)
-
     def __getitem__(self, point: int) -> tuple[int, ...]:
         if not 0 <= point < len(self.sets):
             raise StructuralError(f"point {point} outside instance space of size {self.size}")
@@ -132,7 +126,8 @@ class RobustTable:
     The robust loss sup_{z in U(x)} 1[h(z) != y] is 1 exactly when h is not
     constant y on U(x), so the two (rows, points) matrices hold the whole
     robust loss class.  Both are built in one pass over the CSR layout of
-    the perturbation sets.
+    the perturbation sets, and `loss_at` is the one reader of losses from
+    them.
     """
 
     const_plus: np.ndarray
@@ -149,16 +144,6 @@ class RobustTable:
             _read_only(np.logical_and.reduceat(gathered == 1, starts, axis=1)),
             _read_only(np.logical_and.reduceat(gathered == -1, starts, axis=1)),
         )
-
-    @cached_property
-    def loss_matrix(self) -> np.ndarray:
-        """(rows, 2 * points) bool robust losses; column 2x is (x, -1), 2x + 1 is (x, +1)."""
-        stacked = np.stack((self.const_minus, self.const_plus), axis=2)
-        return _read_only(~stacked.reshape(len(stacked), -1))
-
-    def loss(self, sample: Sample) -> np.ndarray:
-        """(rows, len(sample)) bool: robust 0-1 loss of each row on each example."""
-        return self.loss_at(sample.points(), sample.labels())
 
     def loss_at(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """(rows, len(points)) bool: robust 0-1 loss of each row on each (point, label) column."""
@@ -203,9 +188,6 @@ class Hypothesis:
     @cached_property
     def label_row(self) -> np.ndarray:
         return _read_only(np.asarray(self.labels, dtype=np.int8))
-
-    def labels_at(self, points: Sequence[int]) -> np.ndarray:
-        return self.label_row[np.asarray(points, dtype=np.intp)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,9 +295,6 @@ class LabeledExample:
         _check_label(self.label)
         if self.point < 0:
             raise StructuralError(f"point index must be nonnegative, got {self.point}")
-
-    def key(self) -> tuple[int, int]:
-        return (self.point, self.label)
 
 
 class DistinctExamples(NamedTuple):
@@ -432,15 +411,8 @@ class FiniteDistribution:
         n = len(examples)
         return cls(tuple((e, Fraction(1, n)) for e in examples))
 
-    @classmethod
-    def point_mass(cls, example: LabeledExample) -> "FiniteDistribution":
-        return cls(((example, Fraction(1)),))
-
     def __len__(self) -> int:
         return len(self.atoms)
-
-    def support(self) -> tuple[LabeledExample, ...]:
-        return tuple(e for e, _ in self.atoms)
 
     def probabilities(self) -> np.ndarray:
         return np.asarray([float(p) for _, p in self.atoms], dtype=np.float64)
@@ -532,39 +504,30 @@ def _robust_losses(
     predictor: Predictor, sample: Sample, perturbations: PerturbationMap
 ) -> np.ndarray:
     """Robust 0-1 loss of the predictor on each example, read from its one-row table."""
-    return RobustTable.build(predictor.label_row[np.newaxis, :], perturbations).loss(sample)[0]
+    table = RobustTable.build(predictor.label_row[np.newaxis, :], perturbations)
+    return table.loss_at(sample.points(), sample.labels())[0]
 
 
 def robust_loss(predictor: Predictor, example: LabeledExample, perturbations: PerturbationMap) -> int:
     """Worst-case 0-1 loss over the example's perturbation set.
 
     Returns 1 iff some z in U(example.point) is mislabeled by the predictor.
+    Under `PerturbationMap.identity(n)` this is the standard 0-1 loss.
     """
     return int(_robust_losses(predictor, Sample((example,)), perturbations)[0])
-
-
-def standard_loss(predictor: Predictor, example: LabeledExample) -> int:
-    """Plain 0-1 loss: robust loss under the identity adversary."""
-    if not 0 <= example.point < predictor.size:
-        raise StructuralError(f"point {example.point} outside instance space")
-    return int(predictor.label_of(example.point) != example.label)
 
 
 def empirical_robust_risk(
     predictor: Predictor, sample: Sample, perturbations: PerturbationMap
 ) -> Fraction:
-    """Mean robust loss over the sample, counting repeats with multiplicity."""
+    """Mean robust loss over the sample, counting repeats with multiplicity.
+
+    Under `PerturbationMap.identity(n)` this is the standard empirical error.
+    """
     if len(sample) == 0:
         raise ContractError("empirical robust risk requires a nonempty sample")
     mistakes = int(_robust_losses(predictor, sample, perturbations).sum())
     return Fraction(mistakes, len(sample))
-
-
-def empirical_error(predictor: Predictor, sample: Sample) -> Fraction:
-    """Mean standard 0-1 loss over the sample."""
-    if len(sample) == 0:
-        raise ContractError("empirical error requires a nonempty sample")
-    return empirical_robust_risk(predictor, sample, PerturbationMap.identity(predictor.size))
 
 
 def population_robust_risk(

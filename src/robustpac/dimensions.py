@@ -211,11 +211,14 @@ def _slot_table(
     if kind not in ("loss_vc", "disjoint_robust", "robust"):
         raise StructuralError(f"unknown witness kind {kind!r}")
     table = family.robust_table(perturbations)
-    if kind == "loss_vc":
-        loss = table.loss_matrix
-        domain = [(x, y) for x in range(perturbations.size) for y in (-1, 1)]
-        return _column_masks(loss), _column_masks(~loss), domain
     const_plus, const_minus = _column_masks(table.const_plus), _column_masks(table.const_minus)
+    if kind == "loss_vc":
+        # slot (x, y) loses on the members not constant y on U(x), and
+        # keeps the loss at 0 on the rest
+        everyone = (1 << len(family)) - 1
+        kept = [m for pair in zip(const_minus, const_plus) for m in pair]
+        domain = [(x, y) for x in range(perturbations.size) for y in (-1, 1)]
+        return [everyone ^ m for m in kept], kept, domain
     if kind == "disjoint_robust":
         return const_plus, const_minus, list(range(perturbations.size))
     # robust: the pairs (z_plus, z_minus) whose balls meet, z_plus ascending, then z_minus,
@@ -248,12 +251,14 @@ def _structural_bound(
 
     No shattered set can exceed it.  The objects are the members, except for
     the dual dimension, whose slots are members split by the distinct
-    columns, and the loss class, whose objects are the distinct loss rows.
+    columns, and the loss class, whose objects are the distinct loss rows:
+    one per distinct pair of constancy rows, which fix the loss row.
     """
     if kind == "dual_vc":
         objects = len(set(_column_masks(family.matrix == 1)))
     elif kind == "loss_vc":
-        objects = len({row.tobytes() for row in family.robust_table(perturbations).loss_matrix})
+        table = family.robust_table(perturbations)
+        objects = len({p.tobytes() + m.tobytes() for p, m in zip(table.const_plus, table.const_minus)})
     else:
         objects = len(family)
     return _floor_log2(objects)

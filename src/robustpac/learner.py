@@ -177,10 +177,6 @@ class RealizableRunReport:
     def compression_size(self) -> int:
         return self.predictor.compression_size
 
-    @property
-    def pre_sparsification_size(self) -> int:
-        return self.n_used * self.rounds
-
 
 def build_candidates(
     family: HypothesisFamily,

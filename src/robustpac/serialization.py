@@ -85,9 +85,16 @@ def probability_to_string(p: Fraction | float) -> str:
 
 
 def parse_probability(text: str | float) -> Fraction:
-    """The exact value of a decimal or "p/q" string, or of a JSON number; booleans are refused."""
+    """The exact value of a decimal or "p/q" string, or of a JSON number.
+
+    Booleans are refused, and so are exponent-form strings such as "1e-9":
+    Fraction would build the power of ten in full, which for "1e999999999"
+    does not finish.
+    """
     if type(text) is bool:  # Fraction(True) would be 1
         raise StructuralError(f"instance document has a boolean probability: {text!r}")
+    if isinstance(text, str) and "e" in text.lower():
+        raise StructuralError(f"cannot parse probability {text!r}: write a decimal or p/q")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -272,7 +279,7 @@ def loads_instance(text: str) -> ConstructedInstance:
     """Parse one instance document; malformed JSON and wrong-typed fields raise StructuralError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise StructuralError(f"instance document is not valid JSON: {exc}") from exc
     try:
         return instance_from_dict(doc)

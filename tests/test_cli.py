@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -185,15 +186,18 @@ def test_threads_flag_is_gone(capsys):
     [
         (["construct", "lower-bound", "--d", "3", "--epsilon", "abc"], "--epsilon"),
         (["construct", "lower-bound", "--d", "3", "--epsilon", "1/0"], "--epsilon"),
+        (["construct", "lower-bound", "--d", "2", "--epsilon", "1e-99999999"], "--epsilon"),
         (["construct", "agnostic-lower-bound", "--d", "3", "--alpha", "0.5.5"], "--alpha"),
         (["construct", "union-truncation", "--blocks", "1,x"], "--blocks"),
         (["experiment", "k-scaling", "--k-list", "1,x"], "--k-list"),
     ],
 )
 def test_malformed_flag_values_exit_two_without_a_traceback(capsys, argv, flag):
+    start = time.perf_counter()
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+    assert time.perf_counter() - start < 1
     stderr = capsys.readouterr().err
     assert f"argument {flag}" in stderr
     assert "Traceback" not in stderr
@@ -332,4 +336,25 @@ def test_malformed_instance_file_exits_two(tmp_path, capsys, name, edit):
     assert main(["dims", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: instance document ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('"1e999999999"', "error: cannot parse probability '1e999999999'"),
+        ("9" * 5000, "error: instance document is not valid JSON"),
+    ],
+    ids=["exponent-probability", "over-long-integer"],
+)
+def test_oversized_numbers_in_an_instance_exit_two_at_once(tmp_path, capsys, text, message):
+    edit = lambda doc: doc["distributions"][0]["atoms"][0].update(p="HUGE")  # noqa: E731
+    path = Path(_corrupted_instance(tmp_path, "huge_number.json", edit))
+    path.write_text(path.read_text().replace('"HUGE"', text))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["dims", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
     assert "Traceback" not in err

@@ -17,11 +17,9 @@ from robustpac.core import (
     Sample,
     StructuralError,
     check_self_containment,
-    empirical_error,
     empirical_robust_risk,
     population_robust_risk,
     robust_loss,
-    standard_loss,
 )
 from robustpac.constructions import (
     make_agnostic_lower_bound,
@@ -45,7 +43,7 @@ def test_robust_loss_scans_the_whole_perturbation_set():
     h = Hypothesis((1, -1))
     u = PerturbationMap(((0, 1), (1,)))
     assert robust_loss(h, LabeledExample(0, 1), u) == 1
-    assert standard_loss(h, LabeledExample(0, 1)) == 0
+    assert robust_loss(h, LabeledExample(0, 1), PerturbationMap.identity(2)) == 0
 
 
 def test_blowup_robust_loss_reads_the_bit():
@@ -81,7 +79,7 @@ def test_population_risk_weighted_count():
     risk = population_robust_risk(h, dist, PerturbationMap.identity(2 * m))
     assert risk == Fraction(j, 2 * m)
     assert population_robust_risk(
-        h, FiniteDistribution.point_mass(LabeledExample(0, 1)), PerturbationMap.identity(2 * m)
+        h, FiniteDistribution.uniform([LabeledExample(0, 1)]), PerturbationMap.identity(2 * m)
     ) == 0
 
 
@@ -96,11 +94,12 @@ def test_empirical_on_full_support_equals_population():
     inst = make_lower_bound_family(2, Fraction(1, 16))
     u = inst.perturbations
     for dist in inst.distributions[:2]:
-        sample = Sample(dist.support())
+        support = tuple(e for e, _ in dist.atoms)
+        sample = Sample(support)
         for h in list(inst.family)[:4]:
             emp = empirical_robust_risk(h, sample, u)
             pop_uniform = population_robust_risk(
-                h, FiniteDistribution.uniform(dist.support()), u
+                h, FiniteDistribution.uniform(support), u
             )
             assert emp == pop_uniform
 
@@ -261,19 +260,10 @@ def test_standard_loss_lower_bounds_robust_loss_and_monotonicity(case):
     u_outer = PerturbationMap(
         tuple(tuple(outer) if x == example.point else (x,) for x in range(n))
     )
-    # example.point is in its own set: standard loss <= robust loss
-    assert standard_loss(h, example) <= robust_loss(h, example, u_inner)
+    # example.point is in its own set: standard (identity-adversary) loss <= robust loss
+    assert robust_loss(h, example, PerturbationMap.identity(n)) <= robust_loss(h, example, u_inner)
     # U(x) subset of U'(x) pointwise: robust loss is monotone
     assert robust_loss(h, example, u_inner) <= robust_loss(h, example, u_outer)
-
-
-def test_standard_risk_delegates_to_identity_adversary():
-    h = Hypothesis((1, -1, 1, -1))
-    sample = Sample.from_pairs([(0, 1), (1, 1), (2, -1), (3, -1)])
-    assert empirical_error(h, sample) == Fraction(2, 4)
-    assert empirical_error(h, sample) == empirical_robust_risk(
-        h, sample, PerturbationMap.identity(4)
-    )
 
 
 # --- differential tests for the cached distribution columns -------------------
@@ -314,7 +304,7 @@ def test_draw_sample_matches_the_per_draw_support_lookup(case, m, seed):
     sample = draw_sample(dist, m, rng)
     cdf = np.cumsum(dist.probabilities())
     cdf[-1] = 1.0
-    support = dist.support()
+    support = tuple(e for e, _ in dist.atoms)
     expected = Sample(
         tuple(support[int(i)] for i in np.searchsorted(cdf, reference_rng.random(m), side="right"))
     )

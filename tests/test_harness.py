@@ -39,7 +39,7 @@ from robustpac.serialization import (
 
 
 def test_point_mass_sampling():
-    dist = FiniteDistribution.point_mass(LabeledExample(2, -1))
+    dist = FiniteDistribution.uniform([LabeledExample(2, -1)])
     sample = sample_iid(dist, 10, seed=0)
     assert all(e == LabeledExample(2, -1) for e in sample)
 
@@ -71,7 +71,7 @@ def test_same_seed_same_sample():
 
 
 def test_sample_size_contract():
-    dist = FiniteDistribution.point_mass(LabeledExample(0, 1))
+    dist = FiniteDistribution.uniform([LabeledExample(0, 1)])
     with pytest.raises(ContractError):
         sample_iid(dist, 0, seed=1)
 
@@ -199,7 +199,7 @@ def test_group_adversary_shapes():
     assert vc(inst.family).value == 2
     for k in (1, 2, 8):
         u = group_adversary_for_k(inst, k)
-        assert u.max_set_size == k
+        assert max(map(len, u.sets)) == k
     with pytest.raises(ContractError):
         group_adversary_for_k(inst, 9)
     # k = 1 is the identity-adversary baseline

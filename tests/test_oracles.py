@@ -12,7 +12,7 @@ from robustpac.core import (
     Sample,
     empirical_robust_risk,
 )
-from robustpac.oracles import erm, rerm, robustly_consistent
+from robustpac.oracles import rerm
 from robustpac.constructions import make_proper_failure, make_vc_blowup
 from robustpac.prng import rng_stream
 
@@ -21,8 +21,7 @@ from conftest import random_labeled_sample
 
 def test_rerm_realizable_sample_reaches_zero():
     inst = make_proper_failure(1)
-    support = inst.distributions[0].support()
-    sample = Sample(support)
+    sample = Sample(tuple(e for e, _ in inst.distributions[0].atoms))
     result = rerm(inst.family, sample, inst.perturbations)
     assert result.risk == 0
 
@@ -80,35 +79,27 @@ def test_rerm_is_permutation_invariant():
         assert a.hypothesis_index == b.hypothesis_index
 
 
-def test_rerm_with_identity_equals_standard_erm():
-    for seed in range(5):
-        family, _, sample = random_labeled_sample(seed)
-        identity = PerturbationMap.identity(family.space_size)
-        assert rerm(family, sample, identity) == erm(family, sample)
-
-
 def test_robustly_consistent_present_and_absent():
     inst = make_vc_blowup(2)
     anchors_plus = Sample.from_pairs([(0, 1), (1, 1)])
-    hit = robustly_consistent(inst.family, anchors_plus, inst.perturbations)
+    hit = rerm(inst.family, anchors_plus, inst.perturbations)
     # the all-plus member (code 0) is robustly right on every anchor
-    assert hit is not None and hit.hypothesis_index == 0 and hit.risk == 0
+    assert hit.hypothesis_index == 0 and hit.risk == 0
 
     # (x, +1) and (x, -1) with x in U(x): nothing is robustly right on both
     family = HypothesisFamily.from_rows([(1, 1), (-1, -1)])
     sample = Sample.from_pairs([(0, 1), (0, -1)])
-    assert robustly_consistent(family, sample, PerturbationMap.identity(2)) is None
+    assert rerm(family, sample, PerturbationMap.identity(2)).risk > 0
 
 
 def test_consistency_scan_on_blowup_needs_the_all_zero_pattern():
     inst = make_vc_blowup(3)
     sample = Sample.from_pairs([(i, 1) for i in range(3)])
-    hit = robustly_consistent(inst.family, sample, inst.perturbations)
-    assert hit is not None
-    assert hit.hypothesis_index == 0  # the all-plus member, bit pattern zero
+    hit = rerm(inst.family, sample, inst.perturbations)
+    assert hit.hypothesis_index == 0 and hit.risk == 0  # the all-plus member, bit pattern zero
 
     # the weight-restricted variant drops that member, so nothing is consistent
     # on the full anchor set: every member is robustly wrong somewhere
     restricted = make_proper_failure(1)
     anchors = Sample.from_pairs([(i, 1) for i in restricted.anchors["anchors"]])
-    assert robustly_consistent(restricted.family, anchors, restricted.perturbations) is None
+    assert rerm(restricted.family, anchors, restricted.perturbations).risk > 0

@@ -7,6 +7,7 @@ drawn freely, so a point need not lie in its own set and set sizes vary.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,9 +26,9 @@ from robustpac.core import (
     population_robust_risk,
     robust_loss,
 )
-from robustpac.dimensions import _slot_table
+from robustpac.dimensions import _slot_table, _structural_bound
 from robustpac.learner import _first_unrealizable_index
-from robustpac.oracles import rerm, robust_mistake_counts
+from robustpac.oracles import rerm
 
 SIGNS = st.sampled_from((-1, 1))
 
@@ -74,7 +75,7 @@ def test_losses_and_risks_match_the_per_ball_scan(case, data):
             assert robust_loss(predictor, e, perturbations) == expected
         assert empirical_robust_risk(predictor, sample, perturbations) == Fraction(sum(losses), len(sample))
 
-        keys = sorted({e.key() for e in sample})
+        keys = sorted({(e.point, e.label) for e in sample})
         weights = data.draw(st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys)))
         total = sum(weights)
         exact = FiniteDistribution(
@@ -105,8 +106,9 @@ def test_oracle_and_learner_reads_match_the_per_ball_scan(case):
     counts = [
         sum(naive_loss(h, perturbations, e.point, e.label) for e in sample) for h in family
     ]
-    assert robust_mistake_counts(family, sample, perturbations).tolist() == counts
-    assert rerm(family, sample, perturbations).hypothesis_index == counts.index(min(counts))
+    result = rerm(family, sample, perturbations)
+    assert result.risk == Fraction(min(counts), len(sample))
+    assert result.hypothesis_index == counts.index(min(counts))
 
     alive = set(range(len(family)))
     expected = None
@@ -166,6 +168,17 @@ def test_dimension_tables_match_the_per_ball_scan(case):
     assert minus == [_mask(naive_constant(h, perturbations, zm, -1) for h in family) for _, _, zm in triples]
 
 
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_loss_class_bound_counts_the_distinct_loss_rows(case):
+    family, perturbations, _ = case
+    rows = {
+        tuple(naive_loss(h, perturbations, x, y) for x in range(perturbations.size) for y in (-1, 1))
+        for h in family
+    }
+    assert _structural_bound("loss_vc", family, perturbations) == math.floor(math.log2(len(rows)))
+
+
 def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
     family = HypothesisFamily.from_rows([(1, -1, 1), (1, 1, 1)])
     u = PerturbationMap(((0, 1), (1,), (2, 0)))
@@ -174,7 +187,7 @@ def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
     for call in (
         lambda: robust_loss(family[0], LabeledExample(3, 1), u),
         lambda: empirical_robust_risk(vote, outside, u),
-        lambda: robust_mistake_counts(family, outside, u),
+        lambda: rerm(family, outside, u),
         lambda: _first_unrealizable_index(family, outside, u),
         lambda: max_realizable_subsequence(family, outside, u),
     ):
@@ -186,7 +199,7 @@ def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
         for call in (
             lambda: empirical_robust_risk(family[0], inside, wrong_size),
             lambda: empirical_robust_risk(vote, inside, wrong_size),
-            lambda: robust_mistake_counts(family, inside, wrong_size),
+            lambda: rerm(family, inside, wrong_size),
             lambda: _slot_table("loss_vc", family, wrong_size),
             lambda: _slot_table("disjoint_robust", family, wrong_size),
         ):

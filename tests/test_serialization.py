@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -80,9 +81,10 @@ def naive_distribution(atoms) -> FiniteDistribution:
     for example, p in atoms:
         if p <= 0:
             raise StructuralError(f"atom probability must be positive, got {p!r}")
-        if example.key() in seen:
-            raise StructuralError(f"duplicate atom {example.key()}")
-        seen.add(example.key())
+        key = (example.point, example.label)
+        if key in seen:
+            raise StructuralError(f"duplicate atom {key}")
+        seen.add(key)
         if isinstance(p, Fraction):
             total += p
         else:
@@ -442,6 +444,25 @@ def test_valid_anchors_load_as_tuples():
 def test_parse_probability_refuses_booleans(value):
     with pytest.raises(StructuralError, match=f"boolean probability: {value}"):
         parse_probability(value)
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "1E-99999999", "2.5e-1", "1/4e2"])
+def test_parse_probability_refuses_exponent_forms_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(StructuralError, match="write a decimal or p/q"):
+        parse_probability(text)
+    atoms = [{"point": 0, "label": 1, "p": text}]
+    with pytest.raises(StructuralError, match="write a decimal or p/q"):
+        loads_instance(json.dumps(_six_point_doc(distributions=[{"atoms": atoms}])))
+    assert time.perf_counter() - start < 1
+
+
+def test_over_long_json_integer_is_a_structural_error():
+    text = json.dumps(_six_point_doc()).replace('"size": 6', '"size": ' + "9" * 5000)
+    start = time.perf_counter()
+    with pytest.raises(StructuralError, match="instance document"):
+        loads_instance(text)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("anchors", [[0, 1], {"a": 5}, {"a": "01"}, None])
