@@ -186,10 +186,10 @@ def test_threads_flag_is_gone(capsys):
     [
         (["construct", "lower-bound", "--d", "3", "--epsilon", "abc"], "--epsilon"),
         (["construct", "lower-bound", "--d", "3", "--epsilon", "1/0"], "--epsilon"),
-        (["construct", "lower-bound", "--d", "2", "--epsilon", "1e-99999999"], "--epsilon"),
         (["construct", "agnostic-lower-bound", "--d", "3", "--alpha", "0.5.5"], "--alpha"),
         (["construct", "union-truncation", "--blocks", "1,x"], "--blocks"),
         (["experiment", "k-scaling", "--k-list", "1,x"], "--k-list"),
+        (["construct", "lower-bound", "--d", "2", "--epsilon", "1e-99999999"], "--epsilon"),
     ],
 )
 def test_malformed_flag_values_exit_two_without_a_traceback(capsys, argv, flag):
