@@ -8,7 +8,7 @@ randomness; identical parameters always produce identical instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Sequence, Union
@@ -58,32 +58,23 @@ class ConstructedInstance:
 
 def _blowup_parts(
     anchor_count: int, patterns: Sequence[tuple[int, ...]]
-) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Lay out one fresh point per (pattern, set bit) after the anchors.
 
-    Returns the space size, the perturbation sets (anchor i with the fresh
-    points of its bit, then a singleton per fresh point) and one member row
-    per pattern, labeling exactly that pattern's fresh points -1.
+    Returns the perturbation sets (anchor i with the fresh points of its bit,
+    then a singleton per fresh point) and the label matrix, whose width is the
+    space size: one row per pattern, labeling exactly that pattern's fresh
+    points -1.
     """
-    fresh_by_anchor: list[list[int]] = [[] for _ in range(anchor_count)]
-    fresh_by_pattern: list[list[int]] = []
-    next_point = anchor_count
-    for pattern in patterns:
-        mine: list[int] = []
-        for i in pattern:
-            fresh_by_anchor[i].append(next_point)
-            mine.append(next_point)
-            next_point += 1
-        fresh_by_pattern.append(mine)
-    sets = [tuple([i] + fresh) for i, fresh in enumerate(fresh_by_anchor)]
-    sets += [(z,) for z in range(anchor_count, next_point)]
-    rows = []
-    for mine in fresh_by_pattern:
-        row = [+1] * next_point
-        for z in mine:
-            row[z] = -1
-        rows.append(tuple(row))
-    return next_point, sets, rows
+    owners = [(row, i) for row, pattern in enumerate(patterns) for i in pattern]
+    size = anchor_count + len(owners)
+    balls = [[i] for i in range(anchor_count)]
+    matrix = np.ones((len(patterns), size), dtype=np.int8)
+    for z, (row, i) in enumerate(owners, start=anchor_count):
+        balls[i].append(z)
+        matrix[row, z] = -1
+    sets = [tuple(ball) for ball in balls] + [(z,) for z in range(anchor_count, size)]
+    return sets, matrix
 
 
 def make_vc_blowup(m: int) -> ConstructedInstance:
@@ -101,11 +92,11 @@ def make_vc_blowup(m: int) -> ConstructedInstance:
     if m > BLOWUP_CAP:
         raise ContractError(f"m={m} exceeds the cap {BLOWUP_CAP} (space grows as m * 2^(m-1))")
     patterns = [tuple(i for i in range(m) if (code >> i) & 1) for code in range(2 ** m)]
-    size, sets, rows = _blowup_parts(m, patterns)
+    sets, matrix = _blowup_parts(m, patterns)
     return ConstructedInstance(
-        space=InstanceSpace(size),
+        space=InstanceSpace(matrix.shape[1]),
         perturbations=PerturbationMap(tuple(sets)),
-        family=HypothesisFamily.from_rows(rows, name=f"vc-blowup(m={m})"),
+        family=HypothesisFamily(matrix, name=f"vc-blowup(m={m})"),
         anchors={"anchors": tuple(range(m))},
         distributions=None,
         metadata={"generator": "vc_blowup", "m": m},
@@ -128,15 +119,15 @@ def make_proper_failure(m: int, cap: int = PROPER_FAILURE_CAP) -> ConstructedIns
     if anchor_count > cap:
         raise ContractError(f"3m={anchor_count} exceeds the cap {cap}")
     patterns = list(combinations(range(anchor_count), m))
-    size, sets, rows = _blowup_parts(anchor_count, patterns)
+    sets, matrix = _blowup_parts(anchor_count, patterns)
     distributions = tuple(
         FiniteDistribution.uniform([LabeledExample(i, +1) for i in support])
         for support in combinations(range(anchor_count), 2 * m)
     )
     return ConstructedInstance(
-        space=InstanceSpace(size),
+        space=InstanceSpace(matrix.shape[1]),
         perturbations=PerturbationMap(tuple(sets)),
-        family=HypothesisFamily.from_rows(rows, name=f"proper-failure(m={m})"),
+        family=HypothesisFamily(matrix, name=f"proper-failure(m={m})"),
         anchors={"anchors": tuple(range(anchor_count))},
         distributions=distributions,
         metadata={"generator": "proper_failure", "m": m},
@@ -188,73 +179,48 @@ def make_union_truncation(block_sizes: Sequence[int]) -> ConstructedInstance:
     )
 
 
-def _pair_gap_layout(p: int) -> tuple[list[tuple[int, ...]], list[int], list[int], list[int]]:
-    """Points {a_i, u_i, c_i} per pair with single-point set intersections u_i."""
-    sets: list[tuple[int, ...]] = []
-    plus_side: list[int] = []
-    shared: list[int] = []
-    minus_side: list[int] = []
-    for i in range(p):
-        a, u, c = 3 * i, 3 * i + 1, 3 * i + 2
-        plus_side.append(a)
-        shared.append(u)
-        minus_side.append(c)
-        sets.append((a, u))
-        sets.append((a, u, c))
-        sets.append((u, c))
-    return sets, plus_side, shared, minus_side
+def make_pair_gap(p: int) -> ConstructedInstance:
+    """p point pairs whose perturbation sets intersect in a single point each.
 
-
-def _pair_gap_family(p: int) -> HypothesisFamily:
+    Pair i occupies the points a_i = 3i, u_i = 3i+1 and c_i = 3i+2, with
+    U(a_i) = {a_i, u_i}, U(u_i) = {a_i, u_i, c_i} and U(c_i) = {u_i, c_i}.
+    U(a_i) can be labeled all +1, U(c_i) all -1, and which one happens is
+    decided by bit i.  No set can be labeled constantly both ways (disjoint
+    robust shattering dimension 0), yet the shared points u_1..u_p are
+    robustly shattered through the witnesses (a_i, c_i), so the robust
+    shattering dimension is exactly p.  p is at most PAIR_CAP.
+    """
+    if p < 1:
+        raise ContractError(f"p must be >= 1, got {p}")
+    if p > PAIR_CAP:
+        raise ContractError(f"p={p} exceeds the cap {PAIR_CAP} (family has 2^p members)")
+    sets = [s for a in range(0, 3 * p, 3) for s in ((a, a + 1), (a, a + 1, a + 2), (a + 1, a + 2))]
     # Bit i of a member's code flips only the shared point u_i (code order is
     # full_cube's); the witness points keep fixed labels, so no single
     # perturbation set is ever labeled both ways.
     labels = np.ones((2 ** p, p, 3), dtype=np.int8)
     labels[:, :, 1] = HypothesisFamily.full_cube(p).matrix
     labels[:, :, 2] = -1
-    return HypothesisFamily(labels.reshape(2 ** p, 3 * p), name=f"pair-gap(p={p})")
-
-
-def make_pair_gap(p: int) -> ConstructedInstance:
-    """p point pairs whose perturbation sets intersect in a single point each.
-
-    Per pair: U(a_i) = {a_i, u_i} can be labeled all +1, U(c_i) = {u_i, c_i}
-    can be labeled all -1, and which one happens is decided by bit i.  No set
-    can be labeled constantly both ways (disjoint robust shattering dimension
-    0), yet the shared points u_1..u_p are robustly shattered through the
-    witnesses (a_i, c_i), so the robust shattering dimension is exactly p.
-    p is at most PAIR_CAP.
-    """
-    if p < 1:
-        raise ContractError(f"p must be >= 1, got {p}")
-    if p > PAIR_CAP:
-        raise ContractError(f"p={p} exceeds the cap {PAIR_CAP} (family has 2^p members)")
-    sets, plus_side, shared, minus_side = _pair_gap_layout(p)
-    size = 3 * p
     return ConstructedInstance(
-        space=InstanceSpace(size),
+        space=InstanceSpace(3 * p),
         perturbations=PerturbationMap(tuple(sets)),
-        family=_pair_gap_family(p),
+        family=HypothesisFamily(labels.reshape(2 ** p, 3 * p), name=f"pair-gap(p={p})"),
         anchors={
-            "shattered": tuple(shared),
-            "witness_plus": tuple(plus_side),
-            "witness_minus": tuple(minus_side),
+            "shattered": tuple(range(1, 3 * p, 3)),
+            "witness_plus": tuple(range(0, 3 * p, 3)),
+            "witness_minus": tuple(range(2, 3 * p, 3)),
         },
         distributions=None,
         metadata={"generator": "pair_gap", "p": p},
     )
 
 
-def _sign_vector(code: int, d: int) -> tuple[int, ...]:
-    """Sign pattern for a bit code: bit i set means coordinate i is -1."""
-    return tuple(-1 if (code >> i) & 1 else +1 for i in range(d))
-
-
 def make_lower_bound_family(d: int, epsilon: RationalLike) -> ConstructedInstance:
     """Robustly shattered base plus the 2^d realizable hard distributions.
 
-    Distribution D_y places mass 1-8eps on (witness of y_1, y_1) and
-    8eps/(d-1) on each remaining (witness of y_i, y_i); the member whose bits
+    The base is `make_pair_gap(d)`.  Distribution D_y places mass 1-8eps on
+    (witness of y_1, y_1) and 8eps/(d-1) on each remaining (witness of y_i,
+    y_i), the witness being a_i for +1 and c_i for -1; the member whose bits
     match y has robust risk 0 on D_y.  Distributions are indexed by the bit
     code of y (bit i set means y_i = -1).  d is at most PAIR_CAP.
     """
@@ -264,35 +230,27 @@ def make_lower_bound_family(d: int, epsilon: RationalLike) -> ConstructedInstanc
     if not 0 < eps < Fraction(1, 8):
         raise ContractError(f"epsilon must lie in (0, 1/8), got {eps}")
     base = make_pair_gap(d)
-    plus_side = base.anchors["witness_plus"]
-    minus_side = base.anchors["witness_minus"]
     head = 1 - 8 * eps
     tail = 8 * eps / (d - 1)
     distributions = []
     for code in range(2 ** d):
-        y = _sign_vector(code, d)
         atoms = []
         for i in range(d):
-            point = plus_side[i] if y[i] == +1 else minus_side[i]
-            mass = head if i == 0 else tail
-            atoms.append((LabeledExample(point, y[i]), mass))
+            y = -1 if (code >> i) & 1 else +1
+            point = 3 * i if y == +1 else 3 * i + 2
+            atoms.append((LabeledExample(point, y), head if i == 0 else tail))
         distributions.append(FiniteDistribution(tuple(atoms)))
-    return ConstructedInstance(
-        space=base.space,
-        perturbations=base.perturbations,
-        family=base.family,
-        anchors=base.anchors,
-        distributions=tuple(distributions),
-        metadata={"generator": "lower_bound_family", "d": d, "epsilon": str(eps)},
-    )
+    metadata = {"generator": "lower_bound_family", "d": d, "epsilon": str(eps)}
+    return replace(base, distributions=tuple(distributions), metadata=metadata)
 
 
 def make_agnostic_lower_bound(d: int, alpha: RationalLike) -> ConstructedInstance:
     """The agnostic hard distributions over the robustly shattered base.
 
-    For each bit vector b, both labels appear at every pair: coordinate i
-    carries mass (1 +/- alpha)/(2d) on its positive and negative atoms, with
-    the favored side selected by b_i.  The best member in the family has
+    The base is `make_pair_gap(d)`.  For each bit vector b, both labels
+    appear at every pair: coordinate i carries mass (1 +/- alpha)/(2d) on
+    its positive atom (a_i, +1) and its negative atom (c_i, -1), with the
+    favored side selected by b_i.  The best member in the family has
     population robust risk exactly (1-alpha)/2.  alpha is exposed as a raw
     parameter; no sample-complexity calibration is implied.  d is at most
     PAIR_CAP.
@@ -303,8 +261,6 @@ def make_agnostic_lower_bound(d: int, alpha: RationalLike) -> ConstructedInstanc
     if not 0 < a < 1:
         raise ContractError(f"alpha must lie in (0, 1), got {a}")
     base = make_pair_gap(d)
-    plus_side = base.anchors["witness_plus"]
-    minus_side = base.anchors["witness_minus"]
     light = (1 - a) / (2 * d)
     heavy = (1 + a) / (2 * d)
     distributions = []
@@ -312,14 +268,8 @@ def make_agnostic_lower_bound(d: int, alpha: RationalLike) -> ConstructedInstanc
         atoms = []
         for i in range(d):
             bit = (code >> i) & 1
-            atoms.append((LabeledExample(plus_side[i], +1), heavy if bit else light))
-            atoms.append((LabeledExample(minus_side[i], -1), light if bit else heavy))
+            atoms.append((LabeledExample(3 * i, +1), heavy if bit else light))
+            atoms.append((LabeledExample(3 * i + 2, -1), light if bit else heavy))
         distributions.append(FiniteDistribution(tuple(atoms)))
-    return ConstructedInstance(
-        space=base.space,
-        perturbations=base.perturbations,
-        family=base.family,
-        anchors=base.anchors,
-        distributions=tuple(distributions),
-        metadata={"generator": "agnostic_lower_bound", "d": d, "alpha": str(a)},
-    )
+    metadata = {"generator": "agnostic_lower_bound", "d": d, "alpha": str(a)}
+    return replace(base, distributions=tuple(distributions), metadata=metadata)

@@ -151,13 +151,11 @@ def make_threshold_window_instance() -> ConstructedInstance:
     sets = tuple(
         tuple(z for z in (x - 1, x, x + 1) if 0 <= z < n_points) for x in range(n_points)
     )
-    rows = [
-        tuple(+1 if x >= t else -1 for x in range(n_points)) for t in range(n_points + 1)
-    ]
+    labels = np.where(np.arange(n_points) >= np.arange(n_points + 1)[:, None], 1, -1)
     return ConstructedInstance(
         space=InstanceSpace(n_points),
         perturbations=PerturbationMap(sets),
-        family=HypothesisFamily.from_rows(rows, name=f"thresholds({n_points})"),
+        family=HypothesisFamily(labels, name=f"thresholds({n_points})"),
         anchors={},
         distributions=None,
         metadata={"generator": "threshold_window", "n_points": n_points},

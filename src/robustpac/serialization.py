@@ -32,6 +32,7 @@ re-indented to its depth, so its bytes and its errors are json's own.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -77,23 +78,28 @@ def probability_to_string(p: Fraction | float) -> str:
     if reduced != 1:
         return f"{f.numerator}/{f.denominator}"
     k = max(twos, fives)
-    scaled = f.numerator * 10 ** k // den
+    sign = "-" if f < 0 else ""
+    digits = str(abs(f.numerator) * 10 ** k // den).rjust(k + 1, "0")
     if k == 0:
-        return str(scaled)
-    digits = str(scaled).rjust(k + 1, "0")
-    return f"{digits[:-k]}.{digits[-k:]}"
+        return sign + digits
+    return f"{sign}{digits[:-k]}.{digits[-k:]}"
+
+
+_PROBABILITY = re.compile(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+")
 
 
 def parse_probability(text: str | float) -> Fraction:
     """The exact value of a decimal or "p/q" string, or of a JSON number.
 
-    Booleans are refused, and so are exponent-form strings such as "1e-9":
-    Fraction would build the power of ten in full, which for "1e999999999"
-    does not finish.
+    A string must match `-?[0-9]+(\\.[0-9]+)?` or `-?[0-9]+/[0-9]+` in full:
+    ASCII digits only, no whitespace, `+` sign, `_` separator or exponent.
+    Exponent forms in particular would make Fraction build the power of ten
+    in full, which for "1e999999999" does not finish.  Booleans are refused;
+    other JSON numbers are read exactly.
     """
     if type(text) is bool:  # Fraction(True) would be 1
         raise StructuralError(f"instance document has a boolean probability: {text!r}")
-    if isinstance(text, str) and "e" in text.lower():
+    if isinstance(text, str) and not _PROBABILITY.fullmatch(text):
         raise StructuralError(f"cannot parse probability {text!r}: write a decimal or p/q")
     try:
         return Fraction(text)

@@ -81,12 +81,16 @@ def test_sample_size_contract():
 
 def test_probability_strings_round_trip_exactly():
     cases = [Fraction(1, 4), Fraction(1, 3), Fraction(3, 50), Fraction(1), 0.1, 0.25]
+    cases += [Fraction(-1, 40), Fraction(-1, 3), -0.5]
     for p in cases:
         text = probability_to_string(p)
         assert parse_probability(text) == Fraction(p)
     assert probability_to_string(Fraction(1, 4)) == "0.25"
     assert probability_to_string(Fraction(1, 3)) == "1/3"
     assert probability_to_string(Fraction(3, 50)) == "0.06"
+    assert probability_to_string(Fraction(-1, 40)) == "-0.025"
+    assert probability_to_string(Fraction(-1, 4)) == "-0.25"
+    assert probability_to_string(Fraction(-1, 3)) == "-1/3"
 
 
 def test_instances_round_trip():

@@ -457,6 +457,41 @@ def test_parse_probability_refuses_exponent_forms_at_once(text):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "text", ["1_0/3", " 0.5 ", "+1/2", "\u0663/\u0664", ".5", "5.", "1/-2", "0.5\n", "", "-", "inf"]
+)
+def test_parse_probability_refuses_undocumented_forms(text):
+    with pytest.raises(StructuralError, match="write a decimal or p/q"):
+        parse_probability(text)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("0.25", Fraction(1, 4)), ("-0.025", Fraction(-1, 40)), ("3/4", Fraction(3, 4)),
+     ("-1/4", Fraction(-1, 4)), ("007", Fraction(7)), (0.5, Fraction(1, 2)), (1, Fraction(1))],
+)
+def test_parse_probability_reads_documented_forms_exactly(text, value):
+    assert parse_probability(text) == value
+
+
+def test_negative_atom_string_reaches_the_positivity_check():
+    atoms = [{"point": 0, "label": 1, "p": "-1/4"}, {"point": 1, "label": 1, "p": "5/4"}]
+    with pytest.raises(StructuralError, match="atom probability must be positive"):
+        loads_instance(json.dumps(_six_point_doc(distributions=[{"atoms": atoms}])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.fractions(),
+        st.builds(Fraction, st.integers(), st.sampled_from([1, 2, 4, 5, 8, 40, 1000])),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_probability_strings_round_trip(value):
+    assert parse_probability(probability_to_string(value)) == Fraction(value)
+
+
 def test_over_long_json_integer_is_a_structural_error():
     text = json.dumps(_six_point_doc()).replace('"size": 6', '"size": ' + "9" * 5000)
     start = time.perf_counter()
