@@ -22,6 +22,7 @@ from .core import (
     InstanceSpace,
     LabeledExample,
     PerturbationMap,
+    parse_probability,
 )
 
 __all__ = [
@@ -226,7 +227,7 @@ def make_lower_bound_family(d: int, epsilon: RationalLike) -> ConstructedInstanc
     """
     if d < 2:
         raise ContractError(f"d must be >= 2, got {d}")
-    eps = Fraction(epsilon)
+    eps = parse_probability(epsilon)
     if not 0 < eps < Fraction(1, 8):
         raise ContractError(f"epsilon must lie in (0, 1/8), got {eps}")
     base = make_pair_gap(d)
@@ -257,7 +258,7 @@ def make_agnostic_lower_bound(d: int, alpha: RationalLike) -> ConstructedInstanc
     """
     if d < 2:
         raise ContractError(f"d must be >= 2, got {d}")
-    a = Fraction(alpha)
+    a = parse_probability(alpha)
     if not 0 < a < 1:
         raise ContractError(f"alpha must lie in (0, 1), got {a}")
     base = make_pair_gap(d)

@@ -10,6 +10,7 @@ whenever the distribution's probabilities are rational.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,6 +62,37 @@ def _check_label(value: int) -> int:
     return int(value)
 
 
+def _checked_points(points: int | Sequence[int] | np.ndarray, size: int) -> np.ndarray:
+    """`points`, one index or many, as intp; raises on the first, in the order given, outside 0..size-1."""
+    points = np.asarray(points)
+    if points.size and (points.min() < 0 or points.max() >= size):
+        bad = points[(points < 0) | (points >= size)][0]
+        raise StructuralError(f"point {bad} outside instance space of size {size}")
+    return points.astype(np.intp, copy=False)
+
+
+_PROBABILITY = re.compile(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+")
+
+
+def parse_probability(text: str | float) -> Fraction:
+    """The exact value of a decimal or "p/q" string, or of a number.
+
+    A string must match `-?[0-9]+(\\.[0-9]+)?` or `-?[0-9]+/[0-9]+` in full:
+    ASCII digits only, no whitespace, `+` sign, `_` separator or exponent.
+    Exponent forms in particular would make Fraction build the power of ten
+    in full, which for "1e999999999" does not finish.  Booleans are refused;
+    other numbers are read exactly, and NaN and infinities are refused.
+    """
+    if type(text) is bool:  # Fraction(True) would be 1
+        raise StructuralError(f"instance document has a boolean probability: {text!r}")
+    if isinstance(text, str) and not _PROBABILITY.fullmatch(text):
+        raise StructuralError(f"cannot parse probability {text!r}: write a decimal or p/q")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise StructuralError(f"cannot parse probability {text!r}") from exc
+
+
 @dataclass(frozen=True)
 class InstanceSpace:
     """A finite set of points identified by index 0..size-1."""
@@ -108,15 +140,23 @@ class PerturbationMap:
         return len(self.sets)
 
     def __getitem__(self, point: int) -> tuple[int, ...]:
-        if not 0 <= point < len(self.sets):
-            raise StructuralError(f"point {point} outside instance space of size {self.size}")
+        _checked_points(point, self.size)
         return self.sets[point]
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(members, starts): all sets concatenated in point order, and where each begins."""
-        starts = np.cumsum([0] + [len(s) for s in self.sets[:-1]])
-        return np.fromiter(chain.from_iterable(self.sets), dtype=np.intp), starts
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """(members, bounds): the sets concatenated in point order; U(x) is members[bounds[x]:bounds[x+1]]."""
+        bounds = np.cumsum([0] + [len(s) for s in self.sets])
+        return np.fromiter(chain.from_iterable(self.sets), dtype=np.intp), bounds
+
+    def balls(self, points: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(members, begins): the sets of `points` concatenated in the given order, where each begins."""
+        points = _checked_points(points, self.size)
+        members, bounds = self._layout
+        sizes = bounds[points + 1] - bounds[points]
+        begins = np.cumsum(sizes) - sizes
+        offsets = np.repeat(bounds[points] - begins, sizes)
+        return members[np.arange(len(offsets)) + offsets], begins
 
 
 @dataclass(frozen=True)
@@ -125,8 +165,8 @@ class RobustTable:
 
     The robust loss sup_{z in U(x)} 1[h(z) != y] is 1 exactly when h is not
     constant y on U(x), so the two (rows, points) matrices hold the whole
-    robust loss class.  Both are built in one pass over the CSR layout of
-    the perturbation sets, and `loss_at` is the one reader of losses from
+    robust loss class.  Both are built in one pass over the perturbation
+    map's concatenated sets, and `loss_at` is the one reader of losses from
     them.
     """
 
@@ -138,19 +178,16 @@ class RobustTable:
         """Table of a (rows, space size) +1/-1 label matrix under `perturbations`."""
         if labels.shape[1] != perturbations.size:
             raise StructuralError("perturbation map and labels disagree on the instance space")
-        members, starts = perturbations.csr
+        members, bounds = perturbations._layout
         gathered = labels[:, members]
         return cls(
-            _read_only(np.logical_and.reduceat(gathered == 1, starts, axis=1)),
-            _read_only(np.logical_and.reduceat(gathered == -1, starts, axis=1)),
+            _read_only(np.logical_and.reduceat(gathered == 1, bounds[:-1], axis=1)),
+            _read_only(np.logical_and.reduceat(gathered == -1, bounds[:-1], axis=1)),
         )
 
     def loss_at(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """(rows, len(points)) bool: robust 0-1 loss of each row on each (point, label) column."""
-        size = self.const_plus.shape[1]
-        if len(points) and points.max() >= size:
-            bad = points[points >= size][0]
-            raise StructuralError(f"point {bad} outside instance space of size {size}")
+        points = _checked_points(points, self.const_plus.shape[1])
         return np.where(labels == 1, ~self.const_plus[:, points], ~self.const_minus[:, points])
 
 
@@ -181,8 +218,7 @@ class Hypothesis:
         return len(self.labels)
 
     def label_of(self, point: int) -> int:
-        if not 0 <= point < len(self.labels):
-            raise StructuralError(f"point {point} outside instance space of size {len(self.labels)}")
+        _checked_points(point, len(self.labels))
         return self.labels[point]
 
     @cached_property
@@ -483,8 +519,7 @@ class MajorityVotePredictor:
         return sum(len(t) for t in self.provenance)
 
     def label_of(self, point: int) -> int:
-        if not 0 <= point < self.size:
-            raise StructuralError(f"point {point} outside instance space of size {self.size}")
+        _checked_points(point, self.size)
         return int(self.label_row[point])
 
     @cached_property
@@ -494,7 +529,7 @@ class MajorityVotePredictor:
         return _read_only(np.where(votes >= 0, 1, -1).astype(np.int8))
 
     def labels_at(self, points: Sequence[int]) -> np.ndarray:
-        return self.label_row[np.asarray(points, dtype=np.intp)]
+        return self.label_row[_checked_points(points, self.size)]
 
 
 Predictor = Union[Hypothesis, MajorityVotePredictor]

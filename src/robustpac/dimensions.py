@@ -44,7 +44,7 @@ from math import comb
 
 import numpy as np
 
-from .core import ContractError, HypothesisFamily, PerturbationMap, StructuralError
+from .core import ContractError, HypothesisFamily, PerturbationMap, StructuralError, _checked_points
 
 __all__ = [
     "DEFAULT_CAP",
@@ -366,10 +366,7 @@ def verify_witness(
 
 def restriction_count(family: HypothesisFamily, points: tuple[int, ...]) -> int:
     """Number of distinct restrictions of the family to the given points."""
-    for x in points:
-        if not 0 <= x < family.space_size:
-            raise StructuralError(f"point {x} outside instance space of size {family.space_size}")
-    sub = family.matrix[:, np.asarray(points, dtype=np.intp)]
+    sub = family.matrix[:, _checked_points(points, family.space_size)]
     return len({sub[h].tobytes() for h in range(sub.shape[0])})
 
 

@@ -34,7 +34,6 @@ from .core import (
     MajorityVotePredictor,
     PerturbationMap,
     Sample,
-    StructuralError,
     empirical_robust_risk,
 )
 from .dimensions import dual_vc, vc
@@ -283,18 +282,10 @@ def inflate(sample: Sample, perturbations: PerturbationMap) -> tuple[np.ndarray,
     # a repeat reaches the same points as its first appearance, so the
     # distinct examples, in first-appearance order, own exactly what the sample owns
     distinct = sample.distinct
-    centers = distinct.points
-    if centers.max() >= perturbations.size:
-        bad = centers[centers >= perturbations.size][0]
-        raise StructuralError(f"point {bad} outside instance space of size {perturbations.size}")
-    members, starts = perturbations.csr
-    firsts = starts[centers]
-    sizes = np.append(starts[1:], len(members))[centers] - firsts
-    ends = np.cumsum(sizes)
-    reach = members[np.arange(ends[-1]) + np.repeat(firsts - (ends - sizes), sizes)]
-    owner = np.repeat(np.arange(len(centers)), sizes)
+    reach, begins = perturbations.balls(distinct.points)
     points, first = np.unique(reach, return_index=True)  # first occurrence = min-index owner
-    return points, distinct.labels[owner[first]]
+    owner = np.searchsorted(begins, first, side="right") - 1  # the ball holding each first occurrence
+    return points, distinct.labels[owner]
 
 
 def discretize(inflated: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> DiscretizedSet:

@@ -32,7 +32,6 @@ re-indented to its depth, so its bytes and its errors are json's own.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -49,6 +48,7 @@ from .core import (
     StructuralError,
     _checked_distribution,
     _exact_sum,
+    parse_probability,
 )
 
 __all__ = [
@@ -83,28 +83,6 @@ def probability_to_string(p: Fraction | float) -> str:
     if k == 0:
         return sign + digits
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
-
-
-_PROBABILITY = re.compile(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+")
-
-
-def parse_probability(text: str | float) -> Fraction:
-    """The exact value of a decimal or "p/q" string, or of a JSON number.
-
-    A string must match `-?[0-9]+(\\.[0-9]+)?` or `-?[0-9]+/[0-9]+` in full:
-    ASCII digits only, no whitespace, `+` sign, `_` separator or exponent.
-    Exponent forms in particular would make Fraction build the power of ten
-    in full, which for "1e999999999" does not finish.  Booleans are refused;
-    other JSON numbers are read exactly.
-    """
-    if type(text) is bool:  # Fraction(True) would be 1
-        raise StructuralError(f"instance document has a boolean probability: {text!r}")
-    if isinstance(text, str) and not _PROBABILITY.fullmatch(text):
-        raise StructuralError(f"cannot parse probability {text!r}: write a decimal or p/q")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise StructuralError(f"cannot parse probability {text!r}") from exc
 
 
 def instance_to_dict(instance: ConstructedInstance) -> dict[str, Any]:

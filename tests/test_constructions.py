@@ -21,6 +21,7 @@ from robustpac.constructions import (
 from robustpac.core import (
     ContractError,
     LabeledExample,
+    StructuralError,
     population_robust_risk,
     robust_loss,
 )
@@ -168,6 +169,21 @@ def test_lower_bound_parameter_ranges():
         make_lower_bound_family(3, Fraction(1, 8))
     with pytest.raises(ContractError):
         make_agnostic_lower_bound(3, 1)
+    # string and float parameters follow the probability grammar of instance files
+    for make, parameter in [
+        (make_lower_bound_family, "1_0/300"),
+        (make_lower_bound_family, " +1/20 "),
+        (make_lower_bound_family, "1e-999999"),
+        (make_lower_bound_family, float("nan")),
+        (make_agnostic_lower_bound, float("inf")),
+        (make_agnostic_lower_bound, float("-inf")),
+        (make_agnostic_lower_bound, "+1/2"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(StructuralError, match="cannot parse probability"):
+            make(2, parameter)
+        assert time.perf_counter() - start < 1
+    assert make_lower_bound_family(2, "0.05").metadata["epsilon"] == "1/20"
 
 
 def test_agnostic_lower_bound_best_risk_is_half_one_minus_alpha():

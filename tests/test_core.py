@@ -238,6 +238,26 @@ def test_perturbation_map_validation():
 
 
 @st.composite
+def _maps_and_points(draw):
+    """A perturbation map on at most 8 points and points of it, repeats and any order allowed."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    point = st.integers(min_value=0, max_value=n - 1)
+    sets = draw(st.lists(st.lists(point, min_size=1, max_size=n), min_size=n, max_size=n))
+    return PerturbationMap(tuple(map(tuple, sets))), draw(st.lists(point, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_maps_and_points())
+def test_balls_matches_the_per_point_concatenation(case):
+    perturbations, points = case
+    for given_points in (points, np.asarray(points, dtype=np.intp)):
+        members, begins = perturbations.balls(given_points)
+        assert members.tolist() == [z for x in points for z in perturbations.sets[x]]
+        sizes = [len(perturbations.sets[x]) for x in points]
+        assert begins.tolist() == [sum(sizes[:i]) for i in range(len(points))]
+
+
+@st.composite
 def _space_predictor_example(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     labels = draw(st.tuples(*[st.sampled_from((-1, 1)) for _ in range(n)]))

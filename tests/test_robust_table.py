@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,8 +27,8 @@ from robustpac.core import (
     population_robust_risk,
     robust_loss,
 )
-from robustpac.dimensions import _slot_table, _structural_bound
-from robustpac.learner import _first_unrealizable_index
+from robustpac.dimensions import _slot_table, _structural_bound, restriction_count
+from robustpac.learner import _first_unrealizable_index, inflate
 from robustpac.oracles import rerm
 
 SIGNS = st.sampled_from((-1, 1))
@@ -193,6 +194,25 @@ def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
     ):
         with pytest.raises(StructuralError, match="point 3 outside instance space of size 3"):
             call()
+
+    # every point lookup refuses -1 (where a caller can pass it) and n with one message
+    table = family.robust_table(u)
+    lookups = [
+        lambda p: table.loss_at(np.array([0, p]), np.array([1, 1])),
+        lambda p: vote.labels_at([0, p]),
+        lambda p: vote.label_of(p),
+        lambda p: family[0].label_of(p),
+        lambda p: u[p],
+        lambda p: u.balls([0, p]),
+        lambda p: restriction_count(family, (0, p)),
+    ]
+    for point in (-1, 3):
+        for lookup in lookups:
+            with pytest.raises(StructuralError, match=f"^point {point} outside instance space of size 3$"):
+                lookup(point)
+    # inflate takes a Sample, whose examples refuse negative points themselves
+    with pytest.raises(StructuralError, match="^point 3 outside instance space of size 3$"):
+        inflate(outside, u)
 
     inside = Sample.from_pairs([(0, 1)])
     for wrong_size in (PerturbationMap.identity(2), PerturbationMap.identity(4)):
