@@ -216,6 +216,13 @@ def make_pair_gap(p: int) -> ConstructedInstance:
     )
 
 
+def _rational_parameter(name: str, value: RationalLike) -> Fraction:
+    """`parse_probability(value)`, refusing a boolean under the parameter's name."""
+    if type(value) is bool:
+        raise ContractError(f"{name} must be a number or a decimal or p/q string, got {value!r}")
+    return parse_probability(value)
+
+
 def make_lower_bound_family(d: int, epsilon: RationalLike) -> ConstructedInstance:
     """Robustly shattered base plus the 2^d realizable hard distributions.
 
@@ -227,7 +234,7 @@ def make_lower_bound_family(d: int, epsilon: RationalLike) -> ConstructedInstanc
     """
     if d < 2:
         raise ContractError(f"d must be >= 2, got {d}")
-    eps = parse_probability(epsilon)
+    eps = _rational_parameter("epsilon", epsilon)
     if not 0 < eps < Fraction(1, 8):
         raise ContractError(f"epsilon must lie in (0, 1/8), got {eps}")
     base = make_pair_gap(d)
@@ -258,7 +265,7 @@ def make_agnostic_lower_bound(d: int, alpha: RationalLike) -> ConstructedInstanc
     """
     if d < 2:
         raise ContractError(f"d must be >= 2, got {d}")
-    a = parse_probability(alpha)
+    a = _rational_parameter("alpha", alpha)
     if not 0 < a < 1:
         raise ContractError(f"alpha must lie in (0, 1), got {a}")
     base = make_pair_gap(d)

@@ -63,12 +63,25 @@ def _check_label(value: int) -> int:
 
 
 def _checked_points(points: int | Sequence[int] | np.ndarray, size: int) -> np.ndarray:
-    """`points`, one index or many, as intp; raises on the first, in the order given, outside 0..size-1."""
-    points = np.asarray(points)
-    if points.size and (points.min() < 0 or points.max() >= size):
-        bad = points[(points < 0) | (points >= size)][0]
+    """`points`, one index or many, as intp; raises on the first, in the order given, outside 0..size-1.
+
+    Float and bool indices are refused, not truncated (an empty list, float64 to numpy, passes).
+    One `max` over the unsigned view checks the range: a negative index wraps past any size there.
+    """
+    given = np.asarray(points)
+    if given.dtype.kind not in "iu" and given.size:
+        items = given.ravel().tolist()
+        for p in items:
+            if type(p) is not int:
+                raise StructuralError(f"point {p!r} is not an integer index")
+        for p in items:  # ints past 64 bits, which numpy keeps as Python ints
+            if not 0 <= p < size:
+                raise StructuralError(f"point {p} outside instance space of size {size}")
+    points = given.astype(np.intp, copy=False)
+    if points.size and points.view(np.uintp).max() >= size:
+        bad = given[points.view(np.uintp) >= size][0]
         raise StructuralError(f"point {bad} outside instance space of size {size}")
-    return points.astype(np.intp, copy=False)
+    return points
 
 
 _PROBABILITY = re.compile(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+")
@@ -468,6 +481,22 @@ class FiniteDistribution:
         exact = all(isinstance(p, Fraction) for _, p in self.atoms)
         return _read_only(points), _read_only(labels), _read_only(cdf), exact
 
+    def _support_balls(self, perturbations: PerturbationMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(members, labels, begins): the support atoms' balls under `perturbations`, concatenated.
+
+        Atom i's ball is members[begins[i]:begins[i+1]], and `labels` repeats
+        the atom's label once per member.  The gather for the last map asked
+        for is kept, as `HypothesisFamily.robust_table` keeps its table.
+        """
+        cached = self.__dict__.get("_support_gather")
+        if cached is None or (cached[0] is not perturbations and cached[0] != perturbations):
+            points, labels, _, _ = self._columns
+            members, begins = perturbations.balls(points)
+            repeated = np.repeat(labels, np.append(begins[1:], len(members)) - begins)
+            cached = (perturbations, _read_only(members), _read_only(repeated), _read_only(begins))
+            object.__setattr__(self, "_support_gather", cached)
+        return cached[1:]
+
 
 def _exact_sum(probabilities: Iterable[Fraction]) -> Fraction:
     """Sum of Fractions in integers: numerators added per denominator, one lcm at the end."""
@@ -570,16 +599,20 @@ def population_robust_risk(
 ) -> Probability:
     """Probability-weighted robust loss; exact when all atom weights are rational.
 
-    The predictor is scored on the distribution's cached support columns.
-    The weights of the atoms it loses are summed as a Fraction when every
-    weight is one, and otherwise added one by one in atom order from 0.0,
-    so a float risk does not depend on how the losses were computed.
+    Only the support atoms' balls are read: the distribution gathers them
+    once per perturbation map and keeps the last gather, and an atom is
+    lost when the predictor mislabels some member of its ball (one
+    `np.logical_or.reduceat` over the gathered mismatches).  The weights of
+    the lost atoms are summed as a Fraction when every weight is one, and
+    otherwise added one by one in atom order from 0.0, so a float risk does
+    not depend on how the losses were computed.
     """
-    points, labels, _, exact = dist._columns
-    table = RobustTable.build(predictor.label_row[np.newaxis, :], perturbations)
-    losses = table.loss_at(points, labels)[0].tolist()
+    if predictor.size != perturbations.size:
+        raise StructuralError("perturbation map and labels disagree on the instance space")
+    members, labels, begins = dist._support_balls(perturbations)
+    losses = np.logical_or.reduceat(predictor.label_row[members] != labels, begins).tolist()
     weights = [p for (_, p), lost in zip(dist.atoms, losses) if lost]
-    if exact:
+    if dist._columns[3]:  # every weight is a Fraction
         return _exact_sum(weights)
     total = 0.0
     for p in weights:

@@ -96,12 +96,13 @@ class LearnerConfig:
     doubles on weak-learner failure up to it.  `N_sparsify` defaults to the
     candidate family's dual VC dimension (minimum 3, forced odd).  The
     search is skipped when boosting returns one voter, since sparsify keeps
-    a lone voter, and when there are at most 3 candidates, whose dual VC
-    dimension is at most 3, so N is 3.  The rest is fixed: the realizable
-    round cap ceil(1 + 48 ln |discretized|) + 10 (`default_round_cap`), boosting step
-    `ALPHA` 1/8, `MARGIN_TARGET` 5/9 (which leaves the 1/18 sparsification
-    slack above 1/2) and `SPARSIFY_ATTEMPTS` 100 draws before the full-list
-    fallback.  `seed` is read by no library code (sparsify draws from the
+    a lone voter, and when the candidates' label rows have fewer than 16
+    distinct columns: shattering d candidates takes 2^d distinct columns, so
+    the dual VC dimension is at most 3 and N is 3.  The rest is fixed: the
+    realizable round cap ceil(1 + 48 ln |discretized|) + 10
+    (`default_round_cap`), boosting step `ALPHA` 1/8, `MARGIN_TARGET` 5/9
+    (which leaves the 1/18 sparsification slack above 1/2) and
+    `SPARSIFY_ATTEMPTS` 100 draws before the full-list fallback.  `seed` is read by no library code (sparsify draws from the
     caller's generator); it stays while `perfbench/workloads.py` passes it.
     """
 
@@ -302,12 +303,16 @@ def discretize(inflated: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> Dis
         raise ContractError("discretization requires a nonempty candidate set")
     points, labels = inflated
     wrong = rows[:, points] != labels
-    packed = np.packbits(wrong, axis=0)
-    patterns = np.ascontiguousarray(packed.T).view(np.dtype((np.void, len(packed)))).ravel()
-    keep = np.sort(np.unique(patterns, return_index=True)[1])
+    keep = np.sort(np.unique(_column_keys(wrong), return_index=True)[1])
     wrong = wrong[:, keep]
     wrong.setflags(write=False)
     return DiscretizedSet(points[keep], labels[keep], wrong)
+
+
+def _column_keys(matrix: np.ndarray) -> np.ndarray:
+    """One void key per column of a bool matrix, its bits packed: equal columns, equal keys."""
+    packed = np.packbits(matrix, axis=0)
+    return np.ascontiguousarray(packed.T).view(np.dtype((np.void, len(packed)))).ravel()
 
 
 def weak_learn(wrong: np.ndarray, dist: np.ndarray) -> tuple[int, np.ndarray]:
@@ -461,6 +466,19 @@ def _first_unrealizable_index(
     return distinct.positions[dead[0]][0] if dead.size else None
 
 
+def _fits_inflation(predictor: MajorityVotePredictor, inflated: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether the vote labels every inflated point as `inflate` did.
+
+    On a robustly realizable sample, a member robustly correct on every
+    example labels each point of a ball with that example's label, so all
+    examples whose balls hold a point share its label, the one `inflate`
+    gave it.  The vote then has empirical robust risk 0 on the sample
+    exactly when it fits the inflation.
+    """
+    points, labels = inflated
+    return bool(np.array_equal(predictor.label_row[points], labels))
+
+
 def learn_realizable_report(
     family: HypothesisFamily,
     sample: Sample,
@@ -494,22 +512,23 @@ def learn_realizable_report(
         lambda c: discretize(inflated, family.matrix[list(c.members)]).wrong,
     )
 
+    rows = family.matrix[list(candidates.members)]
     if config.N_sparsify is not None:
         n_sparse = config.N_sparsify
     elif len(boost.voter_ids) == 1:
         n_sparse = 1  # sparsify keeps a lone voter whatever N is, so skip the dual-VC search
-    elif len(candidates) <= 3:
-        n_sparse = 3  # the dual VC dimension is at most the member count, so max(3, .) is 3
+    elif len(set(_column_keys(rows == 1).tolist())) < 16:
+        n_sparse = 3  # 2^dual_vc distinct columns are needed, so dual_vc <= 3 and max(3, .) is 3
     else:
-        n_sparse = max(3, dual_vc(HypothesisFamily(family.matrix[list(candidates.members)])).value)
+        n_sparse = max(3, dual_vc(HypothesisFamily(rows)).value)
         if n_sparse % 2 == 0:
             n_sparse += 1
     chosen = sparsify(boost.voter_ids, wrong, n_sparse, rng)
     voters = tuple(family[candidates.members[boost.voter_ids[j]]] for j in chosen)
     provenance = tuple(candidates.provenance[boost.voter_ids[j]] for j in chosen)
     predictor = MajorityVotePredictor(voters, provenance)
-    risk = empirical_robust_risk(predictor, sample, perturbations)
-    if risk != 0:
+    if not _fits_inflation(predictor, inflated):
+        risk = empirical_robust_risk(predictor, sample, perturbations)
         raise RuntimeError(f"pipeline produced nonzero empirical robust risk {risk}")
     return RealizableRunReport(
         predictor=predictor,

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from .core import ContractError
+
 __all__ = ["ExperimentReport", "wilson_interval"]
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -20,8 +22,8 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """Two-sided 95% Wilson score interval for a binomial proportion; behaves at small counts."""
-    if total <= 0:
-        raise ValueError("total must be positive")
+    if total < 1 or not 0 <= successes <= total:
+        raise ContractError(f"Wilson interval needs 0 <= successes <= total >= 1, got {successes}/{total}")
     p, z = successes / total, WILSON_Z
     denom = 1.0 + z * z / total
     center = (p + z * z / (2 * total)) / denom

@@ -186,6 +186,13 @@ def test_lower_bound_parameter_ranges():
     assert make_lower_bound_family(2, "0.05").metadata["epsilon"] == "1/20"
 
 
+@pytest.mark.parametrize("make, name", [(make_lower_bound_family, "epsilon"), (make_agnostic_lower_bound, "alpha")])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_generator_parameters_are_refused_by_name(make, name, value):
+    with pytest.raises(ContractError, match=f"^{name} must be a number or a decimal or p/q string, got {value}$"):
+        make(2, value)
+
+
 def test_agnostic_lower_bound_best_risk_is_half_one_minus_alpha():
     d, alpha = 3, Fraction(1, 2)
     inst = make_agnostic_lower_bound(d, alpha)

@@ -14,6 +14,7 @@ from robustpac.core import (
     LabeledExample,
     MajorityVotePredictor,
     PerturbationMap,
+    RobustTable,
     Sample,
     StructuralError,
     check_self_containment,
@@ -347,3 +348,38 @@ def test_population_risk_matches_the_per_atom_robust_loss_sum(case):
             expected += p
     risk = population_robust_risk(predictor, dist, perturbations)
     assert type(risk) is type(expected) and risk == expected
+
+
+def _whole_space_population_risk(predictor, dist, perturbations):
+    """The one-row-table reference: the predictor's table over the whole space, read at the atoms."""
+    table = RobustTable.build(predictor.label_row[np.newaxis, :], perturbations)
+    points, labels, _, exact = dist._columns
+    lost = table.loss_at(points, labels)[0].tolist()
+    weights = [p for (_, p), loss in zip(dist.atoms, lost) if loss]
+    if exact:
+        return sum(weights, Fraction(0))
+    total = 0.0
+    for p in weights:
+        total += p
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(distribution_cases(), st.data())
+def test_population_risk_matches_the_whole_space_table_across_maps(case, data):
+    first, predictor, dist = case
+    size = first.size
+    point = st.integers(min_value=0, max_value=size - 1)
+    balls = data.draw(st.lists(st.lists(point, min_size=1, max_size=size), min_size=size, max_size=size))
+    second = PerturbationMap(tuple(map(tuple, balls)))
+    # alternating maps replaces the distribution's kept gather each time;
+    # an equal map built anew reads the kept one
+    for perturbations in (first, second, first, PerturbationMap(first.sets), second):
+        risk = population_robust_risk(predictor, dist, perturbations)
+        expected = _whole_space_population_risk(predictor, dist, perturbations)
+        assert type(risk) is type(expected) and risk == expected
+        if isinstance(risk, float):
+            assert np.float64(risk).tobytes() == np.float64(expected).tobytes()
+    for wrong_size in (PerturbationMap.identity(size + 1), PerturbationMap.identity(size + 3)):
+        with pytest.raises(StructuralError, match="^perturbation map and labels disagree on the instance space$"):
+            population_robust_risk(predictor, dist, wrong_size)

@@ -127,6 +127,13 @@ def test_wilson_interval_is_sane():
     assert lo0 == 0.0 and hi0 < 0.05
 
 
+@pytest.mark.parametrize("successes, total", [(0, 0), (1, 0), (0, -2), (3, 2), (-1, 5)])
+def test_wilson_interval_refuses_impossible_counts(successes, total):
+    message = f"^Wilson interval needs 0 <= successes <= total >= 1, got {successes}/{total}$"
+    with pytest.raises(ContractError, match=message):
+        wilson_interval(successes, total)
+
+
 def test_report_frequencies_recompute_from_rows():
     report = ExperimentReport(
         name="toy",

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from robustpac.core import (
     ContractError,
+    Hypothesis,
     HypothesisFamily,
     MajorityVotePredictor,
     PerturbationMap,
@@ -40,6 +41,7 @@ from robustpac.learner import (
     sparsify,
     weak_learn,
     _first_unrealizable_index,
+    _fits_inflation,
     _multiset_count,
 )
 from robustpac import learner
@@ -679,18 +681,78 @@ def test_dual_vc_runs_only_when_sparsify_uses_it(monkeypatch):
         family, sample, PerturbationMap.identity(3), LearnerConfig(n_initial=1), rng=rng_stream(0)
     )
     assert (report.rounds, report.sparsified_to, calls) == (1, 1, [])
-    # three boosting rounds over 3 candidates: the dual VC dimension is at
-    # most 3, so N_sparsify is 3 without the search
+    # shattering d candidates takes 2^d distinct columns of their rows, so
+    # below 16 the dual VC dimension is at most 3 and N_sparsify is 3 without
+    # the search: three boosting rounds over 3 and over 6 pf(2) candidates
     inst = make_proper_failure(2)
-    sample = sample_iid(inst.distributions[7], 32, seed=21)
-    report = learn_realizable_report(inst.family, sample, inst.perturbations, rng=rng_stream(21, 1))
-    assert len(build_candidates(inst.family, sample, inst.perturbations, report.n_used)) == 3
-    assert (report.rounds, report.sparsified_to, calls) == (3, 3, [])
-    # three boosting rounds over 6 candidates: N_sparsify comes from the dual VC dimension
-    sample = sample_iid(inst.distributions[0], 32, seed=21)
-    report = learn_realizable_report(inst.family, sample, inst.perturbations, rng=rng_stream(21, 1))
-    assert len(build_candidates(inst.family, sample, inst.perturbations, report.n_used)) == 6
-    assert report.rounds == 3 and calls == [6]
+    for index, count in ((7, 3), (0, 6)):
+        sample = sample_iid(inst.distributions[index], 32, seed=21)
+        report = learn_realizable_report(inst.family, sample, inst.perturbations, rng=rng_stream(21, 1))
+        candidates = build_candidates(inst.family, sample, inst.perturbations, report.n_used)
+        rows = inst.family.matrix[list(candidates.members)]
+        assert len(candidates) == count and len(np.unique(rows, axis=1).T) < 16
+        assert (report.rounds, report.sparsified_to, calls) == (3, 3, [])
+    # rows 0-4 err on one of the five sample points each and row 5 on none;
+    # on 16 more points rows 0-3 take every sign pattern.  At n = 4 the
+    # candidates are rows 0-4, whose rows have 17 distinct columns, and rows
+    # 0-3 are dual-shattered: N_sparsify is max(3, 4) made odd, 5
+    rows = [
+        [-1 if r == i else 1 for i in range(5)] + [-1 if r < 4 and x >> r & 1 else 1 for x in range(16)]
+        for r in range(6)
+    ]
+    family = HypothesisFamily.from_rows(rows)
+    sample = Sample.from_pairs([(i, 1) for i in range(5)])
+    identity = PerturbationMap.identity(21)
+    sizes = []
+
+    def recorded(voter_ids, wrong, N, rng):
+        sizes.append(N)
+        return learner_sparsify(voter_ids, wrong, N, rng)
+
+    learner_sparsify = learner.sparsify
+    monkeypatch.setattr(learner, "sparsify", recorded)
+    report = learn_realizable_report(family, sample, identity, LearnerConfig(n_initial=4), rng=rng_stream(0))
+    assert sorted(build_candidates(family, sample, identity, 4).members) == [0, 1, 2, 3, 4]
+    assert len(np.unique(family.matrix[:5], axis=1).T) == 17
+    assert learner_dual_vc(HypothesisFamily(family.matrix[:5])).value == 4
+    assert (report.rounds, calls, sizes) == (3, [5], [5])
+
+
+@st.composite
+def realizable_votes(draw):
+    """A tiny family and map, a sample one member robustly fits, and a vote of any members."""
+    size = draw(st.integers(min_value=1, max_value=5))
+    point = st.integers(min_value=0, max_value=size - 1)
+    rows = draw(st.lists(st.tuples(*[SIGNS] * size), min_size=1, max_size=6, unique=True))
+    balls = draw(st.lists(st.lists(point, min_size=1, max_size=size), min_size=size, max_size=size))
+    fitted = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+    pool = [(x, fitted[ball[0]]) for x, ball in enumerate(balls) if len({fitted[z] for z in ball}) == 1]
+    assume(pool)
+    pairs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    voters = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=5))
+    vote = MajorityVotePredictor(tuple(Hypothesis(v) for v in voters))
+    return PerturbationMap(tuple(map(tuple, balls))), Sample.from_pairs(pairs), vote
+
+
+@settings(max_examples=300, deadline=None)
+@given(realizable_votes())
+def test_fitting_the_inflation_is_zero_empirical_robust_risk(case):
+    perturbations, sample, vote = case
+    fits = _fits_inflation(vote, inflate(sample, perturbations))
+    assert fits == (empirical_robust_risk(vote, sample, perturbations) == 0)
+
+
+def test_a_losing_sparsified_vote_raises_the_closing_error(monkeypatch):
+    # rows 0-4 each err on one of the five sample points and row 5 on none; at
+    # n = 4 the candidates are rows 0-4, so any one voter has risk 1/5
+    family = HypothesisFamily.from_rows([[-1 if r == i else 1 for i in range(5)] for r in range(6)])
+    sample = Sample.from_pairs([(i, 1) for i in range(5)])
+    identity = PerturbationMap.identity(5)
+    config = LearnerConfig(n_initial=4)
+    learn_realizable_report(family, sample, identity, config, rng=rng_stream(0))  # unpatched, it fits
+    monkeypatch.setattr(learner, "sparsify", lambda voter_ids, wrong, N, rng: (0,))
+    with pytest.raises(RuntimeError, match="^pipeline produced nonzero empirical robust risk 1/5$"):
+        learn_realizable_report(family, sample, identity, config, rng=rng_stream(0))
 
 
 @settings(max_examples=150, deadline=None)

@@ -206,7 +206,7 @@ def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
         lambda p: u.balls([0, p]),
         lambda p: restriction_count(family, (0, p)),
     ]
-    for point in (-1, 3):
+    for point in (-1, 3, 2**70):  # numpy keeps 2**70 as a Python int in an object array
         for lookup in lookups:
             with pytest.raises(StructuralError, match=f"^point {point} outside instance space of size 3$"):
                 lookup(point)
@@ -225,3 +225,36 @@ def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
         ):
             with pytest.raises(StructuralError, match="disagree on the instance space"):
                 call()
+
+
+_FAMILY = HypothesisFamily.from_rows([(1, -1, 1), (1, 1, 1)])
+_MAP = PerturbationMap(((0, 1), (1,), (2, 0)))
+_VOTE = MajorityVotePredictor(tuple(_FAMILY))
+
+
+@pytest.mark.parametrize("point", [1.7, True])
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        lambda p: _FAMILY.robust_table(_MAP).loss_at(np.array([p]), np.array([1])),
+        lambda p: _MAP.balls([p]),
+        lambda p: _FAMILY[0].label_of(p),
+        lambda p: _VOTE.label_of(p),
+        lambda p: _VOTE.labels_at([p]),
+        lambda p: _MAP[p],
+        lambda p: restriction_count(_FAMILY, (p,)),
+    ],
+    ids=["loss_at", "balls", "Hypothesis.label_of", "MajorityVotePredictor.label_of",
+         "labels_at", "PerturbationMap.__getitem__", "restriction_count"],
+)
+def test_point_lookups_refuse_float_and_bool_indices(lookup, point):
+    # 1.7 would truncate to point 1 and True would read as point 1
+    with pytest.raises(StructuralError, match=f"^point {point} is not an integer index$"):
+        lookup(point)
+
+
+def test_point_lookups_take_an_empty_list():
+    # numpy reads [] as float64, which must not count as a float index
+    assert _MAP.balls([])[0].size == 0
+    assert _VOTE.labels_at([]).size == 0
+    assert restriction_count(_FAMILY, ()) == 1
