@@ -70,11 +70,9 @@ def _checked_points(points: int | Sequence[int] | np.ndarray, size: int) -> np.n
     """
     given = np.asarray(points)
     if given.dtype.kind not in "iu" and given.size:
-        items = given.ravel().tolist()
-        for p in items:
+        for p in given.ravel().tolist():  # ints past 64 bits, which numpy keeps as Python ints, land here
             if type(p) is not int:
                 raise StructuralError(f"point {p!r} is not an integer index")
-        for p in items:  # ints past 64 bits, which numpy keeps as Python ints
             if not 0 <= p < size:
                 raise StructuralError(f"point {p} outside instance space of size {size}")
     points = given.astype(np.intp, copy=False)
@@ -481,21 +479,18 @@ class FiniteDistribution:
         exact = all(isinstance(p, Fraction) for _, p in self.atoms)
         return _read_only(points), _read_only(labels), _read_only(cdf), exact
 
-    def _support_balls(self, perturbations: PerturbationMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(members, labels, begins): the support atoms' balls under `perturbations`, concatenated.
+    def _support_balls(self, perturbations: PerturbationMap) -> tuple[np.ndarray, np.ndarray]:
+        """`perturbations.balls` of the support points, in atom order.
 
-        Atom i's ball is members[begins[i]:begins[i+1]], and `labels` repeats
-        the atom's label once per member.  The gather for the last map asked
-        for is kept, as `HypothesisFamily.robust_table` keeps its table.
+        The gather for the last map asked for is kept, as
+        `HypothesisFamily.robust_table` keeps its table.
         """
         cached = self.__dict__.get("_support_gather")
         if cached is None or (cached[0] is not perturbations and cached[0] != perturbations):
-            points, labels, _, _ = self._columns
-            members, begins = perturbations.balls(points)
-            repeated = np.repeat(labels, np.append(begins[1:], len(members)) - begins)
-            cached = (perturbations, _read_only(members), _read_only(repeated), _read_only(begins))
+            members, begins = perturbations.balls(self._columns[0])
+            cached = (perturbations, (_read_only(members), _read_only(begins)))
             object.__setattr__(self, "_support_gather", cached)
-        return cached[1:]
+        return cached[1]
 
 
 def _exact_sum(probabilities: Iterable[Fraction]) -> Fraction:
@@ -565,11 +560,23 @@ Predictor = Union[Hypothesis, MajorityVotePredictor]
 
 
 def _robust_losses(
-    predictor: Predictor, sample: Sample, perturbations: PerturbationMap
+    predictor: Predictor,
+    perturbations: PerturbationMap,
+    balls: tuple[np.ndarray, np.ndarray],
+    labels: np.ndarray | int,
 ) -> np.ndarray:
-    """Robust 0-1 loss of the predictor on each example, read from its one-row table."""
-    table = RobustTable.build(predictor.label_row[np.newaxis, :], perturbations)
-    return table.loss_at(sample.points(), sample.labels())[0]
+    """Robust 0-1 loss of the predictor on each example, from the examples' balls.
+
+    `balls` is `perturbations.balls` of the examples' points and `labels`
+    their labels.  An example is lost unless the predictor reads its label
+    on every member of its ball: one `reduceat` over the members' +1
+    readings says whether all are +1, one whether any is.
+    """
+    if predictor.size != perturbations.size:
+        raise StructuralError("perturbation map and labels disagree on the instance space")
+    members, begins = balls
+    plus = predictor.label_row[members] == 1
+    return np.where(labels == 1, ~np.logical_and.reduceat(plus, begins), np.logical_or.reduceat(plus, begins))
 
 
 def robust_loss(predictor: Predictor, example: LabeledExample, perturbations: PerturbationMap) -> int:
@@ -578,7 +585,8 @@ def robust_loss(predictor: Predictor, example: LabeledExample, perturbations: Pe
     Returns 1 iff some z in U(example.point) is mislabeled by the predictor.
     Under `PerturbationMap.identity(n)` this is the standard 0-1 loss.
     """
-    return int(_robust_losses(predictor, Sample((example,)), perturbations)[0])
+    balls = perturbations.balls([example.point])
+    return int(_robust_losses(predictor, perturbations, balls, example.label)[0])
 
 
 def empirical_robust_risk(
@@ -590,7 +598,8 @@ def empirical_robust_risk(
     """
     if len(sample) == 0:
         raise ContractError("empirical robust risk requires a nonempty sample")
-    mistakes = int(_robust_losses(predictor, sample, perturbations).sum())
+    balls = perturbations.balls(sample.points())
+    mistakes = int(_robust_losses(predictor, perturbations, balls, sample.labels()).sum())
     return Fraction(mistakes, len(sample))
 
 
@@ -599,20 +608,18 @@ def population_robust_risk(
 ) -> Probability:
     """Probability-weighted robust loss; exact when all atom weights are rational.
 
-    Only the support atoms' balls are read: the distribution gathers them
-    once per perturbation map and keeps the last gather, and an atom is
-    lost when the predictor mislabels some member of its ball (one
-    `np.logical_or.reduceat` over the gathered mismatches).  The weights of
-    the lost atoms are summed as a Fraction when every weight is one, and
-    otherwise added one by one in atom order from 0.0, so a float risk does
-    not depend on how the losses were computed.
+    The predictor is scored on the support atoms' balls alone, which the
+    distribution gathers once per perturbation map and keeps for the last
+    map it met.  The weights of the atoms it loses are summed as a Fraction
+    when every weight is one, and otherwise added one by one in atom order
+    from 0.0, so a float risk does not depend on how the losses were
+    computed.
     """
-    if predictor.size != perturbations.size:
-        raise StructuralError("perturbation map and labels disagree on the instance space")
-    members, labels, begins = dist._support_balls(perturbations)
-    losses = np.logical_or.reduceat(predictor.label_row[members] != labels, begins).tolist()
+    _, labels, _, exact = dist._columns
+    balls = dist._support_balls(perturbations)
+    losses = _robust_losses(predictor, perturbations, balls, labels).tolist()
     weights = [p for (_, p), lost in zip(dist.atoms, losses) if lost]
-    if dist._columns[3]:  # every weight is a Fraction
+    if exact:
         return _exact_sum(weights)
     total = 0.0
     for p in weights:

@@ -512,17 +512,17 @@ def learn_realizable_report(
         lambda c: discretize(inflated, family.matrix[list(c.members)]).wrong,
     )
 
-    rows = family.matrix[list(candidates.members)]
     if config.N_sparsify is not None:
         n_sparse = config.N_sparsify
     elif len(boost.voter_ids) == 1:
         n_sparse = 1  # sparsify keeps a lone voter whatever N is, so skip the dual-VC search
-    elif len(set(_column_keys(rows == 1).tolist())) < 16:
-        n_sparse = 3  # 2^dual_vc distinct columns are needed, so dual_vc <= 3 and max(3, .) is 3
     else:
-        n_sparse = max(3, dual_vc(HypothesisFamily(rows)).value)
-        if n_sparse % 2 == 0:
-            n_sparse += 1
+        rows = family.matrix[list(candidates.members)]
+        n_sparse = 3  # below 16 distinct columns dual_vc <= 3 (2^dual_vc are needed), so max(3, .) is 3
+        if len(set(_column_keys(rows == 1).tolist())) >= 16:
+            n_sparse = max(3, dual_vc(HypothesisFamily(rows)).value)
+            if n_sparse % 2 == 0:
+                n_sparse += 1
     chosen = sparsify(boost.voter_ids, wrong, n_sparse, rng)
     voters = tuple(family[candidates.members[boost.voter_ids[j]]] for j in chosen)
     provenance = tuple(candidates.provenance[boost.voter_ids[j]] for j in chosen)

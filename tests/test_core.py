@@ -364,6 +364,25 @@ def _whole_space_population_risk(predictor, dist, perturbations):
     return total
 
 
+@settings(max_examples=200, deadline=None)
+@given(_maps_and_points(), st.data())
+def test_robust_loss_and_empirical_risk_match_the_one_row_table(case, data):
+    perturbations, points = case
+    rows = data.draw(st.lists(st.tuples(*[st.sampled_from((-1, 1))] * perturbations.size), min_size=1, max_size=3))
+    voters = tuple(map(Hypothesis, rows))
+    labels = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(points), max_size=len(points)))
+    for predictor in (voters[0], MajorityVotePredictor(voters)):
+        table = RobustTable.build(predictor.label_row[np.newaxis, :], perturbations)
+        expected = table.loss_at(np.asarray(points, dtype=np.intp), np.asarray(labels))[0].tolist()
+        for x, y, lost in zip(points, labels, expected):
+            assert lost == any(predictor.label_row[z] != y for z in perturbations.sets[x])
+            assert robust_loss(predictor, LabeledExample(x, y), perturbations) == lost
+        if points:
+            sample = Sample.from_pairs(zip(points, labels))
+            risk = empirical_robust_risk(predictor, sample, perturbations)
+            assert risk == Fraction(sum(expected), len(points))
+
+
 @settings(max_examples=150, deadline=None)
 @given(distribution_cases(), st.data())
 def test_population_risk_matches_the_whole_space_table_across_maps(case, data):

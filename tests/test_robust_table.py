@@ -210,6 +210,15 @@ def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
         for lookup in lookups:
             with pytest.raises(StructuralError, match=f"^point {point} outside instance space of size 3$"):
                 lookup(point)
+    # the first bad point is named, even when a later one is not an integer
+    for lookup in (
+        lambda ps: table.loss_at(np.array(ps), np.array([1, 1])),
+        vote.labels_at,
+        u.balls,
+        lambda ps: restriction_count(family, tuple(ps)),
+    ):
+        with pytest.raises(StructuralError, match=f"^point {2**70} outside instance space of size 3$"):
+            lookup([2**70, None])
     # inflate takes a Sample, whose examples refuse negative points themselves
     with pytest.raises(StructuralError, match="^point 3 outside instance space of size 3$"):
         inflate(outside, u)
