@@ -104,7 +104,8 @@ def learn_agnostic(
     kept_original = [run[0] for run in sample.distinct.positions if run[0] in in_core]
     core_sample = Sample(tuple(sample[j] for j in kept_original))
 
-    loss = family.robust_table(perturbations).loss_at(core_sample.points(), core_sample.labels())
+    # the core sample's examples are distinct, so its distinct matrix is its loss, kept for build_candidates
+    loss = core_sample._distinct_mistakes(family, perturbations)
     candidates, _, boost = _boost_growing_n(
         family,
         core_sample,

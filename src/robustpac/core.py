@@ -327,8 +327,8 @@ class HypothesisFamily:
     def robust_table(self, perturbations: PerturbationMap) -> RobustTable:
         """The RobustTable of the members under `perturbations`; the last one built is kept."""
         cached = self.__dict__.get("_robust_table")
-        if cached is None or (cached[0] is not perturbations and cached[0] != perturbations):
-            cached = (perturbations, RobustTable.build(self.matrix, perturbations))
+        if cached is None or not _same_key(cached[0], (perturbations,)):
+            cached = ((perturbations,), RobustTable.build(self.matrix, perturbations))
             object.__setattr__(self, "_robust_table", cached)
         return cached[1]
 
@@ -411,6 +411,21 @@ class Sample:
             _read_only(labels[firsts]),
         )
 
+    def _distinct_mistakes(self, family: HypothesisFamily, perturbations: PerturbationMap) -> np.ndarray:
+        """(members, distinct examples) bool: the family's robust loss on each distinct example.
+
+        `family.robust_table(perturbations).loss_at` of `distinct`'s columns,
+        read-only.  The matrix for the last (family, map) asked for is kept,
+        as `FiniteDistribution._support_balls` keeps its gather.
+        """
+        cached = self.__dict__.get("_distinct_loss")
+        if cached is None or not _same_key(cached[0], (family, perturbations)):
+            distinct = self.distinct
+            loss = family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
+            cached = ((family, perturbations), _read_only(loss))
+            object.__setattr__(self, "_distinct_loss", cached)
+        return cached[1]
+
 
 def _sample_with_columns(
     examples: tuple[LabeledExample, ...], points: np.ndarray, labels: np.ndarray
@@ -486,11 +501,48 @@ class FiniteDistribution:
         `HypothesisFamily.robust_table` keeps its table.
         """
         cached = self.__dict__.get("_support_gather")
-        if cached is None or (cached[0] is not perturbations and cached[0] != perturbations):
+        if cached is None or not _same_key(cached[0], (perturbations,)):
             members, begins = perturbations.balls(self._columns[0])
-            cached = (perturbations, (_read_only(members), _read_only(begins)))
+            cached = ((perturbations,), (_read_only(members), _read_only(begins)))
             object.__setattr__(self, "_support_gather", cached)
         return cached[1]
+
+    def _member_risks(self, family: HypothesisFamily, perturbations: PerturbationMap) -> tuple[Probability, ...]:
+        """`population_robust_risk(family[i], self, perturbations)` for every member i.
+
+        One `loss_at` over the atoms scores all members, and each member's
+        lost weight is summed as `population_robust_risk` sums it, so the
+        values are the same Fractions and bit-equal floats.  The risks for
+        the last (family, map) asked for are kept.
+        """
+        cached = self.__dict__.get("_member_risk")
+        if cached is None or not _same_key(cached[0], (family, perturbations)):
+            points, labels, _, _ = self._columns
+            lost = family.robust_table(perturbations).loss_at(points, labels)
+            cached = ((family, perturbations), tuple(_lost_weight(self, row) for row in lost.tolist()))
+            object.__setattr__(self, "_member_risk", cached)
+        return cached[1]
+
+
+def _same_key(kept: tuple, key: tuple) -> bool:
+    """Whether a one-slot cache kept for `kept` serves `key`: each part the same object or equal."""
+    return all(a is b or a == b for a, b in zip(kept, key))
+
+
+def _lost_weight(dist: FiniteDistribution, lost: Sequence[bool]) -> Probability:
+    """Total weight of the atoms flagged lost, in atom order.
+
+    A Fraction when every weight is one; otherwise the weights are added one
+    by one from 0.0, so a float total does not depend on how the losses
+    were computed.
+    """
+    weights = [p for (_, p), flag in zip(dist.atoms, lost) if flag]
+    if dist._columns[3]:
+        return _exact_sum(weights)
+    total = 0.0
+    for p in weights:
+        total += p
+    return total
 
 
 def _exact_sum(probabilities: Iterable[Fraction]) -> Fraction:
@@ -610,18 +662,9 @@ def population_robust_risk(
 
     The predictor is scored on the support atoms' balls alone, which the
     distribution gathers once per perturbation map and keeps for the last
-    map it met.  The weights of the atoms it loses are summed as a Fraction
-    when every weight is one, and otherwise added one by one in atom order
-    from 0.0, so a float risk does not depend on how the losses were
-    computed.
+    map it met.  The weights of the atoms it loses are summed by
+    `_lost_weight`: as a Fraction when every weight is one, and otherwise
+    one by one in atom order from 0.0.
     """
-    _, labels, _, exact = dist._columns
     balls = dist._support_balls(perturbations)
-    losses = _robust_losses(predictor, perturbations, balls, labels).tolist()
-    weights = [p for (_, p), lost in zip(dist.atoms, losses) if lost]
-    if exact:
-        return _exact_sum(weights)
-    total = 0.0
-    for p in weights:
-        total += p
-    return total
+    return _lost_weight(dist, _robust_losses(predictor, perturbations, balls, dist._columns[1]).tolist())

@@ -1,11 +1,14 @@
 """Monte Carlo experiment orchestration.
 
 Trials run one after another in `_run_trials`, which hands trial t the
-Philox stream keyed (seed, t).  The trial draws its data from it and the
-learner's sparsification continues it, so each trial is a pure function of
-the seed and its index and reports are identical across runs.  Population
-risks are compared against thresholds exactly (Fractions) wherever the
-inputs are rational, then stored as floats in the report rows.
+Philox stream keyed (seed, t): one generator serves the whole run and is
+re-keyed to (seed, t) before trial t, so the trial draws exactly what
+`rng_stream(seed, t)` would, and the generator is valid only inside its
+trial.  The trial draws its data from it and the learner's sparsification
+continues it, so each trial is a pure function of the seed and its index
+and reports are identical across runs.  Population risks are compared
+against thresholds exactly (Fractions) wherever the inputs are rational,
+then stored as floats in the report rows.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .core import (
 from .dimensions import vc
 from .learner import LearnerConfig, compression_bound, learn_realizable_report
 from .oracles import rerm
-from .prng import rng_stream
+from .prng import rekey, rng_stream
 from .reports import ExperimentReport
 from .sampling import draw_sample
 
@@ -87,9 +90,16 @@ class ExperimentConfig:
 def _run_trials(
     config: ExperimentConfig, one_trial: Callable[[np.random.Generator], tuple]
 ) -> tuple[list[tuple], float]:
-    """Run each trial t on the generator keyed (seed, t); the rows and the wall time."""
+    """Run each trial t on the generator keyed (seed, t); the rows and the wall time.
+
+    One generator from `rng_stream(seed, 0)`, which checks the seed, serves
+    every trial: `rekey` resets it to key (seed, t) before trial t, so the
+    trial draws exactly what `rng_stream(seed, t)` draws.  A trial must not
+    keep it past its end, since the next trial re-keys it.
+    """
     start = time.perf_counter()
-    rows = [one_trial(rng_stream(config.seed, t)) for t in range(config.trials)]
+    rng = rng_stream(config.seed, 0)
+    rows = [one_trial(rekey(rng, config.seed, t)) for t in range(config.trials)]
     return rows, time.perf_counter() - start
 
 
@@ -116,7 +126,7 @@ def run_separation_experiment(
         dist = dists[int(rng.integers(len(dists)))]
         proper_sample = draw_sample(dist, config.m, rng)
         proper_pick = rerm(family, proper_sample, perturbations)
-        proper_risk = population_robust_risk(family[proper_pick.hypothesis_index], dist, perturbations)
+        proper_risk = dist._member_risks(family, perturbations)[proper_pick.hypothesis_index]
         improper_sample = draw_sample(dist, config.improper_budget, rng)
         report = learn_realizable_report(family, improper_sample, perturbations, learner_config, rng=rng)
         improper_risk = population_robust_risk(report.predictor, dist, perturbations)

@@ -98,8 +98,9 @@ class LearnerConfig:
     search is skipped when boosting returns one voter, since sparsify keeps
     a lone voter, and when the candidates' label rows have fewer than 16
     distinct columns: shattering d candidates takes 2^d distinct columns, so
-    the dual VC dimension is at most 3 and N is 3.  The rest is fixed: the
-    realizable round cap ceil(1 + 48 ln |discretized|) + 10
+    the dual VC dimension is at most 3 and N is 3.  Columns are counted only
+    for 4 or more candidates, since 3 rows have at most 2^3 = 8.  The rest
+    is fixed: the realizable round cap ceil(1 + 48 ln |discretized|) + 10
     (`default_round_cap`), boosting step `ALPHA` 1/8, `MARGIN_TARGET` 5/9
     (which leaves the 1/18 sparsification slack above 1/2) and
     `SPARSIFY_ATTEMPTS` 100 draws before the full-list fallback.  `seed` is read by no library code (sparsify draws from the
@@ -210,8 +211,7 @@ def build_candidates(
                 f"examples, more than CANDIDATE_ENUMERATION_LIMIT = {CANDIDATE_ENUMERATION_LIMIT}"
             )
 
-    wrong = family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
-    scores = wrong.T.astype(np.float64)
+    scores = sample._distinct_mistakes(family, perturbations).T.astype(np.float64)
 
     available_after = [0] * (d + 1)
     for slot in range(d - 1, -1, -1):
@@ -416,8 +416,7 @@ def sparsify(
         return (0,)
     for _ in range(SPARSIFY_ATTEMPTS):
         draw = rng.integers(0, T, size=N)
-        votes = correct[draw].sum(axis=0)
-        if np.all(2 * votes > N):
+        if 2 * correct[draw].sum(axis=0).min() > N:
             return tuple(int(i) for i in draw)
     return tuple(range(T))
 
@@ -460,10 +459,9 @@ def _first_unrealizable_index(
     each growing where an example first appears, so the first dead prefix
     ends at the first position of the first dead distinct example.
     """
-    distinct = sample.distinct
-    correct = ~family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
+    correct = ~sample._distinct_mistakes(family, perturbations)
     dead = np.flatnonzero(~np.logical_and.accumulate(correct, axis=1).any(axis=0))
-    return distinct.positions[dead[0]][0] if dead.size else None
+    return sample.distinct.positions[dead[0]][0] if dead.size else None
 
 
 def _fits_inflation(predictor: MajorityVotePredictor, inflated: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -517,12 +515,13 @@ def learn_realizable_report(
     elif len(boost.voter_ids) == 1:
         n_sparse = 1  # sparsify keeps a lone voter whatever N is, so skip the dual-VC search
     else:
-        rows = family.matrix[list(candidates.members)]
         n_sparse = 3  # below 16 distinct columns dual_vc <= 3 (2^dual_vc are needed), so max(3, .) is 3
-        if len(set(_column_keys(rows == 1).tolist())) >= 16:
-            n_sparse = max(3, dual_vc(HypothesisFamily(rows)).value)
-            if n_sparse % 2 == 0:
-                n_sparse += 1
+        if len(candidates) > 3:  # 3 rows have at most 2^3 = 8 distinct columns
+            rows = family.matrix[list(candidates.members)]
+            if len(set(_column_keys(rows == 1).tolist())) >= 16:
+                n_sparse = max(3, dual_vc(HypothesisFamily(rows)).value)
+                if n_sparse % 2 == 0:
+                    n_sparse += 1
     chosen = sparsify(boost.voter_ids, wrong, n_sparse, rng)
     voters = tuple(family[candidates.members[boost.voter_ids[j]]] for j in chosen)
     provenance = tuple(candidates.provenance[boost.voter_ids[j]] for j in chosen)

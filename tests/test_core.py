@@ -26,6 +26,7 @@ from robustpac.constructions import (
     make_agnostic_lower_bound,
     make_lower_bound_family,
     make_proper_failure,
+    make_union_truncation,
     make_vc_blowup,
 )
 from robustpac.prng import rng_stream
@@ -402,3 +403,63 @@ def test_population_risk_matches_the_whole_space_table_across_maps(case, data):
     for wrong_size in (PerturbationMap.identity(size + 1), PerturbationMap.identity(size + 3)):
         with pytest.raises(StructuralError, match="^perturbation map and labels disagree on the instance space$"):
             population_robust_risk(predictor, dist, wrong_size)
+
+
+def _same_risk(got, want) -> bool:
+    """Equal values of one type; floats bit for bit."""
+    if type(got) is not type(want) or got != want:
+        return False
+    return not isinstance(got, float) or np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _float_weighted(dist: FiniteDistribution, seed: int) -> FiniteDistribution:
+    """The same atoms under random float weights."""
+    weights = rng_stream(seed).dirichlet(np.ones(len(dist)))
+    return FiniteDistribution(tuple((e, float(w)) for (e, _), w in zip(dist.atoms, weights)))
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [make_proper_failure(1), make_proper_failure(2), make_proper_failure(3), make_union_truncation([1, 2])],
+    ids=["pf1", "pf2", "pf3", "union-1-2"],
+)
+def test_member_risks_equal_population_risk_of_every_member(instance):
+    family, perturbations = instance.family, instance.perturbations
+    dists = list(instance.distributions) + [_float_weighted(instance.distributions[0], len(family))]
+    for dist in dists:
+        risks = dist._member_risks(family, perturbations)
+        assert len(risks) == len(family)
+        for h, risk in zip(family, risks):
+            assert _same_risk(risk, population_robust_risk(h, dist, perturbations))
+        assert dist._member_risks(family, perturbations) is risks  # kept
+
+
+def test_member_risks_follow_the_family_and_map_they_are_asked_for():
+    inst = make_proper_failure(2)
+    family, u = inst.family, inst.perturbations
+    reversed_family = HypothesisFamily(family.matrix[::-1])
+    identity = PerturbationMap.identity(family.space_size)
+    for dist in (inst.distributions[3], _float_weighted(inst.distributions[3], 5)):
+        # each new (family, map) replaces the kept risks; an equal family or map built anew reads them
+        for f, v in [
+            (family, u), (reversed_family, u), (family, identity), (family, u),
+            (HypothesisFamily(family.matrix, name=family.name), PerturbationMap(u.sets)),
+        ]:
+            risks = dist._member_risks(f, v)
+            assert all(_same_risk(r, population_robust_risk(h, dist, v)) for h, r in zip(f, risks))
+        assert dist._member_risks(reversed_family, u) != dist._member_risks(family, u)
+
+
+def test_distinct_mistakes_are_the_table_at_the_distinct_examples():
+    inst = make_proper_failure(2)
+    family, u = inst.family, inst.perturbations
+    reversed_family = HypothesisFamily(family.matrix[::-1])
+    identity = PerturbationMap.identity(family.space_size)
+    for t in range(20):
+        sample = draw_sample(inst.distributions[t % len(inst.distributions)], 12, rng_stream(4, t))
+        distinct = sample.distinct
+        for f, v in [(family, u), (reversed_family, u), (family, identity), (family, u), (family, PerturbationMap(u.sets))]:
+            got = sample._distinct_mistakes(f, v)
+            expected = f.robust_table(v).loss_at(distinct.points, distinct.labels)
+            assert got.dtype == bool and np.array_equal(got, expected) and not got.flags.writeable
+        assert sample._distinct_mistakes(family, u) is got  # kept for the last (family, map)

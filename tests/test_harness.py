@@ -3,6 +3,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from robustpac.core import ContractError, FiniteDistribution, LabeledExample
@@ -15,6 +16,7 @@ from robustpac.constructions import (
 )
 from robustpac.experiments import (
     ExperimentConfig,
+    _run_trials,
     group_adversary_for_k,
     make_group_adversary_instance,
     make_threshold_window_instance,
@@ -24,7 +26,7 @@ from robustpac.experiments import (
 )
 from robustpac import learner
 from robustpac.dimensions import vc
-from robustpac.prng import rng_stream
+from robustpac.prng import rekey, rng_stream
 from robustpac.reports import ExperimentReport, wilson_interval
 from robustpac.sampling import sample_iid
 from robustpac.serialization import (
@@ -59,6 +61,53 @@ def test_rng_stream_keys_are_64_bit(seed, stream):
     with pytest.raises(ContractError, match=r"must lie in \[0, 2\^64\)"):
         rng_stream(seed, stream)
     assert rng_stream(2**64 - 1, 2**64 - 1).integers(0, 10) == rng_stream(2**64 - 1, 2**64 - 1).integers(0, 10)
+
+
+def _draws(rng: np.random.Generator) -> list:
+    """Each kind of draw a trial makes, ending on an odd number of 32-bit draws."""
+    return [
+        rng.random(3).tolist(),
+        rng.integers(0, 2**62, size=3).tolist(),
+        rng.dirichlet(np.ones(4)).tolist(),
+        rng.integers(0, 1000, size=3, dtype=np.int32).tolist(),
+    ]
+
+
+def _state(rng: np.random.Generator) -> dict:
+    state = rng.bit_generator.state
+    return {
+        "key": state["state"]["key"].tolist(),
+        "counter": state["state"]["counter"].tolist(),
+        "buffer": state["buffer"].tolist(),
+        **{k: state[k] for k in ("bit_generator", "buffer_pos", "has_uint32", "uinteger")},
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+def test_a_rekeyed_generator_draws_what_a_fresh_stream_draws(seed):
+    rng = rng_stream(5, 9)
+    _draws(rng)  # leaves a buffered 32-bit half-word, which must not reach the next key
+    assert _state(rng)["has_uint32"] == 1
+    for stream in (0, 1, 2**32, 2**64 - 1):
+        fresh = rng_stream(seed, stream)
+        assert rekey(rng, seed, stream) is rng
+        assert _state(rng) == _state(fresh)
+        assert _draws(rng) == _draws(fresh)
+        assert _state(rng) == _state(fresh) and _state(rng)["has_uint32"] == 1
+
+
+def test_trial_t_draws_stream_seed_t():
+    config = ExperimentConfig(m=1, trials=5, seed=2**64 - 1)
+    rows, _ = _run_trials(config, _draws)
+    assert rows == [_draws(rng_stream(2**64 - 1, t)) for t in range(5)]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_separation_refuses_seeds_outside_64_bits(seed):
+    config = ExperimentConfig(m=1, trials=2, seed=seed)
+    message = rf"^seed and stream must lie in \[0, 2\^64\), got seed={seed}, stream=0$"
+    with pytest.raises(ContractError, match=message):
+        run_separation_experiment(make_proper_failure(1), config)
 
 
 def test_same_seed_same_sample():
