@@ -32,7 +32,7 @@ from .core import (
     PerturbationMap,
     Sample,
 )
-from .learner import LearnerConfig, _boost_growing_n
+from .learner import LearnerConfig, _boost_growing_n, alpha_boost
 
 __all__ = [
     "max_realizable_subsequence",
@@ -106,14 +106,13 @@ def learn_agnostic(
 
     # the core sample's examples are distinct, so its distinct matrix is its loss, kept for build_candidates
     loss = core_sample._distinct_mistakes(family, perturbations)
-    candidates, _, boost = _boost_growing_n(
+    rounds = agnostic_round_count(len(core_sample))
+    candidates, boost = _boost_growing_n(
         family,
         core_sample,
         perturbations,
         config.n_initial,
-        lambda c: loss[list(c.members)],
-        margin_target=None,
-        T_max=agnostic_round_count(len(core_sample)),
+        lambda c: alpha_boost(loss[list(c.members)], margin_target=None, T_max=rounds),
     )
 
     if boost.min_margin <= Fraction(1, 2):

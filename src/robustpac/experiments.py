@@ -32,7 +32,6 @@ from .core import (
     PerturbationMap,
     population_robust_risk,
 )
-from .dimensions import vc
 from .learner import LearnerConfig, compression_bound, learn_realizable_report
 from .oracles import rerm
 from .prng import rekey, rng_stream
@@ -119,8 +118,7 @@ def run_separation_experiment(
     dists = instance.distributions
     family = instance.family
     perturbations = instance.perturbations
-    n_initial = vc(family).value + 1
-    learner_config = LearnerConfig(n_initial=n_initial)
+    learner_config = LearnerConfig()  # n starts at vc(family) + 1, found once per family
 
     def one_trial(rng: np.random.Generator) -> tuple:
         dist = dists[int(rng.integers(len(dists)))]

@@ -16,6 +16,18 @@ The data between stages are arrays: the inflation is a (points, labels)
 pair, the discretized set adds the (candidates, representatives) mistake
 matrix `wrong`, and boosting and sparsification both read correctness as
 `~wrong` rows indexed by candidate id.
+
+Inflation, discretization, boosting and the default sparsify size are pure
+functions of the sample's distinct examples (in first-appearance order) and
+the candidate members, for a given family and perturbation map.  The
+realizable learner keeps them in a stage cache held on the family, one slot
+for the last map met (as `HypothesisFamily.robust_table` keeps its table),
+keyed by the distinct points and labels as bytes plus `candidates.members`
+and holding at most `STAGE_CACHE_ENTRIES` entries, the oldest dropped
+first.  Candidate building (whose provenance depends on positions), the
+realizability check, sparsification with its draws and the closing fit
+check run on every call, so outputs and draws do not depend on what the
+cache holds.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,6 +46,7 @@ from .core import (
     MajorityVotePredictor,
     PerturbationMap,
     Sample,
+    _same_key,
     empirical_robust_risk,
 )
 from .dimensions import dual_vc, vc
@@ -63,6 +76,8 @@ _SCORE_BLOCK = 1 << 17  # count vectors x members per product in build_candidate
 ALPHA = 0.125
 MARGIN_TARGET = Fraction(5, 9)
 SPARSIFY_ATTEMPTS = 100
+# entries per stage-cache slot; 20,000 separation trials on proper-failure(2) at seed 7 meet 612 keys
+STAGE_CACHE_ENTRIES = 1024
 
 
 class WeakLearnerFailure(RuntimeError):
@@ -103,8 +118,9 @@ class LearnerConfig:
     is fixed: the realizable round cap ceil(1 + 48 ln |discretized|) + 10
     (`default_round_cap`), boosting step `ALPHA` 1/8, `MARGIN_TARGET` 5/9
     (which leaves the 1/18 sparsification slack above 1/2) and
-    `SPARSIFY_ATTEMPTS` 100 draws before the full-list fallback.  `seed` is read by no library code (sparsify draws from the
-    caller's generator); it stays while `perfbench/workloads.py` passes it.
+    `SPARSIFY_ATTEMPTS` 100 draws before the full-list fallback.  `seed` is
+    read by no library code (sparsify draws from the caller's generator);
+    it stays while `perfbench/workloads.py` passes it.
     """
 
     n_initial: int | None = None
@@ -274,9 +290,10 @@ def _multiset_count(counts: Sequence[int], n: int) -> int:
 def inflate(sample: Sample, perturbations: PerturbationMap) -> tuple[np.ndarray, np.ndarray]:
     """Expand the sample to all perturbation points, labeled by min-index owner.
 
-    Returns (points, labels) as intp and int8 arrays sorted by point, with
-    exactly one entry per point of the union of the perturbation sets; a
-    point reachable from several examples takes the label of the earliest one.
+    Returns (points, labels) as read-only intp and int8 arrays sorted by
+    point, with exactly one entry per point of the union of the perturbation
+    sets; a point reachable from several examples takes the label of the
+    earliest one.
     """
     if len(sample) == 0:
         raise ContractError("inflation requires a nonempty sample")
@@ -286,7 +303,10 @@ def inflate(sample: Sample, perturbations: PerturbationMap) -> tuple[np.ndarray,
     reach, begins = perturbations.balls(distinct.points)
     points, first = np.unique(reach, return_index=True)  # first occurrence = min-index owner
     owner = np.searchsorted(begins, first, side="right") - 1  # the ball holding each first occurrence
-    return points, distinct.labels[owner]
+    labels = distinct.labels[owner]
+    points.setflags(write=False)
+    labels.setflags(write=False)
+    return points, labels
 
 
 def discretize(inflated: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> DiscretizedSet:
@@ -421,33 +441,82 @@ def sparsify(
     return tuple(range(T))
 
 
+_Boosted = TypeVar("_Boosted")
+
+
 def _boost_growing_n(
     family: HypothesisFamily,
     sample: Sample,
     perturbations: PerturbationMap,
     n_initial: int | None,
-    mistakes: Callable[[CandidateSet], np.ndarray],
-    margin_target: Fraction | None = MARGIN_TARGET,
-    T_max: int | None = None,
-) -> tuple[CandidateSet, np.ndarray, BoostResult]:
+    boost: Callable[[CandidateSet], _Boosted],
+) -> tuple[CandidateSet, _Boosted]:
     """Boost the candidates of size-n subsamples, doubling n until weak learning succeeds.
 
-    The loop both learners share: n starts at min(n_initial, |sample|), where
-    a None `n_initial` means vc(family) + 1, `mistakes` maps the candidate
-    set to the mistake matrix boosting reads, and a WeakLearnerFailure
-    doubles n (capped at |sample|) or, at n = |sample|, propagates.  Returns the candidates, their mistake matrix and the boost.
+    The loop both learners share: n starts at min(n_initial, |sample|),
+    where a None `n_initial` means vc(family) + 1 (`_default_n_initial`),
+    and `boost` maps the candidate set to its boosting outcome.  A
+    WeakLearnerFailure from it doubles n (capped at |sample|) or, at
+    n = |sample|, propagates.  Returns the candidates and the outcome.
     """
     m = len(sample)
-    n = min(vc(family).value + 1 if n_initial is None else n_initial, m)
+    n = min(_default_n_initial(family) if n_initial is None else n_initial, m)
     while True:
         candidates = build_candidates(family, sample, perturbations, n)
-        wrong = mistakes(candidates)
         try:
-            return candidates, wrong, alpha_boost(wrong, margin_target=margin_target, T_max=T_max)
+            return candidates, boost(candidates)
         except WeakLearnerFailure:
             if n == m:
                 raise
             n = min(m, 2 * n)
+
+
+def _default_n_initial(family: HypothesisFamily) -> int:
+    """vc(family) + 1, the default start of n; found once per family and kept on it."""
+    n = family.__dict__.get("_default_n_initial")
+    if n is None:
+        n = vc(family).value + 1
+        object.__setattr__(family, "_default_n_initial", n)
+    return n
+
+
+@dataclass(eq=False)
+class _Stages:
+    """The deterministic stage results of one (distinct examples, candidate members) key.
+
+    `inflated` and `wrong` are read-only; `n_sparse`, the default sparsify
+    size, is found on the first run that leaves `N_sparsify` unset.
+    """
+
+    inflated: tuple[np.ndarray, np.ndarray]
+    wrong: np.ndarray
+    boost: BoostResult
+    n_sparse: int | None = None
+
+
+def _stage_slot(family: HypothesisFamily, perturbations: PerturbationMap) -> dict[tuple, _Stages]:
+    """The family's stage cache under `perturbations`; the one for the last map asked for is kept.
+
+    It is held on the family, so it lives no longer than the family does.
+    """
+    kept = family.__dict__.get("_learner_stages")
+    if kept is None or not _same_key(kept[0], (perturbations,)):
+        kept = ((perturbations,), {})
+        object.__setattr__(family, "_learner_stages", kept)
+    return kept[1]
+
+
+def _default_sparsify_size(family: HypothesisFamily, members: tuple[int, ...], boost: BoostResult) -> int:
+    """The candidates' dual VC dimension (at least 3, made odd), searched only when it can matter."""
+    if len(boost.voter_ids) == 1:
+        return 1  # sparsify keeps a lone voter whatever N is, so skip the dual-VC search
+    if len(members) <= 3:  # 3 rows have at most 2^3 = 8 distinct columns
+        return 3
+    rows = family.matrix[list(members)]
+    if len(set(_column_keys(rows == 1).tolist())) < 16:
+        return 3  # below 16 distinct columns dual_vc <= 3 (2^dual_vc are needed), so max(3, .) is 3
+    n_sparse = max(3, dual_vc(HypothesisFamily(rows)).value)
+    return n_sparse + 1 if n_sparse % 2 == 0 else n_sparse
 
 
 def _first_unrealizable_index(
@@ -487,7 +556,11 @@ def learn_realizable_report(
 ) -> RealizableRunReport:
     """Full pipeline run returning the predictor plus per-stage diagnostics.
 
-    Sparsification, the only random step, continues the caller's generator `rng`.
+    Sparsification, the only random step, continues the caller's generator
+    `rng`.  Inflation, discretization, boosting and the default sparsify
+    size come from the family's stage cache when this (map, distinct
+    examples, candidate members) key was met before; a set `N_sparsify`
+    overrides the cached default without replacing it.
     """
     config = config or LearnerConfig()
     if len(sample) == 0:
@@ -501,41 +574,46 @@ def learn_realizable_report(
             f"(point={example.point}, label={example.label:+d})"
         )
 
-    inflated = inflate(sample, perturbations)
-    candidates, wrong, boost = _boost_growing_n(
-        family,
-        sample,
-        perturbations,
-        config.n_initial,
-        lambda c: discretize(inflated, family.matrix[list(c.members)]).wrong,
-    )
+    slot = _stage_slot(family, perturbations)
+    distinct = sample.distinct
+    sample_key = (distinct.points.tobytes(), distinct.labels.tobytes())
+    inflated = None  # built on the first miss of this call
 
-    if config.N_sparsify is not None:
-        n_sparse = config.N_sparsify
-    elif len(boost.voter_ids) == 1:
-        n_sparse = 1  # sparsify keeps a lone voter whatever N is, so skip the dual-VC search
-    else:
-        n_sparse = 3  # below 16 distinct columns dual_vc <= 3 (2^dual_vc are needed), so max(3, .) is 3
-        if len(candidates) > 3:  # 3 rows have at most 2^3 = 8 distinct columns
-            rows = family.matrix[list(candidates.members)]
-            if len(set(_column_keys(rows == 1).tolist())) >= 16:
-                n_sparse = max(3, dual_vc(HypothesisFamily(rows)).value)
-                if n_sparse % 2 == 0:
-                    n_sparse += 1
-    chosen = sparsify(boost.voter_ids, wrong, n_sparse, rng)
-    voters = tuple(family[candidates.members[boost.voter_ids[j]]] for j in chosen)
-    provenance = tuple(candidates.provenance[boost.voter_ids[j]] for j in chosen)
+    def stages(candidates: CandidateSet) -> _Stages:
+        nonlocal inflated
+        key = (*sample_key, candidates.members)
+        found = slot.get(key)
+        if found is None:
+            if inflated is None:
+                inflated = inflate(sample, perturbations)
+            wrong = discretize(inflated, family.matrix[list(candidates.members)]).wrong
+            found = _Stages(inflated, wrong, alpha_boost(wrong))  # a WeakLearnerFailure stores nothing
+            if len(slot) >= STAGE_CACHE_ENTRIES:
+                del slot[next(iter(slot))]  # the oldest entry
+            slot[key] = found
+        return found
+
+    candidates, found = _boost_growing_n(family, sample, perturbations, config.n_initial, stages)
+    n_sparse = config.N_sparsify
+    if n_sparse is None:
+        if found.n_sparse is None:
+            found.n_sparse = _default_sparsify_size(family, candidates.members, found.boost)
+        n_sparse = found.n_sparse
+    voter_ids = found.boost.voter_ids
+    chosen = sparsify(voter_ids, found.wrong, n_sparse, rng)
+    voters = tuple(family[candidates.members[voter_ids[j]]] for j in chosen)
+    provenance = tuple(candidates.provenance[voter_ids[j]] for j in chosen)
     predictor = MajorityVotePredictor(voters, provenance)
-    if not _fits_inflation(predictor, inflated):
+    if not _fits_inflation(predictor, found.inflated):
         risk = empirical_robust_risk(predictor, sample, perturbations)
         raise RuntimeError(f"pipeline produced nonzero empirical robust risk {risk}")
     return RealizableRunReport(
         predictor=predictor,
         n_used=candidates.subset_size,
-        inflated_size=len(inflated[0]),
-        discretized_size=wrong.shape[1],
-        rounds=boost.rounds,
-        min_margin=boost.min_margin,
+        inflated_size=len(found.inflated[0]),
+        discretized_size=found.wrong.shape[1],
+        rounds=found.boost.rounds,
+        min_margin=found.boost.min_margin,
         sparsified_to=len(chosen),
     )
 

@@ -239,6 +239,26 @@ def test_trials_sparsify_from_their_own_generators(monkeypatch):
     assert any(len(set(chosen)) > 1 for chosen in draws.values() if len(chosen) > 1)
 
 
+def test_separation_finds_the_default_n_initial_once_per_family(monkeypatch):
+    # the experiment leaves n_initial unset; vc(family) + 1 is found on the
+    # first trial and kept on the family for every later trial and call
+    families = []
+    real = learner.vc
+
+    def counted(family, *args, **kwargs):
+        families.append(family)
+        return real(family, *args, **kwargs)
+
+    monkeypatch.setattr(learner, "vc", counted)
+    inst = make_proper_failure(2)
+    config = ExperimentConfig(m=2, trials=5, seed=3, improper_budget=16)
+    first = run_separation_experiment(inst, config)
+    second = run_separation_experiment(inst, config)
+    assert len(families) == 1 and families[0] is inst.family
+    assert learner._default_n_initial(inst.family) == vc(inst.family).value + 1
+    assert [r.to_csv() for r in first] == [r.to_csv() for r in second]
+
+
 def test_bound_check_respects_the_compression_budget():
     config = ExperimentConfig(m=50, trials=40, seed=13)
     report = run_bound_check(config, k=3)

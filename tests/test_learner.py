@@ -4,7 +4,7 @@ import hashlib
 import math
 from fractions import Fraction
 from dataclasses import fields
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -612,7 +612,7 @@ def test_boost_growing_n_clamps_doubles_and_reraises_at_the_sample_size():
     def never_weak(candidates):
         assert len(sizes) < 8, f"n kept growing: {sizes}"
         sizes.append(candidates.subset_size)
-        return np.ones((len(candidates), 3), dtype=bool)  # every candidate errs everywhere
+        return alpha_boost(np.ones((len(candidates), 3), dtype=bool))  # every candidate errs everywhere
 
     # None starts at vc(family) + 1 = 2
     for n, expected in ((1, [1, 2, 4, 5]), (3, [3, 5]), (5, [5]), (9, [5]), (None, [2, 4, 5])):
@@ -844,21 +844,84 @@ def test_learner_output_is_pinned():
         (make_proper_failure(2), 64, None),
         (make_threshold_window_instance(), 50, LearnerConfig(n_initial=1, N_sparsify=3)),
     ]
-    digest = hashlib.sha256()
-    for inst, m, config in runs:
-        index = {row.tobytes(): i for i, row in enumerate(inst.family.matrix)}
-        for trial in range(60):
-            rng = rng_stream(15, trial)
-            if inst.distributions:
-                dist = inst.distributions[int(rng.integers(len(inst.distributions)))]
-            else:
-                dist = _random_threshold_distribution(inst, rng)
-            sample = draw_sample(dist, m, rng)
-            report = learn_realizable_report(
-                inst.family, sample, inst.perturbations, config, rng=rng
-            )
-            vote = report.predictor
-            voters = [index[v.label_row.tobytes()] for v in vote.voters]
-            sizes = [getattr(report, f.name) for f in fields(report) if f.name != "predictor"]
-            digest.update(repr((sizes, voters, vote.provenance, vote.flags)).encode())
-    assert digest.hexdigest() == "4c4bf752eb6d329ce23d41201f315daa294b5d12bff6276761c0e606d10716cc"
+    # The second pass reruns the same instances, so every stage comes from
+    # the families' stage caches: no slot gains a key, and the pin holds.
+    cached = []
+    for _ in range(2):
+        digest = hashlib.sha256()
+        for inst, m, config in runs:
+            index = {row.tobytes(): i for i, row in enumerate(inst.family.matrix)}
+            for trial in range(60):
+                rng = rng_stream(15, trial)
+                if inst.distributions:
+                    dist = inst.distributions[int(rng.integers(len(inst.distributions)))]
+                else:
+                    dist = _random_threshold_distribution(inst, rng)
+                sample = draw_sample(dist, m, rng)
+                report = learn_realizable_report(
+                    inst.family, sample, inst.perturbations, config, rng=rng
+                )
+                vote = report.predictor
+                voters = [index[v.label_row.tobytes()] for v in vote.voters]
+                sizes = [getattr(report, f.name) for f in fields(report) if f.name != "predictor"]
+                digest.update(repr((sizes, voters, vote.provenance, vote.flags)).encode())
+        assert digest.hexdigest() == "4c4bf752eb6d329ce23d41201f315daa294b5d12bff6276761c0e606d10716cc"
+        cached.append([len(learner._stage_slot(inst.family, inst.perturbations)) for inst, _, _ in runs])
+    assert cached[0] == cached[1] and min(cached[0]) > 0
+
+
+# --- the stage cache -------------------------------------------------------------
+
+
+def _run_outcome(report: RealizableRunReport, rng: np.random.Generator) -> tuple:
+    """Every report field, the voters' label rows, the provenance and the generator's state after the run."""
+    vote = report.predictor
+    sizes = [getattr(report, f.name) for f in fields(report) if f.name != "predictor"]
+    return sizes, [v.labels for v in vote.voters], vote.provenance, vote.flags, repr(rng.bit_generator.state)
+
+
+def _fresh_run(family, sample, perturbations, config, seed, stream) -> tuple:
+    """The run on a newly built family and map equal to the given ones, whose stage cache is empty."""
+    family = HypothesisFamily(family.matrix.copy(), name=family.name)
+    rng = rng_stream(seed, stream)
+    report = learn_realizable_report(family, sample, PerturbationMap(perturbations.sets), config, rng=rng)
+    return _run_outcome(report, rng)
+
+
+def test_stage_cache_runs_equal_runs_on_fresh_families():
+    # One family serves every run, switching between two maps and between an
+    # unset and a set N_sparsify (5, above every default here) on repeated
+    # samples; n_initial = 1 meets other candidate members for the same
+    # distinct examples.  Every member labels the six anchors alike, so the
+    # second map, which adds the next anchor to each anchor's ball, leaves
+    # every robust loss and candidate set as they were and grows only the
+    # inflation: a cache that ignored the map would report the first one's.
+    inst = make_proper_failure(2)
+    anchors = inst.family.matrix[:, :6]
+    assert (anchors == anchors[:, :1]).all()
+    sets = inst.perturbations.sets
+    shifted = PerturbationMap(tuple(s + ((x + 1) % 6,) if x < 6 else s for x, s in enumerate(sets)))
+    configs = (LearnerConfig(), LearnerConfig(N_sparsify=5), LearnerConfig(n_initial=1))
+    samples = [draw_sample(inst.distributions[i % 5], 24, rng_stream(41, i)) for i in range(8)]
+    runs = list(product(samples * 2, (inst.perturbations, shifted), configs))
+    for run, (sample, perturbations, config) in enumerate(runs):
+        rng = rng_stream(43, run)
+        report = learn_realizable_report(inst.family, sample, perturbations, config, rng=rng)
+        got = _run_outcome(report, rng)
+        assert got == _fresh_run(inst.family, sample, perturbations, config, 43, run), run
+
+
+def test_stage_cache_keeps_at_most_its_cap_entries(monkeypatch):
+    monkeypatch.setattr(learner, "STAGE_CACHE_ENTRIES", 3)
+    inst = make_proper_failure(2)
+    samples = [draw_sample(inst.distributions[i], 24, rng_stream(47, i)) for i in range(8)]
+    met: set = set()
+    for run, sample in enumerate(samples * 2):  # the second pass meets keys the cap dropped
+        rng = rng_stream(53, run)
+        report = learn_realizable_report(inst.family, sample, inst.perturbations, rng=rng)
+        got = _run_outcome(report, rng)
+        assert got == _fresh_run(inst.family, sample, inst.perturbations, None, 53, run), run
+        slot = learner._stage_slot(inst.family, inst.perturbations)
+        met |= set(slot)
+        assert len(slot) == min(len(met), 3)
+    assert len(met) > 3
