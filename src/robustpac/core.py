@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -326,11 +326,7 @@ class HypothesisFamily:
 
     def robust_table(self, perturbations: PerturbationMap) -> RobustTable:
         """The RobustTable of the members under `perturbations`; the last one built is kept."""
-        cached = self.__dict__.get("_robust_table")
-        if cached is None or not _same_key(cached[0], (perturbations,)):
-            cached = ((perturbations,), RobustTable.build(self.matrix, perturbations))
-            object.__setattr__(self, "_robust_table", cached)
-        return cached[1]
+        return _kept(self, "_robust_table", (perturbations,), lambda: RobustTable.build(self.matrix, perturbations))
 
 
 @dataclass(frozen=True)
@@ -415,16 +411,14 @@ class Sample:
         """(members, distinct examples) bool: the family's robust loss on each distinct example.
 
         `family.robust_table(perturbations).loss_at` of `distinct`'s columns,
-        read-only.  The matrix for the last (family, map) asked for is kept,
-        as `FiniteDistribution._support_balls` keeps its gather.
+        read-only; kept for the last (family, map) asked for.
         """
-        cached = self.__dict__.get("_distinct_loss")
-        if cached is None or not _same_key(cached[0], (family, perturbations)):
+
+        def build() -> np.ndarray:
             distinct = self.distinct
-            loss = family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
-            cached = ((family, perturbations), _read_only(loss))
-            object.__setattr__(self, "_distinct_loss", cached)
-        return cached[1]
+            return _read_only(family.robust_table(perturbations).loss_at(distinct.points, distinct.labels))
+
+        return _kept(self, "_distinct_loss", (family, perturbations), build)
 
 
 def _sample_with_columns(
@@ -495,17 +489,13 @@ class FiniteDistribution:
         return _read_only(points), _read_only(labels), _read_only(cdf), exact
 
     def _support_balls(self, perturbations: PerturbationMap) -> tuple[np.ndarray, np.ndarray]:
-        """`perturbations.balls` of the support points, in atom order.
+        """`perturbations.balls` of the support points, in atom order; kept for the last map asked for."""
 
-        The gather for the last map asked for is kept, as
-        `HypothesisFamily.robust_table` keeps its table.
-        """
-        cached = self.__dict__.get("_support_gather")
-        if cached is None or not _same_key(cached[0], (perturbations,)):
+        def build() -> tuple[np.ndarray, np.ndarray]:
             members, begins = perturbations.balls(self._columns[0])
-            cached = ((perturbations,), (_read_only(members), _read_only(begins)))
-            object.__setattr__(self, "_support_gather", cached)
-        return cached[1]
+            return _read_only(members), _read_only(begins)
+
+        return _kept(self, "_support_gather", (perturbations,), build)
 
     def _member_risks(self, family: HypothesisFamily, perturbations: PerturbationMap) -> tuple[Probability, ...]:
         """`population_robust_risk(family[i], self, perturbations)` for every member i.
@@ -515,18 +505,31 @@ class FiniteDistribution:
         values are the same Fractions and bit-equal floats.  The risks for
         the last (family, map) asked for are kept.
         """
-        cached = self.__dict__.get("_member_risk")
-        if cached is None or not _same_key(cached[0], (family, perturbations)):
+
+        def build() -> tuple[Probability, ...]:
             points, labels, _, _ = self._columns
             lost = family.robust_table(perturbations).loss_at(points, labels)
-            cached = ((family, perturbations), tuple(_lost_weight(self, row) for row in lost.tolist()))
-            object.__setattr__(self, "_member_risk", cached)
-        return cached[1]
+            return tuple(_lost_weight(self, row) for row in lost.tolist())
+
+        return _kept(self, "_member_risk", (family, perturbations), build)
 
 
-def _same_key(kept: tuple, key: tuple) -> bool:
-    """Whether a one-slot cache kept for `kept` serves `key`: each part the same object or equal."""
-    return all(a is b or a == b for a, b in zip(kept, key))
+_Kept = TypeVar("_Kept")
+
+
+def _kept(owner: object, name: str, key: tuple, build: Callable[[], _Kept]) -> _Kept:
+    """`build()`, kept on `owner` under `name` for the last `key` met.
+
+    The one cache policy of the library's derived data: one slot per value,
+    replaced when the key changes.  Tuple comparison matches each key part
+    by identity first and by equality after.  The slot is written with
+    `object.__setattr__`, so frozen owners keep it too.
+    """
+    kept = owner.__dict__.get(name)
+    if kept is None or kept[0] != key:
+        kept = (key, build())
+        object.__setattr__(owner, name, kept)
+    return kept[1]
 
 
 def _lost_weight(dist: FiniteDistribution, lost: Sequence[bool]) -> Probability:
@@ -661,10 +664,9 @@ def population_robust_risk(
     """Probability-weighted robust loss; exact when all atom weights are rational.
 
     The predictor is scored on the support atoms' balls alone, which the
-    distribution gathers once per perturbation map and keeps for the last
-    map it met.  The weights of the atoms it loses are summed by
-    `_lost_weight`: as a Fraction when every weight is one, and otherwise
-    one by one in atom order from 0.0.
+    distribution gathers and keeps (`_kept`).  The weights of the atoms it
+    loses are summed by `_lost_weight`: as a Fraction when every weight is
+    one, and otherwise one by one in atom order from 0.0.
     """
     balls = dist._support_balls(perturbations)
     return _lost_weight(dist, _robust_losses(predictor, perturbations, balls, dist._columns[1]).tolist())

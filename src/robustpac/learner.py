@@ -20,14 +20,13 @@ matrix `wrong`, and boosting and sparsification both read correctness as
 Inflation, discretization, boosting and the default sparsify size are pure
 functions of the sample's distinct examples (in first-appearance order) and
 the candidate members, for a given family and perturbation map.  The
-realizable learner keeps them in a stage cache held on the family, one slot
-for the last map met (as `HypothesisFamily.robust_table` keeps its table),
-keyed by the distinct points and labels as bytes plus `candidates.members`
-and holding at most `STAGE_CACHE_ENTRIES` entries, the oldest dropped
-first.  Candidate building (whose provenance depends on positions), the
-realizability check, sparsification with its draws and the closing fit
-check run on every call, so outputs and draws do not depend on what the
-cache holds.
+realizable learner keeps them in a stage cache held on the family per
+perturbation map (`core._kept`), keyed by the distinct points and labels
+as bytes plus `candidates.members` and holding at most
+`STAGE_CACHE_ENTRIES` entries, the oldest dropped first.  Candidate
+building (whose provenance depends on positions), the realizability check,
+sparsification with its draws and the closing fit check run on every call,
+so outputs and draws do not depend on what the cache holds.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .core import (
     MajorityVotePredictor,
     PerturbationMap,
     Sample,
-    _same_key,
+    _kept,
     empirical_robust_risk,
 )
 from .dimensions import dual_vc, vc
@@ -113,9 +112,8 @@ class LearnerConfig:
     search is skipped when boosting returns one voter, since sparsify keeps
     a lone voter, and when the candidates' label rows have fewer than 16
     distinct columns: shattering d candidates takes 2^d distinct columns, so
-    the dual VC dimension is at most 3 and N is 3.  Columns are counted only
-    for 4 or more candidates, since 3 rows have at most 2^3 = 8.  The rest
-    is fixed: the realizable round cap ceil(1 + 48 ln |discretized|) + 10
+    the dual VC dimension is at most 3 and N is 3.  The rest is fixed: the
+    realizable round cap ceil(1 + 48 ln |discretized|) + 10
     (`default_round_cap`), boosting step `ALPHA` 1/8, `MARGIN_TARGET` 5/9
     (which leaves the 1/18 sparsification slack above 1/2) and
     `SPARSIFY_ATTEMPTS` 100 draws before the full-list fallback.  `seed` is
@@ -342,6 +340,8 @@ def weak_learn(wrong: np.ndarray, dist: np.ndarray) -> tuple[int, np.ndarray]:
     WeakLearnerFailure when even the best candidate has error >= 1/3, which
     signals the caller to grow the candidate subset size.
     """
+    if len(wrong) == 0:
+        raise ContractError("weak learning requires a nonempty candidate set")
     errors = wrong @ dist
     index = int(np.argmin(errors))
     if errors[index] >= WEAK_ERROR_BOUND:
@@ -416,15 +416,17 @@ def sparsify(
 
     Voter ids index the rows of the (candidates, points) mistake matrix
     `wrong`, so voter v is correct on point j exactly when `wrong[v, j]` is
-    False.  Requires the full ensemble to hold a strict majority on every
-    point (guaranteed upstream by the 5/9 margin, which leaves 1/18 slack
-    over 1/2).  Draws N positions from `rng` up to `SPARSIFY_ATTEMPTS` times,
-    then falls back to the full voter list, which satisfies the property by
-    the precondition.
+    False.  Requires N >= 1 and the full ensemble to hold a strict majority
+    on every point (guaranteed upstream by the 5/9 margin, which leaves 1/18
+    slack over 1/2).  Draws N positions from `rng` up to `SPARSIFY_ATTEMPTS`
+    times, then falls back to the full voter list, which satisfies the
+    property by the precondition.
     """
     T = len(voter_ids)
     if T == 0:
         raise ContractError("sparsification requires at least one voter")
+    if N < 1:
+        raise ContractError(f"N must be >= 1, got {N}")
     correct = ~wrong[np.asarray(voter_ids, dtype=np.intp)]
     totals = correct.sum(axis=0)
     if not np.all(2 * totals > T):
@@ -473,11 +475,7 @@ def _boost_growing_n(
 
 def _default_n_initial(family: HypothesisFamily) -> int:
     """vc(family) + 1, the default start of n; found once per family and kept on it."""
-    n = family.__dict__.get("_default_n_initial")
-    if n is None:
-        n = vc(family).value + 1
-        object.__setattr__(family, "_default_n_initial", n)
-    return n
+    return _kept(family, "_default_n_initial", (), lambda: vc(family).value + 1)
 
 
 @dataclass(eq=False)
@@ -495,23 +493,14 @@ class _Stages:
 
 
 def _stage_slot(family: HypothesisFamily, perturbations: PerturbationMap) -> dict[tuple, _Stages]:
-    """The family's stage cache under `perturbations`; the one for the last map asked for is kept.
-
-    It is held on the family, so it lives no longer than the family does.
-    """
-    kept = family.__dict__.get("_learner_stages")
-    if kept is None or not _same_key(kept[0], (perturbations,)):
-        kept = ((perturbations,), {})
-        object.__setattr__(family, "_learner_stages", kept)
-    return kept[1]
+    """The family's stage cache under `perturbations`; the one for the last map asked for is kept."""
+    return _kept(family, "_learner_stages", (perturbations,), dict)
 
 
 def _default_sparsify_size(family: HypothesisFamily, members: tuple[int, ...], boost: BoostResult) -> int:
     """The candidates' dual VC dimension (at least 3, made odd), searched only when it can matter."""
     if len(boost.voter_ids) == 1:
         return 1  # sparsify keeps a lone voter whatever N is, so skip the dual-VC search
-    if len(members) <= 3:  # 3 rows have at most 2^3 = 8 distinct columns
-        return 3
     rows = family.matrix[list(members)]
     if len(set(_column_keys(rows == 1).tolist())) < 16:
         return 3  # below 16 distinct columns dual_vc <= 3 (2^dual_vc are needed), so max(3, .) is 3

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from robustpac.core import (
     RobustTable,
     Sample,
     StructuralError,
+    _kept,
     check_self_containment,
     empirical_robust_risk,
     population_robust_risk,
@@ -463,3 +465,32 @@ def test_distinct_mistakes_are_the_table_at_the_distinct_examples():
             expected = f.robust_table(v).loss_at(distinct.points, distinct.labels)
             assert got.dtype == bool and np.array_equal(got, expected) and not got.flags.writeable
         assert sample._distinct_mistakes(family, u) is got  # kept for the last (family, map)
+
+
+@dataclass(frozen=True)
+class _Owner:
+    """A frozen owner of kept values."""
+
+
+def test_kept_builds_once_per_key_and_replaces_on_a_new_key():
+    owner, builds = _Owner(), []
+
+    def build():
+        builds.append(None)
+        return object()
+
+    key = (PerturbationMap.identity(2), 1)
+    first = _kept(owner, "_slot", key, build)
+    assert _kept(owner, "_slot", key, build) is first  # the same key
+    assert _kept(owner, "_slot", (PerturbationMap.identity(2), 1), build) is first  # equal, distinct parts
+    assert len(builds) == 1
+    second = _kept(owner, "_slot", (PerturbationMap.identity(3), 1), build)
+    assert second is not first and len(builds) == 2
+    assert _kept(owner, "_slot", (PerturbationMap.identity(3), 1), build) is second
+    assert _kept(owner, "_slot", key, build) not in (first, second)  # one slot: the first was replaced
+    assert len(builds) == 3
+    nan = float("nan")  # a part is matched by identity before equality
+    assert _kept(owner, "_nan", (nan,), build) is _kept(owner, "_nan", (nan,), build)
+    assert len(builds) == 4
+    assert _kept(owner, "_once", (), lambda: 7) == 7
+    assert _kept(owner, "_once", (), lambda: pytest.fail("built twice")) == 7

@@ -36,6 +36,7 @@ CASES = {
     "learn_dist5": ["learn", "{proper_failure_2}", "--m", "128", "--dist", "5", "--seed", "11"],
     "agnostic": ["agnostic", "{agnostic_lower_bound_4}", "--m", "64", "--seed", "7"],
     "dims": ["dims", "{vc_blowup_3}"],
+    "k_scaling": ["experiment", "k-scaling", "--trials", "5", "--seed", "3"],
 }
 
 CONSTRUCT_CASES = {

@@ -302,6 +302,14 @@ def test_alpha_boost_rejects_an_empty_point_set_and_a_zero_round_cap():
         alpha_boost(np.eye(4, dtype=bool), T_max=0)
 
 
+def test_weak_learning_and_boosting_reject_an_empty_candidate_set():
+    wrong = np.zeros((0, 3), dtype=bool)
+    with pytest.raises(ContractError, match="^weak learning requires a nonempty candidate set$"):
+        weak_learn(wrong, np.full(3, 1 / 3))
+    with pytest.raises(ContractError, match="^weak learning requires a nonempty candidate set$"):
+        alpha_boost(wrong)
+
+
 def _reference_alpha_boost(wrong, margin_target, T_max, alpha=ALPHA):
     """Plain multiplicative weights over weak_learn, every round run: no perfect-row exit."""
     n_points = wrong.shape[1]
@@ -412,6 +420,32 @@ def test_sparsify_falls_back_to_the_full_list():
     fresh = rng_stream(0)
     fresh.integers(0, 3, size=(SPARSIFY_ATTEMPTS, 1))
     assert rng.random() == fresh.random()  # exactly SPARSIFY_ATTEMPTS draws were made
+
+
+def test_sparsify_rejects_a_draw_size_below_one():
+    family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
+    disc = _disc_for([(x, 1) for x in range(3)], family)
+    for voter_ids in ((0, 1, 2), (0,)):
+        for N in (0, -1):
+            with pytest.raises(ContractError, match=f"^N must be >= 1, got {N}$"):
+                sparsify(voter_ids, disc.wrong, N, rng=rng_stream(0))
+
+
+def test_the_learner_reaches_the_sparsify_fallback():
+    # three boosting rounds over pf(2) candidates, no one of them perfect on
+    # the sample: every one-voter draw fails, so all SPARSIFY_ATTEMPTS draws
+    # are made and the full voter list is kept
+    inst = make_proper_failure(2)
+    sample = sample_iid(inst.distributions[7], 32, seed=21)
+    rng = rng_stream(17)
+    report = learn_realizable_report(
+        inst.family, sample, inst.perturbations, LearnerConfig(N_sparsify=1), rng=rng
+    )
+    assert report.rounds == report.sparsified_to == 3
+    assert empirical_robust_risk(report.predictor, sample, inst.perturbations) == 0
+    fresh = rng_stream(17)
+    fresh.integers(0, 3, size=(SPARSIFY_ATTEMPTS, 1))
+    assert rng.random() == fresh.random()
 
 
 def test_sparsify_rejects_sub_majority_ensembles():
