@@ -31,6 +31,7 @@ from .core import (
     MajorityVotePredictor,
     PerturbationMap,
     Sample,
+    _checked_int,
 )
 from .learner import LearnerConfig, _boost_growing_n, alpha_boost
 
@@ -132,10 +133,8 @@ def agnostic_bound(sc_re: int, m: int, delta: float) -> float:
     `sc_re` is the realizable sample complexity at accuracy and confidence
     1/3, supplied by the caller; this function only evaluates the bound.
     """
-    if sc_re < 1:
-        raise ContractError(f"sc_re must be >= 1, got {sc_re}")
-    if not (isinstance(m, int) and m >= 1):
-        raise ContractError(f"agnostic bound requires an integer m >= 1, got m={m}")
+    sc_re = _checked_int("sc_re", sc_re, 1)
+    m = _checked_int("m", m, 1, message=f"agnostic bound requires an integer m >= 1, got m={m}")
     if not 0 < delta < 1:
         raise ContractError(f"delta must lie in (0, 1), got {delta}")
     t_m = 1.0 + 48.0 * math.log(m)

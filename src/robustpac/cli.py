@@ -27,7 +27,7 @@ from .constructions import (
     make_union_truncation,
     make_vc_blowup,
 )
-from .core import ContractError, StructuralError, empirical_robust_risk, population_robust_risk
+from .core import ContractError, StructuralError, _checked_int, empirical_robust_risk, population_robust_risk
 from .dimensions import (
     DEFAULT_CAP,
     disjoint_robust_shattering_dim,
@@ -128,9 +128,7 @@ def _sampled(args: argparse.Namespace):
         raise ContractError(
             f"this instance ships no distributions; `{args.command}` needs one to sample from"
         )
-    if not 0 <= args.dist < len(dists):
-        raise ContractError(f"--dist must lie in [0, {len(dists) - 1}]")
-    dist = dists[args.dist]
+    dist = dists[_checked_int("--dist", args.dist, 0, len(dists) - 1)]
     rng = rng_stream(args.seed)
     sample = draw_sample(dist, args.m, rng)
     return instance, dist, sample, LearnerConfig(n_initial=args.n_initial), rng

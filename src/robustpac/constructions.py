@@ -22,6 +22,7 @@ from .core import (
     InstanceSpace,
     LabeledExample,
     PerturbationMap,
+    _checked_int,
     parse_probability,
 )
 
@@ -88,10 +89,7 @@ def make_vc_blowup(m: int) -> ConstructedInstance:
     the loss class shatters the anchors while no two points of the base space
     are ever labeled (-1, -1) by one member.  m is at most BLOWUP_CAP.
     """
-    if m < 1:
-        raise ContractError(f"m must be >= 1, got {m}")
-    if m > BLOWUP_CAP:
-        raise ContractError(f"m={m} exceeds the cap {BLOWUP_CAP} (space grows as m * 2^(m-1))")
+    m = _checked_int("m", m, 1, BLOWUP_CAP)
     patterns = [tuple(i for i in range(m) if (code >> i) & 1) for code in range(2 ** m)]
     sets, matrix = _blowup_parts(m, patterns)
     return ConstructedInstance(
@@ -114,8 +112,7 @@ def make_proper_failure(m: int, cap: int = PROPER_FAILURE_CAP) -> ConstructedIns
     m anchors), while any member a learner picks must sacrifice m anchors.
     3m is at most `cap`, by default PROPER_FAILURE_CAP (m <= 4).
     """
-    if m < 1:
-        raise ContractError(f"m must be >= 1, got {m}")
+    m, cap = _checked_int("m", m, 1), _checked_int("cap", cap, 3)
     anchor_count = 3 * m
     if anchor_count > cap:
         raise ContractError(f"3m={anchor_count} exceeds the cap {cap}")
@@ -191,10 +188,7 @@ def make_pair_gap(p: int) -> ConstructedInstance:
     robustly shattered through the witnesses (a_i, c_i), so the robust
     shattering dimension is exactly p.  p is at most PAIR_CAP.
     """
-    if p < 1:
-        raise ContractError(f"p must be >= 1, got {p}")
-    if p > PAIR_CAP:
-        raise ContractError(f"p={p} exceeds the cap {PAIR_CAP} (family has 2^p members)")
+    p = _checked_int("p", p, 1, PAIR_CAP)
     sets = [s for a in range(0, 3 * p, 3) for s in ((a, a + 1), (a, a + 1, a + 2), (a + 1, a + 2))]
     # Bit i of a member's code flips only the shared point u_i (code order is
     # full_cube's); the witness points keep fixed labels, so no single
@@ -232,8 +226,7 @@ def make_lower_bound_family(d: int, epsilon: RationalLike) -> ConstructedInstanc
     match y has robust risk 0 on D_y.  Distributions are indexed by the bit
     code of y (bit i set means y_i = -1).  d is at most PAIR_CAP.
     """
-    if d < 2:
-        raise ContractError(f"d must be >= 2, got {d}")
+    d = _checked_int("d", d, 2)
     eps = _rational_parameter("epsilon", epsilon)
     if not 0 < eps < Fraction(1, 8):
         raise ContractError(f"epsilon must lie in (0, 1/8), got {eps}")
@@ -263,8 +256,7 @@ def make_agnostic_lower_bound(d: int, alpha: RationalLike) -> ConstructedInstanc
     parameter; no sample-complexity calibration is implied.  d is at most
     PAIR_CAP.
     """
-    if d < 2:
-        raise ContractError(f"d must be >= 2, got {d}")
+    d = _checked_int("d", d, 2)
     a = _rational_parameter("alpha", alpha)
     if not 0 < a < 1:
         raise ContractError(f"alpha must lie in (0, 1), got {a}")

@@ -82,6 +82,23 @@ def _checked_points(points: int | Sequence[int] | np.ndarray, size: int) -> np.n
     return points
 
 
+def _is_integer(value: object) -> bool:
+    """The one test of an integer argument: a Python int or a numpy integer, never a bool."""
+    return type(value) is int or isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _checked_int(name: str, value: object, low: int, high: int | None = None, message: str = "") -> int:
+    """`value` as an int in [low, high] (None: no cap), else a ContractError naming `name`, or `message`."""
+    if not _is_integer(value):
+        raise ContractError(message or f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low:
+        raise ContractError(message or f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ContractError(message or f"{name}={value} exceeds the cap {high}")
+    return value
+
+
 _PROBABILITY = re.compile(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+")
 
 
@@ -111,8 +128,8 @@ class InstanceSpace:
     size: int
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise StructuralError(f"instance space must have size >= 1, got {self.size}")
+        if not (_is_integer(self.size) and self.size >= 1):
+            raise StructuralError(f"instance space must have an integer size >= 1, got {self.size!r}")
 
     def __contains__(self, point: int) -> bool:
         return 0 <= point < self.size
@@ -131,13 +148,16 @@ class PerturbationMap:
     def __post_init__(self) -> None:
         canonical = []
         for x, s in enumerate(self.sets):
-            members = tuple(sorted(set(int(z) for z in s)))
+            found = set()
+            for z in s:
+                if not _is_integer(z):
+                    raise StructuralError(f"perturbation set of point {x} has a non-integer member {z!r}")
+                found.add(int(z))
+            members = tuple(sorted(found))
             if not members:
                 raise StructuralError(f"perturbation set of point {x} is empty")
             if members[0] < 0 or members[-1] >= len(self.sets):
-                raise StructuralError(
-                    f"perturbation set of point {x} leaves the instance space: {members}"
-                )
+                raise StructuralError(f"perturbation set of point {x} leaves the instance space: {members}")
             canonical.append(members)
         object.__setattr__(self, "sets", tuple(canonical))
 
@@ -336,8 +356,8 @@ class LabeledExample:
 
     def __post_init__(self) -> None:
         _check_label(self.label)
-        if self.point < 0:
-            raise StructuralError(f"point index must be nonnegative, got {self.point}")
+        if not (_is_integer(self.point) and self.point >= 0):
+            raise StructuralError(f"point index must be a nonnegative integer, got {self.point!r}")
 
 
 class DistinctExamples(NamedTuple):

@@ -44,7 +44,7 @@ from math import comb
 
 import numpy as np
 
-from .core import ContractError, HypothesisFamily, PerturbationMap, StructuralError, _checked_points
+from .core import HypothesisFamily, PerturbationMap, StructuralError, _checked_int, _checked_points
 
 __all__ = [
     "DEFAULT_CAP",
@@ -187,10 +187,8 @@ def _run_search(
     cap: int,
     structural_bound: int,
 ) -> DimensionWitness:
-    if cap < 0:
-        raise ContractError(f"cap must be >= 0, got {cap}")
     hard = min(structural_bound, len(slots))
-    limit = min(cap, hard)
+    limit = min(_checked_int("cap", cap, 0), hard)
     value, chosen = _max_shattered(slots, limit)
     capped = value == limit and limit < hard
     return DimensionWitness(kind, value, tuple(reps[j] for j in chosen), capped)

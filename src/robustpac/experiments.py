@@ -30,6 +30,7 @@ from .core import (
     InstanceSpace,
     LabeledExample,
     PerturbationMap,
+    _checked_int,
     population_robust_risk,
 )
 from .learner import LearnerConfig, compression_bound, learn_realizable_report
@@ -68,10 +69,10 @@ class ExperimentConfig:
     instance_source: str | None = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ContractError(f"trials must be >= 1, got {self.trials}")
-        if self.m < 1:
-            raise ContractError(f"m must be >= 1, got {self.m}")
+        for name in ("m", "trials", "improper_budget"):
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), 1))
+        if not 0 < self.delta < 1:
+            raise ContractError(f"delta must lie in (0, 1), got {self.delta}")
 
     def echo(self, **extra) -> dict:
         return {
@@ -233,10 +234,7 @@ def make_group_adversary_instance(groups: int = 4, k_max: int = 16) -> Construct
     2 no matter which adversary radius is used.  Pair with
     :func:`group_adversary_for_k` to get max |U(x)| = k at fixed family.
     """
-    if groups < 3:
-        raise ContractError(f"need >= 3 groups for vc exactly 2, got {groups}")
-    if k_max < 1:
-        raise ContractError(f"k_max must be >= 1, got {k_max}")
+    groups, k_max = _checked_int("groups", groups, 3), _checked_int("k_max", k_max, 1)
     size = groups * k_max
     flips = [(), *combinations(range(groups), 1), *combinations(range(groups), 2)]
     labels = np.ones((len(flips), groups, k_max), dtype=np.int8)
@@ -256,8 +254,7 @@ def group_adversary_for_k(instance: ConstructedInstance, k: int) -> Perturbation
     """Adversary moving each center to its first k-1 satellites: max |U(x)| = k."""
     groups = instance.metadata["groups"]
     k_max = instance.metadata["k_max"]
-    if not 1 <= k <= k_max:
-        raise ContractError(f"k={k} must lie in [1, {k_max}]")
+    k = _checked_int("k", k, 1, k_max)
     sets = [(x,) for x in range(instance.space.size)]
     for g in range(groups):
         center = g * k_max

@@ -45,6 +45,7 @@ from .core import (
     MajorityVotePredictor,
     PerturbationMap,
     Sample,
+    _checked_int,
     _kept,
     empirical_robust_risk,
 )
@@ -128,8 +129,8 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         for name in ("n_initial", "N_sparsify"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ContractError(f"{name} must be >= 1, got {value}")
+            if value is not None:
+                object.__setattr__(self, name, _checked_int(name, value, 1))
 
 
 @dataclass(frozen=True)
@@ -209,9 +210,7 @@ def build_candidates(
     index combinations.  Family rows are distinct, so distinct members are
     distinct labelings.
     """
-    m = len(sample)
-    if not 1 <= n <= m:
-        raise ContractError(f"subset size n={n} must lie in [1, {m}]")
+    n = _checked_int("subset size n", n, 1, len(sample))
     distinct = sample.distinct
     runs = distinct.positions
     counts = [len(r) for r in runs]
@@ -368,10 +367,7 @@ def alpha_boost(
     n_points = wrong.shape[1]
     if n_points < 1:
         raise ContractError("boosting requires a nonempty point set")
-    if T_max is None:
-        T_max = default_round_cap(n_points)
-    if T_max < 1:
-        raise ContractError(f"T_max must be >= 1, got {T_max}")
+    T_max = default_round_cap(n_points) if T_max is None else _checked_int("T_max", T_max, 1)
     # A row with no mistakes has weighted error exactly 0.0 under every
     # distribution, while every lower-index row errs on a point of positive
     # weight, so weak_learn picks the lowest perfect row in round 1.  It is
@@ -425,8 +421,7 @@ def sparsify(
     T = len(voter_ids)
     if T == 0:
         raise ContractError("sparsification requires at least one voter")
-    if N < 1:
-        raise ContractError(f"N must be >= 1, got {N}")
+    N = _checked_int("N", N, 1)
     correct = ~wrong[np.asarray(voter_ids, dtype=np.intp)]
     totals = correct.sum(axis=0)
     if not np.all(2 * totals > T):
@@ -621,8 +616,8 @@ def learn_realizable(
 
 def compression_bound(k: int, m: int, delta: float) -> float:
     """Generalization bound (k ln m + ln(1/delta)) / (m - k) for size-k compressions."""
-    if not (isinstance(k, int) and isinstance(m, int)) or not m > k >= 1:
-        raise ContractError(f"compression bound requires integers m > k >= 1, got k={k}, m={m}")
+    k = _checked_int("k", k, 1)
+    m = _checked_int("m", m, k + 1, message=f"compression bound requires integers m > k >= 1, got k={k}, m={m}")
     if not 0 < delta < 1:
         raise ContractError(f"delta must lie in (0, 1), got {delta}")
     return (k * math.log(m) + math.log(1.0 / delta)) / (m - k)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ContractError
+from .core import _checked_int
 
 __all__ = ["rng_stream", "rekey"]
 
@@ -19,8 +19,9 @@ _EMPTY = np.zeros(4, dtype=np.uint64)  # a Philox counter at 0, or a buffer hold
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for the given (seed, stream) key, both in [0, 2^64); same key, same draws."""
-    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
-        raise ContractError(f"seed and stream must lie in [0, 2^64), got seed={seed}, stream={stream}")
+    refusal = f"seed and stream must lie in [0, 2^64), got seed={seed}, stream={stream}"
+    seed = _checked_int("seed", seed, 0, 2**64 - 1, message=refusal)
+    stream = _checked_int("stream", stream, 0, 2**64 - 1, message=refusal)
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

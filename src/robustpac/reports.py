@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .core import ContractError
+from .core import _checked_int
 
 __all__ = ["ExperimentReport", "wilson_interval"]
 
@@ -22,8 +22,9 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """Two-sided 95% Wilson score interval for a binomial proportion; behaves at small counts."""
-    if total < 1 or not 0 <= successes <= total:
-        raise ContractError(f"Wilson interval needs 0 <= successes <= total >= 1, got {successes}/{total}")
+    refusal = f"Wilson interval needs 0 <= successes <= total >= 1, got {successes}/{total}"
+    total = _checked_int("total", total, 1, message=refusal)
+    successes = _checked_int("successes", successes, 0, total, message=refusal)
     p, z = successes / total, WILSON_Z
     denom = 1.0 + z * z / total
     center = (p + z * z / (2 * total)) / denom

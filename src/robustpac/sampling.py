@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ContractError, FiniteDistribution, Sample, _sample_with_columns
+from .core import FiniteDistribution, Sample, _checked_int, _sample_with_columns
 from .prng import rng_stream
 
 __all__ = ["sample_iid", "draw_sample"]
@@ -22,8 +22,7 @@ def draw_sample(dist: FiniteDistribution, m: int, rng: np.random.Generator) -> S
     distribution's cached support columns (points, labels and CDF), and the
     sample keeps the indexed points and labels as its own columns.
     """
-    if m < 1:
-        raise ContractError(f"sample size must be >= 1, got {m}")
+    m = _checked_int("sample size m", m, 1)
     points, labels, cdf, _ = dist._columns
     idx = np.searchsorted(cdf, rng.random(m), side="right")
     atoms = dist.atoms

@@ -656,6 +656,26 @@ def test_boost_growing_n_clamps_doubles_and_reraises_at_the_sample_size():
         assert sizes == expected, n
 
 
+def test_the_learner_doubles_n_from_its_default_start(monkeypatch):
+    # vc(family) = 1, so n starts at 2; no candidate of a size-2 subsequence
+    # is a weak learner on this sample, and the public learner grows n to 4
+    family = HypothesisFamily.from_rows([(-1, 1, 1), (-1, -1, -1), (1, 1, -1), (-1, 1, -1)])
+    perturbations = PerturbationMap.identity(3)
+    sample = Sample.from_pairs([(2, -1), (0, -1), (1, 1), (2, -1), (2, -1), (1, 1)])
+    sizes: list[int] = []
+
+    def spy(family, sample, perturbations, n):
+        sizes.append(n)
+        return build_candidates(family, sample, perturbations, n)
+
+    monkeypatch.setattr(learner, "build_candidates", spy)
+    for seed in range(3):
+        sizes.clear()
+        report = learn_realizable_report(family, sample, perturbations, LearnerConfig(), rng=rng_stream(seed))
+        assert sizes == [2, 4]
+        assert (report.n_used, report.rounds, report.min_margin) == (4, 1, 1)
+
+
 def test_learner_config_has_three_validated_fields():
     assert [f.name for f in fields(LearnerConfig)] == ["n_initial", "N_sparsify", "seed"]
     for name in ("n_initial", "N_sparsify"):
