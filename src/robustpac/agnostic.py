@@ -64,6 +64,7 @@ def max_realizable_subsequence(
 
 def agnostic_round_count(core_size: int) -> int:
     """Boosting rounds 1 + ceil(48 ln |core|) used by the agnostic reduction."""
+    core_size = _checked_int("core_size", core_size, 0)
     return 1 + math.ceil(48.0 * math.log(max(core_size, 1)))
 
 

@@ -143,6 +143,7 @@ def make_union_truncation(block_sizes: Sequence[int]) -> ConstructedInstance:
     if not block_sizes:
         raise ContractError("at least one block size is required")
     blocks = [make_proper_failure(m) for m in block_sizes]
+    block_sizes = [inst.metadata["m"] for inst in blocks]  # checked ints, as the document stores them
     offsets = list(accumulate((inst.space.size for inst in blocks[:-1]), initial=0))
     total = offsets[-1] + blocks[-1].space.size
     pairs = list(zip(blocks, offsets))

@@ -242,7 +242,7 @@ class Hypothesis:
 
     @classmethod
     def constant(cls, size: int, label: int) -> "Hypothesis":
-        return cls((label,) * size)
+        return cls((label,) * _checked_int("size", size, 1))
 
     @property
     def size(self) -> int:
@@ -315,6 +315,7 @@ class HypothesisFamily:
     @classmethod
     def full_cube(cls, size: int, name: str | None = None) -> "HypothesisFamily":
         """All 2^size labelings of the space (desk-scale sizes only); bit i of row r set is -1."""
+        size = _checked_int("size", size, 1)
         bits = (np.arange(2 ** size)[:, np.newaxis] >> np.arange(size)) & 1
         return cls(1 - 2 * bits, name=name)
 
@@ -355,9 +356,12 @@ class LabeledExample:
     label: int
 
     def __post_init__(self) -> None:
-        _check_label(self.label)
+        label = _check_label(self.label)
         if not (_is_integer(self.point) and self.point >= 0):
             raise StructuralError(f"point index must be a nonnegative integer, got {self.point!r}")
+        if type(self.point) is not int or type(self.label) is not int:  # numpy integers are stored as ints
+            object.__setattr__(self, "point", int(self.point))
+            object.__setattr__(self, "label", label)
 
 
 class DistinctExamples(NamedTuple):

@@ -370,4 +370,6 @@ def restriction_count(family: HypothesisFamily, points: tuple[int, ...]) -> int:
 
 def sauer_bound(k: int, dim: int) -> int:
     """Sauer's lemma ceiling on restrictions to k points for a dim-dimensional class."""
+    k = _checked_int("k", k, 0)
+    dim = _checked_int("dim", dim, 0)
     return sum(comb(k, i) for i in range(0, min(dim, k) + 1))

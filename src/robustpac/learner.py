@@ -17,25 +17,28 @@ pair, the discretized set adds the (candidates, representatives) mistake
 matrix `wrong`, and boosting and sparsification both read correctness as
 `~wrong` rows indexed by candidate id.
 
-Inflation, discretization, boosting and the default sparsify size are pure
-functions of the sample's distinct examples (in first-appearance order) and
-the candidate members, for a given family and perturbation map.  The
-realizable learner keeps them in a stage cache held on the family per
-perturbation map (`core._kept`), keyed by the distinct points and labels
-as bytes plus `candidates.members` and holding at most
-`STAGE_CACHE_ENTRIES` entries, the oldest dropped first.  Candidate
-building (whose provenance depends on positions), the realizability check,
-sparsification with its draws and the closing fit check run on every call,
-so outputs and draws do not depend on what the cache holds.
+For a given family and perturbation map, every deterministic stage is a
+function of the sample's distinct examples in first-appearance order: the
+realizability check, the candidate enumeration's oracle calls (whose count
+vectors also depend on the counts clipped at n), inflation, discretization,
+boosting, sparsify's majority precondition and the default sparsify size.
+The realizable learner keeps them in a stage cache held on the family per
+perturbation map (`core._kept`), one entry per sample key (the distinct
+points and labels as bytes), at most `STAGE_CACHE_ENTRIES` of them, the
+oldest dropped first.  A hit runs only what depends on the sample's
+positions or on the generator: the offending position of an unrealizable
+sample, the candidates' provenance (rebuilt from the kept enumeration),
+sparsify's draws and the closing fit check.  Outputs and draws therefore
+do not depend on what the cache holds.  The agnostic learner keeps nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -73,10 +76,12 @@ __all__ = [
 WEAK_ERROR_BOUND = 1.0 / 3.0
 CANDIDATE_ENUMERATION_LIMIT = 500_000
 _SCORE_BLOCK = 1 << 17  # count vectors x members per product in build_candidates
+# a candidate enumeration: (count vector as (distinct example, copies) pairs, argmin member), in order
+_Plan = list[tuple[tuple[tuple[int, int], ...], int]]
 ALPHA = 0.125
 MARGIN_TARGET = Fraction(5, 9)
 SPARSIFY_ATTEMPTS = 100
-# entries per stage-cache slot; 20,000 separation trials on proper-failure(2) at seed 7 meet 612 keys
+# sample keys per stage-cache slot; 20,000 separation trials on proper-failure(2) at seed 7 meet 360
 STAGE_CACHE_ENTRIES = 1024
 
 
@@ -211,6 +216,21 @@ def build_candidates(
     distinct labelings.
     """
     n = _checked_int("subset size n", n, 1, len(sample))
+    return _enumerated_candidates(family, sample, perturbations, n, None)
+
+
+def _enumerated_candidates(
+    family: HypothesisFamily,
+    sample: Sample,
+    perturbations: PerturbationMap,
+    n: int,
+    plan: _Plan | None,
+) -> CandidateSet:
+    """`build_candidates` for a checked n; a given `plan` list receives the (count vector, member) pairs.
+
+    The pairs come in enumeration order, each count vector as the (distinct
+    example, copies) pairs of its nonzero counts.
+    """
     distinct = sample.distinct
     runs = distinct.positions
     counts = [len(r) for r in runs]
@@ -243,10 +263,11 @@ def build_candidates(
 
     def score() -> None:
         mistakes = np.array(vectors, dtype=np.float64).reshape(len(tuples), d) @ scores
-        for indices, member in zip(tuples, mistakes.argmin(axis=1).tolist()):
-            known = first.get(member)
-            if known is None or indices < known:
-                first[member] = indices
+        members = mistakes.argmin(axis=1).tolist()
+        if plan is not None:
+            for i, member in enumerate(members):
+                plan.append((tuple((s, k) for s, k in enumerate(vectors[i * d : (i + 1) * d]) if k), member))
+        _keep_first(first, zip(tuples, members))
         vectors.clear()
         tuples.clear()
 
@@ -267,7 +288,52 @@ def build_candidates(
     fill(0, n, ())
     if tuples:
         score()
-    order = sorted(first, key=first.__getitem__)  # index tuples are distinct
+    return _candidate_set(first, n)
+
+
+def _planned_candidates(
+    family: HypothesisFamily,
+    sample: Sample,
+    perturbations: PerturbationMap,
+    n: int,
+    plans: dict[tuple[int, tuple[int, ...]], _Plan],
+) -> CandidateSet:
+    """`build_candidates` for a checked n, its enumeration kept in `plans`.
+
+    `plans` belongs to one sample key, which fixes every count vector's
+    argmin member; which vectors exist depends only on n and the counts
+    clipped at n, the plan's key.  A kept plan's provenance is rebuilt from
+    this sample's positions, since samples of one key can order their
+    repeats differently.
+    """
+    runs = sample.distinct.positions
+    key = (n, tuple(min(len(run), n) for run in runs))
+    plan = plans.get(key)
+    if plan is not None:
+        pairs = (
+            (tuple(sorted(itertools.chain.from_iterable([runs[s][:k] for s, k in copies]))), member)
+            for copies, member in plan
+        )
+        first: dict[int, tuple[int, ...]] = {}
+        _keep_first(first, pairs)
+        return _candidate_set(first, n)
+    plan: _Plan = []
+    candidates = _enumerated_candidates(family, sample, perturbations, n, plan)
+    plans[key] = plan  # kept once the enumeration is within its limit
+    return candidates
+
+
+def _keep_first(first: dict[int, tuple[int, ...]], pairs: Iterable[tuple[tuple[int, ...], int]]) -> None:
+    """Keep in `first` each member's lexicographically first index tuple among the (tuple, member) pairs."""
+    for indices, member in pairs:
+        known = first.get(member)
+        if known is None or indices < known:
+            first[member] = indices
+
+
+def _candidate_set(first: dict[int, tuple[int, ...]], n: int) -> CandidateSet:
+    """The candidates in order of their first index tuples, which are distinct."""
+    order = sorted(first, key=first.__getitem__)
     return CandidateSet(tuple(order), tuple(first[c] for c in order), n)
 
 
@@ -399,6 +465,7 @@ def alpha_boost(
 
 def default_round_cap(n_points: int) -> int:
     """Round ceiling ceil(1 + 48 ln |points|) + 10 used by the realizable path."""
+    n_points = _checked_int("n_points", n_points, 0)
     return math.ceil(1.0 + 48.0 * math.log(max(n_points, 1))) + 10
 
 
@@ -418,23 +485,32 @@ def sparsify(
     times, then falls back to the full voter list, which satisfies the
     property by the precondition.
     """
-    T = len(voter_ids)
-    if T == 0:
+    if len(voter_ids) == 0:
         raise ContractError("sparsification requires at least one voter")
     N = _checked_int("N", N, 1)
+    return _sparse_draw(_majority_correct(voter_ids, wrong), N, rng)
+
+
+def _majority_correct(voter_ids: Sequence[int], wrong: np.ndarray) -> np.ndarray:
+    """The voters' correctness rows `~wrong[voter_ids]`, once their strict majority on every point is checked."""
     correct = ~wrong[np.asarray(voter_ids, dtype=np.intp)]
-    totals = correct.sum(axis=0)
-    if not np.all(2 * totals > T):
+    if not np.all(2 * correct.sum(axis=0) > len(voter_ids)):
         raise ContractError(
             "voters lack a strict majority on some discretized point; "
             "the margin precondition of sparsification is violated"
         )
+    return correct
+
+
+def _sparse_draw(correct: np.ndarray, N: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """`sparsify`'s draws over checked rows of `_majority_correct`, for an N >= 1."""
+    T = len(correct)
     if T == 1:
         return (0,)
     for _ in range(SPARSIFY_ATTEMPTS):
         draw = rng.integers(0, T, size=N)
         if 2 * correct[draw].sum(axis=0).min() > N:
-            return tuple(int(i) for i in draw)
+            return tuple(draw.tolist())
     return tuple(range(T))
 
 
@@ -447,6 +523,7 @@ def _boost_growing_n(
     perturbations: PerturbationMap,
     n_initial: int | None,
     boost: Callable[[CandidateSet], _Boosted],
+    plans: dict[tuple[int, tuple[int, ...]], _Plan] | None = None,
 ) -> tuple[CandidateSet, _Boosted]:
     """Boost the candidates of size-n subsamples, doubling n until weak learning succeeds.
 
@@ -455,11 +532,17 @@ def _boost_growing_n(
     and `boost` maps the candidate set to its boosting outcome.  A
     WeakLearnerFailure from it doubles n (capped at |sample|) or, at
     n = |sample|, propagates.  Returns the candidates and the outcome.
+    Given a sample entry's `plans`, candidates come from
+    `_planned_candidates`; without, from `build_candidates`, which keeps
+    nothing.
     """
     m = len(sample)
     n = min(_default_n_initial(family) if n_initial is None else n_initial, m)
     while True:
-        candidates = build_candidates(family, sample, perturbations, n)
+        if plans is None:
+            candidates = build_candidates(family, sample, perturbations, n)
+        else:
+            candidates = _planned_candidates(family, sample, perturbations, n, plans)
         try:
             return candidates, boost(candidates)
         except WeakLearnerFailure:
@@ -475,21 +558,58 @@ def _default_n_initial(family: HypothesisFamily) -> int:
 
 @dataclass(eq=False)
 class _Stages:
-    """The deterministic stage results of one (distinct examples, candidate members) key.
+    """The deterministic stages of one sample key's candidate members.
 
-    `inflated` and `wrong` are read-only; `n_sparse`, the default sparsify
-    size, is found on the first run that leaves `N_sparsify` unset.
+    `wrong` is read-only; `correct` is `_majority_correct` of the boost's
+    voters, checked once; `n_sparse`, the default sparsify size, is found on
+    the first run that leaves `N_sparsify` unset.
     """
 
-    inflated: tuple[np.ndarray, np.ndarray]
     wrong: np.ndarray
     boost: BoostResult
+    correct: np.ndarray
     n_sparse: int | None = None
 
 
-def _stage_slot(family: HypothesisFamily, perturbations: PerturbationMap) -> dict[tuple, _Stages]:
+@dataclass(eq=False)
+class _SampleEntry:
+    """What the stage cache keeps for one sample key (`_sample_key`).
+
+    `dead` is the first distinct example that leaves no member robustly
+    correct on the distinct examples up to it (`_first_dead_example`), or
+    None.  `plans` holds the candidate enumerations (`_planned_candidates`),
+    and `stages` the `_Stages` per tuple of candidate members, which share
+    the `inflated` sample, built with the first of them.
+    """
+
+    dead: int | None
+    inflated: tuple[np.ndarray, np.ndarray] | None = None
+    plans: dict[tuple[int, tuple[int, ...]], _Plan] = field(default_factory=dict)
+    stages: dict[tuple[int, ...], _Stages] = field(default_factory=dict)
+
+
+def _stage_slot(family: HypothesisFamily, perturbations: PerturbationMap) -> dict[tuple, _SampleEntry]:
     """The family's stage cache under `perturbations`; the one for the last map asked for is kept."""
     return _kept(family, "_learner_stages", (perturbations,), dict)
+
+
+def _sample_key(sample: Sample) -> tuple[bytes, bytes]:
+    """The stage cache's key of a sample: its distinct points and labels, in first-appearance order, as bytes."""
+    distinct = sample.distinct
+    return distinct.points.tobytes(), distinct.labels.tobytes()
+
+
+def _sample_entry(family: HypothesisFamily, sample: Sample, perturbations: PerturbationMap) -> _SampleEntry:
+    """The stage cache's entry for the sample's key, made (and the oldest dropped at the cap) on a miss."""
+    slot = _stage_slot(family, perturbations)
+    key = _sample_key(sample)
+    entry = slot.get(key)
+    if entry is None:
+        entry = _SampleEntry(_first_dead_example(family, sample, perturbations))
+        if len(slot) >= STAGE_CACHE_ENTRIES:
+            del slot[next(iter(slot))]  # the oldest entry
+        slot[key] = entry
+    return entry
 
 
 def _default_sparsify_size(family: HypothesisFamily, members: tuple[int, ...], boost: BoostResult) -> int:
@@ -503,18 +623,17 @@ def _default_sparsify_size(family: HypothesisFamily, members: tuple[int, ...], b
     return n_sparse + 1 if n_sparse % 2 == 0 else n_sparse
 
 
-def _first_unrealizable_index(
-    family: HypothesisFamily, sample: Sample, perturbations: PerturbationMap
-) -> int | None:
-    """Index i such that sample[:i+1] has no robustly consistent member, or None.
+def _first_dead_example(family: HypothesisFamily, sample: Sample, perturbations: PerturbationMap) -> int | None:
+    """The first distinct example s with no member robustly correct on distinct examples 0..s, or None.
 
     The prefixes of the sample cover the prefixes of its distinct examples,
-    each growing where an example first appears, so the first dead prefix
-    ends at the first position of the first dead distinct example.
+    each growing where an example first appears, so the first prefix of the
+    sample with no robustly consistent member ends at
+    `sample.distinct.positions[s][0]`.
     """
     correct = ~sample._distinct_mistakes(family, perturbations)
     dead = np.flatnonzero(~np.logical_and.accumulate(correct, axis=1).any(axis=0))
-    return sample.distinct.positions[dead[0]][0] if dead.size else None
+    return int(dead[0]) if dead.size else None
 
 
 def _fits_inflation(predictor: MajorityVotePredictor, inflated: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -549,8 +668,9 @@ def learn_realizable_report(
     config = config or LearnerConfig()
     if len(sample) == 0:
         raise ContractError("learning requires a nonempty sample")
-    offending = _first_unrealizable_index(family, sample, perturbations)
-    if offending is not None:
+    entry = _sample_entry(family, sample, perturbations)
+    if entry.dead is not None:
+        offending = sample.distinct.positions[entry.dead][0]
         example = sample[offending]
         raise ContractError(
             f"sample is not robustly realizable: no member is robustly correct on "
@@ -558,43 +678,35 @@ def learn_realizable_report(
             f"(point={example.point}, label={example.label:+d})"
         )
 
-    slot = _stage_slot(family, perturbations)
-    distinct = sample.distinct
-    sample_key = (distinct.points.tobytes(), distinct.labels.tobytes())
-    inflated = None  # built on the first miss of this call
-
     def stages(candidates: CandidateSet) -> _Stages:
-        nonlocal inflated
-        key = (*sample_key, candidates.members)
-        found = slot.get(key)
+        found = entry.stages.get(candidates.members)
         if found is None:
-            if inflated is None:
-                inflated = inflate(sample, perturbations)
-            wrong = discretize(inflated, family.matrix[list(candidates.members)]).wrong
-            found = _Stages(inflated, wrong, alpha_boost(wrong))  # a WeakLearnerFailure stores nothing
-            if len(slot) >= STAGE_CACHE_ENTRIES:
-                del slot[next(iter(slot))]  # the oldest entry
-            slot[key] = found
+            if entry.inflated is None:
+                entry.inflated = inflate(sample, perturbations)
+            wrong = discretize(entry.inflated, family.matrix[list(candidates.members)]).wrong
+            boost = alpha_boost(wrong)  # a WeakLearnerFailure stores nothing
+            found = _Stages(wrong, boost, _majority_correct(boost.voter_ids, wrong))
+            entry.stages[candidates.members] = found
         return found
 
-    candidates, found = _boost_growing_n(family, sample, perturbations, config.n_initial, stages)
+    candidates, found = _boost_growing_n(family, sample, perturbations, config.n_initial, stages, entry.plans)
     n_sparse = config.N_sparsify
     if n_sparse is None:
         if found.n_sparse is None:
             found.n_sparse = _default_sparsify_size(family, candidates.members, found.boost)
         n_sparse = found.n_sparse
     voter_ids = found.boost.voter_ids
-    chosen = sparsify(voter_ids, found.wrong, n_sparse, rng)
+    chosen = _sparse_draw(found.correct, n_sparse, rng)
     voters = tuple(family[candidates.members[voter_ids[j]]] for j in chosen)
     provenance = tuple(candidates.provenance[voter_ids[j]] for j in chosen)
     predictor = MajorityVotePredictor(voters, provenance)
-    if not _fits_inflation(predictor, found.inflated):
+    if not _fits_inflation(predictor, entry.inflated):
         risk = empirical_robust_risk(predictor, sample, perturbations)
         raise RuntimeError(f"pipeline produced nonzero empirical robust risk {risk}")
     return RealizableRunReport(
         predictor=predictor,
         n_used=candidates.subset_size,
-        inflated_size=len(found.inflated[0]),
+        inflated_size=len(entry.inflated[0]),
         discretized_size=found.wrong.shape[1],
         rounds=found.boost.rounds,
         min_margin=found.boost.min_margin,

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from robustpac.agnostic import agnostic_bound
+from robustpac.agnostic import agnostic_bound, agnostic_round_count
 from robustpac.cli import main
 from robustpac.constructions import (
     make_agnostic_lower_bound,
@@ -26,6 +26,7 @@ from robustpac.constructions import (
 from robustpac.core import (
     ContractError,
     FiniteDistribution,
+    Hypothesis,
     HypothesisFamily,
     InstanceSpace,
     LabeledExample,
@@ -37,14 +38,23 @@ from robustpac.dimensions import (
     disjoint_robust_shattering_dim,
     dual_vc,
     robust_shattering_dim,
+    sauer_bound,
     vc,
     vc_of_robust_loss_family,
 )
 from robustpac.experiments import ExperimentConfig, group_adversary_for_k, make_group_adversary_instance
-from robustpac.learner import LearnerConfig, alpha_boost, build_candidates, compression_bound, sparsify
+from robustpac.learner import (
+    LearnerConfig,
+    alpha_boost,
+    build_candidates,
+    compression_bound,
+    default_round_cap,
+    sparsify,
+)
 from robustpac.prng import rng_stream
 from robustpac.reports import wilson_interval
 from robustpac.sampling import draw_sample, sample_iid
+from robustpac.serialization import dumps_instance, loads_instance
 
 PAIR = make_pair_gap(2)
 GROUPS = make_group_adversary_instance(groups=3, k_max=4)
@@ -80,11 +90,15 @@ SITES = {
     "robust_shattering_dim": (
         lambda v: robust_shattering_dim(PAIR.family, PAIR.perturbations, cap=v), 2, -1, "cap", ContractError
     ),
+    "sauer_bound/k": (lambda v: sauer_bound(v, 2), 3, -1, "k", ContractError),
+    "sauer_bound/dim": (lambda v: sauer_bound(3, v), 2, -1, "dim", ContractError),
     "LearnerConfig/n_initial": (lambda v: LearnerConfig(n_initial=v), 2, 0, "n_initial", ContractError),
     "LearnerConfig/N_sparsify": (lambda v: LearnerConfig(N_sparsify=v), 3, 0, "N_sparsify", ContractError),
     "build_candidates": (lambda v: build_candidates(FAMILY, SAMPLE, IDENTITY, v), 1, 3, "n", ContractError),
     "alpha_boost": (lambda v: alpha_boost(PERFECT, None, v), 2, 0, "T_max", ContractError),
     "sparsify": (lambda v: sparsify((0,), PERFECT, v, rng_stream(0)), 1, 0, "N", ContractError),
+    "default_round_cap": (default_round_cap, 5, -3, "n_points", ContractError),
+    "agnostic_round_count": (agnostic_round_count, 5, -1, "core_size", ContractError),
     "compression_bound/k": (lambda v: compression_bound(v, 50, 0.05), 3, 0, "k", ContractError),
     "compression_bound/m": (lambda v: compression_bound(3, v, 0.05), 50, 3, "m", ContractError),
     "agnostic_bound/sc_re": (lambda v: agnostic_bound(v, 10**6, 0.05), 1, 0, "sc_re", ContractError),
@@ -107,6 +121,8 @@ SITES = {
     "Sample.from_pairs": (lambda v: Sample.from_pairs([(v, 1)]), 1, -1, "point", StructuralError),
     "PerturbationMap": (lambda v: PerturbationMap(((v,), (0,))), 1, 2, "perturbation set", StructuralError),
     "InstanceSpace": (InstanceSpace, 2, 0, "size", StructuralError),
+    "Hypothesis.constant": (lambda v: Hypothesis.constant(v, 1), 2, 0, "size", ContractError),
+    "HypothesisFamily.full_cube": (HypothesisFamily.full_cube, 2, 0, "size", ContractError),
 }
 
 
@@ -126,6 +142,19 @@ def test_a_numpy_integer_is_accepted_where_an_int_is(site):
     call, valid, _, _, _ = SITES[site]
     call(valid)
     call(np.int64(valid))
+
+
+def test_numpy_integers_are_stored_as_python_ints():
+    example = LabeledExample(np.int64(2), np.int8(-1))
+    assert (type(example.point), type(example.label)) == (int, int) and example == LabeledExample(2, -1)
+    dist = FiniteDistribution.uniform([LabeledExample(np.int64(0), 1)])
+    assert [type(e.point) for e, _ in dist.atoms] == [int]
+    instance = make_union_truncation([np.int64(1)])
+    assert instance.metadata["block_sizes"] == [1] and type(instance.metadata["block_sizes"][0]) is int
+    assert instance.family.name == "union-truncation([1])"
+    text = dumps_instance(instance)
+    assert text == dumps_instance(make_union_truncation([1]))
+    assert dumps_instance(loads_instance(text)) == text
 
 
 def test_perturbation_members_are_canonical_python_ints():

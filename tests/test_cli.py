@@ -94,20 +94,20 @@ def test_learn_continues_the_sample_generator_into_sparsify(monkeypatch, capsys)
     # stream would replay the sample's uniforms
     path = str(GOLDEN / "proper_failure_2.json")
     calls = []
-    real = learner.sparsify
+    real = learner._sparse_draw  # sparsify's draws, over the voters' checked correctness rows
 
-    def recorded(voter_ids, wrong, N, *args, **kwargs):
-        calls.append((voter_ids, wrong, N, real(voter_ids, wrong, N, *args, **kwargs)))
+    def recorded(correct, N, rng):
+        calls.append((correct, N, real(correct, N, rng)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(learner, "sparsify", recorded)
+    monkeypatch.setattr(learner, "_sparse_draw", recorded)
     assert main(["learn", path, "--m", "64", "--seed", "7"]) == 0
-    [(voter_ids, wrong, N, chosen)] = calls
-    assert len(voter_ids) > 1
+    [(correct, N, chosen)] = calls
+    assert len(correct) > 1
     rng = rng_stream(7)
     draw_sample(load_instance(path).distributions[0], 64, rng)
-    assert chosen == real(voter_ids, wrong, N, rng)
-    assert chosen != real(voter_ids, wrong, N, rng_stream(7))
+    assert chosen == real(correct, N, rng)
+    assert chosen != real(correct, N, rng_stream(7))
 
 
 def test_agnostic_subcommand_runs(tmp_path, capsys):

@@ -225,15 +225,15 @@ def test_trials_sparsify_from_their_own_generators(monkeypatch):
     # trial t's learner continues stream (seed, t): calls with the same voter
     # count and draw size must not all return the same positions
     draws = defaultdict(list)
-    real = learner.sparsify
+    real = learner._sparse_draw  # sparsify's draws, one correctness row per voter
 
-    def recorded(voter_ids, wrong, N, *args, **kwargs):
-        chosen = real(voter_ids, wrong, N, *args, **kwargs)
-        if len(voter_ids) > 1:
-            draws[(len(voter_ids), N)].append(chosen)
+    def recorded(correct, N, rng):
+        chosen = real(correct, N, rng)
+        if len(correct) > 1:
+            draws[(len(correct), N)].append(chosen)
         return chosen
 
-    monkeypatch.setattr(learner, "sparsify", recorded)
+    monkeypatch.setattr(learner, "_sparse_draw", recorded)
     run_separation_experiment(make_proper_failure(2), ExperimentConfig(m=2, trials=40, seed=3))
     assert sum(map(len, draws.values())) == 23
     assert any(len(set(chosen)) > 1 for chosen in draws.values() if len(chosen) > 1)

@@ -14,6 +14,7 @@ from robustpac.core import (
     ContractError,
     Hypothesis,
     HypothesisFamily,
+    LabeledExample,
     MajorityVotePredictor,
     PerturbationMap,
     Sample,
@@ -40,7 +41,7 @@ from robustpac.learner import (
     learn_realizable_report,
     sparsify,
     weak_learn,
-    _first_unrealizable_index,
+    _first_dead_example,
     _fits_inflation,
     _multiset_count,
 )
@@ -664,11 +665,12 @@ def test_the_learner_doubles_n_from_its_default_start(monkeypatch):
     sample = Sample.from_pairs([(2, -1), (0, -1), (1, 1), (2, -1), (2, -1), (1, 1)])
     sizes: list[int] = []
 
-    def spy(family, sample, perturbations, n):
+    def spy(family, sample, perturbations, n, plans):
         sizes.append(n)
-        return build_candidates(family, sample, perturbations, n)
+        return planned(family, sample, perturbations, n, plans)
 
-    monkeypatch.setattr(learner, "build_candidates", spy)
+    planned = learner._planned_candidates  # build_candidates with the stage cache's plans
+    monkeypatch.setattr(learner, "_planned_candidates", spy)
     for seed in range(3):
         sizes.clear()
         report = learn_realizable_report(family, sample, perturbations, LearnerConfig(), rng=rng_stream(seed))
@@ -759,12 +761,12 @@ def test_dual_vc_runs_only_when_sparsify_uses_it(monkeypatch):
     identity = PerturbationMap.identity(21)
     sizes = []
 
-    def recorded(voter_ids, wrong, N, rng):
+    def recorded(correct, N, rng):
         sizes.append(N)
-        return learner_sparsify(voter_ids, wrong, N, rng)
+        return learner_draw(correct, N, rng)
 
-    learner_sparsify = learner.sparsify
-    monkeypatch.setattr(learner, "sparsify", recorded)
+    learner_draw = learner._sparse_draw  # sparsify's draws
+    monkeypatch.setattr(learner, "_sparse_draw", recorded)
     report = learn_realizable_report(family, sample, identity, LearnerConfig(n_initial=4), rng=rng_stream(0))
     assert sorted(build_candidates(family, sample, identity, 4).members) == [0, 1, 2, 3, 4]
     assert len(np.unique(family.matrix[:5], axis=1).T) == 17
@@ -804,7 +806,7 @@ def test_a_losing_sparsified_vote_raises_the_closing_error(monkeypatch):
     identity = PerturbationMap.identity(5)
     config = LearnerConfig(n_initial=4)
     learn_realizable_report(family, sample, identity, config, rng=rng_stream(0))  # unpatched, it fits
-    monkeypatch.setattr(learner, "sparsify", lambda voter_ids, wrong, N, rng: (0,))
+    monkeypatch.setattr(learner, "_sparse_draw", lambda correct, N, rng: (0,))  # sparsify's draws
     with pytest.raises(RuntimeError, match="^pipeline produced nonzero empirical robust risk 1/5$"):
         learn_realizable_report(family, sample, identity, config, rng=rng_stream(0))
 
@@ -817,7 +819,7 @@ def test_first_unrealizable_index_matches_the_prefix_scan(inputs, outside, data)
         pairs = [(e.point, e.label) for e in sample]
         pairs.insert(data.draw(st.integers(0, len(pairs))), (perturbations.size + outside, 1))
         with pytest.raises(StructuralError, match=f"point {perturbations.size + outside} outside"):
-            _first_unrealizable_index(family, Sample.from_pairs(pairs), perturbations)
+            _first_dead_example(family, Sample.from_pairs(pairs), perturbations)
         return
     expected = None
     for i in range(len(sample)):
@@ -825,7 +827,8 @@ def test_first_unrealizable_index_matches_the_prefix_scan(inputs, outside, data)
         if all(empirical_robust_risk(h, prefix, perturbations) > 0 for h in family):
             expected = i
             break
-    assert _first_unrealizable_index(family, sample, perturbations) == expected
+    dead = _first_dead_example(family, sample, perturbations)  # a distinct example; its first position
+    assert (dead if dead is None else sample.distinct.positions[dead][0]) == expected
 
 
 def test_learner_rejects_unrealizable_samples_naming_the_example():
@@ -927,19 +930,41 @@ def test_learner_output_is_pinned():
 # --- the stage cache -------------------------------------------------------------
 
 
-def _run_outcome(report: RealizableRunReport, rng: np.random.Generator) -> tuple:
-    """Every report field, the voters' label rows, the provenance and the generator's state after the run."""
+def _run_outcome(family, sample, perturbations, config, rng: np.random.Generator) -> tuple | str:
+    """Every report field, the voters' label rows, the provenance and the generator's state after the run.
+
+    A run that raises ContractError gives the error's text instead.
+    """
+    try:
+        report = learn_realizable_report(family, sample, perturbations, config, rng=rng)
+    except ContractError as error:
+        return str(error)
     vote = report.predictor
     sizes = [getattr(report, f.name) for f in fields(report) if f.name != "predictor"]
     return sizes, [v.labels for v in vote.voters], vote.provenance, vote.flags, repr(rng.bit_generator.state)
 
 
-def _fresh_run(family, sample, perturbations, config, seed, stream) -> tuple:
+def _fresh_run(family, sample, perturbations, config, seed, stream) -> tuple | str:
     """The run on a newly built family and map equal to the given ones, whose stage cache is empty."""
     family = HypothesisFamily(family.matrix.copy(), name=family.name)
-    rng = rng_stream(seed, stream)
-    report = learn_realizable_report(family, sample, PerturbationMap(perturbations.sets), config, rng=rng)
-    return _run_outcome(report, rng)
+    return _run_outcome(family, sample, PerturbationMap(perturbations.sets), config, rng_stream(seed, stream))
+
+
+def _repeats_moved(sample: Sample) -> Sample:
+    """The first appearances, then the repeats in reverse: the sample's key and counts, other positions."""
+    runs = sample.distinct.positions
+    repeats = [sample[i] for i in sorted(i for run in runs for i in run[1:])]
+    return Sample(tuple(sample[run[0]] for run in runs) + tuple(reversed(repeats)))
+
+
+def _runs_equal_fresh_runs(family, runs, seed) -> list:
+    """Each (sample, map, config) run on the one family equals its fresh run; the outcomes."""
+    outcomes = []
+    for run, (sample, perturbations, config) in enumerate(runs):
+        got = _run_outcome(family, sample, perturbations, config, rng_stream(seed, run))
+        assert got == _fresh_run(family, sample, perturbations, config, seed, run), run
+        outcomes.append(got)
+    return outcomes
 
 
 def test_stage_cache_runs_equal_runs_on_fresh_families():
@@ -957,12 +982,41 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     shifted = PerturbationMap(tuple(s + ((x + 1) % 6,) if x < 6 else s for x, s in enumerate(sets)))
     configs = (LearnerConfig(), LearnerConfig(N_sparsify=5), LearnerConfig(n_initial=1))
     samples = [draw_sample(inst.distributions[i % 5], 24, rng_stream(41, i)) for i in range(8)]
-    runs = list(product(samples * 2, (inst.perturbations, shifted), configs))
-    for run, (sample, perturbations, config) in enumerate(runs):
-        rng = rng_stream(43, run)
-        report = learn_realizable_report(inst.family, sample, perturbations, config, rng=rng)
-        got = _run_outcome(report, rng)
-        assert got == _fresh_run(inst.family, sample, perturbations, config, 43, run), run
+    _runs_equal_fresh_runs(inst.family, list(product(samples * 2, (inst.perturbations, shifted), configs)), 43)
+
+    # Each pair below shares a sample key, so the second run of a pair hits
+    # the first one's entry; every run still equals its fresh run.
+    inst = make_proper_failure(2)  # n = vc + 1 = 2 here, and never doubles
+    sample = samples[0]
+    positions = sample.distinct.positions
+    assert min(map(len, positions)) >= 2
+    # the same counts with repeats elsewhere: one plan, whose provenance
+    # follows each sample's positions
+    moved = _repeats_moved(sample)
+    # one example kept once, a count below n: another plan for the same key
+    once = Sample(tuple(e for i, e in enumerate(sample.examples) if i not in positions[0][1:]))
+    # a second label on a sample point makes the sample unrealizable; a
+    # leading repeat moves the offending position but not the distinct example
+    first = sample[0]
+    flipped = Sample(sample.examples[:5] + (LabeledExample(first.point, -first.label),))
+    shifted_flip = Sample((first,) + flipped.examples)
+    key = learner._sample_key
+    assert key(moved) == key(once) == key(sample) and key(flipped) == key(shifted_flip)
+    pairs = [(once, sample), (sample, moved), (flipped, flipped), (flipped, shifted_flip)]
+    runs = [(s, inst.perturbations, None) for pair in pairs for s in pair]
+    outcomes = _runs_equal_fresh_runs(inst.family, runs, 59)
+    assert outcomes[2][2] != outcomes[3][2]  # the moved repeats change the provenance
+    assert outcomes[4] == outcomes[5] != outcomes[7]
+    assert outcomes[4].startswith("sample is not robustly realizable")
+
+    # n grows from vc + 1 = 2 to 4 here (see test_the_learner_doubles_n_from_its_default_start)
+    family = HypothesisFamily.from_rows([(-1, 1, 1), (-1, -1, -1), (1, 1, -1), (-1, 1, -1)])
+    sample = Sample.from_pairs([(2, -1), (0, -1), (1, 1), (2, -1), (2, -1), (1, 1)])
+    identity = PerturbationMap.identity(3)
+    configs = (None, None, LearnerConfig(n_initial=1))
+    runs = [(s, identity, c) for s in (sample, _repeats_moved(sample)) for c in configs]
+    outcomes = _runs_equal_fresh_runs(family, runs, 61)
+    assert {outcome[0][0] for outcome in outcomes} == {4}  # n_used
 
 
 def test_stage_cache_keeps_at_most_its_cap_entries(monkeypatch):
@@ -971,11 +1025,10 @@ def test_stage_cache_keeps_at_most_its_cap_entries(monkeypatch):
     samples = [draw_sample(inst.distributions[i], 24, rng_stream(47, i)) for i in range(8)]
     met: set = set()
     for run, sample in enumerate(samples * 2):  # the second pass meets keys the cap dropped
-        rng = rng_stream(53, run)
-        report = learn_realizable_report(inst.family, sample, inst.perturbations, rng=rng)
-        got = _run_outcome(report, rng)
+        got = _run_outcome(inst.family, sample, inst.perturbations, None, rng_stream(53, run))
         assert got == _fresh_run(inst.family, sample, inst.perturbations, None, 53, run), run
         slot = learner._stage_slot(inst.family, inst.perturbations)
-        met |= set(slot)
+        met |= set(slot)  # one entry per sample key, the distinct points and labels
         assert len(slot) == min(len(met), 3)
-    assert len(met) > 3
+        assert next(reversed(slot)) == learner._sample_key(sample)
+    assert len(met) == 8

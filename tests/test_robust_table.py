@@ -28,7 +28,7 @@ from robustpac.core import (
     robust_loss,
 )
 from robustpac.dimensions import _slot_table, _structural_bound, restriction_count
-from robustpac.learner import _first_unrealizable_index, inflate
+from robustpac.learner import _first_dead_example, inflate
 from robustpac.oracles import rerm
 
 SIGNS = st.sampled_from((-1, 1))
@@ -118,7 +118,8 @@ def test_oracle_and_learner_reads_match_the_per_ball_scan(case):
         if not alive:
             expected = i
             break
-    assert _first_unrealizable_index(family, sample, perturbations) == expected
+    dead = _first_dead_example(family, sample, perturbations)  # a distinct example; its first position
+    assert (dead if dead is None else sample.distinct.positions[dead][0]) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -189,7 +190,7 @@ def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
         lambda: robust_loss(family[0], LabeledExample(3, 1), u),
         lambda: empirical_robust_risk(vote, outside, u),
         lambda: rerm(family, outside, u),
-        lambda: _first_unrealizable_index(family, outside, u),
+        lambda: _first_dead_example(family, outside, u),
         lambda: max_realizable_subsequence(family, outside, u),
     ):
         with pytest.raises(StructuralError, match="point 3 outside instance space of size 3"):
