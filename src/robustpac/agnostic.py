@@ -33,7 +33,7 @@ from .core import (
     Sample,
     _checked_int,
 )
-from .learner import LearnerConfig, _boost_growing_n, alpha_boost
+from .learner import LearnerConfig, _boost_growing_n, alpha_boost, build_candidates
 
 __all__ = [
     "max_realizable_subsequence",
@@ -111,9 +111,9 @@ def learn_agnostic(
     rounds = agnostic_round_count(len(core_sample))
     candidates, boost = _boost_growing_n(
         family,
-        core_sample,
-        perturbations,
+        len(core_sample),
         config.n_initial,
+        lambda n: build_candidates(family, core_sample, perturbations, n),
         lambda c: alpha_boost(loss[list(c.members)], margin_target=None, T_max=rounds),
     )
 

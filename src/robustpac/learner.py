@@ -519,32 +519,25 @@ _Boosted = TypeVar("_Boosted")
 
 def _boost_growing_n(
     family: HypothesisFamily,
-    sample: Sample,
-    perturbations: PerturbationMap,
+    m: int,
     n_initial: int | None,
+    candidates: Callable[[int], CandidateSet],
     boost: Callable[[CandidateSet], _Boosted],
-    plans: dict[tuple[int, tuple[int, ...]], _Plan] | None = None,
 ) -> tuple[CandidateSet, _Boosted]:
-    """Boost the candidates of size-n subsamples, doubling n until weak learning succeeds.
+    """Boost the candidates of size-n subsamples of m examples, doubling n until weak learning succeeds.
 
-    The loop both learners share: n starts at min(n_initial, |sample|),
-    where a None `n_initial` means vc(family) + 1 (`_default_n_initial`),
-    and `boost` maps the candidate set to its boosting outcome.  A
-    WeakLearnerFailure from it doubles n (capped at |sample|) or, at
-    n = |sample|, propagates.  Returns the candidates and the outcome.
-    Given a sample entry's `plans`, candidates come from
-    `_planned_candidates`; without, from `build_candidates`, which keeps
-    nothing.
+    The loop both learners share: n starts at min(n_initial, m), where a
+    None `n_initial` means vc(family) + 1 (`_default_n_initial`);
+    `candidates` maps n to the candidate set of the size-n subsamples and
+    `boost` maps that set to its boosting outcome.  A WeakLearnerFailure
+    from it doubles n (capped at m) or, at n = m, propagates.  Returns the
+    candidates and the outcome.
     """
-    m = len(sample)
     n = min(_default_n_initial(family) if n_initial is None else n_initial, m)
     while True:
-        if plans is None:
-            candidates = build_candidates(family, sample, perturbations, n)
-        else:
-            candidates = _planned_candidates(family, sample, perturbations, n, plans)
+        found = candidates(n)
         try:
-            return candidates, boost(candidates)
+            return found, boost(found)
         except WeakLearnerFailure:
             if n == m:
                 raise
@@ -689,7 +682,13 @@ def learn_realizable_report(
             entry.stages[candidates.members] = found
         return found
 
-    candidates, found = _boost_growing_n(family, sample, perturbations, config.n_initial, stages, entry.plans)
+    candidates, found = _boost_growing_n(
+        family,
+        len(sample),
+        config.n_initial,
+        lambda n: _planned_candidates(family, sample, perturbations, n, entry.plans),
+        stages,
+    )
     n_sparse = config.N_sparsify
     if n_sparse is None:
         if found.n_sparse is None:

@@ -653,7 +653,9 @@ def test_boost_growing_n_clamps_doubles_and_reraises_at_the_sample_size():
     for n, expected in ((1, [1, 2, 4, 5]), (3, [3, 5]), (5, [5]), (9, [5]), (None, [2, 4, 5])):
         sizes.clear()
         with pytest.raises(WeakLearnerFailure):
-            learner._boost_growing_n(family, sample, perturbations, n, never_weak)
+            learner._boost_growing_n(
+                family, 5, n, lambda n: build_candidates(family, sample, perturbations, n), never_weak
+            )
         assert sizes == expected, n
 
 
@@ -930,24 +932,36 @@ def test_learner_output_is_pinned():
 # --- the stage cache -------------------------------------------------------------
 
 
-def _run_outcome(family, sample, perturbations, config, rng: np.random.Generator) -> tuple | str:
-    """Every report field, the voters' label rows, the provenance and the generator's state after the run.
-
-    A run that raises ContractError gives the error's text instead.
-    """
-    try:
-        report = learn_realizable_report(family, sample, perturbations, config, rng=rng)
-    except ContractError as error:
-        return str(error)
+def _run_outcome(family, sample, perturbations, config, rng: np.random.Generator) -> tuple:
+    """Every report field, the voters' label rows, the provenance and the generator's state after the run."""
+    report = learn_realizable_report(family, sample, perturbations, config, rng=rng)
     vote = report.predictor
     sizes = [getattr(report, f.name) for f in fields(report) if f.name != "predictor"]
     return sizes, [v.labels for v in vote.voters], vote.provenance, vote.flags, repr(rng.bit_generator.state)
 
 
-def _fresh_run(family, sample, perturbations, config, seed, stream) -> tuple | str:
-    """The run on a newly built family and map equal to the given ones, whose stage cache is empty."""
-    family = HypothesisFamily(family.matrix.copy(), name=family.name)
-    return _run_outcome(family, sample, PerturbationMap(perturbations.sets), config, rng_stream(seed, stream))
+def _fresh(family, perturbations) -> tuple[HypothesisFamily, PerturbationMap]:
+    """A newly built family and map equal to the given ones, whose stage cache is empty."""
+    return HypothesisFamily(family.matrix.copy(), name=family.name), PerturbationMap(perturbations.sets)
+
+
+def _fresh_run(family, sample, perturbations, config, seed, stream) -> tuple:
+    """The run on `_fresh` copies of the family and map."""
+    family, perturbations = _fresh(family, perturbations)
+    return _run_outcome(family, sample, perturbations, config, rng_stream(seed, stream))
+
+
+def _unrealizable_text(family, sample, perturbations) -> str:
+    """The text of the ContractError the learner raises on an unrealizable sample."""
+    with pytest.raises(ContractError, match="sample is not robustly realizable") as error:
+        learn_realizable_report(family, sample, perturbations, rng=rng_stream(0))
+    return str(error.value)
+
+
+def _fresh_unrealizable_text(family, sample, perturbations) -> str:
+    """`_unrealizable_text` on `_fresh` copies of the family and map."""
+    family, perturbations = _fresh(family, perturbations)
+    return _unrealizable_text(family, sample, perturbations)
 
 
 def _repeats_moved(sample: Sample) -> Sample:
@@ -995,19 +1009,23 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     moved = _repeats_moved(sample)
     # one example kept once, a count below n: another plan for the same key
     once = Sample(tuple(e for i, e in enumerate(sample.examples) if i not in positions[0][1:]))
-    # a second label on a sample point makes the sample unrealizable; a
-    # leading repeat moves the offending position but not the distinct example
+    key = learner._sample_key
+    assert key(moved) == key(once) == key(sample)
+    runs = [(s, inst.perturbations, None) for s in (once, sample, sample, moved)]
+    outcomes = _runs_equal_fresh_runs(inst.family, runs, 59)
+    assert outcomes[2][2] != outcomes[3][2]  # the moved repeats change the provenance
+
+    # a second label on a sample point makes the sample unrealizable; met
+    # again, it raises the same error, and a leading repeat moves the
+    # offending position but not the distinct example
     first = sample[0]
     flipped = Sample(sample.examples[:5] + (LabeledExample(first.point, -first.label),))
     shifted_flip = Sample((first,) + flipped.examples)
-    key = learner._sample_key
-    assert key(moved) == key(once) == key(sample) and key(flipped) == key(shifted_flip)
-    pairs = [(once, sample), (sample, moved), (flipped, flipped), (flipped, shifted_flip)]
-    runs = [(s, inst.perturbations, None) for pair in pairs for s in pair]
-    outcomes = _runs_equal_fresh_runs(inst.family, runs, 59)
-    assert outcomes[2][2] != outcomes[3][2]  # the moved repeats change the provenance
-    assert outcomes[4] == outcomes[5] != outcomes[7]
-    assert outcomes[4].startswith("sample is not robustly realizable")
+    assert key(flipped) == key(shifted_flip)
+    unrealizable = (flipped, flipped, shifted_flip)
+    texts = [_unrealizable_text(inst.family, s, inst.perturbations) for s in unrealizable]
+    assert texts == [_fresh_unrealizable_text(inst.family, s, inst.perturbations) for s in unrealizable]
+    assert texts[0] == texts[1] != texts[2]
 
     # n grows from vc + 1 = 2 to 4 here (see test_the_learner_doubles_n_from_its_default_start)
     family = HypothesisFamily.from_rows([(-1, 1, 1), (-1, -1, -1), (1, 1, -1), (-1, 1, -1)])
