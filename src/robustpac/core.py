@@ -56,8 +56,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _check_label(value: int) -> int:
-    if value not in (+1, -1):
+def _check_label(value: object) -> int:
+    """`value` as an int if it is an integer (`_is_integer`: no bool, no float) equal to +1 or -1."""
+    if not (_is_integer(value) and value in (+1, -1)):
         raise StructuralError(f"label must be +1 or -1, got {value!r}")
     return int(value)
 
@@ -264,9 +265,11 @@ class HypothesisFamily:
     `matrix` is the read-only int8 (members, points) matrix whose row i is
     member i's labels; the index is the canonical tie-break key.  The
     constructor is the family's one validator: the matrix must be 2-D and
-    nonempty, hold only +1/-1, and have pairwise distinct rows.  `members`
-    holds the rows as Hypothesis objects, built on first use.  Families are
-    equal when their names and matrices are.
+    nonempty, have an integer dtype (bool and float matrices are refused, as
+    `_check_label` refuses bool and float labels), hold only +1/-1, and have
+    pairwise distinct rows.  `members` holds the rows as Hypothesis objects,
+    built on first use.  Families are equal when their names and matrices
+    are.
     """
 
     matrix: np.ndarray
@@ -278,6 +281,8 @@ class HypothesisFamily:
             raise StructuralError(f"family label matrix must be 2-D, got shape {matrix.shape}")
         if matrix.size == 0:
             raise StructuralError("hypothesis family must be nonempty")
+        if matrix.dtype.kind not in "iu":
+            raise StructuralError(f"family label matrix must hold integers, got dtype {matrix.dtype}")
         bad = (matrix != 1) & (matrix != -1)
         if bad.any():
             raise StructuralError(f"label must be +1 or -1, got {matrix[bad].tolist()[0]!r}")
@@ -289,21 +294,38 @@ class HypothesisFamily:
     def from_rows(cls, rows: Iterable[Sequence[int]], name: str | None = None) -> "HypothesisFamily":
         """The family of the given label rows.
 
-        The rows are stacked once and, if numeric, handed to the
-        constructor; a row that is not a list or tuple is first read into a
-        tuple, so one-shot iterables are replayed with the same values.  If
-        the labels are not numeric, or the constructor fails, the rows are
-        replayed for the error: a row with a bad label, or an empty row,
-        raises through `Hypothesis` in member order; then come the nonempty
-        and equal-length checks, and last the constructor's own.
+        A row that is not a list or tuple is first read into a tuple, so
+        one-shot iterables are replayed with the same values.  numpy stacks a
+        bool among ints as an int, so the label types are looked at one by
+        one: rows of Python ints go on to `_from_int_rows`, and any other
+        rows are replayed for the error (`_replayed`).
         """
         rows = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows]
+        if set(map(type, chain.from_iterable(rows))) <= {int}:
+            return cls._from_int_rows(rows, name)
+        return cls._replayed(rows, name)
+
+    @classmethod
+    def _from_int_rows(cls, rows: Sequence[Sequence[int]], name: str | None) -> "HypothesisFamily":
+        """`from_rows` of rows whose labels are all Python ints, such as a checked instance document's.
+
+        The rows are stacked once and handed to the constructor; if it
+        fails, they are replayed for the error.
+        """
         try:
-            matrix = np.array(rows)
-            if matrix.dtype.kind in "biuf":  # complex, string and object labels are replayed
-                return cls(matrix, name=name)
+            return cls(np.array(rows), name=name)
         except ValueError:  # a StructuralError, or rows numpy cannot stack
             pass
+        return cls._replayed(rows, name)
+
+    @classmethod
+    def _replayed(cls, rows: Sequence[Sequence[object]], name: str | None) -> "HypothesisFamily":
+        """The family of the rows, built so that the first error in member order is raised.
+
+        A row with a bad label, or an empty row, raises through `Hypothesis`;
+        then come the nonempty and equal-length checks, and last the
+        constructor's own.
+        """
         for row in rows:
             Hypothesis(row)
         if not rows:
@@ -421,8 +443,10 @@ class Sample:
     def distinct(self) -> DistinctExamples:
         """The distinct examples in first-appearance order, with their positions."""
         points, labels = self._columns
-        positions: dict[tuple[int, int], list[int]] = {}
-        for i, key in enumerate(zip(points.tolist(), labels.tolist())):
+        # one int per example, 2 * point + [label = +1]: equal keys, equal examples
+        keys = (points.astype(np.uint64) << 1 | (labels == 1)).tolist()
+        positions: dict[int, list[int]] = {}
+        for i, key in enumerate(keys):
             positions.setdefault(key, []).append(i)
         firsts = [run[0] for run in positions.values()]
         return DistinctExamples(
@@ -627,7 +651,16 @@ class MajorityVotePredictor:
 
     @cached_property
     def label_row(self) -> np.ndarray:
-        """The vote over the whole space: voters summed once, ties to +1."""
+        """The vote over the whole space, read-only int8: voters summed once, ties to +1.
+
+        A vote whose voters are all one `Hypothesis` object is that voter's
+        own row, since k equal ±1 votes have its sign.  Any other vote is one
+        `np.sum` over the voters' rows, which beats adding them one by one
+        for wide votes.
+        """
+        first = self.voters[0]
+        if all(v is first for v in self.voters):
+            return first.label_row
         votes = np.sum([v.label_row for v in self.voters], axis=0, dtype=np.int64)
         return _read_only(np.where(votes >= 0, 1, -1).astype(np.int8))
 

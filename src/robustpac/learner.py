@@ -28,8 +28,11 @@ points and labels as bytes), at most `STAGE_CACHE_ENTRIES` of them, the
 oldest dropped first.  A hit runs only what depends on the sample's
 positions or on the generator: the offending position of an unrealizable
 sample, the candidates' provenance (rebuilt from the kept enumeration),
-sparsify's draws and the closing fit check.  Outputs and draws therefore
-do not depend on what the cache holds.  The agnostic learner keeps nothing.
+sparsify's draws and the closing fit check.  Each draw's majority verdict is
+a function of the stage and the drawn tuple, so a stage keeps a verdict
+table per sparsify size and checks a tuple only the first time it is drawn.
+Outputs and draws therefore do not depend on what the cache holds.  The
+agnostic learner keeps nothing.
 """
 
 from __future__ import annotations
@@ -488,7 +491,7 @@ def sparsify(
     if len(voter_ids) == 0:
         raise ContractError("sparsification requires at least one voter")
     N = _checked_int("N", N, 1)
-    return _sparse_draw(_majority_correct(voter_ids, wrong), N, rng)
+    return _sparse_draw(_majority_correct(voter_ids, wrong), N, rng, {})
 
 
 def _majority_correct(voter_ids: Sequence[int], wrong: np.ndarray) -> np.ndarray:
@@ -502,14 +505,28 @@ def _majority_correct(voter_ids: Sequence[int], wrong: np.ndarray) -> np.ndarray
     return correct
 
 
-def _sparse_draw(correct: np.ndarray, N: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """`sparsify`'s draws over checked rows of `_majority_correct`, for an N >= 1."""
+def _sparse_draw(
+    correct: np.ndarray, N: int, rng: np.random.Generator, verdicts: dict[bytes, bool]
+) -> tuple[int, ...]:
+    """`sparsify`'s draws over checked rows of `_majority_correct`, for an N >= 1.
+
+    Each attempt is one `rng.integers(0, T, size=N)` call, T the number of
+    rows; the first draw whose majority is strictly correct on every column
+    is returned, and after `SPARSIFY_ATTEMPTS` failures the full list.
+    `verdicts` is the verdict table of these rows and this N: it maps each
+    draw met before, as the bytes of its positions, to that majority check,
+    which runs only on a draw's first sight.  It holds at most T^N entries.
+    """
     T = len(correct)
     if T == 1:
         return (0,)
     for _ in range(SPARSIFY_ATTEMPTS):
         draw = rng.integers(0, T, size=N)
-        if 2 * correct[draw].sum(axis=0).min() > N:
+        key = draw.tobytes()
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = bool(2 * correct[draw].sum(axis=0).min() > N)
+        if verdict:
             return tuple(draw.tolist())
     return tuple(range(T))
 
@@ -555,13 +572,17 @@ class _Stages:
 
     `wrong` is read-only; `correct` is `_majority_correct` of the boost's
     voters, checked once; `n_sparse`, the default sparsify size, is found on
-    the first run that leaves `N_sparsify` unset.
+    the first run that leaves `N_sparsify` unset.  `verdicts[N]` is the
+    `_sparse_draw` verdict table of `correct` for sparsify size N, filled as
+    draws are first met; with T voters it holds at most T^N entries, and it
+    is dropped with the stage.
     """
 
     wrong: np.ndarray
     boost: BoostResult
     correct: np.ndarray
     n_sparse: int | None = None
+    verdicts: dict[int, dict[bytes, bool]] = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -639,7 +660,7 @@ def _fits_inflation(predictor: MajorityVotePredictor, inflated: tuple[np.ndarray
     exactly when it fits the inflation.
     """
     points, labels = inflated
-    return bool(np.array_equal(predictor.label_row[points], labels))
+    return bool((predictor.label_row[points] == labels).all())
 
 
 def learn_realizable_report(
@@ -695,7 +716,7 @@ def learn_realizable_report(
             found.n_sparse = _default_sparsify_size(family, candidates.members, found.boost)
         n_sparse = found.n_sparse
     voter_ids = found.boost.voter_ids
-    chosen = _sparse_draw(found.correct, n_sparse, rng)
+    chosen = _sparse_draw(found.correct, n_sparse, rng, found.verdicts.setdefault(n_sparse, {}))
     voters = tuple(family[candidates.members[voter_ids[j]]] for j in chosen)
     provenance = tuple(candidates.provenance[voter_ids[j]] for j in chosen)
     predictor = MajorityVotePredictor(voters, provenance)

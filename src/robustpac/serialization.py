@@ -192,8 +192,8 @@ def instance_from_dict(doc: dict[str, Any]) -> ConstructedInstance:
         _check_integers(sets, "perturbation member")
         perturbations = PerturbationMap(tuple(tuple(s) for s in sets))
         rows = doc["family"]["members"]
-        _check_integers(rows, "family label")
-        family = HypothesisFamily.from_rows(rows, name=doc["family"].get("name"))
+        _check_integers(rows, "family label")  # every label is an int, so from_rows's type pass would repeat this one
+        family = HypothesisFamily._from_int_rows(rows, doc["family"].get("name"))
         if perturbations.size != space.size or family.space_size != space.size:
             raise StructuralError("space, perturbations and family disagree on size")
         distributions = None

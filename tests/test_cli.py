@@ -96,8 +96,8 @@ def test_learn_continues_the_sample_generator_into_sparsify(monkeypatch, capsys)
     calls = []
     real = learner._sparse_draw  # sparsify's draws, over the voters' checked correctness rows
 
-    def recorded(correct, N, rng):
-        calls.append((correct, N, real(correct, N, rng)))
+    def recorded(correct, N, rng, verdicts):
+        calls.append((correct, N, real(correct, N, rng, verdicts)))
         return calls[-1][-1]
 
     monkeypatch.setattr(learner, "_sparse_draw", recorded)
@@ -106,8 +106,8 @@ def test_learn_continues_the_sample_generator_into_sparsify(monkeypatch, capsys)
     assert len(correct) > 1
     rng = rng_stream(7)
     draw_sample(load_instance(path).distributions[0], 64, rng)
-    assert chosen == real(correct, N, rng)
-    assert chosen != real(correct, N, rng_stream(7))
+    assert chosen == real(correct, N, rng, {})
+    assert chosen != real(correct, N, rng_stream(7), {})
 
 
 def test_agnostic_subcommand_runs(tmp_path, capsys):

@@ -141,17 +141,70 @@ def test_majority_vote_checks_voters_and_keeps_provenance_as_given():
             min_size=1,
             max_size=6,
         )
-    )
+    ),
+    st.integers(min_value=0, max_value=88),
 )
-def test_majority_label_of_reads_label_row(rows):
-    # even voter counts make exact ties, which both must resolve to +1
-    vote = MajorityVotePredictor(tuple(Hypothesis(tuple(r)) for r in rows))
+def test_majority_label_of_reads_label_row(rows, copies):
+    # even voter counts make exact ties, which both must resolve to +1; with
+    # copies > 0 the vote is one Hypothesis object repeated, as a lone
+    # sparsified voter or agnostic's single repeated member is
+    voters = (Hypothesis(tuple(rows[0])),) * copies if copies else tuple(Hypothesis(tuple(r)) for r in rows)
+    vote = MajorityVotePredictor(voters)
+    row = vote.label_row
+    sums = [sum(v.labels[x] for v in voters) for x in range(vote.size)]
+    assert row.dtype == np.int8 and not row.flags.writeable
+    assert row.tolist() == [1 if total >= 0 else -1 for total in sums]
     for x in range(vote.size):
         assert vote.label_of(x) == vote.label_row[x]
         assert type(vote.label_of(x)) is int
     for bad in (vote.size, vote.size + 3, -1):
         with pytest.raises(StructuralError, match=f"point {bad} outside instance space of size {vote.size}"):
             vote.label_of(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from((0, 1, 2, 2**39, 2**40 - 1, 2**40)), st.sampled_from((-1, 1))),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_distinct_examples_match_the_reference_loop(pairs):
+    sample = Sample.from_pairs(pairs)
+    positions: dict[tuple[int, int], list[int]] = {}
+    for i, pair in enumerate(pairs):
+        positions.setdefault(pair, []).append(i)
+    distinct = sample.distinct
+    assert distinct.positions == tuple(map(tuple, positions.values()))
+    assert distinct.points.tolist() == [point for point, _ in positions]
+    assert distinct.labels.tolist() == [label for _, label in positions]
+    assert distinct.points.dtype == np.intp and distinct.labels.dtype == np.int8
+    assert not (distinct.points.flags.writeable or distinct.labels.flags.writeable)
+
+
+def test_labels_follow_the_integer_contract():
+    # a bool or float equal to +1 or -1 is refused wherever a label is read;
+    # numpy integers stay accepted and are stored as ints
+    for bad in (True, 1.0):
+        with pytest.raises(StructuralError, match=rf"^label must be \+1 or -1, got {bad!r}$"):
+            LabeledExample(0, bad)
+    with pytest.raises(StructuralError, match=r"^label must be \+1 or -1, got True$"):
+        Hypothesis((True, -1))
+    with pytest.raises(StructuralError, match=r"^label must be \+1 or -1, got True$"):
+        Sample.from_pairs([(0, True)])
+    # numpy stacks a bool among ints as an int, so from_rows looks at the label types
+    for rows, bad in (([[1.0, -1.0]], 1.0), ([[True, True]], True), ([[1, -1], [-1, True]], True)):
+        with pytest.raises(StructuralError, match=rf"^label must be \+1 or -1, got {bad!r}$"):
+            HypothesisFamily.from_rows(rows)
+    for matrix in (np.array([[1.0, -1.0]]), np.array([[True, True]])):
+        message = f"^family label matrix must hold integers, got dtype {matrix.dtype}$"
+        with pytest.raises(StructuralError, match=message):
+            HypothesisFamily(matrix)
+    example = LabeledExample(np.int64(0), np.int8(-1))
+    assert (example.point, example.label) == (0, -1) and type(example.label) is int
+    assert Hypothesis((np.int8(1), -1)).labels == (1, -1)
+    assert HypothesisFamily.from_rows([[np.int8(1), -1], [-1, np.int64(-1)]]).matrix.tolist() == [[1, -1], [-1, -1]]
 
 
 def test_majority_robust_loss_matches_margin_rule():

@@ -227,8 +227,8 @@ def test_trials_sparsify_from_their_own_generators(monkeypatch):
     draws = defaultdict(list)
     real = learner._sparse_draw  # sparsify's draws, one correctness row per voter
 
-    def recorded(correct, N, rng):
-        chosen = real(correct, N, rng)
+    def recorded(correct, N, rng, verdicts):
+        chosen = real(correct, N, rng, verdicts)
         if len(correct) > 1:
             draws[(len(correct), N)].append(chosen)
         return chosen

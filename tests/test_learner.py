@@ -763,9 +763,9 @@ def test_dual_vc_runs_only_when_sparsify_uses_it(monkeypatch):
     identity = PerturbationMap.identity(21)
     sizes = []
 
-    def recorded(correct, N, rng):
+    def recorded(correct, N, rng, verdicts):
         sizes.append(N)
-        return learner_draw(correct, N, rng)
+        return learner_draw(correct, N, rng, verdicts)
 
     learner_draw = learner._sparse_draw  # sparsify's draws
     monkeypatch.setattr(learner, "_sparse_draw", recorded)
@@ -808,7 +808,7 @@ def test_a_losing_sparsified_vote_raises_the_closing_error(monkeypatch):
     identity = PerturbationMap.identity(5)
     config = LearnerConfig(n_initial=4)
     learn_realizable_report(family, sample, identity, config, rng=rng_stream(0))  # unpatched, it fits
-    monkeypatch.setattr(learner, "_sparse_draw", lambda correct, N, rng: (0,))  # sparsify's draws
+    monkeypatch.setattr(learner, "_sparse_draw", lambda correct, N, rng, verdicts: (0,))  # sparsify's draws
     with pytest.raises(RuntimeError, match="^pipeline produced nonzero empirical robust risk 1/5$"):
         learn_realizable_report(family, sample, identity, config, rng=rng_stream(0))
 
@@ -981,10 +981,30 @@ def _runs_equal_fresh_runs(family, runs, seed) -> list:
     return outcomes
 
 
+def _checked_verdict_tables(family, perturbations) -> int:
+    """Every verdict table entry of the stage cache is the direct majority check; the entry count.
+
+    No table of a stage with T voters holds more than T^N entries.
+    """
+    entries = 0
+    for entry in learner._stage_slot(family, perturbations).values():
+        for stages in entry.stages.values():
+            T = len(stages.correct)
+            for N, table in stages.verdicts.items():
+                assert len(table) <= T**N
+                for key, verdict in table.items():
+                    draw = np.frombuffer(key, dtype=np.int64)
+                    assert len(draw) == N
+                    assert verdict == (2 * stages.correct[draw].sum(axis=0).min() > N)
+                entries += len(table)
+    return entries
+
+
 def test_stage_cache_runs_equal_runs_on_fresh_families():
     # One family serves every run, switching between two maps and between an
-    # unset and a set N_sparsify (5, above every default here) on repeated
-    # samples; n_initial = 1 meets other candidate members for the same
+    # unset and a set N_sparsify (5, above every default here) on samples
+    # met three times, so later runs read verdict tables earlier runs
+    # filled; n_initial = 1 meets other candidate members for the same
     # distinct examples.  Every member labels the six anchors alike, so the
     # second map, which adds the next anchor to each anchor's ball, leaves
     # every robust loss and candidate set as they were and grows only the
@@ -996,7 +1016,10 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     shifted = PerturbationMap(tuple(s + ((x + 1) % 6,) if x < 6 else s for x, s in enumerate(sets)))
     configs = (LearnerConfig(), LearnerConfig(N_sparsify=5), LearnerConfig(n_initial=1))
     samples = [draw_sample(inst.distributions[i % 5], 24, rng_stream(41, i)) for i in range(8)]
-    _runs_equal_fresh_runs(inst.family, list(product(samples * 2, (inst.perturbations, shifted), configs)), 43)
+    for seed, perturbations in ((43, inst.perturbations), (44, shifted), (45, inst.perturbations)):
+        # the slot keeps one map, so each map's runs fill their own cache
+        _runs_equal_fresh_runs(inst.family, list(product(samples * 3, (perturbations,), configs)), seed)
+        assert _checked_verdict_tables(inst.family, perturbations) > 0
 
     # Each pair below shares a sample key, so the second run of a pair hits
     # the first one's entry; every run still equals its fresh run.
@@ -1035,6 +1058,22 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     runs = [(s, identity, c) for s in (sample, _repeats_moved(sample)) for c in configs]
     outcomes = _runs_equal_fresh_runs(family, runs, 61)
     assert {outcome[0][0] for outcome in outcomes} == {4}  # n_used
+
+    # proper-failure's voters each err on a column of their own, so a draw
+    # and any relabeling of its voters share a verdict; here boosting repeats
+    # candidates 0 and 2 and adds one that errs on two columns, so a verdict
+    # kept under the wrong draw shows
+    family = HypothesisFamily.from_rows(
+        [(-1, -1, -1, -1, 1, -1), (-1, -1, 1, -1, -1, 1), (-1, 1, -1, -1, -1, 1),
+         (-1, 1, -1, -1, 1, 1), (-1, 1, 1, 1, -1, -1), (1, -1, -1, -1, -1, -1)]
+    )
+    sample = Sample.from_pairs([(3, -1), (3, -1), (2, -1), (5, -1), (4, -1), (5, -1)])
+    identity = PerturbationMap.identity(6)
+    configs = (LearnerConfig(n_initial=1), LearnerConfig(n_initial=1, N_sparsify=5))
+    _runs_equal_fresh_runs(family, [(sample, identity, c) for c in configs] * 3, 67)
+    [stages] = [s for entry in learner._stage_slot(family, identity).values() for s in entry.stages.values()]
+    assert stages.boost.voter_ids == (0, 2, 0, 2, 0, 2, 3)
+    assert _checked_verdict_tables(family, identity) > 0
 
 
 def test_stage_cache_keeps_at_most_its_cap_entries(monkeypatch):
