@@ -545,19 +545,31 @@ class FiniteDistribution:
 
         return _kept(self, "_support_gather", (perturbations,), build)
 
+    def _atom_losses(self, family: HypothesisFamily, perturbations: PerturbationMap) -> np.ndarray:
+        """(members, atoms) bool: the family's robust loss on each atom, in atom order.
+
+        One `loss_at` over the support columns, read-only; kept for the last
+        (family, map) asked for.  Column i is the loss on atom i, so the
+        columns of drawn atom indices are the losses on the drawn sample.
+        """
+
+        def build() -> np.ndarray:
+            points, labels, _, _ = self._columns
+            return _read_only(family.robust_table(perturbations).loss_at(points, labels))
+
+        return _kept(self, "_atom_loss", (family, perturbations), build)
+
     def _member_risks(self, family: HypothesisFamily, perturbations: PerturbationMap) -> tuple[Probability, ...]:
         """`population_robust_risk(family[i], self, perturbations)` for every member i.
 
-        One `loss_at` over the atoms scores all members, and each member's
-        lost weight is summed as `population_robust_risk` sums it, so the
-        values are the same Fractions and bit-equal floats.  The risks for
-        the last (family, map) asked for are kept.
+        Row i of `_atom_losses` flags the atoms member i loses, and its lost
+        weight is summed as `population_robust_risk` sums it, so the values
+        are the same Fractions and bit-equal floats.  The risks for the last
+        (family, map) asked for are kept.
         """
 
         def build() -> tuple[Probability, ...]:
-            points, labels, _, _ = self._columns
-            lost = family.robust_table(perturbations).loss_at(points, labels)
-            return tuple(_lost_weight(self, row) for row in lost.tolist())
+            return tuple(_lost_weight(self, row) for row in self._atom_losses(family, perturbations).tolist())
 
         return _kept(self, "_member_risk", (family, perturbations), build)
 

@@ -34,10 +34,10 @@ from .core import (
     population_robust_risk,
 )
 from .learner import LearnerConfig, compression_bound, learn_realizable_report
-from .oracles import rerm
+from .oracles import _lowest_minimizer
 from .prng import rekey, rng_stream
 from .reports import ExperimentReport
-from .sampling import draw_sample
+from .sampling import _atom_draws, draw_sample
 
 __all__ = [
     "ExperimentConfig",
@@ -112,6 +112,13 @@ def run_separation_experiment(
     hard distributions, then an m-point sample for the proper arm and an
     `improper_budget`-point sample for the improper arm.  Reported failures
     are trials whose population robust risk exceeds epsilon = 1/8.
+
+    The proper arm is `rerm` on `draw_sample`'s sample without building
+    either: it draws the m atom indices as `draw_sample` does
+    (`sampling._atom_draws`, the same one `rng.random(m)` call), sums those
+    columns of the distribution's kept (members, atoms) loss table, takes
+    `rerm`'s lowest-index minimizer (`oracles._lowest_minimizer`) and looks
+    its risk up among the distribution's kept member risks.
     """
     if not instance.distributions:
         raise ContractError("separation experiment needs an instance with distributions")
@@ -123,9 +130,9 @@ def run_separation_experiment(
 
     def one_trial(rng: np.random.Generator) -> tuple:
         dist = dists[int(rng.integers(len(dists)))]
-        proper_sample = draw_sample(dist, config.m, rng)
-        proper_pick = rerm(family, proper_sample, perturbations)
-        proper_risk = dist._member_risks(family, perturbations)[proper_pick.hypothesis_index]
+        drawn = _atom_draws(dist, config.m, rng)
+        proper_pick, _ = _lowest_minimizer(dist._atom_losses(family, perturbations)[:, drawn])
+        proper_risk = dist._member_risks(family, perturbations)[proper_pick]
         improper_sample = draw_sample(dist, config.improper_budget, rng)
         report = learn_realizable_report(family, improper_sample, perturbations, learner_config, rng=rng)
         improper_risk = population_robust_risk(report.predictor, dist, perturbations)

@@ -2,7 +2,9 @@
 
 Draws go through inverse-CDF lookup over the atoms in stored order, fed by
 the package-wide Philox streams, so identical (seed, stream) keys yield
-identical samples on every platform.
+identical samples on every platform.  `_atom_draws` is the one draw: it
+returns the drawn atom indices, which `draw_sample` turns into a `Sample`
+and the separation experiment's proper arm reads as they are.
 """
 
 from __future__ import annotations
@@ -15,16 +17,21 @@ from .prng import rng_stream
 __all__ = ["sample_iid", "draw_sample"]
 
 
+def _atom_draws(dist: FiniteDistribution, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The atom indices of m inverse-CDF draws: one `rng.random(m)` call on the kept CDF."""
+    return np.searchsorted(dist._columns[2], rng.random(m), side="right")
+
+
 def draw_sample(dist: FiniteDistribution, m: int, rng: np.random.Generator) -> Sample:
     """m inverse-CDF draws from an already-positioned generator.
 
-    Takes exactly one `rng.random(m)` call.  The draws index the
-    distribution's cached support columns (points, labels and CDF), and the
-    sample keeps the indexed points and labels as its own columns.
+    Takes exactly one `rng.random(m)` call, through `_atom_draws`.  The
+    drawn indices pick from the distribution's cached support columns, and
+    the sample keeps the picked points and labels as its own columns.
     """
     m = _checked_int("sample size m", m, 1)
-    points, labels, cdf, _ = dist._columns
-    idx = np.searchsorted(cdf, rng.random(m), side="right")
+    points, labels, _, _ = dist._columns
+    idx = _atom_draws(dist, m, rng)
     atoms = dist.atoms
     return _sample_with_columns(tuple(atoms[i][0] for i in idx.tolist()), points[idx], labels[idx])
 

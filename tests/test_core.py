@@ -505,6 +505,47 @@ def test_member_risks_follow_the_family_and_map_they_are_asked_for():
         assert dist._member_risks(reversed_family, u) != dist._member_risks(family, u)
 
 
+def test_atom_losses_are_the_one_read_only_table_the_member_risks_sum(monkeypatch):
+    inst = make_proper_failure(2)
+    family, u = inst.family, inst.perturbations
+    reversed_family = HypothesisFamily(family.matrix[::-1])
+    identity = PerturbationMap.identity(family.space_size)
+    real = RobustTable.loss_at
+    calls = []
+
+    def counted(table, points, labels):
+        calls.append(table)
+        return real(table, points, labels)
+
+    monkeypatch.setattr(RobustTable, "loss_at", counted)
+    dist = FiniteDistribution(inst.distributions[3].atoms)  # a fresh distribution keeps nothing yet
+    points, labels, _, _ = dist._columns
+    tables = []
+    # each new (family, map) replaces the kept table; asked in either order, the
+    # table and the risks summed from it cost one loss_at between them
+    for f, v, risks_first in [
+        (family, u, True), (reversed_family, u, False), (family, identity, True), (family, u, False),
+    ]:
+        before = len(calls)
+        if risks_first:
+            risks = dist._member_risks(f, v)
+        table = dist._atom_losses(f, v)
+        if not risks_first:
+            risks = dist._member_risks(f, v)
+        assert len(calls) == before + 1
+        assert dist._atom_losses(f, v) is table and dist._member_risks(f, v) is risks
+        assert len(calls) == before + 1
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = not table[0, 0]
+        np.testing.assert_array_equal(table, real(f.robust_table(v), points, labels))
+        assert risks == tuple(Fraction(int(row.sum()), len(dist)) for row in table)  # uniform atoms
+        tables.append(table)
+    first, reordered, _, again = tables
+    assert again is not first and np.array_equal(again, first)  # rebuilt after the pair changed
+    assert not np.array_equal(reordered, first)
+
+
 def test_distinct_mistakes_are_the_table_at_the_distinct_examples():
     inst = make_proper_failure(2)
     family, u = inst.family, inst.perturbations

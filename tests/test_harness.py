@@ -1,12 +1,24 @@
 from __future__ import annotations
 
+import math
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from robustpac.core import ContractError, FiniteDistribution, LabeledExample
+from robustpac.core import (
+    ContractError,
+    FiniteDistribution,
+    HypothesisFamily,
+    InstanceSpace,
+    LabeledExample,
+    PerturbationMap,
+    Sample,
+    population_robust_risk,
+)
 from robustpac.constructions import (
     make_agnostic_lower_bound,
     make_lower_bound_family,
@@ -24,11 +36,12 @@ from robustpac.experiments import (
     run_bounded_k_scaling,
     run_separation_experiment,
 )
-from robustpac import learner
+from robustpac import experiments, learner
 from robustpac.dimensions import vc
+from robustpac.oracles import rerm
 from robustpac.prng import rekey, rng_stream
 from robustpac.reports import ExperimentReport, wilson_interval
-from robustpac.sampling import sample_iid
+from robustpac.sampling import draw_sample, sample_iid
 from robustpac.serialization import (
     dumps_instance,
     loads_instance,
@@ -257,6 +270,98 @@ def test_separation_finds_the_default_n_initial_once_per_family(monkeypatch):
     assert len(families) == 1 and families[0] is inst.family
     assert learner._default_n_initial(inst.family) == vc(inst.family).value + 1
     assert [r.to_csv() for r in first] == [r.to_csv() for r in second]
+
+
+def _with_twin_members(instance):
+    """The instance plus one free point that no ball reaches, each member twice.
+
+    Members come in reversed order, each labelling the free point -1 and
+    then +1, so every sample ties the two copies and only the lowest-index
+    rule tells which one RERM returns.
+    """
+    n = instance.space.size
+    rows = [np.append(row, label) for row in instance.family.matrix[::-1] for label in (-1, 1)]
+    return replace(
+        instance,
+        space=InstanceSpace(n + 1),
+        perturbations=PerturbationMap(instance.perturbations.sets + ((n,),)),
+        family=HypothesisFamily(np.array(rows), name="twin-members"),
+    )
+
+
+def _next_random(rng: np.random.Generator) -> float:
+    """The generator's next `random()`, drawn from a copy so the generator does not move."""
+    copy = np.random.Generator(type(rng.bit_generator)())
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy.random()
+
+
+@pytest.mark.parametrize(
+    "instance, m",
+    [(make_proper_failure(k), m) for k in (1, 2, 3) for m in (1, 2, 3)]
+    + [(_with_twin_members(make_proper_failure(2)), 2)],
+    ids=[f"pf{k}-m{m}" for k in (1, 2, 3) for m in (1, 2, 3)] + ["twins-m2"],
+)
+def test_the_proper_arm_is_rerm_on_the_drawn_sample(monkeypatch, instance, m):
+    # the arm reads the drawn atoms' columns of the distribution's loss table; replayed
+    # through draw_sample and rerm, every trial must pick the same member, report the
+    # same risk and leave its generator where draw_sample leaves it
+    picks, next_draws = [], []
+    real_draws, real_pick = experiments._atom_draws, experiments._lowest_minimizer
+
+    def draws(dist, m, rng):
+        drawn = real_draws(dist, m, rng)
+        next_draws.append(_next_random(rng))
+        return drawn
+
+    def pick(losses):
+        picked = real_pick(losses)
+        picks.append(picked[0])
+        return picked
+
+    monkeypatch.setattr(experiments, "_atom_draws", draws)
+    monkeypatch.setattr(experiments, "_lowest_minimizer", pick)
+    config = ExperimentConfig(m=m, trials=30, seed=17, improper_budget=8)
+    proper, _ = run_separation_experiment(instance, config)
+    assert len(picks) == len(next_draws) == config.trials
+    family, u, dists = instance.family, instance.perturbations, instance.distributions
+    rng = rng_stream(config.seed, 0)
+    for t in range(config.trials):
+        rekey(rng, config.seed, t)
+        dist = dists[int(rng.integers(len(dists)))]
+        result = rerm(family, draw_sample(dist, m, rng), u)
+        risk = population_robust_risk(family[result.hypothesis_index], dist, u)
+        assert result.hypothesis_index == picks[t]
+        assert proper.risks[t] == float(risk) and proper.failures[t] == (risk > Fraction(1, 8))
+        assert rng.random() == next_draws[t]
+    if family.name == "twin-members":
+        assert all(index % 2 == 0 for index in picks)  # the first of each tied pair
+
+
+def _rerm_failure_probability(instance, m: int) -> Fraction:
+    """P[R > 1/8] of RERM on m draws from a uniformly drawn distribution, exactly.
+
+    Every ordered m-draw sample of every distribution goes through `rerm`,
+    weighted by the product of its atoms' probabilities.
+    """
+    family, u = instance.family, instance.perturbations
+    total = Fraction(0)
+    for dist in instance.distributions:
+        for draw in product(dist.atoms, repeat=m):
+            pick = rerm(family, Sample(tuple(e for e, _ in draw)), u).hypothesis_index
+            if population_robust_risk(family[pick], dist, u) > Fraction(1, 8):
+                total += math.prod(p for _, p in draw)
+    return total / len(instance.distributions)
+
+
+@pytest.mark.parametrize("m, exact", [(1, Fraction(1, 2)), (2, Fraction(17, 20))])
+def test_the_proper_arm_fails_as_often_as_rerm_fails_exactly(m, exact):
+    instance = make_proper_failure(m)
+    assert _rerm_failure_probability(instance, m) == exact
+    config = ExperimentConfig(m=m, trials=2000, seed=202, improper_budget=8)
+    proper, _ = run_separation_experiment(instance, config)
+    sigma = math.sqrt(exact * (1 - exact) / config.trials)
+    assert abs(float(proper.failure_frequency) - exact) <= 3 * sigma
 
 
 def test_bound_check_respects_the_compression_budget():
