@@ -2,9 +2,8 @@
 
 Everything here is finite and exact: instance spaces are index sets
 0..size-1, hypotheses are total +1/-1 labelings, and an adversary is an
-explicit nonempty set of allowed perturbations per point.  Empirical risks
-are returned as `fractions.Fraction`; population risks stay rational
-whenever the distribution's probabilities are rational.
+explicit nonempty set of allowed perturbations per point.  Probabilities,
+empirical risks and population risks are all `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -37,11 +36,6 @@ __all__ = [
     "population_robust_risk",
     "check_self_containment",
 ]
-
-PROB_TOLERANCE = 1e-12
-
-Probability = Union[Fraction, float]
-
 
 class StructuralError(ValueError):
     """Malformed data: indices out of range, bad labels, inconsistent sizes."""
@@ -482,12 +476,11 @@ def _sample_with_columns(
 class FiniteDistribution:
     """Exact finite-support distribution over labeled examples.
 
-    Probabilities may be Fractions (exact) or floats; they must be positive,
-    sum to 1 (exactly when all are Fractions, within 1e-12 otherwise), and
-    sit on distinct (point, label) pairs.
+    Probabilities must be Fractions (floats, ints and bools are refused),
+    positive, sum to exactly 1 and sit on distinct (point, label) pairs.
     """
 
-    atoms: tuple[tuple[LabeledExample, Probability], ...]
+    atoms: tuple[tuple[LabeledExample, Fraction], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", tuple((e, p) for e, p in self.atoms))
@@ -495,20 +488,17 @@ class FiniteDistribution:
             raise StructuralError("distribution must have at least one atom")
         seen = set()
         for example, p in self.atoms:
-            if not p > 0:  # a NaN fails this test too
+            if not isinstance(p, Fraction):
+                raise StructuralError(f"atom probability must be a Fraction, got {p!r}")
+            if p <= 0:
                 raise StructuralError(f"atom probability must be positive, got {p!r}")
             key = (example.point, example.label)
             if key in seen:
                 raise StructuralError(f"duplicate atom {key}")
             seen.add(key)
-        if all(isinstance(p, Fraction) for _, p in self.atoms):
-            total = _exact_sum(p for _, p in self.atoms)
-            if total != 1:
-                raise StructuralError(f"probabilities sum to {total}, not 1")
-        else:
-            s = float(sum(float(p) for _, p in self.atoms))
-            if abs(s - 1.0) > PROB_TOLERANCE:
-                raise StructuralError(f"probabilities sum to {s}, not 1")
+        total = _exact_sum(p for _, p in self.atoms)
+        if total != 1:
+            raise StructuralError(f"probabilities sum to {total}, not 1")
 
     @classmethod
     def uniform(cls, examples: Sequence[LabeledExample]) -> "FiniteDistribution":
@@ -522,19 +512,17 @@ class FiniteDistribution:
         return np.asarray([float(p) for _, p in self.atoms], dtype=np.float64)
 
     @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """(points, labels, cdf, exact) of the atoms in stored order, built on first use.
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(points, labels, cdf) of the atoms in stored order, built on first use.
 
         `cdf` is the running float sum of the probabilities with its last
-        entry set to 1.0, and `exact` says whether every probability is a
-        Fraction.  Sampling and population risk read these columns.
+        entry set to 1.0.  Sampling and population risk read these columns.
         """
         points = np.asarray([e.point for e, _ in self.atoms], dtype=np.intp)
         labels = np.asarray([e.label for e, _ in self.atoms], dtype=np.int8)
         cdf = np.cumsum(self.probabilities())
         cdf[-1] = 1.0
-        exact = all(isinstance(p, Fraction) for _, p in self.atoms)
-        return _read_only(points), _read_only(labels), _read_only(cdf), exact
+        return _read_only(points), _read_only(labels), _read_only(cdf)
 
     def _support_balls(self, perturbations: PerturbationMap) -> tuple[np.ndarray, np.ndarray]:
         """`perturbations.balls` of the support points, in atom order; kept for the last map asked for."""
@@ -554,21 +542,20 @@ class FiniteDistribution:
         """
 
         def build() -> np.ndarray:
-            points, labels, _, _ = self._columns
+            points, labels, _ = self._columns
             return _read_only(family.robust_table(perturbations).loss_at(points, labels))
 
         return _kept(self, "_atom_loss", (family, perturbations), build)
 
-    def _member_risks(self, family: HypothesisFamily, perturbations: PerturbationMap) -> tuple[Probability, ...]:
+    def _member_risks(self, family: HypothesisFamily, perturbations: PerturbationMap) -> tuple[Fraction, ...]:
         """`population_robust_risk(family[i], self, perturbations)` for every member i.
 
         Row i of `_atom_losses` flags the atoms member i loses, and its lost
-        weight is summed as `population_robust_risk` sums it, so the values
-        are the same Fractions and bit-equal floats.  The risks for the last
-        (family, map) asked for are kept.
+        weight is summed by `_lost_weight`, as `population_robust_risk` sums
+        it.  The risks for the last (family, map) asked for are kept.
         """
 
-        def build() -> tuple[Probability, ...]:
+        def build() -> tuple[Fraction, ...]:
             return tuple(_lost_weight(self, row) for row in self._atom_losses(family, perturbations).tolist())
 
         return _kept(self, "_member_risk", (family, perturbations), build)
@@ -592,20 +579,9 @@ def _kept(owner: object, name: str, key: tuple, build: Callable[[], _Kept]) -> _
     return kept[1]
 
 
-def _lost_weight(dist: FiniteDistribution, lost: Sequence[bool]) -> Probability:
-    """Total weight of the atoms flagged lost, in atom order.
-
-    A Fraction when every weight is one; otherwise the weights are added one
-    by one from 0.0, so a float total does not depend on how the losses
-    were computed.
-    """
-    weights = [p for (_, p), flag in zip(dist.atoms, lost) if flag]
-    if dist._columns[3]:
-        return _exact_sum(weights)
-    total = 0.0
-    for p in weights:
-        total += p
-    return total
+def _lost_weight(dist: FiniteDistribution, lost: Sequence[bool]) -> Fraction:
+    """Exact total weight of the atoms flagged lost."""
+    return _exact_sum(p for (_, p), flag in zip(dist.atoms, lost) if flag)
 
 
 def _exact_sum(probabilities: Iterable[Fraction]) -> Fraction:
@@ -729,13 +705,12 @@ def empirical_robust_risk(
 
 def population_robust_risk(
     predictor: Predictor, dist: FiniteDistribution, perturbations: PerturbationMap
-) -> Probability:
-    """Probability-weighted robust loss; exact when all atom weights are rational.
+) -> Fraction:
+    """Exact expected robust loss of the predictor under `dist`.
 
     The predictor is scored on the support atoms' balls alone, which the
     distribution gathers and keeps (`_kept`).  The weights of the atoms it
-    loses are summed by `_lost_weight`: as a Fraction when every weight is
-    one, and otherwise one by one in atom order from 0.0.
+    loses are summed exactly by `_lost_weight`.
     """
     balls = dist._support_balls(perturbations)
     return _lost_weight(dist, _robust_losses(predictor, perturbations, balls, dist._columns[1]).tolist())

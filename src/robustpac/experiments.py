@@ -6,9 +6,8 @@ re-keyed to (seed, t) before trial t, so the trial draws exactly what
 `rng_stream(seed, t)` would, and the generator is valid only inside its
 trial.  The trial draws its data from it and the learner's sparsification
 continues it, so each trial is a pure function of the seed and its index
-and reports are identical across runs.  Population risks are compared
-against thresholds exactly (Fractions) wherever the inputs are rational,
-then stored as floats in the report rows.
+and reports are identical across runs.  Population risks are exact
+Fractions, stored as floats in the report rows.
 """
 
 from __future__ import annotations
@@ -30,7 +29,9 @@ from .core import (
     InstanceSpace,
     LabeledExample,
     PerturbationMap,
+    _checked_distribution,
     _checked_int,
+    _exact_sum,
     population_robust_risk,
 )
 from .learner import LearnerConfig, compression_bound, learn_realizable_report
@@ -54,9 +55,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved knobs of one experiment run; every field is echoed in reports.
+    """Resolved knobs of one experiment run, echoed in reports.
 
-    The echo also names the learner, always "compress-boost".  Failure
+    Bound checks leave out `improper_budget`, which they never read.  The
+    echo also names the learner, always "compress-boost".  Failure
     thresholds are not knobs: 1/8 for separation, the compression bound at
     (k, m, delta) for bound checks.
     """
@@ -178,18 +180,35 @@ def make_threshold_window_instance() -> ConstructedInstance:
     )
 
 
+def _exact_dirichlet(n: int, rng: np.random.Generator) -> list[Fraction]:
+    """n positive Fractions summing to 1, from one flat Dirichlet draw (redrawn until valid).
+
+    Every weight but the last is its float read exactly and the last is 1
+    minus their sum, so the float cumsum of the weights with its last entry
+    set to 1.0, the CDF that sampling builds, is the draw's own.  A draw
+    with a zero weight or a last weight <= 0 is redrawn.
+    """
+    while True:
+        probs = rng.dirichlet(np.ones(n)).tolist()
+        weights = [Fraction(p) for p in probs[:-1]]
+        weights.append(1 - _exact_sum(weights))
+        if min(probs) > 0.0 and weights[-1] > 0:
+            return weights
+
+
 def _random_threshold_distribution(
     instance: ConstructedInstance, rng: np.random.Generator
 ) -> FiniteDistribution:
+    """A distribution realizable by a random threshold, its weights `_exact_dirichlet`'s.
+
+    The atoms sit on distinct points and the weights are positive and sum
+    to 1 by construction, so the distribution is built unchecked.
+    """
     n = instance.space.size
     t_star = int(rng.integers(2, n - 1))
     support = [LabeledExample(x, -1) for x in range(0, t_star - 1)]
     support += [LabeledExample(x, +1) for x in range(t_star + 1, n)]
-    while True:
-        probs = rng.dirichlet(np.ones(len(support)))
-        if probs.min() > 0.0:
-            break
-    return FiniteDistribution(tuple(zip(support, (float(p) for p in probs))))
+    return _checked_distribution(tuple(zip(support, _exact_dirichlet(len(support), rng))))
 
 
 def run_bound_check(config: ExperimentConfig, k: int = 3) -> ExperimentReport:
@@ -216,9 +235,11 @@ def run_bound_check(config: ExperimentConfig, k: int = 3) -> ExperimentReport:
         return risk, failed
 
     rows, elapsed = _run_trials(config, one_trial)
+    echo = config.echo(k=k, instance=inst.metadata.get("generator"))
+    del echo["improper_budget"]  # the bound check never reads it
     report = ExperimentReport(
         "compression-bound-check",
-        config.echo(k=k, instance=inst.metadata.get("generator")),
+        echo,
         eps,
         tuple(r[0] for r in rows),
         tuple(r[1] for r in rows),

@@ -30,7 +30,7 @@ def draw_sample(dist: FiniteDistribution, m: int, rng: np.random.Generator) -> S
     the sample keeps the picked points and labels as its own columns.
     """
     m = _checked_int("sample size m", m, 1)
-    points, labels, _, _ = dist._columns
+    points, labels, _ = dist._columns
     idx = _atom_draws(dist, m, rng)
     atoms = dist.atoms
     return _sample_with_columns(tuple(atoms[i][0] for i in idx.tolist()), points[idx], labels[idx])

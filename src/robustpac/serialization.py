@@ -9,8 +9,7 @@ One document per instance:
      "anchors": {...}, "metadata": {...}}
 
 Probabilities are strings parsed exactly: plain decimals ("0.25") where the
-value has a finite decimal expansion, "p/q" rationals otherwise.  Float
-inputs are converted to their exact binary fraction on write, so
+value has a finite decimal expansion, "p/q" rationals otherwise, so
 parse(serialize(x)) == x always holds.
 
 Reading validates in bulk, with the per-item constructors' checks and
@@ -63,7 +62,7 @@ __all__ = [
 ]
 
 
-def probability_to_string(p: Fraction | float) -> str:
+def probability_to_string(p: Fraction) -> str:
     """Exact string form: finite decimal when one exists, else "p/q"."""
     f = Fraction(p)
     den = f.denominator

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from robustpac.constructions import (
     make_union_truncation,
     make_vc_blowup,
 )
+from robustpac.experiments import _exact_dirichlet
 from robustpac.prng import rng_stream
 from robustpac.sampling import draw_sample
 
@@ -226,11 +228,16 @@ def test_distribution_validation():
         FiniteDistribution(((e, Fraction(0)), (LabeledExample(1, 1), Fraction(1))))
 
 
-def test_distribution_rejects_a_nan_probability():
-    # NaN compares False both ways, so neither `p <= 0` nor the float sum check catches it
+@pytest.mark.parametrize(
+    "p", [float("nan"), 0.5, np.float64(0.5), 1, True], ids=["nan", "0.5", "np.float64", "1", "True"]
+)
+def test_distribution_refuses_a_non_fraction_probability(p):
+    # refused alone, where 1 and True would sum to 1, and beside a Fraction that completes the sum
     e0, e1 = LabeledExample(0, 1), LabeledExample(1, 1)
-    with pytest.raises(StructuralError, match="must be positive, got nan"):
-        FiniteDistribution(((e0, float("nan")), (e1, 1.0)))
+    message = rf"^atom probability must be a Fraction, got {re.escape(repr(p))}$"
+    for atoms in (((e0, p),), ((e0, Fraction(1, 2)), (e1, p))):
+        with pytest.raises(StructuralError, match=message):
+            FiniteDistribution(atoms)
 
 
 def test_family_constructor_is_the_one_validator():
@@ -270,10 +277,6 @@ def test_exact_distributions_sum_to_exactly_one():
     with pytest.raises(StructuralError):
         FiniteDistribution(((a, Fraction(1, 2) + Fraction(1, 10**13)), (b, Fraction(1, 2))))
     FiniteDistribution(((a, Fraction(1, 3)), (b, Fraction(2, 3))))
-    # floats keep the 1e-12 tolerance
-    FiniteDistribution(((a, 0.5 + 1e-13), (b, 0.5)))
-    with pytest.raises(StructuralError):
-        FiniteDistribution(((a, 0.5 + 1e-11), (b, 0.5)))
     for inst in (
         make_proper_failure(2),
         make_proper_failure(3, cap=9),
@@ -350,22 +353,19 @@ def test_standard_loss_lower_bounds_robust_loss_and_monotonicity(case):
 def distribution_cases(draw):
     """A small space, perturbation sets, a predictor and a distribution over it.
 
-    The weights are all Fractions, all floats or a mix of both.
+    The weights are small-denominator Fractions or dyadic ones drawn as the
+    bound check draws them (`experiments._exact_dirichlet`).
     """
     size = draw(st.integers(min_value=1, max_value=5))
     point = st.integers(min_value=0, max_value=size - 1)
     balls = draw(st.lists(st.lists(point, min_size=1, max_size=size), min_size=size, max_size=size))
     pair = st.tuples(point, st.sampled_from((-1, 1)))
     keys = draw(st.lists(pair, min_size=1, max_size=2 * size, unique=True))
-    weight = st.integers(min_value=1, max_value=9)
-    weights = draw(st.lists(weight, min_size=len(keys), max_size=len(keys)))
-    kind = draw(st.sampled_from(("fraction", "float", "mixed")))
-    total = sum(weights)
-    probs: list = [Fraction(w, total) for w in weights]
-    if kind != "fraction":
-        probs = [float(p) for p in probs]
-    if kind == "mixed":
-        probs[0] = Fraction(weights[0], total)
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=len(keys), max_size=len(keys)))
+        probs = [Fraction(w, sum(weights)) for w in weights]
+    else:
+        probs = _exact_dirichlet(len(keys), rng_stream(draw(st.integers(0, 2**32))))
     dist = FiniteDistribution(tuple((LabeledExample(x, y), p) for (x, y), p in zip(keys, probs)))
     rows = draw(st.lists(st.tuples(*[st.sampled_from((-1, 1))] * size), min_size=1, max_size=3))
     voters = tuple(map(Hypothesis, rows))
@@ -397,8 +397,7 @@ def test_draw_sample_matches_the_per_draw_support_lookup(case, m, seed):
 @given(distribution_cases())
 def test_population_risk_matches_the_per_atom_robust_loss_sum(case):
     perturbations, predictor, dist = case
-    exact = all(isinstance(p, Fraction) for _, p in dist.atoms)
-    expected = Fraction(0) if exact else 0.0
+    expected = Fraction(0)
     for example, p in dist.atoms:
         if robust_loss(predictor, example, perturbations):
             expected += p
@@ -409,15 +408,9 @@ def test_population_risk_matches_the_per_atom_robust_loss_sum(case):
 def _whole_space_population_risk(predictor, dist, perturbations):
     """The one-row-table reference: the predictor's table over the whole space, read at the atoms."""
     table = RobustTable.build(predictor.label_row[np.newaxis, :], perturbations)
-    points, labels, _, exact = dist._columns
+    points, labels, _ = dist._columns
     lost = table.loss_at(points, labels)[0].tolist()
-    weights = [p for (_, p), loss in zip(dist.atoms, lost) if loss]
-    if exact:
-        return sum(weights, Fraction(0))
-    total = 0.0
-    for p in weights:
-        total += p
-    return total
+    return sum((p for (_, p), loss in zip(dist.atoms, lost) if loss), Fraction(0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -452,25 +445,21 @@ def test_population_risk_matches_the_whole_space_table_across_maps(case, data):
     for perturbations in (first, second, first, PerturbationMap(first.sets), second):
         risk = population_robust_risk(predictor, dist, perturbations)
         expected = _whole_space_population_risk(predictor, dist, perturbations)
-        assert type(risk) is type(expected) and risk == expected
-        if isinstance(risk, float):
-            assert np.float64(risk).tobytes() == np.float64(expected).tobytes()
+        assert type(risk) is Fraction and risk == expected
     for wrong_size in (PerturbationMap.identity(size + 1), PerturbationMap.identity(size + 3)):
         with pytest.raises(StructuralError, match="^perturbation map and labels disagree on the instance space$"):
             population_robust_risk(predictor, dist, wrong_size)
 
 
 def _same_risk(got, want) -> bool:
-    """Equal values of one type; floats bit for bit."""
-    if type(got) is not type(want) or got != want:
-        return False
-    return not isinstance(got, float) or np.float64(got).tobytes() == np.float64(want).tobytes()
+    """Equal Fractions."""
+    return type(got) is type(want) is Fraction and got == want
 
 
-def _float_weighted(dist: FiniteDistribution, seed: int) -> FiniteDistribution:
-    """The same atoms under random float weights."""
-    weights = rng_stream(seed).dirichlet(np.ones(len(dist)))
-    return FiniteDistribution(tuple((e, float(w)) for (e, _), w in zip(dist.atoms, weights)))
+def _dyadic_weighted(dist: FiniteDistribution, seed: int) -> FiniteDistribution:
+    """The same atoms under random dyadic weights, drawn as the bound check draws them."""
+    weights = _exact_dirichlet(len(dist), rng_stream(seed))
+    return FiniteDistribution(tuple((e, w) for (e, _), w in zip(dist.atoms, weights)))
 
 
 @pytest.mark.parametrize(
@@ -480,7 +469,7 @@ def _float_weighted(dist: FiniteDistribution, seed: int) -> FiniteDistribution:
 )
 def test_member_risks_equal_population_risk_of_every_member(instance):
     family, perturbations = instance.family, instance.perturbations
-    dists = list(instance.distributions) + [_float_weighted(instance.distributions[0], len(family))]
+    dists = list(instance.distributions) + [_dyadic_weighted(instance.distributions[0], len(family))]
     for dist in dists:
         risks = dist._member_risks(family, perturbations)
         assert len(risks) == len(family)
@@ -494,7 +483,7 @@ def test_member_risks_follow_the_family_and_map_they_are_asked_for():
     family, u = inst.family, inst.perturbations
     reversed_family = HypothesisFamily(family.matrix[::-1])
     identity = PerturbationMap.identity(family.space_size)
-    for dist in (inst.distributions[3], _float_weighted(inst.distributions[3], 5)):
+    for dist in (inst.distributions[3], _dyadic_weighted(inst.distributions[3], 5)):
         # each new (family, map) replaces the kept risks; an equal family or map built anew reads them
         for f, v in [
             (family, u), (reversed_family, u), (family, identity), (family, u),
@@ -519,7 +508,7 @@ def test_atom_losses_are_the_one_read_only_table_the_member_risks_sum(monkeypatc
 
     monkeypatch.setattr(RobustTable, "loss_at", counted)
     dist = FiniteDistribution(inst.distributions[3].atoms)  # a fresh distribution keeps nothing yet
-    points, labels, _, _ = dist._columns
+    points, labels, _ = dist._columns
     tables = []
     # each new (family, map) replaces the kept table; asked in either order, the
     # table and the risks summed from it cost one loss_at between them

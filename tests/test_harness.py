@@ -372,6 +372,30 @@ def test_bound_check_respects_the_compression_budget():
     assert report.threshold == pytest.approx(0.3134425806348602)
 
 
+def test_bound_check_draws_keep_the_float_dirichlet_cdf():
+    # exact weights leave sampling's CDF what it was when the weights were the
+    # Dirichlet floats themselves, their cumsum with its last entry 1.0, bit for bit
+    inst = make_threshold_window_instance()
+    n = inst.space.size
+    for seed in range(300):
+        rng, float_rng = rng_stream(seed, 7), rng_stream(seed, 7)
+        dist = experiments._random_threshold_distribution(inst, rng)
+        t_star = int(float_rng.integers(2, n - 1))
+        while True:
+            probs = float_rng.dirichlet(np.ones(n - 2))
+            if probs.min() > 0.0:
+                break
+        cdf = np.cumsum(probs)
+        cdf[-1] = 1.0
+        points, labels, got = dist._columns
+        assert got.tobytes() == cdf.tobytes()
+        assert points.tolist() == [x for x in range(n) if x not in (t_star - 1, t_star)]
+        assert labels.tolist() == [-1 if x < t_star else 1 for x in points.tolist()]
+        assert FiniteDistribution(dist.atoms).atoms == dist.atoms  # the unchecked build passes every check
+        assert type(population_robust_risk(inst.family[t_star], dist, inst.perturbations)) is Fraction
+        assert rng.random() == float_rng.random()  # both generators stand at the same position
+
+
 def test_threshold_window_instance_is_realizable_fixture():
     inst = make_threshold_window_instance()
     assert inst.space.size == 12

@@ -79,17 +79,15 @@ def test_losses_and_risks_match_the_per_ball_scan(case, data):
         keys = sorted({(e.point, e.label) for e in sample})
         weights = data.draw(st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys)))
         total = sum(weights)
-        exact = FiniteDistribution(
+        dist = FiniteDistribution(
             tuple((LabeledExample(p, y), Fraction(w, total)) for (p, y), w in zip(keys, weights))
         )
-        floats = FiniteDistribution(tuple((e, float(p)) for e, p in exact.atoms))
-        for dist, zero in ((exact, Fraction(0)), (floats, 0.0)):
-            expected = zero
-            for e, p in dist.atoms:
-                if naive_loss(predictor, perturbations, e.point, e.label):
-                    expected += p
-            got = population_robust_risk(predictor, dist, perturbations)
-            assert type(got) is type(expected) and got == expected
+        expected = Fraction(0)
+        for e, p in dist.atoms:
+            if naive_loss(predictor, perturbations, e.point, e.label):
+                expected += p
+        got = population_robust_risk(predictor, dist, perturbations)
+        assert type(got) is Fraction and got == expected
 
 
 def test_exact_vote_ties_resolve_to_plus_one():

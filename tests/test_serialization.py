@@ -40,7 +40,6 @@ from robustpac.constructions import (
     make_vc_blowup,
 )
 from robustpac.core import (
-    PROB_TOLERANCE,
     FiniteDistribution,
     Hypothesis,
     HypothesisFamily,
@@ -77,25 +76,18 @@ def naive_distribution(atoms) -> FiniteDistribution:
         raise StructuralError("distribution must have at least one atom")
     seen = set()
     total = Fraction(0)
-    exact = True
     for example, p in atoms:
+        if not isinstance(p, Fraction):
+            raise StructuralError(f"atom probability must be a Fraction, got {p!r}")
         if p <= 0:
             raise StructuralError(f"atom probability must be positive, got {p!r}")
         key = (example.point, example.label)
         if key in seen:
             raise StructuralError(f"duplicate atom {key}")
         seen.add(key)
-        if isinstance(p, Fraction):
-            total += p
-        else:
-            exact = False
-    if exact:
-        if total != 1:
-            raise StructuralError(f"probabilities sum to {total}, not 1")
-    else:
-        s = float(sum(float(p) for _, p in atoms))
-        if abs(s - 1.0) > PROB_TOLERANCE:
-            raise StructuralError(f"probabilities sum to {s}, not 1")
+        total += p
+    if total != 1:
+        raise StructuralError(f"probabilities sum to {total}, not 1")
     dist = object.__new__(FiniteDistribution)
     object.__setattr__(dist, "atoms", atoms)
     return dist
@@ -209,7 +201,11 @@ def test_from_rows_reads_one_shot_rows_like_lists(rows):
 
 @st.composite
 def atom_lists(draw):
-    """Atoms on distinct examples with exact, float or mixed weights, sometimes corrupted."""
+    """Atoms on distinct examples, sometimes corrupted.
+
+    The weights are exact, or all or one of them floats ("float", "mixed"),
+    which the constructor refuses however close their sum is to 1.
+    """
     style = draw(st.sampled_from(["exact", "float", "mixed", "two_blocks"]))
     if style == "two_blocks":
         # Halves split into 1/(2 m1) and 1/(2 m2): neither denominator need be the common one.
@@ -253,6 +249,8 @@ def test_distribution_checks_match_per_atom_sum(atoms):
     bulk = outcome(FiniteDistribution, atoms)
     naive = outcome(naive_distribution, atoms)
     assert bulk == naive
+    if any(not isinstance(p, Fraction) for _, p in atoms):
+        assert bulk[0] == "raised" and bulk[1][0] is StructuralError
 
 
 @st.composite
