@@ -13,8 +13,8 @@ starting at vc(family)+1 and doubling until weak learning succeeds.  Here
 boosting reads the candidates' rows of the family's robust mistakes on the
 core, with no margin target and a fixed round count.  The core is realizable by
 construction, so a candidate robustly correct on all of it often exists;
-`alpha_boost` then returns that candidate for every round without running
-them.
+`alpha_boost` then returns that candidate alone without running the rounds,
+and the output is that one member of the family.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ def learn_agnostic(
 
     Repeated core examples are boosted once, at their first position.  Of
     `config` only `n_initial` is used, as in the realizable learner.  The
-    round count 1 + ceil(48 ln |core|) is fixed and nothing is sparsified,
+    round count 1 + ceil(48 ln |core|) is fixed, a candidate robustly
+    correct on the whole core is the lone voter, and nothing is sparsified,
     so a set `N_sparsify` is a contract violation.  No step draws
     randomness, so unlike `learn_realizable` it takes no generator; a set
     `seed`, which no library code reads, changes nothing.

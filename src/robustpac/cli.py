@@ -241,8 +241,10 @@ def _cmd_bound_check(args: argparse.Namespace) -> int:
     report = run_bound_check(config, k=args.k)
     print(report.summary())
     print(f"took {report.wall_clock:.3f}s", file=sys.stderr)
-    if args.out is not None:
-        _write(args.out, report.to_json() if args.format == "json" else report.to_csv())
+    if args.out is not None and args.format == "json":
+        _write_json(args.out, report.to_dict())
+    elif args.out is not None:
+        _write(args.out, report.to_csv())
     return 0
 
 

@@ -205,16 +205,18 @@ class RobustTable:
         if labels.shape[1] != perturbations.size:
             raise StructuralError("perturbation map and labels disagree on the instance space")
         members, bounds = perturbations._layout
-        gathered = labels[:, members]
-        return cls(
-            _read_only(np.logical_and.reduceat(gathered == 1, bounds[:-1], axis=1)),
-            _read_only(np.logical_and.reduceat(gathered == -1, bounds[:-1], axis=1)),
-        )
+        all_plus, any_plus = _plus_on_balls(labels[:, members] == 1, bounds[:-1])
+        return cls(_read_only(all_plus), _read_only(~any_plus))
 
     def loss_at(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """(rows, len(points)) bool: robust 0-1 loss of each row on each (point, label) column."""
         points = _checked_points(points, self.const_plus.shape[1])
         return np.where(labels == 1, ~self.const_plus[:, points], ~self.const_minus[:, points])
+
+
+def _plus_on_balls(plus: np.ndarray, begins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of +1 readings over balls laid end to end (last axis) and ball: all +1 on it, and any +1?"""
+    return np.logical_and.reduceat(plus, begins, axis=-1), np.logical_or.reduceat(plus, begins, axis=-1)
 
 
 def check_self_containment(perturbations: PerturbationMap) -> None:
@@ -641,14 +643,14 @@ class MajorityVotePredictor:
     def label_row(self) -> np.ndarray:
         """The vote over the whole space, read-only int8: voters summed once, ties to +1.
 
-        A vote whose voters are all one `Hypothesis` object is that voter's
-        own row, since k equal ±1 votes have its sign.  Any other vote is one
+        A one-voter vote is that voter's own row.  Any other vote is one
         `np.sum` over the voters' rows, which beats adding them one by one
-        for wide votes.
+        for wide votes.  No learner returns copies of one voter alone: a
+        perfect boosting candidate is returned once, and a vote of copies of
+        an imperfect one fails its majority or margin check.
         """
-        first = self.voters[0]
-        if all(v is first for v in self.voters):
-            return first.label_row
+        if len(self.voters) == 1:
+            return self.voters[0].label_row
         votes = np.sum([v.label_row for v in self.voters], axis=0, dtype=np.int64)
         return _read_only(np.where(votes >= 0, 1, -1).astype(np.int8))
 
@@ -669,14 +671,13 @@ def _robust_losses(
 
     `balls` is `perturbations.balls` of the examples' points and `labels`
     their labels.  An example is lost unless the predictor reads its label
-    on every member of its ball: one `reduceat` over the members' +1
-    readings says whether all are +1, one whether any is.
+    on every member of its ball (`_plus_on_balls`).
     """
     if predictor.size != perturbations.size:
         raise StructuralError("perturbation map and labels disagree on the instance space")
     members, begins = balls
-    plus = predictor.label_row[members] == 1
-    return np.where(labels == 1, ~np.logical_and.reduceat(plus, begins), np.logical_or.reduceat(plus, begins))
+    all_plus, any_plus = _plus_on_balls(predictor.label_row[members] == 1, begins)
+    return np.where(labels == 1, ~all_plus, any_plus)
 
 
 def robust_loss(predictor: Predictor, example: LabeledExample, perturbations: PerturbationMap) -> int:

@@ -57,10 +57,11 @@ __all__ = [
 class ExperimentConfig:
     """Resolved knobs of one experiment run, echoed in reports.
 
-    Bound checks leave out `improper_budget`, which they never read.  The
-    echo also names the learner, always "compress-boost".  Failure
-    thresholds are not knobs: 1/8 for separation, the compression bound at
-    (k, m, delta) for bound checks.
+    A report echoes `m`, `trials`, `seed`, `instance_source` and the
+    learner, always "compress-boost", plus the knobs its experiment reads,
+    which the experiment passes to `echo`.  Failure thresholds are not
+    knobs: 1/8 for separation, the compression bound at (k, m, delta) for
+    bound checks.
     """
 
     m: int
@@ -76,16 +77,14 @@ class ExperimentConfig:
         if not 0 < self.delta < 1:
             raise ContractError(f"delta must lie in (0, 1), got {self.delta}")
 
-    def echo(self, **extra) -> dict:
+    def echo(self, **read) -> dict:
         return {
             "m": self.m,
             "trials": self.trials,
             "seed": self.seed,
-            "delta": self.delta,
-            "improper_budget": self.improper_budget,
             "instance_source": self.instance_source,
             "learner": "compress-boost",
-            **extra,
+            **read,
         }
 
 
@@ -145,7 +144,7 @@ def run_separation_experiment(
     improper_risks = tuple(float(r[1]) for r in rows)
     proper_failed = tuple(r[0] > eps for r in rows)
     improper_failed = tuple(r[1] > eps for r in rows)
-    echo = config.echo(instance=instance.metadata.get("generator"))
+    echo = config.echo(improper_budget=config.improper_budget, instance=instance.metadata.get("generator"))
     proper = ExperimentReport(
         "separation/proper-rerm", dict(echo, arm="proper"), float(eps),
         proper_risks, proper_failed, wall_clock=elapsed,
@@ -235,8 +234,7 @@ def run_bound_check(config: ExperimentConfig, k: int = 3) -> ExperimentReport:
         return risk, failed
 
     rows, elapsed = _run_trials(config, one_trial)
-    echo = config.echo(k=k, instance=inst.metadata.get("generator"))
-    del echo["improper_budget"]  # the bound check never reads it
+    echo = config.echo(delta=config.delta, k=k, instance=inst.metadata.get("generator"))
     report = ExperimentReport(
         "compression-bound-check",
         echo,

@@ -430,8 +430,8 @@ def alpha_boost(
     right.  With margin_target set, stops at the first round where every
     point's exact vote margin reaches the target and raises BoostingFailure
     at T_max otherwise; with margin_target None, runs exactly T_max rounds.
-    A candidate with no mistakes would win every round, so it is returned
-    without running them.
+    A candidate with no mistakes would win every round, so it is returned as
+    the one voter, with margin 1, in both modes.
     """
     n_points = wrong.shape[1]
     if n_points < 1:
@@ -442,11 +442,10 @@ def alpha_boost(
     # weight, so weak_learn picks the lowest perfect row in round 1.  It is
     # right everywhere, so the update scales every weight by the same factor:
     # the weights stay positive and it wins every later round too, with vote
-    # margin 1.  The loop would return it once, or T_max times without a target.
+    # margin 1.  One vote of it has the sign of any number of copies.
     perfect = np.flatnonzero(~wrong.any(axis=1))
     if perfect.size and (margin_target is None or margin_target <= 1):
-        rounds = T_max if margin_target is None else 1
-        return BoostResult((int(perfect[0]),) * rounds, Fraction(1))
+        return BoostResult((int(perfect[0]),), Fraction(1))
     target = None if margin_target is None else Fraction(margin_target).as_integer_ratio()
     dist = np.full(n_points, 1.0 / n_points)
     counts = np.zeros(n_points, dtype=np.int64)

@@ -7,7 +7,6 @@ excluded from files so fixed-seed runs are byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,9 +79,6 @@ class ExperimentReport:
             "risks": [float(r) for r in self.risks],
             "failed": [bool(f) for f in self.failures],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         lines = ["trial,risk,failed"]

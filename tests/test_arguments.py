@@ -3,7 +3,9 @@
 An integer argument is a Python int or a numpy integer, never a bool.  A
 float, a bool or an integer out of range is refused with a message naming
 the parameter: `ContractError` for function arguments, `StructuralError`
-for the data types that instance documents also build.
+for the data types that instance documents also build.  A second table
+holds the empty inputs (samples, lists, atoms, trials) each function
+refuses, with its exact message.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from robustpac.agnostic import agnostic_bound, agnostic_round_count
+from robustpac.agnostic import agnostic_bound, agnostic_round_count, learn_agnostic, max_realizable_subsequence
 from robustpac.cli import main
 from robustpac.constructions import (
     make_agnostic_lower_bound,
@@ -42,17 +44,27 @@ from robustpac.dimensions import (
     vc,
     vc_of_robust_loss_family,
 )
-from robustpac.experiments import ExperimentConfig, group_adversary_for_k, make_group_adversary_instance
+from robustpac.experiments import (
+    ExperimentConfig,
+    group_adversary_for_k,
+    make_group_adversary_instance,
+    make_threshold_window_instance,
+    run_bounded_k_scaling,
+    run_separation_experiment,
+)
 from robustpac.learner import (
     LearnerConfig,
     alpha_boost,
     build_candidates,
     compression_bound,
     default_round_cap,
+    discretize,
+    inflate,
+    learn_realizable_report,
     sparsify,
 )
 from robustpac.prng import rng_stream
-from robustpac.reports import wilson_interval
+from robustpac.reports import ExperimentReport, wilson_interval
 from robustpac.sampling import draw_sample, sample_iid
 from robustpac.serialization import dumps_instance, loads_instance
 
@@ -185,3 +197,58 @@ def test_experiment_config_holds_python_ints():
 def test_the_cli_reports_the_shared_refusal(capsys, argv, message):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+NO_EXAMPLES = Sample(())
+
+# id: (the call, its error, its whole message)
+EMPTY_INPUTS = {
+    "max_realizable_subsequence": (
+        lambda: max_realizable_subsequence(FAMILY, NO_EXAMPLES, IDENTITY),
+        ContractError, "core extraction requires a nonempty sample",
+    ),
+    "learn_agnostic": (
+        lambda: learn_agnostic(FAMILY, NO_EXAMPLES, IDENTITY),
+        ContractError, "agnostic learning requires a nonempty sample",
+    ),
+    "learn_realizable_report": (
+        lambda: learn_realizable_report(FAMILY, NO_EXAMPLES, IDENTITY, rng=rng_stream(0)),
+        ContractError, "learning requires a nonempty sample",
+    ),
+    "inflate": (lambda: inflate(NO_EXAMPLES, IDENTITY), ContractError, "inflation requires a nonempty sample"),
+    "discretize": (
+        lambda: discretize(inflate(SAMPLE, IDENTITY), FAMILY.matrix[:0]),
+        ContractError, "discretization requires a nonempty candidate set",
+    ),
+    "sparsify": (
+        lambda: sparsify((), PERFECT, 3, rng_stream(0)), ContractError, "sparsification requires at least one voter"
+    ),
+    "make_union_truncation": (
+        lambda: make_union_truncation([]), ContractError, "at least one block size is required"
+    ),
+    "FiniteDistribution": (
+        lambda: FiniteDistribution(()), StructuralError, "distribution must have at least one atom"
+    ),
+    "run_separation_experiment": (
+        lambda: run_separation_experiment(make_threshold_window_instance(), ExperimentConfig(m=2, trials=1)),
+        ContractError, "separation experiment needs an instance with distributions",
+    ),
+    "run_bounded_k_scaling": (
+        lambda: run_bounded_k_scaling([], ExperimentConfig(m=2, trials=1)), ContractError, "k_list must be nonempty"
+    ),
+    "ExperimentReport/no trials": (
+        lambda: ExperimentReport("r", {}, 0.5, (), ()), ValueError, "a report needs at least one trial"
+    ),
+    "ExperimentReport/misaligned": (
+        lambda: ExperimentReport("r", {}, 0.5, (0.0,), ()), ValueError, "risks and failures must align per trial"
+    ),
+}
+
+
+@pytest.mark.parametrize("site", EMPTY_INPUTS)
+def test_an_empty_input_is_refused_with_its_message(site):
+    call, error, message = EMPTY_INPUTS[site]
+    with pytest.raises(error) as refused:
+        call()
+    assert type(refused.value) is error
+    assert str(refused.value) == message

@@ -38,6 +38,32 @@ def test_dims_output_file(tmp_path, capsys):
     assert doc["robust_shattering"]["value"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (
+            ["dims", str(GOLDEN / "vc_blowup_3.json"), "--format", "csv"],
+            "dimension,value,capped\nvc,1,0\ndual_vc,1,0\nloss_vc,3,0\n"
+            "disjoint_robust_shattering,1,0\nrobust_shattering,1,0\n",
+        ),
+        (
+            ["bound", "--k", "3", "--m", "50"],
+            '{\n  "delta": 0.05,\n  "kind": "compression",\n  "m": 50,\n  "value": 0.3134425806348602\n}\n',
+        ),
+        (
+            ["bound", "--sc-re", "5", "--m", "10000", "--delta", "0.1"],
+            '{\n  "delta": 0.1,\n  "kind": "agnostic",\n  "m": 10000,\n  "value": 2.8571549610317244\n}\n',
+        ),
+    ],
+    ids=["dims-csv", "bound-compression", "bound-agnostic"],
+)
+def test_out_files_hold_exactly_what_the_command_computed(tmp_path, capsys, argv, written):
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+    assert out.read_text() == written
+
+
 def test_construct_union_and_agnostic_generators(tmp_path, capsys):
     union_path = str(tmp_path / "union.json")
     assert main(["construct", "union-truncation", "--blocks", "1,2", "--out", union_path]) == 0

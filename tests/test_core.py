@@ -148,8 +148,8 @@ def test_majority_vote_checks_voters_and_keeps_provenance_as_given():
 )
 def test_majority_label_of_reads_label_row(rows, copies):
     # even voter counts make exact ties, which both must resolve to +1; with
-    # copies > 0 the vote is one Hypothesis object repeated, as a lone
-    # sparsified voter or agnostic's single repeated member is
+    # copies > 1 the vote is one Hypothesis object repeated, which no learner
+    # returns but a caller may build, and copies = 1 is the one-voter vote
     voters = (Hypothesis(tuple(rows[0])),) * copies if copies else tuple(Hypothesis(tuple(r)) for r in rows)
     vote = MajorityVotePredictor(voters)
     row = vote.label_row
@@ -159,6 +159,7 @@ def test_majority_label_of_reads_label_row(rows, copies):
     for x in range(vote.size):
         assert vote.label_of(x) == vote.label_row[x]
         assert type(vote.label_of(x)) is int
+        assert voters[0].label_of(x) == rows[0][x]
     for bad in (vote.size, vote.size + 3, -1):
         with pytest.raises(StructuralError, match=f"point {bad} outside instance space of size {vote.size}"):
             vote.label_of(bad)

@@ -35,6 +35,8 @@ CASES = {
     "learn": ["learn", "{proper_failure_2}", "--m", "64", "--seed", "7"],
     "learn_dist5": ["learn", "{proper_failure_2}", "--m", "128", "--dist", "5", "--seed", "11"],
     "agnostic": ["agnostic", "{agnostic_lower_bound_4}", "--m", "64", "--seed", "7"],
+    # the agnostic boosting loop runs: 68 voters, 3 of them distinct
+    "agnostic_loop": ["agnostic", "{proper_failure_2}", "--m", "32", "--dist", "3", "--seed", "1"],
     "dims": ["dims", "{vc_blowup_3}"],
     "k_scaling": ["experiment", "k-scaling", "--trials", "5", "--seed", "3"],
 }

@@ -372,6 +372,14 @@ def test_bound_check_respects_the_compression_budget():
     assert report.threshold == pytest.approx(0.3134425806348602)
 
 
+def test_bound_check_refuses_a_violation_rate_past_delta_plus_three_sigma(monkeypatch):
+    # a bound below every risk flags every trial: rate 1 > 0.05 + 3 sqrt(0.05 * 0.95 / 3) = 0.4275
+    monkeypatch.setattr(experiments, "compression_bound", lambda k, m, delta: -1.0)
+    message = r"^compression bound violated too often: rate 1\.0000 > delta \+ 3 sigma = 0\.4275$"
+    with pytest.raises(RuntimeError, match=message):
+        run_bound_check(ExperimentConfig(m=50, trials=3, seed=13), k=3)
+
+
 def test_bound_check_draws_keep_the_float_dirichlet_cdf():
     # exact weights leave sampling's CDF what it was when the weights were the
     # Dirichlet floats themselves, their cumsum with its last entry 1.0, bit for bit

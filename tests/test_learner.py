@@ -47,12 +47,13 @@ from robustpac.learner import (
 )
 from robustpac import learner
 from robustpac.oracles import rerm
-from robustpac.constructions import make_proper_failure
+from robustpac.agnostic import learn_agnostic
+from robustpac.constructions import make_agnostic_lower_bound, make_proper_failure
 from robustpac.experiments import _random_threshold_distribution, make_threshold_window_instance
 from robustpac.prng import rng_stream
 from robustpac.sampling import draw_sample, sample_iid
 
-from conftest import random_realizable_setup
+from conftest import random_labeled_sample, random_realizable_setup
 
 SIGNS = st.sampled_from((-1, 1))
 
@@ -257,14 +258,14 @@ def test_weak_learn_accepts_quarter_error_and_rejects_third():
 
 
 def test_alpha_boost_stops_immediately_on_a_perfect_voter():
+    # one voter in both modes: a fixed round count does not repeat it
     wrong = np.array([[True, False, False, False], [False] * 4, [False] * 4])
-    result = alpha_boost(wrong, margin_target=Fraction(5, 9))
-    assert result.voter_ids == (1,)  # the lowest-index perfect row
-    assert result.rounds == 1
-    assert result.min_margin == 1
-    fixed = alpha_boost(wrong, margin_target=None, T_max=7)
-    assert fixed.voter_ids == (1,) * 7
-    assert fixed.min_margin == 1
+    for margin_target in (Fraction(5, 9), Fraction(1), None):
+        for T_max in (1, 7, None):
+            result = alpha_boost(wrong, margin_target=margin_target, T_max=T_max)
+            assert result.voter_ids == (1,), (margin_target, T_max)  # the lowest-index perfect row
+            assert result.rounds == 1
+            assert result.min_margin == 1
 
 
 def test_alpha_boost_margin_lower_bound():
@@ -312,7 +313,11 @@ def test_weak_learning_and_boosting_reject_an_empty_candidate_set():
 
 
 def _reference_alpha_boost(wrong, margin_target, T_max, alpha=ALPHA):
-    """Plain multiplicative weights over weak_learn, every round run: no perfect-row exit."""
+    """Plain multiplicative weights over weak_learn, every round run: no perfect-row exit.
+
+    A vote with margin 1 is t copies of the lowest perfect row, and it is
+    reported as that row once.
+    """
     n_points = wrong.shape[1]
     if T_max is None:
         T_max = math.ceil(1.0 + 48.0 * math.log(max(n_points, 1))) + 10
@@ -327,11 +332,11 @@ def _reference_alpha_boost(wrong, margin_target, T_max, alpha=ALPHA):
         counts += correct
         margin = Fraction(int(counts.min()), t)
         if margin_target is not None and margin >= margin_target:
-            return tuple(ids), margin
+            return tuple(ids[:1] if margin == 1 else ids), margin
         dist = dist * np.exp(-2.0 * alpha * correct)
         dist = dist / dist.sum()
     if margin_target is None:
-        return tuple(ids), margin
+        return tuple(ids[:1] if margin == 1 else ids), margin
     raise BoostingFailure(margin, T_max)
 
 
@@ -798,6 +803,28 @@ def test_fitting_the_inflation_is_zero_empirical_robust_risk(case):
     perturbations, sample, vote = case
     fits = _fits_inflation(vote, inflate(sample, perturbations))
     assert fits == (empirical_robust_risk(vote, sample, perturbations) == 0)
+
+
+def test_every_learned_vote_is_one_voter_or_at_least_two_distinct_ones():
+    # the premise of `MajorityVotePredictor.label_row`, whose one shortcut is
+    # the one-voter vote: no learner returns copies of one voter alone
+    votes = []
+    for seed in range(30):
+        family, perturbations, sample, _ = random_realizable_setup(seed)
+        votes.append(learn_realizable(family, sample, perturbations, rng=rng_stream(seed)))
+        family, perturbations, sample = random_labeled_sample(seed)
+        votes.append(learn_agnostic(family, sample, perturbations))
+    pf2, alb4 = make_proper_failure(2), make_agnostic_lower_bound(4, Fraction(1, 4))
+    for seed in range(12):
+        rng = rng_stream(seed)
+        sample = draw_sample(pf2.distributions[seed], 32, rng)
+        votes.append(learn_realizable(pf2.family, sample, pf2.perturbations, rng=rng))
+        votes.append(learn_agnostic(pf2.family, sample, pf2.perturbations))
+        sample = draw_sample(alb4.distributions[seed], 64, rng)
+        votes.append(learn_agnostic(alb4.family, sample, alb4.perturbations))
+    shapes = [(len(vote.voters), len({id(v) for v in vote.voters})) for vote in votes]
+    assert [(n, d) for n, d in shapes if n > 1 and d < 2] == []
+    assert (1, 1) in shapes and max(d for _, d in shapes) >= 2  # both shapes occur
 
 
 def test_a_losing_sparsified_vote_raises_the_closing_error(monkeypatch):
