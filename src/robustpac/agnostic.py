@@ -33,7 +33,7 @@ from .core import (
     Sample,
     _checked_int,
 )
-from .learner import LearnerConfig, _boost_growing_n, alpha_boost, build_candidates
+from .learner import BoostResult, CandidateSet, LearnerConfig, _boost_growing_n, alpha_boost, build_candidates
 
 __all__ = [
     "max_realizable_subsequence",
@@ -110,13 +110,12 @@ def learn_agnostic(
     # the core sample's examples are distinct, so its distinct matrix is its loss, kept for build_candidates
     loss = core_sample._distinct_mistakes(family, perturbations)
     rounds = agnostic_round_count(len(core_sample))
-    candidates, boost = _boost_growing_n(
-        family,
-        len(core_sample),
-        config.n_initial,
-        lambda n: build_candidates(family, core_sample, perturbations, n),
-        lambda c: alpha_boost(loss[list(c.members)], margin_target=None, T_max=rounds),
-    )
+
+    def boosted(n: int) -> tuple[CandidateSet, BoostResult]:
+        candidates = build_candidates(family, core_sample, perturbations, n)
+        return candidates, alpha_boost(loss[list(candidates.members)], margin_target=None, T_max=rounds)
+
+    candidates, boost = _boost_growing_n(family, len(core_sample), config.n_initial, boosted)
 
     if boost.min_margin <= Fraction(1, 2):
         raise RuntimeError(

@@ -170,6 +170,7 @@ def _cmd_agnostic(args: argparse.Namespace) -> int:
     predictor = learn_agnostic(instance.family, sample, instance.perturbations, config)
     achieved = empirical_robust_risk(predictor, sample, instance.perturbations)
     optimum = rerm(instance.family, sample, instance.perturbations).risk
+    voters = len(predictor.voters)
     doc = {
         "m": args.m,
         "dist": args.dist,
@@ -179,13 +180,13 @@ def _cmd_agnostic(args: argparse.Namespace) -> int:
         "population_robust_risk": float(
             population_robust_risk(predictor, dist, instance.perturbations)
         ),
-        "voters": len(predictor.voters),
+        "voters": voters,
         "compression_size": predictor.compression_size,
         "flags": list(predictor.flags),
     }
     print(
         f"agnostic: empirical robust risk {achieved} "
-        f"(family optimum {optimum}), {len(predictor.voters)} voters"
+        f"(family optimum {optimum}), {voters} voter{'' if voters == 1 else 's'}"
     )
     if args.out is not None:
         _write_json(args.out, doc)

@@ -17,22 +17,23 @@ pair, the discretized set adds the (candidates, representatives) mistake
 matrix `wrong`, and boosting and sparsification both read correctness as
 `~wrong` rows indexed by candidate id.
 
-For a given family and perturbation map, every deterministic stage is a
-function of the sample's distinct examples in first-appearance order: the
-realizability check, the candidate enumeration's oracle calls (whose count
-vectors also depend on the counts clipped at n), inflation, discretization,
-boosting, sparsify's majority precondition and the default sparsify size.
-The realizable learner keeps them in a stage cache held on the family per
-perturbation map (`core._kept`), one entry per sample key (the distinct
-points and labels as bytes), at most `STAGE_CACHE_ENTRIES` of them, the
-oldest dropped first.  A hit runs only what depends on the sample's
-positions or on the generator: the offending position of an unrealizable
-sample, the candidates' provenance (rebuilt from the kept enumeration),
-sparsify's draws and the closing fit check.  Each draw's majority verdict is
-a function of the stage and the drawn tuple, so a stage keeps a verdict
-table per sparsify size and checks a tuple only the first time it is drawn.
-Outputs and draws therefore do not depend on what the cache holds.  The
-agnostic learner keeps nothing.
+For a given family and perturbation map, the realizability check and
+inflation are functions of the sample's distinct examples in
+first-appearance order, and since candidates are listed in member order,
+every stage at subset size n is a function of those and of the counts
+clipped at n: the candidate members and their count vectors,
+discretization, boosting or its weak-learner failure, sparsify's majority
+precondition and the default sparsify size.  The realizable learner keeps
+them in a stage cache held on the family per perturbation map
+(`core._kept`), one entry per sample key (the distinct points and labels as
+bytes), at most `STAGE_CACHE_ENTRIES` of them, the oldest dropped first.  A
+hit runs only what depends on the sample's positions or on the generator:
+the offending position of an unrealizable sample, sparsify's draws, the
+drawn voters' provenance (rebuilt from their count vectors) and the closing
+fit check.  Each draw's majority verdict is a function of the stage and the
+drawn tuple, so a stage keeps a verdict table per sparsify size and checks
+a tuple only the first time it is drawn.  Outputs and draws therefore do
+not depend on what the cache holds.  The agnostic learner keeps nothing.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ __all__ = [
 WEAK_ERROR_BOUND = 1.0 / 3.0
 CANDIDATE_ENUMERATION_LIMIT = 500_000
 _SCORE_BLOCK = 1 << 17  # count vectors x members per product in build_candidates
-# a candidate enumeration: (count vector as (distinct example, copies) pairs, argmin member), in order
-_Plan = list[tuple[tuple[tuple[int, int], ...], int]]
+# a count vector, as the (distinct example, copies) pairs of its nonzero counts
+_Vector = tuple[tuple[int, int], ...]
 ALPHA = 0.125
 MARGIN_TARGET = Fraction(5, 9)
 SPARSIFY_ATTEMPTS = 100
@@ -145,10 +146,9 @@ class LearnerConfig:
 class CandidateSet:
     """Distinct oracle outputs over size-n subsequences, as member indices, with provenance.
 
-    `members[i]` is the index of candidate i in the family the oracle ran
+    `members` lists, ascending, the indices in the family the oracle ran
     over, and `provenance[i]` is the lexicographically first ordered index
-    tuple whose subsequence makes the oracle return it; candidates are in
-    provenance order.
+    tuple whose subsequence makes the oracle return `members[i]`.
     """
 
     members: tuple[int, ...]
@@ -212,11 +212,11 @@ def build_candidates(
 
     Subsequences with equal example multisets share one oracle call: the
     multisets are count vectors over `sample.distinct`, generated a block
-    at a time and scored by one matrix product per block.  The provenance
-    kept for each distinct candidate is the lexicographically first index
-    tuple that produces it, so results match a naive scan over all C(m, n)
-    index combinations.  Family rows are distinct, so distinct members are
-    distinct labelings.
+    at a time and scored by one matrix product per block.  Candidates come
+    in member order, and the provenance kept for each is the
+    lexicographically first index tuple that produces it, so results match
+    a naive scan over all C(m, n) index combinations.  Family rows are
+    distinct, so distinct members are distinct labelings.
     """
     n = _checked_int("subset size n", n, 1, len(sample))
     return _enumerated_candidates(family, sample, perturbations, n, None)
@@ -227,12 +227,13 @@ def _enumerated_candidates(
     sample: Sample,
     perturbations: PerturbationMap,
     n: int,
-    plan: _Plan | None,
+    plan: dict[int, list[_Vector]] | None,
 ) -> CandidateSet:
-    """`build_candidates` for a checked n; a given `plan` list receives the (count vector, member) pairs.
+    """`build_candidates` for a checked n; a given `plan` dict receives each member's count vectors.
 
-    The pairs come in enumeration order, each count vector as the (distinct
-    example, copies) pairs of its nonzero counts.
+    Each count vector is kept as the (distinct example, copies) pairs of its
+    nonzero counts, under the member the oracle returns for it, in
+    enumeration order; the pair tuples are shared between vectors.
     """
     distinct = sample.distinct
     runs = distinct.positions
@@ -259,6 +260,7 @@ def _enumerated_candidates(
     # a time in one float product, exact since the counts are integers <= n;
     # argmin takes the lowest member on ties, as the oracle does.
     block = max(1, _SCORE_BLOCK // len(family))
+    pairs = [[(s, k) for k in range(n + 1)] for s in range(d)]
     vector = [0] * d
     vectors: list[int] = []  # the block's count vectors, concatenated
     tuples: list[tuple[int, ...]] = []
@@ -266,11 +268,13 @@ def _enumerated_candidates(
 
     def score() -> None:
         mistakes = np.array(vectors, dtype=np.float64).reshape(len(tuples), d) @ scores
-        members = mistakes.argmin(axis=1).tolist()
-        if plan is not None:
-            for i, member in enumerate(members):
-                plan.append((tuple((s, k) for s, k in enumerate(vectors[i * d : (i + 1) * d]) if k), member))
-        _keep_first(first, zip(tuples, members))
+        for i, member in enumerate(mistakes.argmin(axis=1).tolist()):
+            known = first.get(member)
+            if known is None or tuples[i] < known:
+                first[member] = tuples[i]
+            if plan is not None:
+                copies = vectors[i * d : (i + 1) * d]
+                plan.setdefault(member, []).append(tuple(pairs[s][k] for s, k in enumerate(copies) if k))
         vectors.clear()
         tuples.clear()
 
@@ -291,53 +295,17 @@ def _enumerated_candidates(
     fill(0, n, ())
     if tuples:
         score()
-    return _candidate_set(first, n)
+    members = tuple(sorted(first))
+    return CandidateSet(members, tuple(first[c] for c in members), n)
 
 
-def _planned_candidates(
-    family: HypothesisFamily,
-    sample: Sample,
-    perturbations: PerturbationMap,
-    n: int,
-    plans: dict[tuple[int, tuple[int, ...]], _Plan],
-) -> CandidateSet:
-    """`build_candidates` for a checked n, its enumeration kept in `plans`.
+def _first_indices(runs: Sequence[Sequence[int]], vectors: Iterable[_Vector]) -> tuple[int, ...]:
+    """The lexicographically first index tuple of the count vectors, under the positions `runs`.
 
-    `plans` belongs to one sample key, which fixes every count vector's
-    argmin member; which vectors exist depends only on n and the counts
-    clipped at n, the plan's key.  A kept plan's provenance is rebuilt from
-    this sample's positions, since samples of one key can order their
-    repeats differently.
+    A vector's first index tuple takes the first k positions of each
+    distinct example it holds k copies of, sorted.
     """
-    runs = sample.distinct.positions
-    key = (n, tuple(min(len(run), n) for run in runs))
-    plan = plans.get(key)
-    if plan is not None:
-        pairs = (
-            (tuple(sorted(itertools.chain.from_iterable([runs[s][:k] for s, k in copies]))), member)
-            for copies, member in plan
-        )
-        first: dict[int, tuple[int, ...]] = {}
-        _keep_first(first, pairs)
-        return _candidate_set(first, n)
-    plan: _Plan = []
-    candidates = _enumerated_candidates(family, sample, perturbations, n, plan)
-    plans[key] = plan  # kept once the enumeration is within its limit
-    return candidates
-
-
-def _keep_first(first: dict[int, tuple[int, ...]], pairs: Iterable[tuple[tuple[int, ...], int]]) -> None:
-    """Keep in `first` each member's lexicographically first index tuple among the (tuple, member) pairs."""
-    for indices, member in pairs:
-        known = first.get(member)
-        if known is None or indices < known:
-            first[member] = indices
-
-
-def _candidate_set(first: dict[int, tuple[int, ...]], n: int) -> CandidateSet:
-    """The candidates in order of their first index tuples, which are distinct."""
-    order = sorted(first, key=first.__getitem__)
-    return CandidateSet(tuple(order), tuple(first[c] for c in order), n)
+    return min(tuple(sorted(itertools.chain.from_iterable([runs[s][:k] for s, k in v]))) for v in vectors)
 
 
 def _multiset_count(counts: Sequence[int], n: int) -> int:
@@ -537,23 +505,20 @@ def _boost_growing_n(
     family: HypothesisFamily,
     m: int,
     n_initial: int | None,
-    candidates: Callable[[int], CandidateSet],
-    boost: Callable[[CandidateSet], _Boosted],
-) -> tuple[CandidateSet, _Boosted]:
-    """Boost the candidates of size-n subsamples of m examples, doubling n until weak learning succeeds.
+    outcome: Callable[[int], _Boosted],
+) -> _Boosted:
+    """The boosting outcome of the size-n subsamples of m examples, doubling n until weak learning succeeds.
 
     The loop both learners share: n starts at min(n_initial, m), where a
-    None `n_initial` means vc(family) + 1 (`_default_n_initial`);
-    `candidates` maps n to the candidate set of the size-n subsamples and
-    `boost` maps that set to its boosting outcome.  A WeakLearnerFailure
-    from it doubles n (capped at m) or, at n = m, propagates.  Returns the
-    candidates and the outcome.
+    None `n_initial` means vc(family) + 1 (`_default_n_initial`), and
+    `outcome` maps n to the outcome of boosting the candidates of the size-n
+    subsamples.  A WeakLearnerFailure from it doubles n (capped at m) or, at
+    n = m, propagates.
     """
     n = min(_default_n_initial(family) if n_initial is None else n_initial, m)
     while True:
-        found = candidates(n)
         try:
-            return found, boost(found)
+            return outcome(n)
         except WeakLearnerFailure:
             if n == m:
                 raise
@@ -567,21 +532,48 @@ def _default_n_initial(family: HypothesisFamily) -> int:
 
 @dataclass(eq=False)
 class _Stages:
-    """The deterministic stages of one sample key's candidate members.
+    """The deterministic stages of one sample key at one n and one set of counts clipped at n.
 
-    `wrong` is read-only; `correct` is `_majority_correct` of the boost's
-    voters, checked once; `n_sparse`, the default sparsify size, is found on
-    the first run that leaves `N_sparsify` unset.  `verdicts[N]` is the
-    `_sparse_draw` verdict table of `correct` for sparsify size N, filled as
-    draws are first met; with T voters it holds at most T^N entries, and it
-    is dropped with the stage.
+    `members` are the candidate members, ascending, and `vectors[i]` the
+    count vectors whose multisets make the oracle return `members[i]`, from
+    which `_first_indices` rebuilds provenance for any sample of the key.
+    `correct` is `_majority_correct` of the boost's voters, checked once;
+    `n_sparse`, the default sparsify size, is found on the first run that
+    leaves `N_sparsify` unset.  `verdicts[N]` is the `_sparse_draw` verdict
+    table of `correct` for sparsify size N, filled as draws are first met;
+    with T voters it holds at most T^N entries, and it is dropped with the
+    stage.  When no candidate is a weak learner, `boost` is None, `min_error`
+    is the best weighted error and no vectors are kept.
     """
 
-    wrong: np.ndarray
-    boost: BoostResult
-    correct: np.ndarray
+    n: int
+    members: tuple[int, ...]
+    vectors: tuple[list[_Vector], ...]
+    discretized_size: int
+    boost: BoostResult | None
+    correct: np.ndarray | None = None
+    min_error: float | None = None
     n_sparse: int | None = None
     verdicts: dict[int, dict[bytes, bool]] = field(default_factory=dict)
+
+
+def _build_stages(
+    family: HypothesisFamily,
+    sample: Sample,
+    perturbations: PerturbationMap,
+    inflated: tuple[np.ndarray, np.ndarray],
+    n: int,
+) -> _Stages:
+    """The `_Stages` of the sample's size-n subsamples, a weak-learner failure included."""
+    plan: dict[int, list[_Vector]] = {}
+    members = _enumerated_candidates(family, sample, perturbations, n, plan).members
+    wrong = discretize(inflated, family.matrix[list(members)]).wrong
+    try:
+        boost = alpha_boost(wrong)
+    except WeakLearnerFailure as failure:
+        return _Stages(n, members, (), wrong.shape[1], None, min_error=failure.min_error)
+    vectors = tuple(plan[member] for member in members)
+    return _Stages(n, members, vectors, wrong.shape[1], boost, _majority_correct(boost.voter_ids, wrong))
 
 
 @dataclass(eq=False)
@@ -590,15 +582,13 @@ class _SampleEntry:
 
     `dead` is the first distinct example that leaves no member robustly
     correct on the distinct examples up to it (`_first_dead_example`), or
-    None.  `plans` holds the candidate enumerations (`_planned_candidates`),
-    and `stages` the `_Stages` per tuple of candidate members, which share
-    the `inflated` sample, built with the first of them.
+    None, and `inflated` the sample's inflation, built with the entry when
+    `dead` is None.  `stages` holds the `_Stages` per (n, counts clipped at n).
     """
 
     dead: int | None
-    inflated: tuple[np.ndarray, np.ndarray] | None = None
-    plans: dict[tuple[int, tuple[int, ...]], _Plan] = field(default_factory=dict)
-    stages: dict[tuple[int, ...], _Stages] = field(default_factory=dict)
+    inflated: tuple[np.ndarray, np.ndarray] | None
+    stages: dict[tuple[int, tuple[int, ...]], _Stages] = field(default_factory=dict)
 
 
 def _stage_slot(family: HypothesisFamily, perturbations: PerturbationMap) -> dict[tuple, _SampleEntry]:
@@ -618,7 +608,8 @@ def _sample_entry(family: HypothesisFamily, sample: Sample, perturbations: Pertu
     key = _sample_key(sample)
     entry = slot.get(key)
     if entry is None:
-        entry = _SampleEntry(_first_dead_example(family, sample, perturbations))
+        dead = _first_dead_example(family, sample, perturbations)
+        entry = _SampleEntry(dead, inflate(sample, perturbations) if dead is None else None)
         if len(slot) >= STAGE_CACHE_ENTRIES:
             del slot[next(iter(slot))]  # the oldest entry
         slot[key] = entry
@@ -673,9 +664,10 @@ def learn_realizable_report(
     """Full pipeline run returning the predictor plus per-stage diagnostics.
 
     Sparsification, the only random step, continues the caller's generator
-    `rng`.  Inflation, discretization, boosting and the default sparsify
-    size come from the family's stage cache when this (map, distinct
-    examples, candidate members) key was met before; a set `N_sparsify`
+    `rng`.  Inflation, candidates, discretization, boosting (or its
+    weak-learner failure) and the default sparsify size come from the
+    family's stage cache when this (map, distinct examples) key was met
+    before at this n and these counts clipped at n; a set `N_sparsify`
     overrides the cached default without replacing it.
     """
     config = config or LearnerConfig()
@@ -691,42 +683,38 @@ def learn_realizable_report(
             f"(point={example.point}, label={example.label:+d})"
         )
 
-    def stages(candidates: CandidateSet) -> _Stages:
-        found = entry.stages.get(candidates.members)
+    runs = sample.distinct.positions
+
+    def stages(n: int) -> _Stages:
+        key = (n, tuple(min(len(run), n) for run in runs))
+        found = entry.stages.get(key)
         if found is None:
-            if entry.inflated is None:
-                entry.inflated = inflate(sample, perturbations)
-            wrong = discretize(entry.inflated, family.matrix[list(candidates.members)]).wrong
-            boost = alpha_boost(wrong)  # a WeakLearnerFailure stores nothing
-            found = _Stages(wrong, boost, _majority_correct(boost.voter_ids, wrong))
-            entry.stages[candidates.members] = found
+            found = entry.stages[key] = _build_stages(family, sample, perturbations, entry.inflated, n)
+        if found.boost is None:
+            raise WeakLearnerFailure(found.min_error)
         return found
 
-    candidates, found = _boost_growing_n(
-        family,
-        len(sample),
-        config.n_initial,
-        lambda n: _planned_candidates(family, sample, perturbations, n, entry.plans),
-        stages,
-    )
+    found = _boost_growing_n(family, len(sample), config.n_initial, stages)
     n_sparse = config.N_sparsify
     if n_sparse is None:
         if found.n_sparse is None:
-            found.n_sparse = _default_sparsify_size(family, candidates.members, found.boost)
+            found.n_sparse = _default_sparsify_size(family, found.members, found.boost)
         n_sparse = found.n_sparse
     voter_ids = found.boost.voter_ids
     chosen = _sparse_draw(found.correct, n_sparse, rng, found.verdicts.setdefault(n_sparse, {}))
-    voters = tuple(family[candidates.members[voter_ids[j]]] for j in chosen)
-    provenance = tuple(candidates.provenance[voter_ids[j]] for j in chosen)
-    predictor = MajorityVotePredictor(voters, provenance)
+    drawn = [voter_ids[j] for j in chosen]
+    first = {c: _first_indices(runs, found.vectors[c]) for c in set(drawn)}
+    predictor = MajorityVotePredictor(
+        tuple(family[found.members[c]] for c in drawn), tuple(first[c] for c in drawn)
+    )
     if not _fits_inflation(predictor, entry.inflated):
         risk = empirical_robust_risk(predictor, sample, perturbations)
         raise RuntimeError(f"pipeline produced nonzero empirical robust risk {risk}")
     return RealizableRunReport(
         predictor=predictor,
-        n_used=candidates.subset_size,
+        n_used=found.n,
         inflated_size=len(entry.inflated[0]),
-        discretized_size=found.wrong.shape[1],
+        discretized_size=found.discretized_size,
         rounds=found.boost.rounds,
         min_margin=found.boost.min_margin,
         sparsified_to=len(chosen),

@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from robustpac.core import (
     ContractError,
@@ -128,18 +128,22 @@ def candidate_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(candidate_inputs(), st.sampled_from((1, 2, 3, None)))
+# the later index yields the lower member, so member order is not provenance order
+@example(
+    (HypothesisFamily.from_rows([(1,), (-1,)]), PerturbationMap.identity(1), Sample.from_pairs([(0, -1), (0, 1)]), 1),
+    None,
+)
 def test_candidates_match_naive_subset_enumeration(inputs, block_rows):
     # the literal scan: RERM on every index combination in lexicographic order,
-    # keeping the first combination that yields each distinct member
+    # keeping the first combination that yields each distinct member; the
+    # candidates come in ascending member order
     family, perturbations, sample, n = inputs
-    members: list[int] = []
-    provenance: list[tuple[int, ...]] = []
+    first: dict[int, tuple[int, ...]] = {}
     for combo in combinations(range(len(sample)), n):
         sub = Sample(tuple(sample[i] for i in combo))
-        member = rerm(family, sub, perturbations).hypothesis_index
-        if member not in members:
-            members.append(member)
-            provenance.append(combo)
+        first.setdefault(rerm(family, sub, perturbations).hypothesis_index, combo)
+    members = sorted(first)
+    provenance = [first[member] for member in members]
     # blocks of 1-3 count vectors put block boundaries inside the enumeration
     with pytest.MonkeyPatch.context() as patch:
         if block_rows is not None:
@@ -649,18 +653,17 @@ def test_boost_growing_n_clamps_doubles_and_reraises_at_the_sample_size():
     perturbations = PerturbationMap.identity(5)
     sizes: list[int] = []
 
-    def never_weak(candidates):
+    def never_weak(n):
         assert len(sizes) < 8, f"n kept growing: {sizes}"
-        sizes.append(candidates.subset_size)
+        sizes.append(n)
+        candidates = build_candidates(family, sample, perturbations, n)
         return alpha_boost(np.ones((len(candidates), 3), dtype=bool))  # every candidate errs everywhere
 
     # None starts at vc(family) + 1 = 2
     for n, expected in ((1, [1, 2, 4, 5]), (3, [3, 5]), (5, [5]), (9, [5]), (None, [2, 4, 5])):
         sizes.clear()
         with pytest.raises(WeakLearnerFailure):
-            learner._boost_growing_n(
-                family, 5, n, lambda n: build_candidates(family, sample, perturbations, n), never_weak
-            )
+            learner._boost_growing_n(family, 5, n, never_weak)
         assert sizes == expected, n
 
 
@@ -672,17 +675,42 @@ def test_the_learner_doubles_n_from_its_default_start(monkeypatch):
     sample = Sample.from_pairs([(2, -1), (0, -1), (1, 1), (2, -1), (2, -1), (1, 1)])
     sizes: list[int] = []
 
-    def spy(family, sample, perturbations, n, plans):
+    def spy(family, sample, perturbations, inflated, n):
         sizes.append(n)
-        return planned(family, sample, perturbations, n, plans)
+        return build(family, sample, perturbations, inflated, n)
 
-    planned = learner._planned_candidates  # build_candidates with the stage cache's plans
-    monkeypatch.setattr(learner, "_planned_candidates", spy)
+    build = learner._build_stages  # each n's stages, the failing n = 2 included
+    monkeypatch.setattr(learner, "_build_stages", spy)
     for seed in range(3):
-        sizes.clear()
         report = learn_realizable_report(family, sample, perturbations, LearnerConfig(), rng=rng_stream(seed))
-        assert sizes == [2, 4]
         assert (report.n_used, report.rounds, report.min_margin) == (4, 1, 1)
+    assert sizes == [2, 4]  # the later runs meet both stages in the cache
+
+
+def test_a_warm_run_rebuilds_nothing(monkeypatch):
+    # the fixture above: n = 2 fails and n = 4 succeeds, and both outcomes are
+    # kept, so a rerun on the same sample key with another generator runs no
+    # enumeration, discretization or boosting, and raises no failure of its own
+    family = HypothesisFamily.from_rows([(-1, 1, 1), (-1, -1, -1), (1, 1, -1), (-1, 1, -1)])
+    perturbations = PerturbationMap.identity(3)
+    sample = Sample.from_pairs([(2, -1), (0, -1), (1, 1), (2, -1), (2, -1), (1, 1)])
+    cold = learn_realizable_report(family, sample, perturbations, rng=rng_stream(0))
+    calls: list[str] = []
+
+    def spy(name, stage):
+        def called(*args, **kwargs):
+            calls.append(name)
+            return stage(*args, **kwargs)
+        return called
+
+    for name in ("_enumerated_candidates", "discretize", "alpha_boost"):
+        monkeypatch.setattr(learner, name, spy(name, getattr(learner, name)))
+    for other in (_repeats_moved(sample), sample):
+        assert learner._sample_key(other) == learner._sample_key(sample)
+        warm = learn_realizable_report(family, other, perturbations, rng=rng_stream(1))
+        assert (warm.n_used, warm.rounds, warm.discretized_size) == (cold.n_used, cold.rounds, cold.discretized_size)
+        assert empirical_robust_risk(warm.predictor, other, perturbations) == 0
+    assert calls == []
 
 
 def test_learner_config_has_three_validated_fields():
@@ -951,7 +979,7 @@ def test_learner_output_is_pinned():
                 voters = [index[v.label_row.tobytes()] for v in vote.voters]
                 sizes = [getattr(report, f.name) for f in fields(report) if f.name != "predictor"]
                 digest.update(repr((sizes, voters, vote.provenance, vote.flags)).encode())
-        assert digest.hexdigest() == "4c4bf752eb6d329ce23d41201f315daa294b5d12bff6276761c0e606d10716cc"
+        assert digest.hexdigest() == "697adfd0e56656c981e02fb381828882705d496bff58d655296a0f2ae3ad1e8f"
         cached.append([len(learner._stage_slot(inst.family, inst.perturbations)) for inst, _, _ in runs])
     assert cached[0] == cached[1] and min(cached[0]) > 0
 
@@ -1011,11 +1039,14 @@ def _runs_equal_fresh_runs(family, runs, seed) -> list:
 def _checked_verdict_tables(family, perturbations) -> int:
     """Every verdict table entry of the stage cache is the direct majority check; the entry count.
 
-    No table of a stage with T voters holds more than T^N entries.
+    No table of a stage with T voters holds more than T^N entries; kept
+    weak-learner failures have no voters and are skipped.
     """
     entries = 0
     for entry in learner._stage_slot(family, perturbations).values():
         for stages in entry.stages.values():
+            if stages.boost is None:
+                continue
             T = len(stages.correct)
             for N, table in stages.verdicts.items():
                 assert len(table) <= T**N
@@ -1098,7 +1129,8 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     identity = PerturbationMap.identity(6)
     configs = (LearnerConfig(n_initial=1), LearnerConfig(n_initial=1, N_sparsify=5))
     _runs_equal_fresh_runs(family, [(sample, identity, c) for c in configs] * 3, 67)
-    [stages] = [s for entry in learner._stage_slot(family, identity).values() for s in entry.stages.values()]
+    slot = learner._stage_slot(family, identity)
+    [stages] = [s for entry in slot.values() for s in entry.stages.values() if s.boost is not None]
     assert stages.boost.voter_ids == (0, 2, 0, 2, 0, 2, 3)
     assert _checked_verdict_tables(family, identity) > 0
 
