@@ -21,19 +21,20 @@ For a given family and perturbation map, the realizability check and
 inflation are functions of the sample's distinct examples in
 first-appearance order, and since candidates are listed in member order,
 every stage at subset size n is a function of those and of the counts
-clipped at n: the candidate members and their count vectors,
-discretization, boosting or its weak-learner failure, sparsify's majority
-precondition and the default sparsify size.  The realizable learner keeps
-them in a stage cache held on the family per perturbation map
-(`core._kept`), one entry per sample key (the distinct points and labels as
-bytes), at most `STAGE_CACHE_ENTRIES` of them, the oldest dropped first.  A
-hit runs only what depends on the sample's positions or on the generator:
-the offending position of an unrealizable sample, sparsify's draws, the
-drawn voters' provenance (rebuilt from their count vectors) and the closing
-fit check.  Each draw's majority verdict is a function of the stage and the
-drawn tuple, so a stage keeps a verdict table per sparsify size and checks
-a tuple only the first time it is drawn.  Outputs and draws therefore do
-not depend on what the cache holds.  The agnostic learner keeps nothing.
+clipped at n: the candidate members and the greatest count vector that
+yields each, discretization, boosting or its weak-learner failure,
+sparsify's majority precondition and the default sparsify size.  The
+realizable learner keeps them in a stage cache held on the family per
+perturbation map (`core._kept`), one entry per sample key (the distinct
+points and labels as bytes), at most `STAGE_CACHE_ENTRIES` of them, the
+oldest dropped first.  A hit runs only what depends on the sample's
+positions or on the generator: the offending position of an unrealizable
+sample, sparsify's draws, the drawn voters' provenance (the sample
+positions of their count vectors) and the closing fit check.  Each draw's
+majority verdict is a function of the stage and the drawn tuple, so a stage
+keeps a verdict table per sparsify size and checks a tuple only the first
+time it is drawn.  Outputs and draws therefore do not depend on what the
+cache holds.  The agnostic learner keeps nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -80,8 +81,6 @@ __all__ = [
 WEAK_ERROR_BOUND = 1.0 / 3.0
 CANDIDATE_ENUMERATION_LIMIT = 500_000
 _SCORE_BLOCK = 1 << 17  # count vectors x members per product in build_candidates
-# a count vector, as the (distinct example, copies) pairs of its nonzero counts
-_Vector = tuple[tuple[int, int], ...]
 ALPHA = 0.125
 MARGIN_TARGET = Fraction(5, 9)
 SPARSIFY_ATTEMPTS = 100
@@ -147,8 +146,9 @@ class CandidateSet:
     """Distinct oracle outputs over size-n subsequences, as member indices, with provenance.
 
     `members` lists, ascending, the indices in the family the oracle ran
-    over, and `provenance[i]` is the lexicographically first ordered index
-    tuple whose subsequence makes the oracle return `members[i]`.
+    over, and `provenance[i]` is an ordered index tuple whose subsequence
+    makes the oracle return `members[i]`: the one of the greatest count
+    vector over the distinct examples that does (see `build_candidates`).
     """
 
     members: tuple[int, ...]
@@ -212,14 +212,18 @@ def build_candidates(
 
     Subsequences with equal example multisets share one oracle call: the
     multisets are count vectors over `sample.distinct`, generated a block
-    at a time and scored by one matrix product per block.  Candidates come
-    in member order, and the provenance kept for each is the
-    lexicographically first index tuple that produces it, so results match
-    a naive scan over all C(m, n) index combinations.  Family rows are
-    distinct, so distinct members are distinct labelings.
+    at a time in descending lexicographic order and scored by one matrix
+    product per block.  Candidates come in member order, and the provenance
+    of each is `_indices` of the greatest count vector that yields it, so
+    results match a naive scan over all C(m, n) index combinations that
+    keeps that vector per member.  Family rows are distinct, so distinct
+    members are distinct labelings.
     """
     n = _checked_int("subset size n", n, 1, len(sample))
-    return _enumerated_candidates(family, sample, perturbations, n, None)
+    greatest = _enumerated_candidates(family, sample, perturbations, n)
+    members = tuple(sorted(greatest))
+    runs = sample.distinct.positions
+    return CandidateSet(members, tuple(_indices(runs, greatest[c]) for c in members), n)
 
 
 def _enumerated_candidates(
@@ -227,18 +231,14 @@ def _enumerated_candidates(
     sample: Sample,
     perturbations: PerturbationMap,
     n: int,
-    plan: dict[int, list[_Vector]] | None,
-) -> CandidateSet:
-    """`build_candidates` for a checked n; a given `plan` dict receives each member's count vectors.
+) -> dict[int, tuple[int, ...]]:
+    """Each member the oracle returns on a size-n multiset, mapped to the greatest count vector that yields it.
 
-    Each count vector is kept as the (distinct example, copies) pairs of its
-    nonzero counts, under the member the oracle returns for it, in
-    enumeration order; the pair tuples are shared between vectors.
+    Count vectors are over `sample.distinct`, compared lexicographically; n
+    is checked by the caller.
     """
-    distinct = sample.distinct
-    runs = distinct.positions
-    counts = [len(r) for r in runs]
-    d = len(runs)
+    counts = [len(r) for r in sample.distinct.positions]
+    d = len(counts)
     # C(d + n - 1, n) bounds the count, so it is computed only near the limit
     if math.comb(d + n - 1, n) > CANDIDATE_ENUMERATION_LIMIT:
         total = _multiset_count(counts, n)
@@ -255,57 +255,48 @@ def _enumerated_candidates(
         available_after[slot] = available_after[slot + 1] + counts[slot]
 
     # A multiset taking k copies of distinct example s adds k * wrong[:, s] to
-    # every member's mistake count, and its first index tuple is the first k
-    # positions of each example, sorted.  Count vectors are scored a block at
-    # a time in one float product, exact since the counts are integers <= n;
-    # argmin takes the lowest member on ties, as the oracle does.
+    # every member's mistake count.  Count vectors are met in descending
+    # lexicographic order and scored a block at a time in one float product,
+    # exact since the counts are integers <= n; argmin takes the lowest
+    # member on ties, as the oracle does.  A member's first vector is its greatest.
     block = max(1, _SCORE_BLOCK // len(family))
-    pairs = [[(s, k) for k in range(n + 1)] for s in range(d)]
     vector = [0] * d
     vectors: list[int] = []  # the block's count vectors, concatenated
-    tuples: list[tuple[int, ...]] = []
-    first: dict[int, tuple[int, ...]] = {}
+    greatest: dict[int, tuple[int, ...]] = {}
 
     def score() -> None:
-        mistakes = np.array(vectors, dtype=np.float64).reshape(len(tuples), d) @ scores
+        mistakes = np.array(vectors, dtype=np.float64).reshape(-1, d) @ scores
         for i, member in enumerate(mistakes.argmin(axis=1).tolist()):
-            known = first.get(member)
-            if known is None or tuples[i] < known:
-                first[member] = tuples[i]
-            if plan is not None:
-                copies = vectors[i * d : (i + 1) * d]
-                plan.setdefault(member, []).append(tuple(pairs[s][k] for s, k in enumerate(copies) if k))
+            if member not in greatest:
+                greatest[member] = tuple(vectors[i * d : (i + 1) * d])
         vectors.clear()
-        tuples.clear()
 
-    def fill(slot: int, remaining: int, picked: tuple[int, ...]) -> None:
+    def fill(slot: int, remaining: int) -> None:
         if remaining == 0:
             vectors.extend(vector)
-            tuples.append(tuple(sorted(picked)))
-            if len(tuples) == block:
+            if len(vectors) == block * d:
                 score()
             return
         # k copies of this example leave remaining - k for the later ones, which hold `rest`
         rest = available_after[slot + 1]
         for k in range(min(counts[slot], remaining), max(remaining - rest, 0) - 1, -1):
             vector[slot] = k
-            fill(slot + 1, remaining - k, picked + runs[slot][:k])
+            fill(slot + 1, remaining - k)
         vector[slot] = 0
 
-    fill(0, n, ())
-    if tuples:
+    fill(0, n)
+    if vectors:
         score()
-    members = tuple(sorted(first))
-    return CandidateSet(members, tuple(first[c] for c in members), n)
+    return greatest
 
 
-def _first_indices(runs: Sequence[Sequence[int]], vectors: Iterable[_Vector]) -> tuple[int, ...]:
-    """The lexicographically first index tuple of the count vectors, under the positions `runs`.
+def _indices(runs: Sequence[Sequence[int]], vector: Sequence[int]) -> tuple[int, ...]:
+    """A count vector's index tuple under the positions `runs`.
 
-    A vector's first index tuple takes the first k positions of each
-    distinct example it holds k copies of, sorted.
+    It takes the first k positions of each distinct example the vector
+    holds k copies of, sorted.
     """
-    return min(tuple(sorted(itertools.chain.from_iterable([runs[s][:k] for s, k in v]))) for v in vectors)
+    return tuple(sorted(itertools.chain.from_iterable([run[:k] for run, k in zip(runs, vector)])))
 
 
 def _multiset_count(counts: Sequence[int], n: int) -> int:
@@ -449,15 +440,17 @@ def sparsify(
 
     Voter ids index the rows of the (candidates, points) mistake matrix
     `wrong`, so voter v is correct on point j exactly when `wrong[v, j]` is
-    False.  Requires N >= 1 and the full ensemble to hold a strict majority
-    on every point (guaranteed upstream by the 5/9 margin, which leaves 1/18
-    slack over 1/2).  Draws N positions from `rng` up to `SPARSIFY_ATTEMPTS`
-    times, then falls back to the full voter list, which satisfies the
-    property by the precondition.
+    False; each id must be an integer in 0..len(wrong) - 1, so a negative
+    id or a bool is refused rather than read as a row.  Requires N >= 1 and
+    the full ensemble to hold a strict majority on every point (guaranteed
+    upstream by the 5/9 margin, which leaves 1/18 slack over 1/2).  Draws N
+    positions from `rng` up to `SPARSIFY_ATTEMPTS` times, then falls back to
+    the full voter list, which satisfies the property by the precondition.
     """
     if len(voter_ids) == 0:
         raise ContractError("sparsification requires at least one voter")
     N = _checked_int("N", N, 1)
+    voter_ids = [_checked_int("voter id", v, 0, len(wrong) - 1) for v in voter_ids]
     return _sparse_draw(_majority_correct(voter_ids, wrong), N, rng, {})
 
 
@@ -535,20 +528,20 @@ class _Stages:
     """The deterministic stages of one sample key at one n and one set of counts clipped at n.
 
     `members` are the candidate members, ascending, and `vectors[i]` the
-    count vectors whose multisets make the oracle return `members[i]`, from
-    which `_first_indices` rebuilds provenance for any sample of the key.
-    `correct` is `_majority_correct` of the boost's voters, checked once;
-    `n_sparse`, the default sparsify size, is found on the first run that
-    leaves `N_sparsify` unset.  `verdicts[N]` is the `_sparse_draw` verdict
-    table of `correct` for sparsify size N, filled as draws are first met;
-    with T voters it holds at most T^N entries, and it is dropped with the
-    stage.  When no candidate is a weak learner, `boost` is None, `min_error`
-    is the best weighted error and no vectors are kept.
+    greatest count vector whose multiset makes the oracle return
+    `members[i]`, from which `_indices` builds provenance for any sample of
+    the key: one vector per candidate.  `correct` is `_majority_correct` of
+    the boost's voters, checked once; `n_sparse`, the default sparsify size,
+    is found on the first run that leaves `N_sparsify` unset.  `verdicts[N]`
+    is the `_sparse_draw` verdict table of `correct` for sparsify size N,
+    filled as draws are first met; with T voters it holds at most T^N
+    entries, and it is dropped with the stage.  When no candidate is a weak
+    learner, `boost` is None and `min_error` is the best weighted error.
     """
 
     n: int
     members: tuple[int, ...]
-    vectors: tuple[list[_Vector], ...]
+    vectors: tuple[tuple[int, ...], ...]
     discretized_size: int
     boost: BoostResult | None
     correct: np.ndarray | None = None
@@ -565,14 +558,14 @@ def _build_stages(
     n: int,
 ) -> _Stages:
     """The `_Stages` of the sample's size-n subsamples, a weak-learner failure included."""
-    plan: dict[int, list[_Vector]] = {}
-    members = _enumerated_candidates(family, sample, perturbations, n, plan).members
+    greatest = _enumerated_candidates(family, sample, perturbations, n)
+    members = tuple(sorted(greatest))
+    vectors = tuple(greatest[c] for c in members)
     wrong = discretize(inflated, family.matrix[list(members)]).wrong
     try:
         boost = alpha_boost(wrong)
     except WeakLearnerFailure as failure:
-        return _Stages(n, members, (), wrong.shape[1], None, min_error=failure.min_error)
-    vectors = tuple(plan[member] for member in members)
+        return _Stages(n, members, vectors, wrong.shape[1], None, min_error=failure.min_error)
     return _Stages(n, members, vectors, wrong.shape[1], boost, _majority_correct(boost.voter_ids, wrong))
 
 
@@ -583,7 +576,9 @@ class _SampleEntry:
     `dead` is the first distinct example that leaves no member robustly
     correct on the distinct examples up to it (`_first_dead_example`), or
     None, and `inflated` the sample's inflation, built with the entry when
-    `dead` is None.  `stages` holds the `_Stages` per (n, counts clipped at n).
+    `dead` is None.  `stages` holds the `_Stages` per (n, counts clipped at
+    n), each keeping one count vector per candidate; neither the number of
+    stages nor their verdict tables is bounded.
     """
 
     dead: int | None
@@ -703,9 +698,9 @@ def learn_realizable_report(
     voter_ids = found.boost.voter_ids
     chosen = _sparse_draw(found.correct, n_sparse, rng, found.verdicts.setdefault(n_sparse, {}))
     drawn = [voter_ids[j] for j in chosen]
-    first = {c: _first_indices(runs, found.vectors[c]) for c in set(drawn)}
+    indices = {c: _indices(runs, found.vectors[c]) for c in set(drawn)}
     predictor = MajorityVotePredictor(
-        tuple(family[found.members[c]] for c in drawn), tuple(first[c] for c in drawn)
+        tuple(family[found.members[c]] for c in drawn), tuple(indices[c] for c in drawn)
     )
     if not _fits_inflation(predictor, entry.inflated):
         risk = empirical_robust_risk(predictor, sample, perturbations)

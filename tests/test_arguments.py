@@ -109,6 +109,8 @@ SITES = {
     "build_candidates": (lambda v: build_candidates(FAMILY, SAMPLE, IDENTITY, v), 1, 3, "n", ContractError),
     "alpha_boost": (lambda v: alpha_boost(PERFECT, None, v), 2, 0, "T_max", ContractError),
     "sparsify": (lambda v: sparsify((0,), PERFECT, v, rng_stream(0)), 1, 0, "N", ContractError),
+    "sparsify/voter id": (lambda v: sparsify((0, v, v), PERFECT, 3, rng_stream(0)), 0, -1, "voter id", ContractError),
+    "sparsify/voter id cap": (lambda v: sparsify((v,), PERFECT, 1, rng_stream(0)), 0, 1, "voter id", ContractError),
     "default_round_cap": (default_round_cap, 5, -3, "n_points", ContractError),
     "agnostic_round_count": (agnostic_round_count, 5, -1, "core_size", ContractError),
     "compression_bound/k": (lambda v: compression_bound(v, 50, 0.05), 3, 0, "k", ContractError),

@@ -134,16 +134,21 @@ def candidate_inputs(draw):
     None,
 )
 def test_candidates_match_naive_subset_enumeration(inputs, block_rows):
-    # the literal scan: RERM on every index combination in lexicographic order,
-    # keeping the first combination that yields each distinct member; the
-    # candidates come in ascending member order
+    # the literal scan: RERM on every index combination, keeping per member
+    # the greatest count vector over the distinct examples among the
+    # combinations that yield it; its provenance is the first k positions of
+    # each example, sorted, and the candidates come in ascending member order
     family, perturbations, sample, n = inputs
-    first: dict[int, tuple[int, ...]] = {}
+    runs = sample.distinct.positions
+    slot = {i: s for s, run in enumerate(runs) for i in run}
+    greatest: dict[int, tuple[int, ...]] = {}
     for combo in combinations(range(len(sample)), n):
         sub = Sample(tuple(sample[i] for i in combo))
-        first.setdefault(rerm(family, sub, perturbations).hypothesis_index, combo)
-    members = sorted(first)
-    provenance = [first[member] for member in members]
+        member = rerm(family, sub, perturbations).hypothesis_index
+        vector = tuple(sum(slot[i] == s for i in combo) for s in range(len(runs)))
+        greatest[member] = max(greatest.get(member, vector), vector)
+    members = sorted(greatest)
+    provenance = [tuple(sorted(i for run, k in zip(runs, greatest[c]) for i in run[:k])) for c in members]
     # blocks of 1-3 count vectors put block boundaries inside the enumeration
     with pytest.MonkeyPatch.context() as patch:
         if block_rows is not None:
@@ -152,6 +157,8 @@ def test_candidates_match_naive_subset_enumeration(inputs, block_rows):
     assert cands.members == tuple(members)
     assert cands.provenance == tuple(provenance)
     assert cands.subset_size == n
+    for member, indices in zip(cands.members, cands.provenance):
+        assert rerm(family, Sample(tuple(sample[i] for i in indices)), perturbations).hypothesis_index == member
 
 
 @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5), st.data())
@@ -948,40 +955,77 @@ def test_compression_bound_limits_and_contracts():
 # --- pinned learner output -----------------------------------------------------
 
 
+def _pinned_instances() -> list:
+    """The (instance, m, config) of the pinned runs: proper-failure(2) and the threshold window."""
+    return [
+        (make_proper_failure(2), 64, None),
+        (make_threshold_window_instance(), 50, LearnerConfig(n_initial=1, N_sparsify=3)),
+    ]
+
+
+def _pinned_reports(instances):
+    """Each (instance, sample, report) of 60 runs per instance, on the generator keyed (15, trial)."""
+    for inst, m, config in instances:
+        for trial in range(60):
+            rng = rng_stream(15, trial)
+            if inst.distributions:
+                dist = inst.distributions[int(rng.integers(len(inst.distributions)))]
+            else:
+                dist = _random_threshold_distribution(inst, rng)
+            sample = draw_sample(dist, m, rng)
+            yield inst, sample, learn_realizable_report(inst.family, sample, inst.perturbations, config, rng=rng)
+
+
 def test_learner_output_is_pinned():
     # sha256 over every report field, voter member index and provenance of
     # 120 runs, each on the generator keyed (seed, trial) as the experiments
     # key them: 60 separation-style runs on proper-failure(2) at m = 64 and
     # 60 bound-check runs on the threshold-window fixture at m = 50.  A change
     # to any learner stage that alters its output moves the digest.
-    runs = [
-        (make_proper_failure(2), 64, None),
-        (make_threshold_window_instance(), 50, LearnerConfig(n_initial=1, N_sparsify=3)),
-    ]
+    runs = _pinned_instances()
+    index = {id(inst): {row.tobytes(): i for i, row in enumerate(inst.family.matrix)} for inst, _, _ in runs}
     # The second pass reruns the same instances, so every stage comes from
     # the families' stage caches: no slot gains a key, and the pin holds.
     cached = []
     for _ in range(2):
         digest = hashlib.sha256()
-        for inst, m, config in runs:
-            index = {row.tobytes(): i for i, row in enumerate(inst.family.matrix)}
-            for trial in range(60):
-                rng = rng_stream(15, trial)
-                if inst.distributions:
-                    dist = inst.distributions[int(rng.integers(len(inst.distributions)))]
-                else:
-                    dist = _random_threshold_distribution(inst, rng)
-                sample = draw_sample(dist, m, rng)
-                report = learn_realizable_report(
-                    inst.family, sample, inst.perturbations, config, rng=rng
-                )
-                vote = report.predictor
-                voters = [index[v.label_row.tobytes()] for v in vote.voters]
-                sizes = [getattr(report, f.name) for f in fields(report) if f.name != "predictor"]
-                digest.update(repr((sizes, voters, vote.provenance, vote.flags)).encode())
-        assert digest.hexdigest() == "697adfd0e56656c981e02fb381828882705d496bff58d655296a0f2ae3ad1e8f"
+        for inst, _, report in _pinned_reports(runs):
+            vote = report.predictor
+            voters = [index[id(inst)][v.label_row.tobytes()] for v in vote.voters]
+            sizes = [getattr(report, f.name) for f in fields(report) if f.name != "predictor"]
+            digest.update(repr((sizes, voters, vote.provenance, vote.flags)).encode())
+        assert digest.hexdigest() == "2f31ea56a0827120dc1c1c67512348dde14055d36a7d5018409232598b355361"
         cached.append([len(learner._stage_slot(inst.family, inst.perturbations)) for inst, _, _ in runs])
     assert cached[0] == cached[1] and min(cached[0]) > 0
+
+
+def _decoded_voters(family, sample, perturbations, vote: MajorityVotePredictor) -> int:
+    """RERM on each voter's provenance subsequence returns that voter's member; the voter count."""
+    for voter, indices in zip(vote.voters, vote.provenance):
+        found = rerm(family, Sample(tuple(sample[i] for i in indices)), perturbations).hypothesis_index
+        assert np.array_equal(family.matrix[found], voter.label_row), indices
+    return len(vote.voters)
+
+
+def test_every_voter_decodes_from_its_provenance():
+    # the compression scheme: each voter of the pinned realizable runs, of
+    # agnostic runs on agnostic-lower-bound(4, 1/3) and of the agnostic_loop
+    # golden's run is what RERM returns on the sample at its provenance
+    decoded = 0
+    for inst, sample, report in _pinned_reports(_pinned_instances()):
+        decoded += _decoded_voters(inst.family, sample, inst.perturbations, report.predictor)
+    lower = make_agnostic_lower_bound(4, "1/3")
+    samples = []
+    for trial in range(20):
+        rng = rng_stream(15, trial)
+        samples.append((lower, draw_sample(lower.distributions[int(rng.integers(16))], 64, rng)))
+    loop = make_proper_failure(2)  # the agnostic_loop golden: --m 32 --dist 3 --seed 1
+    samples.append((loop, draw_sample(loop.distributions[3], 32, rng_stream(1))))
+    for inst, sample in samples:
+        vote = learn_agnostic(inst.family, sample, inst.perturbations)
+        if vote.flags != ("empty-realizable-core",):
+            decoded += _decoded_voters(inst.family, sample, inst.perturbations, vote)
+    assert decoded == 180 + 20 + 68  # the pinned runs' voters, one per lower-bound run, the loop's 68
 
 
 # --- the stage cache -------------------------------------------------------------
@@ -1085,10 +1129,10 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     sample = samples[0]
     positions = sample.distinct.positions
     assert min(map(len, positions)) >= 2
-    # the same counts with repeats elsewhere: one plan, whose provenance
-    # follows each sample's positions
+    # the same counts with repeats elsewhere: one stage, whose count vectors
+    # give provenance at each sample's positions
     moved = _repeats_moved(sample)
-    # one example kept once, a count below n: another plan for the same key
+    # one example kept once, a count below n: another stage for the same key
     once = Sample(tuple(e for i, e in enumerate(sample.examples) if i not in positions[0][1:]))
     key = learner._sample_key
     assert key(moved) == key(once) == key(sample)
