@@ -7,14 +7,14 @@ rounds).  The resulting majority vote has vote margin above 1/2 on every core
 example, hence zero robust mistakes there, and therefore empirical robust
 risk on the full sample no worse than the best member of the family.
 
-The boosting loop is the realizable learner's (`learner._boost_growing_n`):
-candidates are robust-ERM outputs on size-n subsamples of the core, with n
-starting at vc(family)+1 and doubling until weak learning succeeds.  Here
-boosting reads the candidates' rows of the family's robust mistakes on the
-core, with no margin target and a fixed round count.  The core is realizable by
-construction, so a candidate robustly correct on all of it often exists;
-`alpha_boost` then returns that candidate alone without running the rounds,
-and the output is that one member of the family.
+Both steps read one array, the family's robust mistakes on the sample's
+distinct examples: the core is a set of its columns (`_maximal_core`).  The
+boosting loop is the realizable learner's (`learner._boost_growing_n`):
+candidates are robust-ERM outputs on size-n subsets of the core's columns,
+with n starting at vc(family)+1 and doubling until weak learning succeeds,
+and boosting reads their rows there, with no margin target and a fixed
+round count.  The core is realizable, so a candidate robustly correct on all
+of it often exists; `alpha_boost` then returns that candidate alone.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .core import (
     Sample,
     _checked_int,
 )
-from .learner import BoostResult, CandidateSet, LearnerConfig, _boost_growing_n, alpha_boost, build_candidates
+from .learner import BoostResult, LearnerConfig, _boost_growing_n, _enumerated_candidates, _indices, alpha_boost
 
 __all__ = [
     "max_realizable_subsequence",
@@ -57,9 +57,20 @@ def max_realizable_subsequence(
     """
     if len(sample) == 0:
         raise ContractError("core extraction requires a nonempty sample")
-    covered = ~family.robust_table(perturbations).loss_at(sample.points(), sample.labels())
-    best = int(np.argmax(covered.sum(axis=1)))
-    return tuple(int(j) for j in np.flatnonzero(covered[best]))
+    runs = sample.distinct.positions
+    return tuple(sorted(j for s in _maximal_core(family, sample, perturbations)[1] for j in runs[s]))
+
+
+def _maximal_core(family: HypothesisFamily, sample: Sample, perturbations: PerturbationMap) -> tuple[np.ndarray, list]:
+    """The (members, distinct examples) robust loss over `sample.distinct`, and the core's distinct examples.
+
+    A member covers every copy of an example it covers, so `~loss @ counts`
+    counts each member's coverage; the core is the first widest one's.
+    """
+    distinct = sample.distinct
+    loss = family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
+    best = int(np.argmax(~loss @ np.array([len(run) for run in distinct.positions])))
+    return loss, np.flatnonzero(~loss[best]).tolist()
 
 
 def agnostic_round_count(core_size: int) -> int:
@@ -94,7 +105,7 @@ def learn_agnostic(
         raise ContractError("learn_agnostic does not use N_sparsify; leave it unset")
     if len(sample) == 0:
         raise ContractError("agnostic learning requires a nonempty sample")
-    core = max_realizable_subsequence(family, sample, perturbations)
+    loss, core = _maximal_core(family, sample, perturbations)
     if not core:
         return MajorityVotePredictor(
             (Hypothesis.constant(family.space_size, +1),),
@@ -102,29 +113,22 @@ def learn_agnostic(
             flags=("empty-realizable-core",),
         )
 
-    # the core holds every copy of its examples, so it keeps their first positions
-    in_core = set(core)
-    kept_original = [run[0] for run in sample.distinct.positions if run[0] in in_core]
-    core_sample = Sample(tuple(sample[j] for j in kept_original))
+    # each core example is taken once, at its first position
+    core_loss, rounds = loss[:, core], agnostic_round_count(len(core))
 
-    # the core sample's examples are distinct, so its distinct matrix is its loss, kept for build_candidates
-    loss = core_sample._distinct_mistakes(family, perturbations)
-    rounds = agnostic_round_count(len(core_sample))
+    def boosted(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], BoostResult]:
+        members, vectors = _enumerated_candidates(core_loss, [1] * len(core), n)
+        return members, vectors, alpha_boost(core_loss[list(members)], margin_target=None, T_max=rounds)
 
-    def boosted(n: int) -> tuple[CandidateSet, BoostResult]:
-        candidates = build_candidates(family, core_sample, perturbations, n)
-        return candidates, alpha_boost(loss[list(candidates.members)], margin_target=None, T_max=rounds)
-
-    candidates, boost = _boost_growing_n(family, len(core_sample), config.n_initial, boosted)
+    members, vectors, boost = _boost_growing_n(family, len(core), config.n_initial, boosted)
 
     if boost.min_margin <= Fraction(1, 2):
         raise RuntimeError(
             f"agnostic boosting ended with margin {boost.min_margin} <= 1/2 on the core"
         )
-    origin = {
-        i: tuple(kept_original[j] for j in candidates.provenance[i]) for i in set(boost.voter_ids)
-    }
-    voters = tuple(family[candidates.members[i]] for i in boost.voter_ids)
+    firsts = [sample.distinct.positions[s][:1] for s in core]
+    origin = {i: _indices(firsts, vectors[i]) for i in set(boost.voter_ids)}
+    voters = tuple(family[members[i]] for i in boost.voter_ids)
     return MajorityVotePredictor(voters, tuple(origin[i] for i in boost.voter_ids))
 
 

@@ -451,19 +451,6 @@ class Sample:
             _read_only(labels[firsts]),
         )
 
-    def _distinct_mistakes(self, family: HypothesisFamily, perturbations: PerturbationMap) -> np.ndarray:
-        """(members, distinct examples) bool: the family's robust loss on each distinct example.
-
-        `family.robust_table(perturbations).loss_at` of `distinct`'s columns,
-        read-only; kept for the last (family, map) asked for.
-        """
-
-        def build() -> np.ndarray:
-            distinct = self.distinct
-            return _read_only(family.robust_table(perturbations).loss_at(distinct.points, distinct.labels))
-
-        return _kept(self, "_distinct_loss", (family, perturbations), build)
-
 
 def _sample_with_columns(
     examples: tuple[LabeledExample, ...], points: np.ndarray, labels: np.ndarray

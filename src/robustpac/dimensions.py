@@ -44,7 +44,7 @@ from math import comb
 
 import numpy as np
 
-from .core import HypothesisFamily, PerturbationMap, StructuralError, _checked_int, _checked_points
+from .core import HypothesisFamily, PerturbationMap, StructuralError, _checked_int, _checked_points, _is_integer
 
 __all__ = [
     "DEFAULT_CAP",
@@ -341,10 +341,11 @@ def verify_witness(
 ) -> bool:
     """Replay a witness against the slot table of its kind.
 
-    Each descriptor must name a slot of the kind's domain, else the witness
-    fails; a robust (x, z_plus, z_minus) names the slot of the pair and must
-    have x in U(z_plus) & U(z_minus).  The named slots are then checked
-    pattern by pattern, independently of the search.
+    Each descriptor must have its kind's shape, an integer or a tuple of 2
+    (loss_vc) or 3 (robust) integers, and name a slot of the kind's domain,
+    else the witness fails; a robust (x, z_plus, z_minus) names the slot of
+    the pair and must have x in U(z_plus) & U(z_minus).  The named slots are
+    then checked pattern by pattern, independently of the search.
     """
     if len(witness.witness) != witness.value:
         return False
@@ -352,10 +353,12 @@ def verify_witness(
         raise StructuralError(f"witness kind {witness.kind!r} needs the perturbation map")
     plus, minus, descriptors = _slot_table(witness.kind, family, perturbations)
     robust = witness.kind == "robust"
+    arity = {"loss_vc": 2, "robust": 3}.get(witness.kind)
     index = {(d[1:] if robust else d): j for j, d in enumerate(descriptors)}
     slots = []
     for d in witness.witness:
-        j = index.get(d[1:] if robust else d)
+        shaped = isinstance(d, tuple) and len(d) == arity and all(map(_is_integer, d)) if arity else _is_integer(d)
+        j = index.get(d[1:] if robust else d) if shaped else None
         if j is None or robust and any(d[0] not in perturbations.sets[z] for z in d[1:]):
             return False
         slots.append((plus[j], minus[j]))

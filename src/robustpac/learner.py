@@ -17,24 +17,27 @@ pair, the discretized set adds the (candidates, representatives) mistake
 matrix `wrong`, and boosting and sparsification both read correctness as
 `~wrong` rows indexed by candidate id.
 
-For a given family and perturbation map, the realizability check and
-inflation are functions of the sample's distinct examples in
-first-appearance order, and since candidates are listed in member order,
-every stage at subset size n is a function of those and of the counts
-clipped at n: the candidate members and the greatest count vector that
-yields each, discretization, boosting or its weak-learner failure,
-sparsify's majority precondition and the default sparsify size.  The
-realizable learner keeps them in a stage cache held on the family per
-perturbation map (`core._kept`), one entry per sample key (the distinct
-points and labels as bytes), at most `STAGE_CACHE_ENTRIES` of them, the
-oldest dropped first.  A hit runs only what depends on the sample's
+For a given family and perturbation map, the realizability check reads the
+(members, distinct examples) robust mistake matrix of the sample's distinct
+examples in first-appearance order, and inflation their balls.  Since
+candidates are listed in member order, every stage at subset size n
+(`_build_stages`) is a function of that matrix, the inflation and the
+counts clipped at n, and receives no sample: the candidate members and the
+greatest count vector that yields each, discretization, boosting or its
+weak-learner failure, sparsify's majority precondition and the default
+sparsify size.  The realizable learner keeps the matrix and the stages in a
+stage cache held on the family per perturbation map (`core._kept`), one
+entry per sample key (the distinct points and labels as bytes), at most
+`STAGE_CACHE_ENTRIES` of them, the oldest dropped first.  A hit runs only
+what depends on the sample's
 positions or on the generator: the offending position of an unrealizable
 sample, sparsify's draws, the drawn voters' provenance (the sample
 positions of their count vectors) and the closing fit check.  Each draw's
 majority verdict is a function of the stage and the drawn tuple, so a stage
 keeps a verdict table per sparsify size and checks a tuple only the first
 time it is drawn.  Outputs and draws therefore do not depend on what the
-cache holds.  The agnostic learner keeps nothing.
+cache holds.  The agnostic learner keeps nothing: it enumerates candidates
+on columns of its own mistake matrix.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .core import (
     Sample,
     _checked_int,
     _kept,
+    _read_only,
     empirical_robust_risk,
 )
 from .dimensions import dual_vc, vc
@@ -117,17 +121,17 @@ class LearnerConfig:
 
     `n_initial` defaults to vc(family)+1, is clamped to the sample size and
     doubles on weak-learner failure up to it.  `N_sparsify` defaults to the
-    candidate family's dual VC dimension (minimum 3, forced odd).  The
-    search is skipped when boosting returns one voter, since sparsify keeps
-    a lone voter, and when the candidates' label rows have fewer than 16
-    distinct columns: shattering d candidates takes 2^d distinct columns, so
-    the dual VC dimension is at most 3 and N is 3.  The rest is fixed: the
-    realizable round cap ceil(1 + 48 ln |discretized|) + 10
-    (`default_round_cap`), boosting step `ALPHA` 1/8, `MARGIN_TARGET` 5/9
-    (which leaves the 1/18 sparsification slack above 1/2) and
-    `SPARSIFY_ATTEMPTS` 100 draws before the full-list fallback.  `seed` is
-    read by no library code (sparsify draws from the caller's generator);
-    it stays while `perfbench/workloads.py` passes it.
+    candidate family's dual VC dimension (minimum 3, forced odd), found when
+    a stage is built.  The search is skipped when boosting returns one
+    voter, since sparsify keeps a lone voter, and when the candidates' label
+    rows have fewer than 16 distinct columns: shattering d candidates takes
+    2^d distinct columns, so the dual VC dimension is at most 3 and N is 3.
+    The rest is fixed: the realizable round cap ceil(1 + 48 ln
+    |discretized|) + 10 (`default_round_cap`), boosting step `ALPHA` 1/8,
+    `MARGIN_TARGET` 5/9 (which leaves the 1/18 sparsification slack above
+    1/2) and `SPARSIFY_ATTEMPTS` 100 draws before the full-list fallback.
+    `seed` is read by no library code (sparsify draws from the caller's
+    generator); it stays while `perfbench/workloads.py` passes it.
     """
 
     n_initial: int | None = None
@@ -220,24 +224,21 @@ def build_candidates(
     members are distinct labelings.
     """
     n = _checked_int("subset size n", n, 1, len(sample))
-    greatest = _enumerated_candidates(family, sample, perturbations, n)
-    members = tuple(sorted(greatest))
-    runs = sample.distinct.positions
-    return CandidateSet(members, tuple(_indices(runs, greatest[c]) for c in members), n)
+    distinct = sample.distinct
+    mistakes = family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
+    members, vectors = _enumerated_candidates(mistakes, [len(run) for run in distinct.positions], n)
+    return CandidateSet(members, tuple(_indices(distinct.positions, v) for v in vectors), n)
 
 
 def _enumerated_candidates(
-    family: HypothesisFamily,
-    sample: Sample,
-    perturbations: PerturbationMap,
-    n: int,
-) -> dict[int, tuple[int, ...]]:
-    """Each member the oracle returns on a size-n multiset, mapped to the greatest count vector that yields it.
+    mistakes: np.ndarray, counts: Sequence[int], n: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The members the oracle returns on a size-n multiset, ascending, and the greatest count vector yielding each.
 
-    Count vectors are over `sample.distinct`, compared lexicographically; n
-    is checked by the caller.
+    `mistakes` is the (members, distinct examples) robust mistake matrix and
+    `counts[s]` the copies of distinct example s a multiset may take; count
+    vectors are compared lexicographically.  n is checked by the caller.
     """
-    counts = [len(r) for r in sample.distinct.positions]
     d = len(counts)
     # C(d + n - 1, n) bounds the count, so it is computed only near the limit
     if math.comb(d + n - 1, n) > CANDIDATE_ENUMERATION_LIMIT:
@@ -248,7 +249,7 @@ def _enumerated_candidates(
                 f"examples, more than CANDIDATE_ENUMERATION_LIMIT = {CANDIDATE_ENUMERATION_LIMIT}"
             )
 
-    scores = sample._distinct_mistakes(family, perturbations).T.astype(np.float64)
+    scores = mistakes.T.astype(np.float64)
 
     available_after = [0] * (d + 1)
     for slot in range(d - 1, -1, -1):
@@ -259,7 +260,7 @@ def _enumerated_candidates(
     # lexicographic order and scored a block at a time in one float product,
     # exact since the counts are integers <= n; argmin takes the lowest
     # member on ties, as the oracle does.  A member's first vector is its greatest.
-    block = max(1, _SCORE_BLOCK // len(family))
+    block = max(1, _SCORE_BLOCK // len(mistakes))
     vector = [0] * d
     vectors: list[int] = []  # the block's count vectors, concatenated
     greatest: dict[int, tuple[int, ...]] = {}
@@ -287,7 +288,8 @@ def _enumerated_candidates(
     fill(0, n)
     if vectors:
         score()
-    return greatest
+    members = tuple(sorted(greatest))
+    return members, tuple(greatest[c] for c in members)
 
 
 def _indices(runs: Sequence[Sequence[int]], vector: Sequence[int]) -> tuple[int, ...]:
@@ -531,8 +533,8 @@ class _Stages:
     greatest count vector whose multiset makes the oracle return
     `members[i]`, from which `_indices` builds provenance for any sample of
     the key: one vector per candidate.  `correct` is `_majority_correct` of
-    the boost's voters, checked once; `n_sparse`, the default sparsify size,
-    is found on the first run that leaves `N_sparsify` unset.  `verdicts[N]`
+    the boost's voters, checked once, and `n_sparse` the default sparsify
+    size (`_default_sparsify_size`), both found with the stage.  `verdicts[N]`
     is the `_sparse_draw` verdict table of `correct` for sparsify size N,
     filled as draws are first met; with T voters it holds at most T^N
     entries, and it is dropped with the stage.  When no candidate is a weak
@@ -545,42 +547,46 @@ class _Stages:
     discretized_size: int
     boost: BoostResult | None
     correct: np.ndarray | None = None
-    min_error: float | None = None
     n_sparse: int | None = None
+    min_error: float | None = None
     verdicts: dict[int, dict[bytes, bool]] = field(default_factory=dict)
 
 
 def _build_stages(
     family: HypothesisFamily,
-    sample: Sample,
-    perturbations: PerturbationMap,
+    mistakes: np.ndarray,
     inflated: tuple[np.ndarray, np.ndarray],
     n: int,
+    clipped_counts: tuple[int, ...],
 ) -> _Stages:
-    """The `_Stages` of the sample's size-n subsamples, a weak-learner failure included."""
-    greatest = _enumerated_candidates(family, sample, perturbations, n)
-    members = tuple(sorted(greatest))
-    vectors = tuple(greatest[c] for c in members)
+    """The `_Stages` of the size-n multisets over the distinct examples, a weak-learner failure included.
+
+    It reads their mistake matrix, inflation and counts clipped at n, never sample positions.
+    """
+    members, vectors = _enumerated_candidates(mistakes, clipped_counts, n)
     wrong = discretize(inflated, family.matrix[list(members)]).wrong
     try:
         boost = alpha_boost(wrong)
     except WeakLearnerFailure as failure:
         return _Stages(n, members, vectors, wrong.shape[1], None, min_error=failure.min_error)
-    return _Stages(n, members, vectors, wrong.shape[1], boost, _majority_correct(boost.voter_ids, wrong))
+    correct = _majority_correct(boost.voter_ids, wrong)
+    return _Stages(n, members, vectors, wrong.shape[1], boost, correct, _default_sparsify_size(family, members, boost))
 
 
 @dataclass(eq=False)
 class _SampleEntry:
     """What the stage cache keeps for one sample key (`_sample_key`).
 
-    `dead` is the first distinct example that leaves no member robustly
+    `mistakes` is the read-only (members, distinct examples) robust mistake
+    matrix; `dead` is the first distinct example with no member robustly
     correct on the distinct examples up to it (`_first_dead_example`), or
-    None, and `inflated` the sample's inflation, built with the entry when
-    `dead` is None.  `stages` holds the `_Stages` per (n, counts clipped at
-    n), each keeping one count vector per candidate; neither the number of
-    stages nor their verdict tables is bounded.
+    None, and `inflated` the sample's inflation, built when `dead` is None.
+    `stages` holds the `_Stages` per (n, counts clipped at n), each keeping
+    one count vector per candidate; neither the number of stages nor their
+    verdict tables is bounded.
     """
 
+    mistakes: np.ndarray
     dead: int | None
     inflated: tuple[np.ndarray, np.ndarray] | None
     stages: dict[tuple[int, tuple[int, ...]], _Stages] = field(default_factory=dict)
@@ -603,8 +609,10 @@ def _sample_entry(family: HypothesisFamily, sample: Sample, perturbations: Pertu
     key = _sample_key(sample)
     entry = slot.get(key)
     if entry is None:
-        dead = _first_dead_example(family, sample, perturbations)
-        entry = _SampleEntry(dead, inflate(sample, perturbations) if dead is None else None)
+        distinct = sample.distinct
+        mistakes = _read_only(family.robust_table(perturbations).loss_at(distinct.points, distinct.labels))
+        dead = _first_dead_example(mistakes)
+        entry = _SampleEntry(mistakes, dead, inflate(sample, perturbations) if dead is None else None)
         if len(slot) >= STAGE_CACHE_ENTRIES:
             del slot[next(iter(slot))]  # the oldest entry
         slot[key] = entry
@@ -622,15 +630,16 @@ def _default_sparsify_size(family: HypothesisFamily, members: tuple[int, ...], b
     return n_sparse + 1 if n_sparse % 2 == 0 else n_sparse
 
 
-def _first_dead_example(family: HypothesisFamily, sample: Sample, perturbations: PerturbationMap) -> int | None:
+def _first_dead_example(mistakes: np.ndarray) -> int | None:
     """The first distinct example s with no member robustly correct on distinct examples 0..s, or None.
 
-    The prefixes of the sample cover the prefixes of its distinct examples,
+    `mistakes` is the (members, distinct examples) robust mistake matrix.
+    The prefixes of a sample cover the prefixes of its distinct examples,
     each growing where an example first appears, so the first prefix of the
     sample with no robustly consistent member ends at
     `sample.distinct.positions[s][0]`.
     """
-    correct = ~sample._distinct_mistakes(family, perturbations)
+    correct = ~mistakes
     dead = np.flatnonzero(~np.logical_and.accumulate(correct, axis=1).any(axis=0))
     return int(dead[0]) if dead.size else None
 
@@ -681,20 +690,16 @@ def learn_realizable_report(
     runs = sample.distinct.positions
 
     def stages(n: int) -> _Stages:
-        key = (n, tuple(min(len(run), n) for run in runs))
-        found = entry.stages.get(key)
+        clipped = tuple(min(len(run), n) for run in runs)
+        found = entry.stages.get((n, clipped))
         if found is None:
-            found = entry.stages[key] = _build_stages(family, sample, perturbations, entry.inflated, n)
+            found = entry.stages[n, clipped] = _build_stages(family, entry.mistakes, entry.inflated, n, clipped)
         if found.boost is None:
             raise WeakLearnerFailure(found.min_error)
         return found
 
     found = _boost_growing_n(family, len(sample), config.n_initial, stages)
-    n_sparse = config.N_sparsify
-    if n_sparse is None:
-        if found.n_sparse is None:
-            found.n_sparse = _default_sparsify_size(family, found.members, found.boost)
-        n_sparse = found.n_sparse
+    n_sparse = found.n_sparse if config.N_sparsify is None else config.N_sparsify
     voter_ids = found.boost.voter_ids
     chosen = _sparse_draw(found.correct, n_sparse, rng, found.verdicts.setdefault(n_sparse, {}))
     drawn = [voter_ids[j] for j in chosen]

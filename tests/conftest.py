@@ -6,6 +6,9 @@ same instances.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from robustpac.core import (
@@ -14,6 +17,7 @@ from robustpac.core import (
     PerturbationMap,
     Sample,
 )
+from robustpac.learner import ALPHA, BoostingFailure, weak_learn
 from robustpac.prng import rng_stream
 
 
@@ -80,3 +84,31 @@ def random_labeled_sample(seed: int, max_points: int = 8, max_members: int = 16,
     labels = rng.choice((-1, 1), size=m)
     sample = Sample(tuple(LabeledExample(int(p), int(y)) for p, y in zip(points, labels)))
     return family, perturbations, sample
+
+
+def reference_alpha_boost(wrong, margin_target, T_max, alpha=ALPHA):
+    """Plain multiplicative weights over weak_learn, every round run: no perfect-row exit.
+
+    A vote with margin 1 is t copies of the lowest perfect row, and it is
+    reported as that row once.
+    """
+    n_points = wrong.shape[1]
+    if T_max is None:
+        T_max = math.ceil(1.0 + 48.0 * math.log(max(n_points, 1))) + 10
+    dist = np.full(n_points, 1.0 / n_points)
+    counts = np.zeros(n_points, dtype=np.int64)
+    ids = []
+    margin = Fraction(0)
+    for t in range(1, T_max + 1):
+        voter_id, correct = weak_learn(wrong, dist)
+        correct = np.asarray(correct, dtype=bool)
+        ids.append(voter_id)
+        counts += correct
+        margin = Fraction(int(counts.min()), t)
+        if margin_target is not None and margin >= margin_target:
+            return tuple(ids[:1] if margin == 1 else ids), margin
+        dist = dist * np.exp(-2.0 * alpha * correct)
+        dist = dist / dist.sum()
+    if margin_target is None:
+        return tuple(ids[:1] if margin == 1 else ids), margin
+    raise BoostingFailure(margin, T_max)

@@ -536,21 +536,6 @@ def test_atom_losses_are_the_one_read_only_table_the_member_risks_sum(monkeypatc
     assert not np.array_equal(reordered, first)
 
 
-def test_distinct_mistakes_are_the_table_at_the_distinct_examples():
-    inst = make_proper_failure(2)
-    family, u = inst.family, inst.perturbations
-    reversed_family = HypothesisFamily(family.matrix[::-1])
-    identity = PerturbationMap.identity(family.space_size)
-    for t in range(20):
-        sample = draw_sample(inst.distributions[t % len(inst.distributions)], 12, rng_stream(4, t))
-        distinct = sample.distinct
-        for f, v in [(family, u), (reversed_family, u), (family, identity), (family, u), (family, PerturbationMap(u.sets))]:
-            got = sample._distinct_mistakes(f, v)
-            expected = f.robust_table(v).loss_at(distinct.points, distinct.labels)
-            assert got.dtype == bool and np.array_equal(got, expected) and not got.flags.writeable
-        assert sample._distinct_mistakes(family, u) is got  # kept for the last (family, map)
-
-
 @dataclass(frozen=True)
 class _Owner:
     """A frozen owner of kept values."""

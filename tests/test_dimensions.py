@@ -299,6 +299,26 @@ def test_robust_witness_outside_the_space_fails():
         assert not verify_witness(TWO, DimensionWitness("robust", 1, (triple,)), IDENTITY3)
 
 
+def test_witness_descriptors_of_the_wrong_shape_fail():
+    # a bool or float is not an index, even where it equals one that replays,
+    # and a descriptor of the wrong shape fails rather than raises
+    gap = make_pair_gap(2)
+    cases = [
+        (gap, "vc", (1,), [(True,), (1.0,), (np.float64(1),), ((1,),)]),
+        (gap, "dual_vc", (1,), [(True,), (1.0,), ((1,),)]),
+        (gap, "loss_vc", ((0, 1), (3, 1)), [([0, 1], [3, 1]), ((0, True), (3, 1)), ((0.0, 1), (3, 1)), ((0, 1, 0), (3, 1)), (0, 3)]),
+        (gap, "robust", ((1, 0, 2),), [((True, 0, 2),), ((1.0, 0, 2),), ((0, 2),), (5,), ([1, 0, 2],)]),
+        (None, "disjoint_robust", (2,), [(2.0,), (np.float64(2),), ((2,),)]),
+    ]
+    for inst, kind, good, bad in cases:
+        family, perturbations = (TWO, IDENTITY3) if inst is None else (inst.family, inst.perturbations)
+        assert verify_witness(family, DimensionWitness(kind, len(good), good), perturbations), kind
+        numpy_good = tuple(np.int64(d) if isinstance(d, int) else tuple(map(np.int64, d)) for d in good)
+        assert verify_witness(family, DimensionWitness(kind, len(good), numpy_good), perturbations), kind
+        for entries in bad:
+            assert not verify_witness(family, DimensionWitness(kind, len(entries), entries), perturbations), entries
+
+
 def test_verify_witness_checks_length_then_map_then_kind():
     for kind in ("vc", "loss_vc", "robust", "no_such_kind"):
         assert not verify_witness(TWO, DimensionWitness(kind, 2, (0,)))

@@ -41,7 +41,6 @@ from robustpac.learner import (
     learn_realizable_report,
     sparsify,
     weak_learn,
-    _first_dead_example,
     _fits_inflation,
     _multiset_count,
 )
@@ -53,7 +52,7 @@ from robustpac.experiments import _random_threshold_distribution, make_threshold
 from robustpac.prng import rng_stream
 from robustpac.sampling import draw_sample, sample_iid
 
-from conftest import random_labeled_sample, random_realizable_setup
+from conftest import random_labeled_sample, random_realizable_setup, reference_alpha_boost
 
 SIGNS = st.sampled_from((-1, 1))
 
@@ -323,34 +322,6 @@ def test_weak_learning_and_boosting_reject_an_empty_candidate_set():
         alpha_boost(wrong)
 
 
-def _reference_alpha_boost(wrong, margin_target, T_max, alpha=ALPHA):
-    """Plain multiplicative weights over weak_learn, every round run: no perfect-row exit.
-
-    A vote with margin 1 is t copies of the lowest perfect row, and it is
-    reported as that row once.
-    """
-    n_points = wrong.shape[1]
-    if T_max is None:
-        T_max = math.ceil(1.0 + 48.0 * math.log(max(n_points, 1))) + 10
-    dist = np.full(n_points, 1.0 / n_points)
-    counts = np.zeros(n_points, dtype=np.int64)
-    ids = []
-    margin = Fraction(0)
-    for t in range(1, T_max + 1):
-        voter_id, correct = weak_learn(wrong, dist)
-        correct = np.asarray(correct, dtype=bool)
-        ids.append(voter_id)
-        counts += correct
-        margin = Fraction(int(counts.min()), t)
-        if margin_target is not None and margin >= margin_target:
-            return tuple(ids[:1] if margin == 1 else ids), margin
-        dist = dist * np.exp(-2.0 * alpha * correct)
-        dist = dist / dist.sum()
-    if margin_target is None:
-        return tuple(ids[:1] if margin == 1 else ids), margin
-    raise BoostingFailure(margin, T_max)
-
-
 def _boost_outcome(run):
     try:
         return run()
@@ -370,7 +341,7 @@ def test_alpha_boost_matches_the_reference_loop():
         for target in (MARGIN_TARGET, Fraction(1), Fraction(3, 2), None):
             for T_max in (1, 2, 7, None):
                 got = _boost_outcome(lambda: alpha_boost(wrong, margin_target=target, T_max=T_max))
-                want = _boost_outcome(lambda: _reference_alpha_boost(wrong, target, T_max))
+                want = _boost_outcome(lambda: reference_alpha_boost(wrong, target, T_max))
                 if isinstance(got, BoostResult):
                     got = got.voter_ids, got.min_margin
                 assert got == want, (case, target, T_max)
@@ -682,9 +653,9 @@ def test_the_learner_doubles_n_from_its_default_start(monkeypatch):
     sample = Sample.from_pairs([(2, -1), (0, -1), (1, 1), (2, -1), (2, -1), (1, 1)])
     sizes: list[int] = []
 
-    def spy(family, sample, perturbations, inflated, n):
+    def spy(family, mistakes, inflated, n, clipped_counts):
         sizes.append(n)
-        return build(family, sample, perturbations, inflated, n)
+        return build(family, mistakes, inflated, n, clipped_counts)
 
     build = learner._build_stages  # each n's stages, the failing n = 2 included
     monkeypatch.setattr(learner, "_build_stages", spy)
@@ -883,7 +854,7 @@ def test_first_unrealizable_index_matches_the_prefix_scan(inputs, outside, data)
         pairs = [(e.point, e.label) for e in sample]
         pairs.insert(data.draw(st.integers(0, len(pairs))), (perturbations.size + outside, 1))
         with pytest.raises(StructuralError, match=f"point {perturbations.size + outside} outside"):
-            _first_dead_example(family, Sample.from_pairs(pairs), perturbations)
+            learn_realizable_report(family, Sample.from_pairs(pairs), perturbations, rng=rng_stream(0))
         return
     expected = None
     for i in range(len(sample)):
@@ -891,7 +862,7 @@ def test_first_unrealizable_index_matches_the_prefix_scan(inputs, outside, data)
         if all(empirical_robust_risk(h, prefix, perturbations) > 0 for h in family):
             expected = i
             break
-    dead = _first_dead_example(family, sample, perturbations)  # a distinct example; its first position
+    dead = learner._sample_entry(family, sample, perturbations).dead  # a distinct example; its first position
     assert (dead if dead is None else sample.distinct.positions[dead][0]) == expected
 
 
@@ -1029,6 +1000,21 @@ def test_every_voter_decodes_from_its_provenance():
 
 
 # --- the stage cache -------------------------------------------------------------
+
+
+def test_sample_entry_mistakes_are_the_table_at_the_distinct_examples():
+    inst = make_proper_failure(2)
+    family, u = inst.family, inst.perturbations
+    reversed_family = HypothesisFamily(family.matrix[::-1])
+    identity = PerturbationMap.identity(family.space_size)
+    for t in range(20):
+        sample = draw_sample(inst.distributions[t % len(inst.distributions)], 12, rng_stream(4, t))
+        distinct = sample.distinct
+        for f, v in [(family, u), (reversed_family, u), (family, identity), (family, u), (family, PerturbationMap(u.sets))]:
+            got = learner._sample_entry(f, sample, v).mistakes
+            expected = f.robust_table(v).loss_at(distinct.points, distinct.labels)
+            assert got.dtype == bool and np.array_equal(got, expected) and not got.flags.writeable
+        assert learner._sample_entry(family, sample, u).mistakes is got  # kept for the last (family, map)
 
 
 def _run_outcome(family, sample, perturbations, config, rng: np.random.Generator) -> tuple:

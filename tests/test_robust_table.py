@@ -28,8 +28,9 @@ from robustpac.core import (
     robust_loss,
 )
 from robustpac.dimensions import _slot_table, _structural_bound, restriction_count
-from robustpac.learner import _first_dead_example, inflate
+from robustpac.learner import _sample_entry, inflate, learn_realizable_report
 from robustpac.oracles import rerm
+from robustpac.prng import rng_stream
 
 SIGNS = st.sampled_from((-1, 1))
 
@@ -116,7 +117,7 @@ def test_oracle_and_learner_reads_match_the_per_ball_scan(case):
         if not alive:
             expected = i
             break
-    dead = _first_dead_example(family, sample, perturbations)  # a distinct example; its first position
+    dead = _sample_entry(family, sample, perturbations).dead  # a distinct example; its first position
     assert (dead if dead is None else sample.distinct.positions[dead][0]) == expected
 
 
@@ -188,7 +189,7 @@ def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
         lambda: robust_loss(family[0], LabeledExample(3, 1), u),
         lambda: empirical_robust_risk(vote, outside, u),
         lambda: rerm(family, outside, u),
-        lambda: _first_dead_example(family, outside, u),
+        lambda: learn_realizable_report(family, outside, u, rng=rng_stream(0)),
         lambda: max_realizable_subsequence(family, outside, u),
     ):
         with pytest.raises(StructuralError, match="point 3 outside instance space of size 3"):
