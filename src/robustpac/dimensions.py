@@ -3,7 +3,12 @@
 Each of the five kinds is one slot table, built by `_slot_table`: per slot,
 the member sets realizing + and - there (Python-int bitmasks) and the
 descriptor that names the slot in a `DimensionWitness`.  The same table feeds
-the search and the witness replay.
+the search and the witness replay.  The tables share masks kept on the
+family (`core._kept`): the vc masks per point and the dual masks per member,
+each built on first use, and the constancy masks per point for the last map,
+which the three robust kinds read.  Every label is +1 or -1, so the minus
+mask of a vc or dual slot is the complement of its plus mask, not a second
+read of the matrix.
 
 The search finds the largest slot subset whose every sign pattern is realized
 by some member.  It is a DFS over slot tuples in lexicographic order.  Each
@@ -19,7 +24,12 @@ one, is the witness an unpruned scan returns.  A child's candidate list is
 built inline, one loop over the parent's later candidates and the child's
 cells with no call per candidate.  The one helper, `wide`, checks the
 cell-size bound again when a candidate is picked, since the best size may
-have grown after the candidate was filtered.
+have grown after the candidate was filtered.  A child at depth s + 1 that is
+not a new best needs more than best - s - 1 candidates, else its first cut
+drops it; so its filter stops, and the child is skipped, as soon as more of
+the later candidates have failed than that allows.  The child would have
+returned at once without touching the best, so the stop changes neither the
+walk order nor the witness.
 
 Before the search, `_distinct_slots` drops later copies and mirrors of a slot,
 which changes neither the value nor the witness.  `verify_witness` maps each
@@ -39,12 +49,21 @@ only where the shorter list proves the value exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .core import HypothesisFamily, PerturbationMap, StructuralError, _checked_int, _checked_points, _is_integer
+from .core import (
+    HypothesisFamily,
+    PerturbationMap,
+    StructuralError,
+    _checked_int,
+    _checked_points,
+    _is_integer,
+    _kept,
+)
 
 __all__ = [
     "DEFAULT_CAP",
@@ -81,13 +100,50 @@ class DimensionWitness:
 
 
 def _column_masks(matrix: np.ndarray) -> list[int]:
-    """Per column of a bool matrix: the bitmask of its set rows (row i is bit i)."""
-    columns = np.ascontiguousarray(np.packbits(matrix, axis=0, bitorder="little").T)
+    """Per column of a bool matrix: the bitmask of its set rows (row i is bit i).
+
+    Masks of at most 64 rows are read in one call, as little-endian 64-bit
+    words; wider ones column by column.
+    """
+    packed = np.packbits(matrix, axis=0, bitorder="little")
+    if len(packed) <= 8:
+        words = np.zeros((matrix.shape[1], 8), np.uint8)
+        words[:, : len(packed)] = packed.T
+        return words.view("<u8").ravel().tolist()
+    columns = np.ascontiguousarray(packed.T)
     width, data = columns.shape[1], columns.tobytes()
     return [int.from_bytes(data[x * width : (x + 1) * width], "little") for x in range(len(columns))]
 
 
-def _distinct_slots(plus: list[int], minus: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+def _label_masks(family: HypothesisFamily, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The + and - masks of the vc slots (per point, over members) or the dual ones (per member, over points).
+
+    Each is built on first use and kept on the family.  Every label is +1 or
+    -1, so a - mask is the complement of its + mask.
+    """
+
+    def build() -> tuple[tuple[int, ...], tuple[int, ...]]:
+        plus_matrix = family.matrix == 1 if kind == "vc" else family.matrix.T == 1
+        plus = tuple(_column_masks(plus_matrix))
+        everyone = (1 << len(plus_matrix)) - 1
+        return plus, tuple(everyone ^ m for m in plus)
+
+    return _kept(family, "_point_masks" if kind == "vc" else "_member_masks", (), build)
+
+
+def _constancy_masks(
+    family: HypothesisFamily, perturbations: PerturbationMap
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per point x, the members constant +1 and constant -1 on U(x); kept on the family for the last map."""
+
+    def build() -> tuple[tuple[int, ...], tuple[int, ...]]:
+        table = family.robust_table(perturbations)
+        return tuple(_column_masks(table.const_plus)), tuple(_column_masks(table.const_minus))
+
+    return _kept(family, "_constancy_masks", (perturbations,), build)
+
+
+def _distinct_slots(plus: Sequence[int], minus: Sequence[int]) -> tuple[list[tuple[int, int]], list[int]]:
     """Slots with both masks nonempty, less later copies and mirrors; representative = first index.
 
     A slot (plus, minus) and its mirror (minus, plus) never lie in one
@@ -140,13 +196,18 @@ def _max_shattered(slots: list[tuple[int, int]], limit: int) -> tuple[int, tuple
             if depth + len(candidates) - i <= best_value:
                 break
             plus, minus = slots[j]
-            # The candidate passed the filter when `best_value` may have been
-            # smaller, so the cell-size bound is checked again on picking.
+            # `spare`: how many later candidates may fail the child's filter
+            # before the child keeps too few to beat the best; the filter then
+            # stops and the child is skipped, as its own first cut would drop it.
             need = 1
+            spare = len(candidates) - i - 1
             if best_value > depth:
+                # The candidate passed the filter when `best_value` may have been
+                # smaller, so the cell-size bound is checked again on picking.
                 if not wide(cells, plus, minus, 1 << (best_value - depth)):
                     continue
                 need = 1 << (best_value - depth - 1)
+                spare -= best_value - depth
             split = [h for m in cells for h in (m & plus, m & minus)]
             # The child's candidates: the later ones that leave `need` members
             # on both sides of every child cell.
@@ -159,6 +220,10 @@ def _max_shattered(slots: list[tuple[int, int]], limit: int) -> tuple[int, tuple
                             break
                     else:
                         later.append(k)
+                        continue
+                    spare -= 1
+                    if spare < 0:
+                        break
             else:
                 for k in candidates[i + 1 :]:
                     p, q = slots[k]
@@ -167,6 +232,12 @@ def _max_shattered(slots: list[tuple[int, int]], limit: int) -> tuple[int, tuple
                             break
                     else:
                         later.append(k)
+                        continue
+                    spare -= 1
+                    if spare < 0:
+                        break
+            if spare < 0:
+                continue
             chosen.append(j)
             if extend(split, later):
                 return True
@@ -200,16 +271,14 @@ def _floor_log2(n: int) -> int:
 
 def _slot_table(
     kind: str, family: HypothesisFamily, perturbations: PerturbationMap | None
-) -> tuple[list[int], list[int], list]:
+) -> tuple[Sequence[int], Sequence[int], list]:
     """A kind's slots before `_distinct_slots`: plus masks, minus masks and descriptors."""
     if kind in ("vc", "dual_vc"):
-        matrix = family.matrix if kind == "vc" else family.matrix.T
-        plus, minus = _column_masks(matrix == 1), _column_masks(matrix == -1)
+        plus, minus = _label_masks(family, kind)
         return plus, minus, list(range(len(plus)))
     if kind not in ("loss_vc", "disjoint_robust", "robust"):
         raise StructuralError(f"unknown witness kind {kind!r}")
-    table = family.robust_table(perturbations)
-    const_plus, const_minus = _column_masks(table.const_plus), _column_masks(table.const_minus)
+    const_plus, const_minus = _constancy_masks(family, perturbations)
     if kind == "loss_vc":
         # slot (x, y) loses on the members not constant y on U(x), and
         # keeps the loss at 0 on the rest
@@ -249,14 +318,15 @@ def _structural_bound(
 
     No shattered set can exceed it.  The objects are the members, except for
     the dual dimension, whose slots are members split by the distinct
-    columns, and the loss class, whose objects are the distinct loss rows:
-    one per distinct pair of constancy rows, which fix the loss row.
+    columns (the distinct kept vc + masks), and the loss class, whose
+    objects are the distinct loss rows: one per distinct pair of constancy
+    rows, which fix the loss row, read as one mask per member.
     """
     if kind == "dual_vc":
-        objects = len(set(_column_masks(family.matrix == 1)))
+        objects = len(set(_label_masks(family, "vc")[0]))
     elif kind == "loss_vc":
         table = family.robust_table(perturbations)
-        objects = len({p.tobytes() + m.tobytes() for p, m in zip(table.const_plus, table.const_minus)})
+        objects = len(set(_column_masks(np.concatenate((table.const_plus, table.const_minus), axis=1).T)))
     else:
         objects = len(family)
     return _floor_log2(objects)
@@ -341,13 +411,14 @@ def verify_witness(
 ) -> bool:
     """Replay a witness against the slot table of its kind.
 
-    Each descriptor must have its kind's shape, an integer or a tuple of 2
+    The value must be an integer equal to the number of descriptors.  Each
+    descriptor must have its kind's shape, an integer or a tuple of 2
     (loss_vc) or 3 (robust) integers, and name a slot of the kind's domain,
     else the witness fails; a robust (x, z_plus, z_minus) names the slot of
     the pair and must have x in U(z_plus) & U(z_minus).  The named slots are
     then checked pattern by pattern, independently of the search.
     """
-    if len(witness.witness) != witness.value:
+    if not _is_integer(witness.value) or len(witness.witness) != witness.value:
         return False
     if witness.kind not in ("vc", "dual_vc") and perturbations is None:
         raise StructuralError(f"witness kind {witness.kind!r} needs the perturbation map")

@@ -20,6 +20,7 @@ from robustpac.dimensions import (
     _floor_log2,
     _max_shattered,
     _run_search,
+    _slot_table,
     disjoint_robust_shattering_dim,
     dual_vc,
     restriction_count,
@@ -244,6 +245,70 @@ def test_a_negative_cap_is_a_contract_error_and_cap_zero_is_capped():
         assert (w.value, w.witness, w.capped) == (0, (), True)
 
 
+def reference_slot_table(kind, family, perturbations):
+    """`_slot_table` built mask by mask with Python loops over the label rows and the balls."""
+    rows = family.matrix.tolist()
+    members, points = range(len(rows)), range(len(rows[0]))
+
+    def mask(bits):
+        return sum(1 << i for i, bit in enumerate(bits) if bit)
+
+    if kind == "vc":
+        plus = [mask(rows[h][x] == 1 for h in members) for x in points]
+        return plus, [mask(rows[h][x] == -1 for h in members) for x in points], list(points)
+    if kind == "dual_vc":
+        return [mask(v == 1 for v in row) for row in rows], [mask(v == -1 for v in row) for row in rows], list(members)
+    sets = perturbations.sets
+    const = {y: [mask(all(rows[h][z] == y for z in sets[x]) for h in members) for x in points] for y in (1, -1)}
+    if kind == "loss_vc":
+        everyone = (1 << len(rows)) - 1
+        domain = [(x, y) for x in points for y in (-1, 1)]
+        return [everyone ^ const[y][x] for x, y in domain], [const[y][x] for x, y in domain], domain
+    if kind == "disjoint_robust":
+        return const[1], const[-1], list(points)
+    triples = [
+        (min(set(sets[zp]) & set(sets[zm])), zp, zm)
+        for zp in points
+        for zm in points
+        if set(sets[zp]) & set(sets[zm]) and const[1][zp] and const[-1][zm]
+    ]
+    return [const[1][zp] for _, zp, _ in triples], [const[-1][zm] for _, _, zm in triples], triples
+
+
+@pytest.mark.parametrize("size", [63, 64, 65])
+def test_slot_tables_match_the_per_column_reference(size):
+    # masks of up to 64 members or points are read as one word each, wider ones column by column
+    rng = rng_stream(size, 34)
+    family = HypothesisFamily(rng.choice(np.array([-1, 1]), size=(size, size)))
+    perturbations = random_perturbations(rng, size, extra_rate=0.03)
+    for kind in ("vc", "dual_vc", "loss_vc", "disjoint_robust", "robust"):
+        expected = list(reference_slot_table(kind, family, perturbations))
+        assert any(expected[0]) and any(expected[1]), kind
+        for _ in range(2):  # built, then kept
+            assert [list(part) for part in _slot_table(kind, family, perturbations)] == expected, kind
+
+
+def test_kept_masks_follow_the_last_map():
+    rng = rng_stream(3, 34)
+    family = random_family(rng, 6, 40)
+    maps = {"A": PerturbationMap.identity(6), "B": random_perturbations(rng, 6, extra_rate=0.4)}
+    searches = (
+        lambda f, u: vc(f),
+        lambda f, u: dual_vc(f),
+        vc_of_robust_loss_family,
+        disjoint_robust_shattering_dim,
+        robust_shattering_dim,
+    )
+    results = {}
+    for name in "ABA":
+        u = maps[name]
+        got = [search(family, u) for search in searches]
+        assert got == [search(HypothesisFamily(family.matrix), u) for search in searches]
+        assert all(verify_witness(family, w, u) for w in got)
+        results[name] = got
+    assert results["A"] != results["B"]
+
+
 def test_distinct_slots_drops_later_copies_and_mirrors():
     plus = [0b001, 0b110, 0b001, 0b011, 0b110, 0b000, 0b100, 0b100]
     minus = [0b110, 0b001, 0b110, 0b100, 0b001, 0b111, 0b011, 0b010]
@@ -317,6 +382,15 @@ def test_witness_descriptors_of_the_wrong_shape_fail():
         assert verify_witness(family, DimensionWitness(kind, len(good), numpy_good), perturbations), kind
         for entries in bad:
             assert not verify_witness(family, DimensionWitness(kind, len(entries), entries), perturbations), entries
+
+
+def test_a_witness_value_that_is_not_an_integer_fails():
+    gap = make_pair_gap(2)
+    assert verify_witness(gap.family, DimensionWitness("vc", 1, (1,)))
+    assert verify_witness(gap.family, DimensionWitness("vc", np.int64(1), (1,)))
+    for value in (True, 1.0, np.float64(1)):
+        assert not verify_witness(gap.family, DimensionWitness("vc", value, (1,))), value
+    assert not verify_witness(gap.family, DimensionWitness("robust", 1.0, ((1, 0, 2),)), gap.perturbations)
 
 
 def test_verify_witness_checks_length_then_map_then_kind():
@@ -507,7 +581,9 @@ def random_slots(rng, n_slots: int, members: int, absent: float) -> list[tuple[i
 
 # Robust kinds: few slots over many members, some of them absent from a slot.
 # Dual: many slots over few members, every member on one side.
+# VC: few slots over many members, every member on one side.
 DIMS_SHAPES = {
+    "vc": lambda rng: random_slots(rng, int(rng.integers(10, 14)), int(rng.integers(64, 257)), 0.0),
     "robust": lambda rng: random_slots(
         rng, int(rng.integers(10, 14)), int(rng.integers(64, 257)), float(rng.uniform(0.05, 0.6))
     ),
