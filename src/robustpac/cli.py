@@ -7,8 +7,9 @@ takes only its own shape flags, `--seed` goes to the commands that sample,
 File and stdout payloads are byte-identical across runs at a fixed seed;
 wall-clock timings go to stderr.
 
-Exit status: 0 on success, 2 on a malformed flag value or a contract or
-validation error (the message names the violated precondition).
+Exit status: 0 on success, 2 on a malformed flag value, a contract or
+validation error (the message names the violated precondition) or a size
+too large to allocate.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ContractError, StructuralError, OSError) as exc:
+    except (ContractError, StructuralError, OSError, MemoryError) as exc:  # MemoryError: a size numpy cannot allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

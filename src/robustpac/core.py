@@ -193,7 +193,7 @@ class RobustTable:
     constant y on U(x), so the two (rows, points) matrices hold the whole
     robust loss class.  Both are built in one pass over the perturbation
     map's concatenated sets, and `loss_at` is the one reader of losses from
-    them.
+    them.  Their column masks, `_constancy_masks`, are built on first use.
     """
 
     const_plus: np.ndarray
@@ -213,10 +213,39 @@ class RobustTable:
         points = _checked_points(points, self.const_plus.shape[1])
         return np.where(labels == 1, ~self.const_plus[:, points], ~self.const_minus[:, points])
 
+    @cached_property
+    def _constancy_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per point x, the bitmasks of the rows constant +1 and constant -1 on U(x)."""
+        return tuple(_column_masks(self.const_plus)), tuple(_column_masks(self.const_minus))
+
 
 def _plus_on_balls(plus: np.ndarray, begins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of +1 readings over balls laid end to end (last axis) and ball: all +1 on it, and any +1?"""
     return np.logical_and.reduceat(plus, begins, axis=-1), np.logical_or.reduceat(plus, begins, axis=-1)
+
+
+def _column_masks(matrix: np.ndarray) -> list[int]:
+    """Per column of a bool matrix: the bitmask of its set rows (row i is bit i).
+
+    The library's one key of a bool column: two columns of one matrix are
+    equal exactly when their masks are.  Masks of at most 64 rows are read
+    in one call, as little-endian 64-bit words; wider ones column by column.
+    """
+    packed = np.packbits(matrix, axis=0, bitorder="little")
+    if len(packed) <= 8:
+        words = np.zeros((matrix.shape[1], 8), np.uint8)
+        words[:, : len(packed)] = packed.T
+        return words.view("<u8").ravel().tolist()
+    columns = np.ascontiguousarray(packed.T)
+    width, data = columns.shape[1], columns.tobytes()
+    return [int.from_bytes(data[x * width : (x + 1) * width], "little") for x in range(len(columns))]
+
+
+def _sign_masks(plus: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (+, -) column masks of a bool matrix of +1 readings; every label is +1 or -1, so - is the complement."""
+    masks = tuple(_column_masks(plus))
+    everyone = (1 << len(plus)) - 1
+    return masks, tuple(everyone ^ m for m in masks)
 
 
 def check_self_containment(perturbations: PerturbationMap) -> None:
@@ -263,9 +292,9 @@ class HypothesisFamily:
     constructor is the family's one validator: the matrix must be 2-D and
     nonempty, have an integer dtype (bool and float matrices are refused, as
     `_check_label` refuses bool and float labels), hold only +1/-1, and have
-    pairwise distinct rows.  `members` holds the rows as Hypothesis objects,
-    built on first use.  Families are equal when their names and matrices
-    are.
+    pairwise distinct rows, checked on `_member_masks`.  `members` holds the
+    rows as Hypothesis objects and `_point_masks` the vc bitmasks, both built
+    on first use.  Families are equal when their names and matrices are.
     """
 
     matrix: np.ndarray
@@ -283,7 +312,7 @@ class HypothesisFamily:
         if bad.any():
             raise StructuralError(f"label must be +1 or -1, got {matrix[bad].tolist()[0]!r}")
         object.__setattr__(self, "matrix", _read_only(matrix.astype(np.int8)))
-        if len({row.tobytes() for row in self.matrix}) < len(self.matrix):
+        if len(set(self._member_masks[0])) < len(self.matrix):
             raise StructuralError("family members must be pairwise distinct label sequences")
 
     @classmethod
@@ -305,12 +334,12 @@ class HypothesisFamily:
     def _from_int_rows(cls, rows: Sequence[Sequence[int]], name: str | None) -> "HypothesisFamily":
         """`from_rows` of rows whose labels are all Python ints, such as a checked instance document's.
 
-        The rows are stacked once and handed to the constructor; if it
-        fails, they are replayed for the error.
+        The rows are stacked once, straight to int8, and handed to the
+        constructor; if either fails, they are replayed for the error.
         """
         try:
-            return cls(np.array(rows), name=name)
-        except ValueError:  # a StructuralError, or rows numpy cannot stack
+            return cls(np.array(rows, dtype=np.int8), name=name)
+        except (ValueError, OverflowError):  # a StructuralError, or rows numpy cannot stack, such as a label of 300
             pass
         return cls._replayed(rows, name)
 
@@ -362,6 +391,16 @@ class HypothesisFamily:
     @property
     def space_size(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def _point_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per point, the (+, -) bitmasks of the members labeling it +1 and -1 (`_sign_masks`)."""
+        return _sign_masks(self.matrix == 1)
+
+    @cached_property
+    def _member_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per member, the (+, -) bitmasks of the points it labels +1 and -1; the constructor reads them first."""
+        return _sign_masks(self.matrix.T == 1)
 
     def robust_table(self, perturbations: PerturbationMap) -> RobustTable:
         """The RobustTable of the members under `perturbations`; the last one built is kept."""

@@ -3,12 +3,13 @@
 Each of the five kinds is one slot table, built by `_slot_table`: per slot,
 the member sets realizing + and - there (Python-int bitmasks) and the
 descriptor that names the slot in a `DimensionWitness`.  The same table feeds
-the search and the witness replay.  The tables share masks kept on the
-family (`core._kept`): the vc masks per point and the dual masks per member,
-each built on first use, and the constancy masks per point for the last map,
-which the three robust kinds read.  Every label is +1 or -1, so the minus
-mask of a vc or dual slot is the complement of its plus mask, not a second
-read of the matrix.
+the search and the witness replay.  The tables read bitmask views that
+`core` keeps, all keyed by `core._column_masks`: the family's vc masks per
+point, built on first use, its dual masks per member, built once by the
+family's constructor for its distinct-rows check, and the constancy masks
+per point of the map's `RobustTable`, which the three robust kinds read.
+Every label is +1 or -1, so the minus mask of a vc or dual slot is the
+complement of its plus mask, not a second read of the matrix.
 
 The search finds the largest slot subset whose every sign pattern is realized
 by some member.  It is a DFS over slot tuples in lexicographic order.  Each
@@ -61,8 +62,8 @@ from .core import (
     StructuralError,
     _checked_int,
     _checked_points,
+    _column_masks,
     _is_integer,
-    _kept,
 )
 
 __all__ = [
@@ -97,50 +98,6 @@ class DimensionWitness:
     value: int
     witness: tuple
     capped: bool = False
-
-
-def _column_masks(matrix: np.ndarray) -> list[int]:
-    """Per column of a bool matrix: the bitmask of its set rows (row i is bit i).
-
-    Masks of at most 64 rows are read in one call, as little-endian 64-bit
-    words; wider ones column by column.
-    """
-    packed = np.packbits(matrix, axis=0, bitorder="little")
-    if len(packed) <= 8:
-        words = np.zeros((matrix.shape[1], 8), np.uint8)
-        words[:, : len(packed)] = packed.T
-        return words.view("<u8").ravel().tolist()
-    columns = np.ascontiguousarray(packed.T)
-    width, data = columns.shape[1], columns.tobytes()
-    return [int.from_bytes(data[x * width : (x + 1) * width], "little") for x in range(len(columns))]
-
-
-def _label_masks(family: HypothesisFamily, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The + and - masks of the vc slots (per point, over members) or the dual ones (per member, over points).
-
-    Each is built on first use and kept on the family.  Every label is +1 or
-    -1, so a - mask is the complement of its + mask.
-    """
-
-    def build() -> tuple[tuple[int, ...], tuple[int, ...]]:
-        plus_matrix = family.matrix == 1 if kind == "vc" else family.matrix.T == 1
-        plus = tuple(_column_masks(plus_matrix))
-        everyone = (1 << len(plus_matrix)) - 1
-        return plus, tuple(everyone ^ m for m in plus)
-
-    return _kept(family, "_point_masks" if kind == "vc" else "_member_masks", (), build)
-
-
-def _constancy_masks(
-    family: HypothesisFamily, perturbations: PerturbationMap
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per point x, the members constant +1 and constant -1 on U(x); kept on the family for the last map."""
-
-    def build() -> tuple[tuple[int, ...], tuple[int, ...]]:
-        table = family.robust_table(perturbations)
-        return tuple(_column_masks(table.const_plus)), tuple(_column_masks(table.const_minus))
-
-    return _kept(family, "_constancy_masks", (perturbations,), build)
 
 
 def _distinct_slots(plus: Sequence[int], minus: Sequence[int]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -274,11 +231,11 @@ def _slot_table(
 ) -> tuple[Sequence[int], Sequence[int], list]:
     """A kind's slots before `_distinct_slots`: plus masks, minus masks and descriptors."""
     if kind in ("vc", "dual_vc"):
-        plus, minus = _label_masks(family, kind)
+        plus, minus = family._point_masks if kind == "vc" else family._member_masks
         return plus, minus, list(range(len(plus)))
     if kind not in ("loss_vc", "disjoint_robust", "robust"):
         raise StructuralError(f"unknown witness kind {kind!r}")
-    const_plus, const_minus = _constancy_masks(family, perturbations)
+    const_plus, const_minus = family.robust_table(perturbations)._constancy_masks
     if kind == "loss_vc":
         # slot (x, y) loses on the members not constant y on U(x), and
         # keeps the loss at 0 on the rest
@@ -323,7 +280,7 @@ def _structural_bound(
     rows, which fix the loss row, read as one mask per member.
     """
     if kind == "dual_vc":
-        objects = len(set(_label_masks(family, "vc")[0]))
+        objects = len(set(family._point_masks[0]))
     elif kind == "loss_vc":
         table = family.robust_table(perturbations)
         objects = len(set(_column_masks(np.concatenate((table.const_plus, table.const_minus), axis=1).T)))
@@ -439,7 +396,7 @@ def verify_witness(
 def restriction_count(family: HypothesisFamily, points: tuple[int, ...]) -> int:
     """Number of distinct restrictions of the family to the given points."""
     sub = family.matrix[:, _checked_points(points, family.space_size)]
-    return len({sub[h].tobytes() for h in range(sub.shape[0])})
+    return len(set(_column_masks(sub.T == 1)))
 
 
 def sauer_bound(k: int, dim: int) -> int:

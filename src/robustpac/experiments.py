@@ -52,6 +52,10 @@ __all__ = [
     "group_adversary_for_k",
 ]
 
+# make_group_adversary_instance's ceilings: its matrix is (1 + g + g(g-1)/2) x g*k_max labels
+GROUPS_CAP = 16
+K_MAX_CAP = 64
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -259,8 +263,9 @@ def make_group_adversary_instance(groups: int = 4, k_max: int = 16) -> Construct
     groups and flip at most two of them to -1, so the VC dimension is exactly
     2 no matter which adversary radius is used.  Pair with
     :func:`group_adversary_for_k` to get max |U(x)| = k at fixed family.
+    groups is at most GROUPS_CAP and k_max at most K_MAX_CAP.
     """
-    groups, k_max = _checked_int("groups", groups, 3), _checked_int("k_max", k_max, 1)
+    groups, k_max = _checked_int("groups", groups, 3, GROUPS_CAP), _checked_int("k_max", k_max, 1, K_MAX_CAP)
     size = groups * k_max
     flips = [(), *combinations(range(groups), 1), *combinations(range(groups), 2)]
     labels = np.ones((len(flips), groups, k_max), dtype=np.int8)

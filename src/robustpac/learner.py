@@ -57,6 +57,7 @@ from .core import (
     PerturbationMap,
     Sample,
     _checked_int,
+    _column_masks,
     _kept,
     _read_only,
     empirical_robust_risk,
@@ -343,23 +344,18 @@ def discretize(inflated: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> Dis
     `family.matrix[list(candidates.members)]`.  The representative of a
     pattern is its first point in point order; any representative works
     since the majority margin only depends on the pattern.  Patterns are
-    compared as bit-packed columns of the mistake matrix, and the kept
-    columns stay in point order.
+    compared as the mistake matrix's column masks (`core._column_masks`),
+    and the kept columns stay in point order.
     """
     if len(rows) == 0:
         raise ContractError("discretization requires a nonempty candidate set")
     points, labels = inflated
     wrong = rows[:, points] != labels
-    keep = np.sort(np.unique(_column_keys(wrong), return_index=True)[1])
+    first: dict[int, int] = {}  # mask -> its first column; kept in column order, so ascending
+    keep = [j for j, mask in enumerate(_column_masks(wrong)) if first.setdefault(mask, j) == j]
     wrong = wrong[:, keep]
     wrong.setflags(write=False)
     return DiscretizedSet(points[keep], labels[keep], wrong)
-
-
-def _column_keys(matrix: np.ndarray) -> np.ndarray:
-    """One void key per column of a bool matrix, its bits packed: equal columns, equal keys."""
-    packed = np.packbits(matrix, axis=0)
-    return np.ascontiguousarray(packed.T).view(np.dtype((np.void, len(packed)))).ravel()
 
 
 def weak_learn(wrong: np.ndarray, dist: np.ndarray) -> tuple[int, np.ndarray]:
@@ -624,7 +620,7 @@ def _default_sparsify_size(family: HypothesisFamily, members: tuple[int, ...], b
     if len(boost.voter_ids) == 1:
         return 1  # sparsify keeps a lone voter whatever N is, so skip the dual-VC search
     rows = family.matrix[list(members)]
-    if len(set(_column_keys(rows == 1).tolist())) < 16:
+    if len(set(_column_masks(rows == 1))) < 16:
         return 3  # below 16 distinct columns dual_vc <= 3 (2^dual_vc are needed), so max(3, .) is 3
     n_sparse = max(3, dual_vc(HypothesisFamily(rows)).value)
     return n_sparse + 1 if n_sparse % 2 == 0 else n_sparse

@@ -15,6 +15,7 @@ import re
 import numpy as np
 import pytest
 
+from robustpac import experiments, sampling
 from robustpac.agnostic import agnostic_bound, agnostic_round_count, learn_agnostic, max_realizable_subsequence
 from robustpac.cli import main
 from robustpac.constructions import (
@@ -66,7 +67,7 @@ from robustpac.learner import (
 from robustpac.prng import rng_stream
 from robustpac.reports import ExperimentReport, wilson_interval
 from robustpac.sampling import draw_sample, sample_iid
-from robustpac.serialization import dumps_instance, loads_instance
+from robustpac.serialization import dumps_instance, loads_instance, save_instance
 
 PAIR = make_pair_gap(2)
 GROUPS = make_group_adversary_instance(groups=3, k_max=4)
@@ -129,6 +130,12 @@ SITES = {
     ),
     "make_group_adversary_instance/k_max": (
         lambda v: make_group_adversary_instance(k_max=v), 2, 0, "k_max", ContractError
+    ),
+    "make_group_adversary_instance/groups cap": (
+        lambda v: make_group_adversary_instance(groups=v), 16, 17, "groups", ContractError
+    ),
+    "make_group_adversary_instance/k_max cap": (
+        lambda v: make_group_adversary_instance(k_max=v), 64, 65, "k_max", ContractError
     ),
     "group_adversary_for_k": (lambda v: group_adversary_for_k(GROUPS, v), 2, 5, "k", ContractError),
     "LabeledExample": (lambda v: LabeledExample(v, 1), 1, -1, "point", StructuralError),
@@ -193,12 +200,41 @@ def test_experiment_config_holds_python_ints():
     [
         (["experiment", "separation", "--trials", "1", "--budget", "0"], "improper_budget must be >= 1, got 0"),
         (["experiment", "k-scaling", "--trials", "1", "--groups", "2"], "groups must be >= 3, got 2"),
+        (["experiment", "k-scaling", "--trials", "1", "--groups", "100000000"], "groups=100000000 exceeds the cap 16"),
+        (["experiment", "k-scaling", "--trials", "1", "--k-list", "99999999999"], "k_max=99999999999 exceeds the cap 64"),
         (["construct", "union-truncation", "--blocks", "0"], "m must be >= 1, got 0"),
     ],
 )
 def test_the_cli_reports_the_shared_refusal(capsys, argv, message):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn", "INSTANCE", "--m", "1000000000000"],
+        ["agnostic", "INSTANCE", "--m", "1000000000000"],
+        ["experiment", "separation", "--trials", "1", "--budget", "1000000000000"],
+        ["experiment", "bound-check", "--trials", "1", "--m", "1000000000000"],
+        ["experiment", "k-scaling", "--trials", "1", "--m", "1000000000000"],
+    ],
+)
+def test_a_sample_too_large_to_allocate_exits_2(monkeypatch, capsys, tmp_path, argv):
+    # every draw goes through `_atom_draws`; past a million draws it raises as numpy does, allocating nothing
+    atom_draws = sampling._atom_draws
+
+    def draws(dist, m, rng):
+        if m > 10**6:
+            raise MemoryError(f"Unable to allocate {m} draws")
+        return atom_draws(dist, m, rng)
+
+    monkeypatch.setattr(sampling, "_atom_draws", draws)
+    monkeypatch.setattr(experiments, "_atom_draws", draws)
+    instance = tmp_path / "pf1.json"
+    save_instance(make_proper_failure(1), str(instance))
+    assert main([str(instance) if arg == "INSTANCE" else arg for arg in argv]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 1000000000000 draws\n"
 
 
 NO_EXAMPLES = Sample(())

@@ -251,6 +251,12 @@ def test_family_constructor_is_the_one_validator():
             HypothesisFamily(np.array([[1, -1], [1, bad]]))
     with pytest.raises(StructuralError, match="pairwise distinct label sequences"):
         HypothesisFamily(np.array([[1, -1], [-1, 1], [1, -1]]))
+    # rows are keyed by their whole mask: rows equal on the first 64 points are still distinct
+    wide = np.ones((3, 70), dtype=np.int8)
+    wide[1, 66] = wide[2, 69] = -1
+    assert len(HypothesisFamily(wide)) == 3
+    with pytest.raises(StructuralError, match="pairwise distinct label sequences"):
+        HypothesisFamily(np.concatenate((wide, wide[1:2])))
     source = np.array([[1, -1], [-1, -1]])
     family = HypothesisFamily(source, name="f")
     source[0, 0] = -1  # the family keeps its own read-only int8 copy

@@ -281,6 +281,16 @@ def test_slot_tables_match_the_per_column_reference(size):
     rng = rng_stream(size, 34)
     family = HypothesisFamily(rng.choice(np.array([-1, 1]), size=(size, size)))
     perturbations = random_perturbations(rng, size, extra_rate=0.03)
+    # the constructor keyed the members for its distinct-rows check; the point masks wait for a search
+    assert "_member_masks" in vars(family) and "_point_masks" not in vars(family)
+    views = {
+        "vc": lambda: family._point_masks,
+        "dual_vc": lambda: family._member_masks,
+        "disjoint_robust": lambda: family.robust_table(perturbations)._constancy_masks,
+    }
+    for kind, view in views.items():
+        plus, minus, _ = reference_slot_table(kind, family, perturbations)
+        assert view() == (tuple(plus), tuple(minus)), kind
     for kind in ("vc", "dual_vc", "loss_vc", "disjoint_robust", "robust"):
         expected = list(reference_slot_table(kind, family, perturbations))
         assert any(expected[0]) and any(expected[1]), kind

@@ -232,6 +232,20 @@ def test_discretize_representatives_are_lexicographic_and_faithful():
         assert reps[pattern] <= (z, y)
 
 
+def test_discretize_keeps_each_patterns_first_column_past_64_candidates():
+    # 80 candidate rows make masks wider than one 64-bit word; the few patterns repeat across 300 columns
+    rng = rng_stream(35, 1)
+    patterns = rng.choice(np.array([-1, 1]), size=(80, 12))
+    patterns[:, 1] = patterns[:, 0]
+    patterns[70, 1] *= -1  # patterns 0 and 1 differ past the first 64 candidates only
+    rows = patterns[:, rng.integers(0, 12, size=300)]
+    points, labels = np.arange(300), np.ones(300, dtype=np.int8)
+    disc = discretize((points, labels), rows)
+    keep = np.sort(np.unique(rows != 1, axis=1, return_index=True)[1])
+    assert disc.points.tolist() == keep.tolist()
+    assert np.array_equal(disc.wrong, (rows != 1)[:, keep])
+
+
 # --- weak learning and boosting ----------------------------------------------
 
 

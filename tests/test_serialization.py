@@ -144,7 +144,8 @@ def assert_same_family(bulk: HypothesisFamily, naive: HypothesisFamily) -> None:
 
 PLUS = [1, np.int8(1)]
 MINUS = [-1, np.int8(-1)]
-BAD_LABELS = [0, 2, -2, 0.5, 1 + 0j, float("nan"), None, "1", [1], True, 1.0, -1.0]
+# 300 and 2**70 do not fit int8: an all-int row holding one fails the bulk stacking and is replayed
+BAD_LABELS = [0, 2, -2, 300, 2**70, 0.5, 1 + 0j, float("nan"), None, "1", [1], True, 1.0, -1.0]
 
 
 @st.composite
@@ -414,6 +415,15 @@ def _six_point_doc(**fields) -> dict:
     }
     doc.update(fields)
     return doc
+
+
+@pytest.mark.parametrize("label", [300, 2**70])
+def test_a_family_label_past_int8_keeps_its_message(label):
+    doc = _six_point_doc()
+    doc["family"]["members"][1][3] = label
+    with pytest.raises(StructuralError) as refused:
+        loads_instance(json.dumps(doc))
+    assert str(refused.value) == f"label must be +1 or -1, got {label}"
 
 
 @pytest.mark.parametrize(
