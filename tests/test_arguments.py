@@ -200,9 +200,9 @@ def test_experiment_config_holds_python_ints():
     [
         (["experiment", "separation", "--trials", "1", "--budget", "0"], "improper_budget must be >= 1, got 0"),
         (["experiment", "k-scaling", "--trials", "1", "--groups", "2"], "groups must be >= 3, got 2"),
+        (["construct", "union-truncation", "--blocks", "0"], "m must be >= 1, got 0"),
         (["experiment", "k-scaling", "--trials", "1", "--groups", "100000000"], "groups=100000000 exceeds the cap 16"),
         (["experiment", "k-scaling", "--trials", "1", "--k-list", "99999999999"], "k_max=99999999999 exceeds the cap 64"),
-        (["construct", "union-truncation", "--blocks", "0"], "m must be >= 1, got 0"),
     ],
 )
 def test_the_cli_reports_the_shared_refusal(capsys, argv, message):
