@@ -32,12 +32,9 @@ entry per sample key (the distinct points and labels as bytes), at most
 what depends on the sample's
 positions or on the generator: the offending position of an unrealizable
 sample, sparsify's draws, the drawn voters' provenance (the sample
-positions of their count vectors) and the closing fit check.  Each draw's
-majority verdict is a function of the stage and the drawn tuple, so a stage
-keeps a verdict table per sparsify size and checks a tuple only the first
-time it is drawn.  Outputs and draws therefore do not depend on what the
-cache holds.  The agnostic learner keeps nothing: it enumerates candidates
-on columns of its own mistake matrix.
+positions of their count vectors) and the closing fit check, so outputs and
+draws do not depend on what the cache holds.  The agnostic learner keeps
+nothing: it enumerates candidates on columns of its own mistake matrix.
 """
 
 from __future__ import annotations
@@ -130,7 +127,8 @@ class LearnerConfig:
     The rest is fixed: the realizable round cap ceil(1 + 48 ln
     |discretized|) + 10 (`default_round_cap`), boosting step `ALPHA` 1/8,
     `MARGIN_TARGET` 5/9 (which leaves the 1/18 sparsification slack above
-    1/2) and `SPARSIFY_ATTEMPTS` 100 draws before the full-list fallback.
+    1/2) and `SPARSIFY_ATTEMPTS` 100 draws before the full-list fallback;
+    with T voters and T <= N, sparsify keeps the full list without a draw.
     `seed` is read by no library code (sparsify draws from the caller's
     generator); it stays while `perfbench/workloads.py` passes it.
     """
@@ -192,7 +190,11 @@ class BoostResult:
 
 @dataclass(frozen=True)
 class RealizableRunReport:
-    """Diagnostics of one realizable run (the predictor plus pipeline sizes)."""
+    """Diagnostics of one realizable run (the predictor plus pipeline sizes).
+
+    `sparsified_to` is the vote's voter count: N after a successful draw,
+    else the boosting rounds T (when T <= N, or after the fallback).
+    """
 
     predictor: MajorityVotePredictor
     n_used: int
@@ -441,15 +443,18 @@ def sparsify(
     False; each id must be an integer in 0..len(wrong) - 1, so a negative
     id or a bool is refused rather than read as a row.  Requires N >= 1 and
     the full ensemble to hold a strict majority on every point (guaranteed
-    upstream by the 5/9 margin, which leaves 1/18 slack over 1/2).  Draws N
-    positions from `rng` up to `SPARSIFY_ATTEMPTS` times, then falls back to
-    the full voter list, which satisfies the property by the precondition.
+    upstream by the 5/9 margin, which leaves 1/18 slack over 1/2).  With T
+    voters and T <= N, returns the full list 0..T-1 and leaves `rng` as it
+    was: a draw cannot shrink the vote, and the full list's compression n*T
+    is at most n*N.  Otherwise draws N positions from `rng` up to
+    `SPARSIFY_ATTEMPTS` times, then falls back to the full voter list, which
+    satisfies the property by the precondition.
     """
     if len(voter_ids) == 0:
         raise ContractError("sparsification requires at least one voter")
     N = _checked_int("N", N, 1)
     voter_ids = [_checked_int("voter id", v, 0, len(wrong) - 1) for v in voter_ids]
-    return _sparse_draw(_majority_correct(voter_ids, wrong), N, rng, {})
+    return _sparse_draw(_majority_correct(voter_ids, wrong), N, rng)
 
 
 def _majority_correct(voter_ids: Sequence[int], wrong: np.ndarray) -> np.ndarray:
@@ -463,28 +468,20 @@ def _majority_correct(voter_ids: Sequence[int], wrong: np.ndarray) -> np.ndarray
     return correct
 
 
-def _sparse_draw(
-    correct: np.ndarray, N: int, rng: np.random.Generator, verdicts: dict[bytes, bool]
-) -> tuple[int, ...]:
+def _sparse_draw(correct: np.ndarray, N: int, rng: np.random.Generator) -> tuple[int, ...]:
     """`sparsify`'s draws over checked rows of `_majority_correct`, for an N >= 1.
 
-    Each attempt is one `rng.integers(0, T, size=N)` call, T the number of
-    rows; the first draw whose majority is strictly correct on every column
-    is returned, and after `SPARSIFY_ATTEMPTS` failures the full list.
-    `verdicts` is the verdict table of these rows and this N: it maps each
-    draw met before, as the bytes of its positions, to that majority check,
-    which runs only on a draw's first sight.  It holds at most T^N entries.
+    With T rows and T <= N it returns 0..T-1 without touching `rng`.
+    Otherwise each attempt is one `rng.integers(0, T, size=N)` call; the
+    first draw whose majority is strictly correct on every column is
+    returned, and after `SPARSIFY_ATTEMPTS` failures the full list.
     """
     T = len(correct)
-    if T == 1:
-        return (0,)
+    if T <= N:
+        return tuple(range(T))
     for _ in range(SPARSIFY_ATTEMPTS):
         draw = rng.integers(0, T, size=N)
-        key = draw.tobytes()
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = verdicts[key] = bool(2 * correct[draw].sum(axis=0).min() > N)
-        if verdict:
+        if 2 * correct[draw].sum(axis=0).min() > N:
             return tuple(draw.tolist())
     return tuple(range(T))
 
@@ -530,11 +527,9 @@ class _Stages:
     `members[i]`, from which `_indices` builds provenance for any sample of
     the key: one vector per candidate.  `correct` is `_majority_correct` of
     the boost's voters, checked once, and `n_sparse` the default sparsify
-    size (`_default_sparsify_size`), both found with the stage.  `verdicts[N]`
-    is the `_sparse_draw` verdict table of `correct` for sparsify size N,
-    filled as draws are first met; with T voters it holds at most T^N
-    entries, and it is dropped with the stage.  When no candidate is a weak
-    learner, `boost` is None and `min_error` is the best weighted error.
+    size (`_default_sparsify_size`), both found with the stage.  When no
+    candidate is a weak learner, `boost` is None and `min_error` is the best
+    weighted error.
     """
 
     n: int
@@ -545,7 +540,6 @@ class _Stages:
     correct: np.ndarray | None = None
     n_sparse: int | None = None
     min_error: float | None = None
-    verdicts: dict[int, dict[bytes, bool]] = field(default_factory=dict)
 
 
 def _build_stages(
@@ -578,8 +572,7 @@ class _SampleEntry:
     correct on the distinct examples up to it (`_first_dead_example`), or
     None, and `inflated` the sample's inflation, built when `dead` is None.
     `stages` holds the `_Stages` per (n, counts clipped at n), each keeping
-    one count vector per candidate; neither the number of stages nor their
-    verdict tables is bounded.
+    one count vector per candidate; the number of stages is not bounded.
     """
 
     mistakes: np.ndarray
@@ -697,7 +690,7 @@ def learn_realizable_report(
     found = _boost_growing_n(family, len(sample), config.n_initial, stages)
     n_sparse = found.n_sparse if config.N_sparsify is None else config.N_sparsify
     voter_ids = found.boost.voter_ids
-    chosen = _sparse_draw(found.correct, n_sparse, rng, found.verdicts.setdefault(n_sparse, {}))
+    chosen = _sparse_draw(found.correct, n_sparse, rng)
     drawn = [voter_ids[j] for j in chosen]
     indices = {c: _indices(runs, found.vectors[c]) for c in set(drawn)}
     predictor = MajorityVotePredictor(

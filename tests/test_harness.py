@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -48,6 +48,8 @@ from robustpac.serialization import (
     parse_probability,
     probability_to_string,
 )
+
+from conftest import generator_state
 
 
 # --- sampling ----------------------------------------------------------------
@@ -235,21 +237,31 @@ def test_separation_single_trial_fixed_seed():
 
 
 def test_trials_sparsify_from_their_own_generators(monkeypatch):
-    # trial t's learner continues stream (seed, t): calls with the same voter
-    # count and draw size must not all return the same positions
-    draws = defaultdict(list)
+    # trial t's learner continues stream (seed, t) past the trial's two
+    # samples; every call here has T <= N, so it keeps the full list and
+    # leaves the generator where the samples left it
+    calls = []
     real = learner._sparse_draw  # sparsify's draws, one correctness row per voter
 
-    def recorded(correct, N, rng, verdicts):
-        chosen = real(correct, N, rng, verdicts)
-        if len(correct) > 1:
-            draws[(len(correct), N)].append(chosen)
+    def recorded(correct, N, rng):
+        before = generator_state(rng)
+        chosen = real(correct, N, rng)
+        calls.append((len(correct), N, chosen, before, generator_state(rng)))
         return chosen
 
     monkeypatch.setattr(learner, "_sparse_draw", recorded)
-    run_separation_experiment(make_proper_failure(2), ExperimentConfig(m=2, trials=40, seed=3))
-    assert sum(map(len, draws.values())) == 23
-    assert any(len(set(chosen)) > 1 for chosen in draws.values() if len(chosen) > 1)
+    inst = make_proper_failure(2)
+    config = ExperimentConfig(m=2, trials=40, seed=3)
+    run_separation_experiment(inst, config)
+    assert len(calls) == config.trials
+    for t, (T, N, chosen, before, after) in enumerate(calls):
+        rng = rng_stream(config.seed, t)
+        dist = inst.distributions[int(rng.integers(len(inst.distributions)))]
+        draw_sample(dist, config.m, rng)  # the proper arm draws as draw_sample does
+        draw_sample(dist, config.improper_budget, rng)
+        assert before == generator_state(rng), t
+        assert (chosen, after) == (tuple(range(T)), before), t
+    assert sorted(Counter((T, N) for T, N, *_ in calls).items()) == [((1, 1), 17), ((3, 3), 23)]
 
 
 def test_separation_finds_the_default_n_initial_once_per_family(monkeypatch):

@@ -52,7 +52,7 @@ from robustpac.experiments import _random_threshold_distribution, make_threshold
 from robustpac.prng import rng_stream
 from robustpac.sampling import draw_sample, sample_iid
 
-from conftest import random_labeled_sample, random_realizable_setup, reference_alpha_boost
+from conftest import generator_state, random_labeled_sample, random_realizable_setup, reference_alpha_boost
 
 SIGNS = st.sampled_from((-1, 1))
 
@@ -387,9 +387,41 @@ def test_sparsify_single_voter_is_trivial():
 def test_sparsify_identical_correct_voters_any_draw_works():
     family = HypothesisFamily.from_rows([(1, 1, 1), (-1, 1, 1)])
     disc = _disc_for([(0, 1), (1, 1), (2, 1)], family)
-    chosen = sparsify((0, 0, 0), disc.wrong, N=4, rng=rng_stream(3))
-    assert len(chosen) == 4
-    assert set(chosen) <= {0, 1, 2}
+    # T = 3 <= N = 4: the full list, and no draw
+    rng, fresh = rng_stream(3), rng_stream(3)
+    assert sparsify((0, 0, 0), disc.wrong, N=4, rng=rng) == (0, 1, 2)
+    assert generator_state(rng) == generator_state(fresh)
+    # N = 2 < T: every draw holds a majority, so the first one is returned
+    assert sparsify((0, 0, 0), disc.wrong, N=2, rng=rng) == tuple(fresh.integers(0, 3, size=2).tolist())
+    assert generator_state(rng) == generator_state(fresh)
+
+
+def _pair_errors(q: int) -> np.ndarray:
+    """The (q voters, C(q, 2) pairs) mistake matrix in which voter i errs exactly on the pairs holding i."""
+    return np.array([[i in pair for pair in combinations(range(q), 2)] for i in range(q)])
+
+
+def test_sparsify_draws_and_falls_back_on_pair_errors():
+    # Any two voters' error sets meet, and the full list errs twice on every
+    # pair, so it holds a strict majority there once T >= 5.  At T = 5,
+    # N = 3 no draw does: two copies of one voter, or two distinct voters,
+    # err together on a pair.  All SPARSIFY_ATTEMPTS draws are made.
+    rng, fresh = rng_stream(5), rng_stream(5)
+    assert sparsify(range(5), _pair_errors(5), N=3, rng=rng) == (0, 1, 2, 3, 4)
+    for _ in range(SPARSIFY_ATTEMPTS):
+        fresh.integers(0, 5, size=3)
+    assert generator_state(rng) == generator_state(fresh)
+    # At T = 7, N = 5 a pair is safe when its voters are drawn at most
+    # twice together, which among 5 draws holds only for 5 distinct voters:
+    # the first such draw is returned.
+    rng, fresh = rng_stream(7), rng_stream(7)
+    chosen = sparsify(range(7), _pair_errors(7), N=5, rng=rng)
+    assert len(set(chosen)) == 5 and set(chosen) <= set(range(7))
+    draw = fresh.integers(0, 7, size=5)
+    while len(set(draw.tolist())) < 5:
+        draw = fresh.integers(0, 7, size=5)
+    assert chosen == tuple(draw.tolist())
+    assert generator_state(rng) == generator_state(fresh)
 
 
 def test_sparsify_forty_voters_margin_five_ninths():
@@ -495,8 +527,8 @@ def _sparsify_reference(voters, reps, N, rng):
     totals = correct.sum(axis=0)
     if not np.all(2 * totals > T):
         raise ContractError("no strict majority")
-    if T == 1:
-        return (0,)
+    if T <= N:
+        return tuple(range(T))
     for _ in range(SPARSIFY_ATTEMPTS):
         draw = rng.integers(0, T, size=N)
         votes = correct[draw].sum(axis=0)
@@ -575,7 +607,8 @@ def test_sparsify_matches_the_per_voter_loop(inputs, data):
     reps, _ = _discretize_reference(_inflate_reference(sample, perturbations), family)
     ids = st.integers(min_value=0, max_value=len(family) - 1)
     voter_ids = data.draw(st.lists(st.one_of(ids, st.just(target)), min_size=1, max_size=12))
-    N = data.draw(st.integers(min_value=1, max_value=9))
+    # up to T + 1, so most lists of two or more voters are drawn from
+    N = data.draw(st.integers(min_value=1, max_value=len(voter_ids) + 1))
     seed = data.draw(st.integers(min_value=0, max_value=3))
     voters = [family[v] for v in voter_ids]
     ours, theirs = rng_stream(seed), rng_stream(seed)
@@ -721,7 +754,7 @@ def test_learner_achieves_zero_risk_on_random_realizable_instances():
 
 def test_learner_is_deterministic_given_seed():
     # equal generator keys give equal votes, and the config's seed is unread;
-    # the proper-failure sample boosts three voters, so sparsify draws
+    # the proper-failure sample boosts three voters
     inst = make_proper_failure(2)
     setups = [
         random_realizable_setup(3)[:3],
@@ -788,9 +821,9 @@ def test_dual_vc_runs_only_when_sparsify_uses_it(monkeypatch):
     identity = PerturbationMap.identity(21)
     sizes = []
 
-    def recorded(correct, N, rng, verdicts):
+    def recorded(correct, N, rng):
         sizes.append(N)
-        return learner_draw(correct, N, rng, verdicts)
+        return learner_draw(correct, N, rng)
 
     learner_draw = learner._sparse_draw  # sparsify's draws
     monkeypatch.setattr(learner, "_sparse_draw", recorded)
@@ -855,7 +888,7 @@ def test_a_losing_sparsified_vote_raises_the_closing_error(monkeypatch):
     identity = PerturbationMap.identity(5)
     config = LearnerConfig(n_initial=4)
     learn_realizable_report(family, sample, identity, config, rng=rng_stream(0))  # unpatched, it fits
-    monkeypatch.setattr(learner, "_sparse_draw", lambda correct, N, rng, verdicts: (0,))  # sparsify's draws
+    monkeypatch.setattr(learner, "_sparse_draw", lambda correct, N, rng: (0,))  # sparsify's draws
     with pytest.raises(RuntimeError, match="^pipeline produced nonzero empirical robust risk 1/5$"):
         learn_realizable_report(family, sample, identity, config, rng=rng_stream(0))
 
@@ -979,7 +1012,7 @@ def test_learner_output_is_pinned():
             voters = [index[id(inst)][v.label_row.tobytes()] for v in vote.voters]
             sizes = [getattr(report, f.name) for f in fields(report) if f.name != "predictor"]
             digest.update(repr((sizes, voters, vote.provenance, vote.flags)).encode())
-        assert digest.hexdigest() == "2f31ea56a0827120dc1c1c67512348dde14055d36a7d5018409232598b355361"
+        assert digest.hexdigest() == "491aad29e93b650b919dd10a206193d399777e0a6d93e98e6a5ebb51e1d7c611"
         cached.append([len(learner._stage_slot(inst.family, inst.perturbations)) for inst, _, _ in runs])
     assert cached[0] == cached[1] and min(cached[0]) > 0
 
@@ -1080,48 +1113,25 @@ def _runs_equal_fresh_runs(family, runs, seed) -> list:
     return outcomes
 
 
-def _checked_verdict_tables(family, perturbations) -> int:
-    """Every verdict table entry of the stage cache is the direct majority check; the entry count.
-
-    No table of a stage with T voters holds more than T^N entries; kept
-    weak-learner failures have no voters and are skipped.
-    """
-    entries = 0
-    for entry in learner._stage_slot(family, perturbations).values():
-        for stages in entry.stages.values():
-            if stages.boost is None:
-                continue
-            T = len(stages.correct)
-            for N, table in stages.verdicts.items():
-                assert len(table) <= T**N
-                for key, verdict in table.items():
-                    draw = np.frombuffer(key, dtype=np.int64)
-                    assert len(draw) == N
-                    assert verdict == (2 * stages.correct[draw].sum(axis=0).min() > N)
-                entries += len(table)
-    return entries
-
-
 def test_stage_cache_runs_equal_runs_on_fresh_families():
     # One family serves every run, switching between two maps and between an
-    # unset and a set N_sparsify (5, above every default here) on samples
-    # met three times, so later runs read verdict tables earlier runs
-    # filled; n_initial = 1 meets other candidate members for the same
-    # distinct examples.  Every member labels the six anchors alike, so the
-    # second map, which adds the next anchor to each anchor's ball, leaves
-    # every robust loss and candidate set as they were and grows only the
-    # inflation: a cache that ignored the map would report the first one's.
+    # unset and a set N_sparsify (1, so a boost of three voters makes every
+    # draw and falls back) on samples met three times, so later runs read
+    # stages earlier runs built; n_initial = 1 meets other candidate members
+    # for the same distinct examples.  Every member labels the six anchors
+    # alike, so the second map, which adds the next anchor to each anchor's
+    # ball, leaves every robust loss and candidate set as they were and grows
+    # only the inflation: a cache that ignored the map would report the first one's.
     inst = make_proper_failure(2)
     anchors = inst.family.matrix[:, :6]
     assert (anchors == anchors[:, :1]).all()
     sets = inst.perturbations.sets
     shifted = PerturbationMap(tuple(s + ((x + 1) % 6,) if x < 6 else s for x, s in enumerate(sets)))
-    configs = (LearnerConfig(), LearnerConfig(N_sparsify=5), LearnerConfig(n_initial=1))
+    configs = (LearnerConfig(), LearnerConfig(N_sparsify=1), LearnerConfig(n_initial=1))
     samples = [draw_sample(inst.distributions[i % 5], 24, rng_stream(41, i)) for i in range(8)]
     for seed, perturbations in ((43, inst.perturbations), (44, shifted), (45, inst.perturbations)):
         # the slot keeps one map, so each map's runs fill their own cache
         _runs_equal_fresh_runs(inst.family, list(product(samples * 3, (perturbations,), configs)), seed)
-        assert _checked_verdict_tables(inst.family, perturbations) > 0
 
     # Each pair below shares a sample key, so the second run of a pair hits
     # the first one's entry; every run still equals its fresh run.
@@ -1161,10 +1171,8 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     outcomes = _runs_equal_fresh_runs(family, runs, 61)
     assert {outcome[0][0] for outcome in outcomes} == {4}  # n_used
 
-    # proper-failure's voters each err on a column of their own, so a draw
-    # and any relabeling of its voters share a verdict; here boosting repeats
-    # candidates 0 and 2 and adds one that errs on two columns, so a verdict
-    # kept under the wrong draw shows
+    # boosting repeats candidates 0 and 2 and adds one that errs on two
+    # columns: T = 7 voters, above both sparsify sizes, so every run draws
     family = HypothesisFamily.from_rows(
         [(-1, -1, -1, -1, 1, -1), (-1, -1, 1, -1, -1, 1), (-1, 1, -1, -1, -1, 1),
          (-1, 1, -1, -1, 1, 1), (-1, 1, 1, 1, -1, -1), (1, -1, -1, -1, -1, -1)]
@@ -1176,7 +1184,6 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     slot = learner._stage_slot(family, identity)
     [stages] = [s for entry in slot.values() for s in entry.stages.values() if s.boost is not None]
     assert stages.boost.voter_ids == (0, 2, 0, 2, 0, 2, 3)
-    assert _checked_verdict_tables(family, identity) > 0
 
 
 def test_stage_cache_keeps_at_most_its_cap_entries(monkeypatch):
