@@ -33,7 +33,7 @@ from .core import (
     Sample,
     _checked_int,
 )
-from .learner import BoostResult, LearnerConfig, _boost_growing_n, _enumerated_candidates, _indices, alpha_boost
+from .learner import BoostResult, LearnerConfig, _boost_growing_n, _enumerated_candidates, _vote, alpha_boost
 
 __all__ = [
     "max_realizable_subsequence",
@@ -127,9 +127,7 @@ def learn_agnostic(
             f"agnostic boosting ended with margin {boost.min_margin} <= 1/2 on the core"
         )
     firsts = [sample.distinct.positions[s][:1] for s in core]
-    origin = {i: _indices(firsts, vectors[i]) for i in set(boost.voter_ids)}
-    voters = tuple(family[members[i]] for i in boost.voter_ids)
-    return MajorityVotePredictor(voters, tuple(origin[i] for i in boost.voter_ids))
+    return _vote(family, members, vectors, firsts, boost.voter_ids)
 
 
 def agnostic_bound(sc_re: int, m: int, delta: float) -> float:

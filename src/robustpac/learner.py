@@ -25,23 +25,25 @@ candidates are listed in member order, every stage at subset size n
 counts clipped at n, and receives no sample: the candidate members and the
 greatest count vector that yields each, discretization, boosting or its
 weak-learner failure, sparsify's majority precondition and the default
-sparsify size.  The realizable learner keeps the matrix and the stages in a
-stage cache held on the family per perturbation map (`core._kept`), one
-entry per sample key (the distinct points and labels as bytes), at most
-`STAGE_CACHE_ENTRIES` of them, the oldest dropped first.  A hit runs only
-what depends on the sample's
-positions or on the generator: the offending position of an unrealizable
-sample, sparsify's draws, the drawn voters' provenance (the sample
-positions of their count vectors) and the closing fit check, so outputs and
-draws do not depend on what the cache holds.  The agnostic learner keeps
-nothing: it enumerates candidates on columns of its own mistake matrix.
+sparsify size.  The realizable learner keeps the stages, each with the
+inflation, in a stage cache on the family per perturbation map (`core._kept`):
+one flat dict keyed by (sample key, n, counts clipped at n), the sample key
+being the distinct points and labels as bytes, of at most
+`STAGE_CACHE_ENTRIES` stages, the oldest dropped first.  A call's first miss
+builds the matrix, checks realizability (refusing an unrealizable sample,
+which keeps nothing) and inflates, for all its n.  A hit runs only what
+depends on the sample's positions or on the generator: sparsify's draws,
+the drawn voters' provenance (the sample positions of their count vectors,
+`_vote`) and the closing fit check, so outputs and draws do not depend on
+what the cache holds.  The agnostic learner keeps nothing: it enumerates
+candidates on columns of its own mistake matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
@@ -56,7 +58,6 @@ from .core import (
     _checked_int,
     _column_masks,
     _kept,
-    _read_only,
     empirical_robust_risk,
 )
 from .dimensions import dual_vc, vc
@@ -86,7 +87,7 @@ _SCORE_BLOCK = 1 << 17  # count vectors x members per product in build_candidate
 ALPHA = 0.125
 MARGIN_TARGET = Fraction(5, 9)
 SPARSIFY_ATTEMPTS = 100
-# sample keys per stage-cache slot; 20,000 separation trials on proper-failure(2) at seed 7 meet 360
+# stages per stage-cache slot; 20,000 separation trials on proper-failure(2) at seed 7 meet 360
 STAGE_CACHE_ENTRIES = 1024
 
 
@@ -120,10 +121,8 @@ class LearnerConfig:
     `n_initial` defaults to vc(family)+1, is clamped to the sample size and
     doubles on weak-learner failure up to it.  `N_sparsify` defaults to the
     candidate family's dual VC dimension (minimum 3, forced odd), found when
-    a stage is built.  The search is skipped when boosting returns one
-    voter, since sparsify keeps a lone voter, and when the candidates' label
-    rows have fewer than 16 distinct columns: shattering d candidates takes
-    2^d distinct columns, so the dual VC dimension is at most 3 and N is 3.
+    a stage is built.  The search runs only when boosting returns T > 3
+    voters: any N >= 3 keeps T <= 3 voters whole, so there N is 3.
     The rest is fixed: the realizable round cap ceil(1 + 48 ln
     |discretized|) + 10 (`default_round_cap`), boosting step `ALPHA` 1/8,
     `MARGIN_TARGET` 5/9 (which leaves the 1/18 sparsification slack above
@@ -525,16 +524,18 @@ class _Stages:
     `members` are the candidate members, ascending, and `vectors[i]` the
     greatest count vector whose multiset makes the oracle return
     `members[i]`, from which `_indices` builds provenance for any sample of
-    the key: one vector per candidate.  `correct` is `_majority_correct` of
-    the boost's voters, checked once, and `n_sparse` the default sparsify
-    size (`_default_sparsify_size`), both found with the stage.  When no
-    candidate is a weak learner, `boost` is None and `min_error` is the best
-    weighted error.
+    the key: one vector per candidate.  `inflated` is the key's read-only
+    inflation, which the closing fit check reads.  `correct` is
+    `_majority_correct` of the boost's voters, checked once, and `n_sparse`
+    the default sparsify size (`_default_sparsify_size`), both found with
+    the stage.  When no candidate is a weak learner, `boost` is None and
+    `min_error` is the best weighted error.
     """
 
     n: int
     members: tuple[int, ...]
     vectors: tuple[tuple[int, ...], ...]
+    inflated: tuple[np.ndarray, np.ndarray]
     discretized_size: int
     boost: BoostResult | None
     correct: np.ndarray | None = None
@@ -558,31 +559,14 @@ def _build_stages(
     try:
         boost = alpha_boost(wrong)
     except WeakLearnerFailure as failure:
-        return _Stages(n, members, vectors, wrong.shape[1], None, min_error=failure.min_error)
+        return _Stages(n, members, vectors, inflated, wrong.shape[1], None, min_error=failure.min_error)
     correct = _majority_correct(boost.voter_ids, wrong)
-    return _Stages(n, members, vectors, wrong.shape[1], boost, correct, _default_sparsify_size(family, members, boost))
+    n_sparse = _default_sparsify_size(family, members, boost)
+    return _Stages(n, members, vectors, inflated, wrong.shape[1], boost, correct, n_sparse)
 
 
-@dataclass(eq=False)
-class _SampleEntry:
-    """What the stage cache keeps for one sample key (`_sample_key`).
-
-    `mistakes` is the read-only (members, distinct examples) robust mistake
-    matrix; `dead` is the first distinct example with no member robustly
-    correct on the distinct examples up to it (`_first_dead_example`), or
-    None, and `inflated` the sample's inflation, built when `dead` is None.
-    `stages` holds the `_Stages` per (n, counts clipped at n), each keeping
-    one count vector per candidate; the number of stages is not bounded.
-    """
-
-    mistakes: np.ndarray
-    dead: int | None
-    inflated: tuple[np.ndarray, np.ndarray] | None
-    stages: dict[tuple[int, tuple[int, ...]], _Stages] = field(default_factory=dict)
-
-
-def _stage_slot(family: HypothesisFamily, perturbations: PerturbationMap) -> dict[tuple, _SampleEntry]:
-    """The family's stage cache under `perturbations`; the one for the last map asked for is kept."""
+def _stage_slot(family: HypothesisFamily, perturbations: PerturbationMap) -> dict[tuple, _Stages]:
+    """The family's stages under `perturbations` per (sample key, n, clipped counts); the last map's are kept."""
     return _kept(family, "_learner_stages", (perturbations,), dict)
 
 
@@ -592,31 +576,11 @@ def _sample_key(sample: Sample) -> tuple[bytes, bytes]:
     return distinct.points.tobytes(), distinct.labels.tobytes()
 
 
-def _sample_entry(family: HypothesisFamily, sample: Sample, perturbations: PerturbationMap) -> _SampleEntry:
-    """The stage cache's entry for the sample's key, made (and the oldest dropped at the cap) on a miss."""
-    slot = _stage_slot(family, perturbations)
-    key = _sample_key(sample)
-    entry = slot.get(key)
-    if entry is None:
-        distinct = sample.distinct
-        mistakes = _read_only(family.robust_table(perturbations).loss_at(distinct.points, distinct.labels))
-        dead = _first_dead_example(mistakes)
-        entry = _SampleEntry(mistakes, dead, inflate(sample, perturbations) if dead is None else None)
-        if len(slot) >= STAGE_CACHE_ENTRIES:
-            del slot[next(iter(slot))]  # the oldest entry
-        slot[key] = entry
-    return entry
-
-
 def _default_sparsify_size(family: HypothesisFamily, members: tuple[int, ...], boost: BoostResult) -> int:
     """The candidates' dual VC dimension (at least 3, made odd), searched only when it can matter."""
-    if len(boost.voter_ids) == 1:
-        return 1  # sparsify keeps a lone voter whatever N is, so skip the dual-VC search
-    rows = family.matrix[list(members)]
-    if len(set(_column_masks(rows == 1))) < 16:
-        return 3  # below 16 distinct columns dual_vc <= 3 (2^dual_vc are needed), so max(3, .) is 3
-    n_sparse = max(3, dual_vc(HypothesisFamily(rows)).value)
-    return n_sparse + 1 if n_sparse % 2 == 0 else n_sparse
+    if len(boost.voter_ids) <= 3:
+        return 3  # any N >= 3 keeps T <= 3 voters whole, so skip the dual-VC search
+    return max(3, dual_vc(HypothesisFamily(family.matrix[list(members)])).value) | 1
 
 
 def _first_dead_example(mistakes: np.ndarray) -> int | None:
@@ -631,6 +595,21 @@ def _first_dead_example(mistakes: np.ndarray) -> int | None:
     correct = ~mistakes
     dead = np.flatnonzero(~np.logical_and.accumulate(correct, axis=1).any(axis=0))
     return int(dead[0]) if dead.size else None
+
+
+def _vote(
+    family: HypothesisFamily,
+    members: Sequence[int],
+    vectors: Sequence[Sequence[int]],
+    runs: Sequence[Sequence[int]],
+    ids: Sequence[int],
+) -> MajorityVotePredictor:
+    """The vote of candidates `ids`: voter `family[members[i]]`, provenance `_indices(runs, vectors[i])`.
+
+    Both learners build their vote here, each provenance once per distinct i.
+    """
+    origin = {i: _indices(runs, vectors[i]) for i in set(ids)}
+    return MajorityVotePredictor(tuple(family[members[i]] for i in ids), tuple(origin[i] for i in ids))
 
 
 def _fits_inflation(predictor: MajorityVotePredictor, inflated: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -666,43 +645,45 @@ def learn_realizable_report(
     config = config or LearnerConfig()
     if len(sample) == 0:
         raise ContractError("learning requires a nonempty sample")
-    entry = _sample_entry(family, sample, perturbations)
-    if entry.dead is not None:
-        offending = sample.distinct.positions[entry.dead][0]
-        example = sample[offending]
-        raise ContractError(
-            f"sample is not robustly realizable: no member is robustly correct on "
-            f"examples 0..{offending}; offending example {offending} is "
-            f"(point={example.point}, label={example.label:+d})"
-        )
-
-    runs = sample.distinct.positions
+    slot, key, distinct = _stage_slot(family, perturbations), _sample_key(sample), sample.distinct
+    runs = distinct.positions
+    built: list = []  # the mistake matrix and inflation, made on this call's first miss
 
     def stages(n: int) -> _Stages:
         clipped = tuple(min(len(run), n) for run in runs)
-        found = entry.stages.get((n, clipped))
+        found = slot.get((key, n, clipped))
         if found is None:
-            found = entry.stages[n, clipped] = _build_stages(family, entry.mistakes, entry.inflated, n, clipped)
+            if not built:
+                mistakes = family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
+                dead = _first_dead_example(mistakes)
+                if dead is not None:
+                    offending = runs[dead][0]
+                    example = sample[offending]
+                    raise ContractError(
+                        f"sample is not robustly realizable: no member is robustly correct on "
+                        f"examples 0..{offending}; offending example {offending} is "
+                        f"(point={example.point}, label={example.label:+d})"
+                    )
+                built[:] = mistakes, inflate(sample, perturbations)
+            found = _build_stages(family, *built, n, clipped)
+            if len(slot) >= STAGE_CACHE_ENTRIES:
+                del slot[next(iter(slot))]  # the oldest stage
+            slot[key, n, clipped] = found
         if found.boost is None:
             raise WeakLearnerFailure(found.min_error)
         return found
 
     found = _boost_growing_n(family, len(sample), config.n_initial, stages)
     n_sparse = found.n_sparse if config.N_sparsify is None else config.N_sparsify
-    voter_ids = found.boost.voter_ids
     chosen = _sparse_draw(found.correct, n_sparse, rng)
-    drawn = [voter_ids[j] for j in chosen]
-    indices = {c: _indices(runs, found.vectors[c]) for c in set(drawn)}
-    predictor = MajorityVotePredictor(
-        tuple(family[found.members[c]] for c in drawn), tuple(indices[c] for c in drawn)
-    )
-    if not _fits_inflation(predictor, entry.inflated):
+    predictor = _vote(family, found.members, found.vectors, runs, [found.boost.voter_ids[j] for j in chosen])
+    if not _fits_inflation(predictor, found.inflated):
         risk = empirical_robust_risk(predictor, sample, perturbations)
         raise RuntimeError(f"pipeline produced nonzero empirical robust risk {risk}")
     return RealizableRunReport(
         predictor=predictor,
         n_used=found.n,
-        inflated_size=len(entry.inflated[0]),
+        inflated_size=len(found.inflated[0]),
         discretized_size=found.discretized_size,
         rounds=found.boost.rounds,
         min_margin=found.boost.min_margin,

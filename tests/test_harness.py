@@ -261,7 +261,7 @@ def test_trials_sparsify_from_their_own_generators(monkeypatch):
         draw_sample(dist, config.improper_budget, rng)
         assert before == generator_state(rng), t
         assert (chosen, after) == (tuple(range(T)), before), t
-    assert sorted(Counter((T, N) for T, N, *_ in calls).items()) == [((1, 1), 17), ((3, 3), 23)]
+    assert sorted(Counter((T, N) for T, N, *_ in calls).items()) == [((1, 3), 17), ((3, 3), 23)]
 
 
 def test_separation_finds_the_default_n_initial_once_per_family(monkeypatch):

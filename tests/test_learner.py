@@ -797,28 +797,14 @@ def test_dual_vc_runs_only_when_sparsify_uses_it(monkeypatch):
         family, sample, PerturbationMap.identity(3), LearnerConfig(n_initial=1), rng=rng_stream(0)
     )
     assert (report.rounds, report.sparsified_to, calls) == (1, 1, [])
-    # shattering d candidates takes 2^d distinct columns of their rows, so
-    # below 16 the dual VC dimension is at most 3 and N_sparsify is 3 without
-    # the search: three boosting rounds over 3 and over 6 pf(2) candidates
+    # any N >= 3 keeps T <= 3 voters whole, so N_sparsify is 3 without the
+    # search: three boosting rounds over 3 and over 6 pf(2) candidates
     inst = make_proper_failure(2)
     for index, count in ((7, 3), (0, 6)):
         sample = sample_iid(inst.distributions[index], 32, seed=21)
         report = learn_realizable_report(inst.family, sample, inst.perturbations, rng=rng_stream(21, 1))
-        candidates = build_candidates(inst.family, sample, inst.perturbations, report.n_used)
-        rows = inst.family.matrix[list(candidates.members)]
-        assert len(candidates) == count and len(np.unique(rows, axis=1).T) < 16
+        assert len(build_candidates(inst.family, sample, inst.perturbations, report.n_used)) == count
         assert (report.rounds, report.sparsified_to, calls) == (3, 3, [])
-    # rows 0-4 err on one of the five sample points each and row 5 on none;
-    # on 16 more points rows 0-3 take every sign pattern.  At n = 4 the
-    # candidates are rows 0-4, whose rows have 17 distinct columns, and rows
-    # 0-3 are dual-shattered: N_sparsify is max(3, 4) made odd, 5
-    rows = [
-        [-1 if r == i else 1 for i in range(5)] + [-1 if r < 4 and x >> r & 1 else 1 for x in range(16)]
-        for r in range(6)
-    ]
-    family = HypothesisFamily.from_rows(rows)
-    sample = Sample.from_pairs([(i, 1) for i in range(5)])
-    identity = PerturbationMap.identity(21)
     sizes = []
 
     def recorded(correct, N, rng):
@@ -827,11 +813,35 @@ def test_dual_vc_runs_only_when_sparsify_uses_it(monkeypatch):
 
     learner_draw = learner._sparse_draw  # sparsify's draws
     monkeypatch.setattr(learner, "_sparse_draw", recorded)
+    # rows 0-4 err on one of the five sample points each and row 5 on none;
+    # on 16 more points rows 0-3 take every sign pattern.  At n = 4 the
+    # candidates are rows 0-4, and rows 0-3 are dual-shattered, but boosting
+    # ends with three voters, so N_sparsify is still 3 without the search
+    rows = [
+        [-1 if r == i else 1 for i in range(5)] + [-1 if r < 4 and x >> r & 1 else 1 for x in range(16)]
+        for r in range(6)
+    ]
+    family = HypothesisFamily.from_rows(rows)
+    sample = Sample.from_pairs([(i, 1) for i in range(5)])
+    identity = PerturbationMap.identity(21)
     report = learn_realizable_report(family, sample, identity, LearnerConfig(n_initial=4), rng=rng_stream(0))
     assert sorted(build_candidates(family, sample, identity, 4).members) == [0, 1, 2, 3, 4]
-    assert len(np.unique(family.matrix[:5], axis=1).T) == 17
     assert learner_dual_vc(HypothesisFamily(family.matrix[:5])).value == 4
-    assert (report.rounds, calls, sizes) == (3, [5], [5])
+    assert (report.rounds, calls, sizes) == (3, [], [3])
+    # the T = 7 boost of test_stage_cache_runs_equal_runs_on_fresh_families,
+    # whose n = 2 candidates are rows 0, 1, 2 and 4; on 16 more points these
+    # four take every sign pattern, so they are dual-shattered: one search
+    # over the 4 candidates makes N_sparsify max(3, 4) made odd, 5
+    base = [(-1, -1, -1, -1, 1, -1), (-1, -1, 1, -1, -1, 1), (-1, 1, -1, -1, -1, 1),
+            (-1, 1, -1, -1, 1, 1), (-1, 1, 1, 1, -1, -1), (1, -1, -1, -1, -1, -1)]
+    bit = {0: 0, 1: 1, 2: 2, 4: 3}  # row -> the bit of x it takes
+    rows = [list(r) + [-1 if i in bit and x >> bit[i] & 1 else 1 for x in range(16)] for i, r in enumerate(base)]
+    family = HypothesisFamily.from_rows(rows)
+    sample = Sample.from_pairs([(3, -1), (3, -1), (2, -1), (5, -1), (4, -1), (5, -1)])
+    identity = PerturbationMap.identity(22)
+    report = learn_realizable_report(family, sample, identity, LearnerConfig(n_initial=1), rng=rng_stream(0))
+    assert build_candidates(family, sample, identity, 2).members == (0, 1, 2, 4)
+    assert (report.n_used, report.rounds, report.sparsified_to, calls, sizes) == (2, 7, 5, [4], [3, 5])
 
 
 @st.composite
@@ -909,8 +919,9 @@ def test_first_unrealizable_index_matches_the_prefix_scan(inputs, outside, data)
         if all(empirical_robust_risk(h, prefix, perturbations) > 0 for h in family):
             expected = i
             break
-    dead = learner._sample_entry(family, sample, perturbations).dead  # a distinct example; its first position
-    assert (dead if dead is None else sample.distinct.positions[dead][0]) == expected
+    distinct = sample.distinct  # the check names a distinct example; its first position is the answer
+    dead = learner._first_dead_example(family.robust_table(perturbations).loss_at(distinct.points, distinct.labels))
+    assert (dead if dead is None else distinct.positions[dead][0]) == expected
 
 
 def test_learner_rejects_unrealizable_samples_naming_the_example():
@@ -1049,19 +1060,25 @@ def test_every_voter_decodes_from_its_provenance():
 # --- the stage cache -------------------------------------------------------------
 
 
-def test_sample_entry_mistakes_are_the_table_at_the_distinct_examples():
+def test_kept_stages_hold_the_candidates_of_their_n():
     inst = make_proper_failure(2)
     family, u = inst.family, inst.perturbations
     reversed_family = HypothesisFamily(family.matrix[::-1])
     identity = PerturbationMap.identity(family.space_size)
     for t in range(20):
         sample = draw_sample(inst.distributions[t % len(inst.distributions)], 12, rng_stream(4, t))
-        distinct = sample.distinct
+        key, runs = learner._sample_key(sample), sample.distinct.positions
+        kept = []
         for f, v in [(family, u), (reversed_family, u), (family, identity), (family, u), (family, PerturbationMap(u.sets))]:
-            got = learner._sample_entry(f, sample, v).mistakes
-            expected = f.robust_table(v).loss_at(distinct.points, distinct.labels)
-            assert got.dtype == bool and np.array_equal(got, expected) and not got.flags.writeable
-        assert learner._sample_entry(family, sample, u).mistakes is got  # kept for the last (family, map)
+            learn_realizable_report(f, sample, v, rng=rng_stream(0))
+            stages = {k: s for k, s in learner._stage_slot(f, v).items() if k[0] == key}
+            assert stages
+            for (_, n, _), found in stages.items():
+                expected = build_candidates(f, sample, v, n)
+                assert found.members == expected.members
+                assert tuple(learner._indices(runs, vector) for vector in found.vectors) == expected.provenance
+            kept.append(stages)
+        assert kept[4] == kept[3]  # the same stage objects: kept for the last (family, map)
 
 
 def _run_outcome(family, sample, perturbations, config, rng: np.random.Generator) -> tuple:
@@ -1158,7 +1175,11 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     shifted_flip = Sample((first,) + flipped.examples)
     assert key(flipped) == key(shifted_flip)
     unrealizable = (flipped, flipped, shifted_flip)
+    slot = learner._stage_slot(inst.family, inst.perturbations)
+    assert [k[1:] for k in slot if k[0] == key(sample)] == [(2, (1, 2, 2, 2)), (2, (2, 2, 2, 2))]
+    kept = len(slot)
     texts = [_unrealizable_text(inst.family, s, inst.perturbations) for s in unrealizable]
+    assert len(slot) == kept  # a refused sample keeps nothing
     assert texts == [_fresh_unrealizable_text(inst.family, s, inst.perturbations) for s in unrealizable]
     assert texts[0] == texts[1] != texts[2]
 
@@ -1182,7 +1203,7 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     configs = (LearnerConfig(n_initial=1), LearnerConfig(n_initial=1, N_sparsify=5))
     _runs_equal_fresh_runs(family, [(sample, identity, c) for c in configs] * 3, 67)
     slot = learner._stage_slot(family, identity)
-    [stages] = [s for entry in slot.values() for s in entry.stages.values() if s.boost is not None]
+    [stages] = [s for s in slot.values() if s.boost is not None]
     assert stages.boost.voter_ids == (0, 2, 0, 2, 0, 2, 3)
 
 
@@ -1195,7 +1216,7 @@ def test_stage_cache_keeps_at_most_its_cap_entries(monkeypatch):
         got = _run_outcome(inst.family, sample, inst.perturbations, None, rng_stream(53, run))
         assert got == _fresh_run(inst.family, sample, inst.perturbations, None, 53, run), run
         slot = learner._stage_slot(inst.family, inst.perturbations)
-        met |= set(slot)  # one entry per sample key, the distinct points and labels
+        met |= set(slot)  # one stage per (sample key, n, counts clipped at n)
         assert len(slot) == min(len(met), 3)
-        assert next(reversed(slot)) == learner._sample_key(sample)
+        assert next(reversed(slot))[0] == learner._sample_key(sample)
     assert len(met) == 8

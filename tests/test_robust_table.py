@@ -28,7 +28,7 @@ from robustpac.core import (
     robust_loss,
 )
 from robustpac.dimensions import _slot_table, _structural_bound, restriction_count
-from robustpac.learner import _sample_entry, inflate, learn_realizable_report
+from robustpac.learner import _first_dead_example, inflate, learn_realizable_report
 from robustpac.oracles import rerm
 from robustpac.prng import rng_stream
 
@@ -117,8 +117,9 @@ def test_oracle_and_learner_reads_match_the_per_ball_scan(case):
         if not alive:
             expected = i
             break
-    dead = _sample_entry(family, sample, perturbations).dead  # a distinct example; its first position
-    assert (dead if dead is None else sample.distinct.positions[dead][0]) == expected
+    distinct = sample.distinct  # the check names a distinct example; its first position is the answer
+    dead = _first_dead_example(family.robust_table(perturbations).loss_at(distinct.points, distinct.labels))
+    assert (dead if dead is None else distinct.positions[dead][0]) == expected
 
 
 @settings(max_examples=150, deadline=None)
