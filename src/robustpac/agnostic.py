@@ -69,7 +69,7 @@ def _maximal_core(family: HypothesisFamily, sample: Sample, perturbations: Pertu
     """
     distinct = sample.distinct
     loss = family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
-    best = int(np.argmax(~loss @ np.array([len(run) for run in distinct.positions])))
+    best = int(np.argmax(~loss @ distinct.counts))
     return loss, np.flatnonzero(~loss[best]).tolist()
 
 

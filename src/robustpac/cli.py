@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -226,9 +227,9 @@ def _cmd_separation(args: argparse.Namespace) -> int:
         _write_json(args.out, {"proper": proper.to_dict(), "improper": improper.to_dict()})
     elif args.out is not None:
         # one CSV per arm: sep.csv becomes sep_proper.csv and sep_improper.csv
-        stem, dot, ext = args.out.rpartition(".")
+        stem, ext = os.path.splitext(args.out)
         for arm, report in (("proper", proper), ("improper", improper)):
-            _write(f"{stem}_{arm}.{ext}" if dot else f"{args.out}_{arm}", report.to_csv())
+            _write(f"{stem}_{arm}{ext}", report.to_csv())
     return 0
 
 
@@ -255,7 +256,6 @@ def _cmd_k_scaling(args: argparse.Namespace) -> int:
         m=args.m,
         trials=args.trials,
         seed=args.seed,
-        instance_source=f"group-adversary(groups={args.groups})",
     )
     table = run_bounded_k_scaling(args.k_list, config, groups=args.groups)
     for row in table.rows:

@@ -425,23 +425,28 @@ class DistinctExamples(NamedTuple):
     """A sample's distinct examples in first-appearance order.
 
     `positions[s]` lists, ascending, the sample positions holding distinct
-    example s, so `positions[s][0]` is where it first appears; `points`
-    (intp) and `labels` (int8) are the distinct examples' columns.
+    example s, so `positions[s][0]` is where it first appears and `counts[s]`
+    is how often it occurs; `points` (intp) and `labels` (int8) are the
+    distinct examples' columns.
     """
 
     positions: tuple[tuple[int, ...], ...]
     points: np.ndarray
     labels: np.ndarray
 
+    @property
+    def counts(self) -> list[int]:
+        """The multiplicity of each distinct example in the sample."""
+        return [len(run) for run in self.positions]
+
 
 @dataclass(frozen=True)
 class Sample:
     """An ordered sequence of labeled examples; repeats allowed and counted.
 
-    Two views are built on first use and kept: `points()` / `labels()`, the
-    examples as intp and int8 columns, and `distinct`, the distinct examples
-    with their positions, which every learner stage that treats repeats
-    alike reads instead of grouping the examples again.
+    Its one derived view, `distinct`, is built on first use and kept: the
+    distinct examples with their positions, through which every scorer and
+    learner stage reads the sample, weighting each by its multiplicity.
     """
 
     examples: tuple[LabeledExample, ...]
@@ -462,42 +467,17 @@ class Sample:
     def __iter__(self) -> Iterator[LabeledExample]:
         return iter(self.examples)
 
-    def points(self) -> np.ndarray:
-        return self._columns[0]
-
-    def labels(self) -> np.ndarray:
-        return self._columns[1]
-
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        points = np.asarray([e.point for e in self.examples], dtype=np.intp)
-        labels = np.asarray([e.label for e in self.examples], dtype=np.int8)
-        return _read_only(points), _read_only(labels)
-
     @cached_property
     def distinct(self) -> DistinctExamples:
         """The distinct examples in first-appearance order, with their positions."""
-        points, labels = self._columns
-        # one int per example, 2 * point + [label = +1]: equal keys, equal examples
-        keys = (points.astype(np.uint64) << 1 | (labels == 1)).tolist()
-        positions: dict[int, list[int]] = {}
-        for i, key in enumerate(keys):
-            positions.setdefault(key, []).append(i)
-        firsts = [run[0] for run in positions.values()]
+        positions: dict[tuple[int, int], list[int]] = {}
+        for i, e in enumerate(self.examples):
+            positions.setdefault((e.point, e.label), []).append(i)
         return DistinctExamples(
             tuple(map(tuple, positions.values())),
-            _read_only(points[firsts]),
-            _read_only(labels[firsts]),
+            _read_only(np.array([point for point, _ in positions], dtype=np.intp)),
+            _read_only(np.array([label for _, label in positions], dtype=np.int8)),
         )
-
-
-def _sample_with_columns(
-    examples: tuple[LabeledExample, ...], points: np.ndarray, labels: np.ndarray
-) -> Sample:
-    """A Sample of the examples that keeps the given arrays, their points and labels, as columns."""
-    sample = Sample(examples)
-    sample.__dict__["_columns"] = (_read_only(points), _read_only(labels))
-    return sample
 
 
 @dataclass(frozen=True)
@@ -721,12 +701,15 @@ def empirical_robust_risk(
 ) -> Fraction:
     """Mean robust loss over the sample, counting repeats with multiplicity.
 
-    Under `PerturbationMap.identity(n)` this is the standard empirical error.
+    Only the distinct examples' balls are gathered; each loss is weighted by
+    the example's count.  Under `PerturbationMap.identity(n)` this is the
+    standard empirical error.
     """
     if len(sample) == 0:
         raise ContractError("empirical robust risk requires a nonempty sample")
-    balls = perturbations.balls(sample.points())
-    mistakes = int(_robust_losses(predictor, perturbations, balls, sample.labels()).sum())
+    distinct = sample.distinct
+    balls = perturbations.balls(distinct.points)
+    mistakes = int(_robust_losses(predictor, perturbations, balls, distinct.labels) @ distinct.counts)
     return Fraction(mistakes, len(sample))
 
 

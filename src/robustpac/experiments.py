@@ -136,7 +136,7 @@ def run_separation_experiment(
     def one_trial(rng: np.random.Generator) -> tuple:
         dist = dists[int(rng.integers(len(dists)))]
         drawn = _atom_draws(dist, config.m, rng)
-        proper_pick, _ = _lowest_minimizer(dist._atom_losses(family, perturbations)[:, drawn])
+        proper_pick, _ = _lowest_minimizer(dist._atom_losses(family, perturbations)[:, drawn].sum(axis=1))
         proper_risk = dist._member_risks(family, perturbations)[proper_pick]
         improper_sample = draw_sample(dist, config.improper_budget, rng)
         report = learn_realizable_report(family, improper_sample, perturbations, learner_config, rng=rng)

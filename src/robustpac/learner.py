@@ -228,7 +228,7 @@ def build_candidates(
     n = _checked_int("subset size n", n, 1, len(sample))
     distinct = sample.distinct
     mistakes = family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
-    members, vectors = _enumerated_candidates(mistakes, [len(run) for run in distinct.positions], n)
+    members, vectors = _enumerated_candidates(mistakes, distinct.counts, n)
     return CandidateSet(members, tuple(_indices(distinct.positions, v) for v in vectors), n)
 
 

@@ -27,16 +27,20 @@ class OracleResult:
 
 
 def rerm(family: HypothesisFamily, sample: Sample, perturbations: PerturbationMap) -> OracleResult:
-    """Robust ERM: the lowest-index member minimizing empirical robust risk."""
+    """Robust ERM: the lowest-index member minimizing empirical robust risk.
+
+    Each member's mistakes are its losses on the sample's distinct examples
+    weighted by their counts.
+    """
     if len(sample) == 0:
         raise ContractError("RERM requires a nonempty sample")
-    losses = family.robust_table(perturbations).loss_at(sample.points(), sample.labels())
-    index, count = _lowest_minimizer(losses)
+    distinct = sample.distinct
+    losses = family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
+    index, count = _lowest_minimizer(losses @ distinct.counts)
     return OracleResult(index, Fraction(count, len(sample)))
 
 
-def _lowest_minimizer(losses: np.ndarray) -> tuple[int, int]:
-    """The lowest row index of a (members, examples) loss table minimizing its row sum, and that sum."""
-    counts = losses.sum(axis=1)
-    index = int(np.argmin(counts))
-    return index, int(counts[index])
+def _lowest_minimizer(mistakes: np.ndarray) -> tuple[int, int]:
+    """The lowest member index with the fewest of the given per-member mistakes, and that count."""
+    index = int(np.argmin(mistakes))
+    return index, int(mistakes[index])

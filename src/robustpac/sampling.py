@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteDistribution, Sample, _checked_int, _sample_with_columns
+from .core import FiniteDistribution, Sample, _checked_int
 from .prng import rng_stream
 
 __all__ = ["sample_iid", "draw_sample"]
@@ -25,15 +25,12 @@ def _atom_draws(dist: FiniteDistribution, m: int, rng: np.random.Generator) -> n
 def draw_sample(dist: FiniteDistribution, m: int, rng: np.random.Generator) -> Sample:
     """m inverse-CDF draws from an already-positioned generator.
 
-    Takes exactly one `rng.random(m)` call, through `_atom_draws`.  The
-    drawn indices pick from the distribution's cached support columns, and
-    the sample keeps the picked points and labels as its own columns.
+    Takes exactly one `rng.random(m)` call, through `_atom_draws`; the
+    drawn indices pick the sample's examples from the distribution's atoms.
     """
     m = _checked_int("sample size m", m, 1)
-    points, labels, _ = dist._columns
-    idx = _atom_draws(dist, m, rng)
     atoms = dist.atoms
-    return _sample_with_columns(tuple(atoms[i][0] for i in idx.tolist()), points[idx], labels[idx])
+    return Sample(tuple(atoms[i][0] for i in _atom_draws(dist, m, rng).tolist()))
 
 
 def sample_iid(dist: FiniteDistribution, m: int, seed: int, stream: int = 0) -> Sample:

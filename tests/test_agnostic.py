@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from robustpac import agnostic
 from robustpac.agnostic import (
     agnostic_bound,
     agnostic_round_count,
@@ -25,7 +26,7 @@ from robustpac.core import (
 )
 from robustpac.constructions import make_agnostic_lower_bound, make_proper_failure
 from robustpac.dimensions import vc
-from robustpac.learner import LearnerConfig, WeakLearnerFailure
+from robustpac.learner import BoostResult, LearnerConfig, WeakLearnerFailure
 from robustpac.oracles import rerm
 from robustpac.prng import rng_stream
 from robustpac.sampling import draw_sample
@@ -88,6 +89,15 @@ def test_agnostic_grows_n_when_the_best_candidate_errs_on_a_third():
     predictor = learn_agnostic(family, sample, perturbations, LearnerConfig(n_initial=1))
     assert set(predictor.provenance) == {(0, 1, 2)}
     assert empirical_robust_risk(predictor, sample, perturbations) == 0
+
+
+def test_agnostic_refuses_a_vote_whose_margin_is_not_above_one_half(monkeypatch):
+    # no shipped input ends boosting at margin 1/2 or below, so a stubbed boost does; the learner refuses it
+    monkeypatch.setattr(agnostic, "alpha_boost", lambda *args, **kwargs: BoostResult((0,), Fraction(1, 2)))
+    family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, 1, 1)])
+    sample = Sample.from_pairs([(0, 1), (1, 1), (2, 1)])
+    with pytest.raises(RuntimeError, match=r"^agnostic boosting ended with margin 1/2 <= 1/2 on the core$"):
+        learn_agnostic(family, sample, PerturbationMap.identity(3), LearnerConfig(n_initial=1))
 
 
 def test_agnostic_empty_core_returns_flagged_constant():

@@ -179,6 +179,38 @@ def test_experiment_csv_outputs(tmp_path):
     assert len(proper) == 6
 
 
+@pytest.mark.parametrize(
+    "out, proper, improper",
+    [
+        ("sep.csv", "sep_proper.csv", "sep_improper.csv"),
+        ("sep", "sep_proper", "sep_improper"),
+        ("./sep", "./sep_proper", "./sep_improper"),
+        ("res.v2/sep", "res.v2/sep_proper", "res.v2/sep_improper"),
+        (".hidden", ".hidden_proper", ".hidden_improper"),
+    ],
+    ids=["sep.csv", "sep", "./sep", "res.v2/sep", ".hidden"],
+)
+def test_separation_csv_names_one_file_per_arm_by_the_last_extension(tmp_path, monkeypatch, out, proper, improper):
+    # only an extension of the file name moves: dots in a directory or a leading dot stay in the stem
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "res.v2").mkdir()
+    args = ["experiment", "separation", "--trials", "2", "--budget", "8", "--format", "csv", "--out", out]
+    assert main(args) == 0
+    for path in (proper, improper):
+        assert (tmp_path / path).read_text().splitlines()[0] == "trial,risk,failed"
+    written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == {str(Path(proper)), str(Path(improper))}
+
+
+def test_experiment_bound_check_csv(tmp_path):
+    out_path = tmp_path / "bc.csv"
+    args = ["experiment", "bound-check", "--trials", "4", "--seed", "5", "--format", "csv", "--out", str(out_path)]
+    assert main(args) == 0
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "trial,risk,failed"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3"]
+
+
 def test_experiment_k_scaling_csv(tmp_path):
     out_path = str(tmp_path / "scaling.csv")
     args = [

@@ -250,9 +250,9 @@ def test_discretize_keeps_each_patterns_first_column_past_64_candidates():
 
 
 def _identity_wrong(family: HypothesisFamily, pairs: list[tuple[int, int]]) -> np.ndarray:
-    sample = Sample.from_pairs(pairs)
-    table = family.robust_table(PerturbationMap.identity(family.space_size))
-    return table.loss_at(sample.points(), sample.labels())
+    points = np.array([point for point, _ in pairs], dtype=np.intp)
+    labels = np.array([label for _, label in pairs], dtype=np.int8)
+    return family.robust_table(PerturbationMap.identity(family.space_size)).loss_at(points, labels)
 
 
 def test_weak_learn_picks_the_perfect_candidate():
