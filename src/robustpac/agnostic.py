@@ -34,6 +34,7 @@ from .core import (
     _checked_int,
 )
 from .learner import BoostResult, LearnerConfig, _boost_growing_n, _enumerated_candidates, _vote, alpha_boost
+from .oracles import _lowest_minimizer
 
 __all__ = [
     "max_realizable_subsequence",
@@ -51,9 +52,9 @@ def max_realizable_subsequence(
     """Indices of the largest subsequence on which the robust loss can be zero.
 
     A set of examples is realizable iff a single member robustly covers all
-    of them, so the maximal core is the largest per-member coverage set
-    (lowest member index on ties), returned in sample order.  No strictly
-    larger subsequence admits a member with zero empirical robust risk.
+    of them, so the maximal core is the largest per-member coverage set, the
+    one of robust ERM's pick (`rerm`'s tie rule), in sample order.  No
+    strictly larger subsequence admits a member with zero empirical robust risk.
     """
     if len(sample) == 0:
         raise ContractError("core extraction requires a nonempty sample")
@@ -64,12 +65,12 @@ def max_realizable_subsequence(
 def _maximal_core(family: HypothesisFamily, sample: Sample, perturbations: PerturbationMap) -> tuple[np.ndarray, list]:
     """The (members, distinct examples) robust loss over `sample.distinct`, and the core's distinct examples.
 
-    A member covers every copy of an example it covers, so `~loss @ counts`
-    counts each member's coverage; the core is the first widest one's.
+    A member covers every copy of an example it covers, so the member with
+    the fewest mistakes `loss @ counts`, `rerm`'s pick, covers the most.
     """
     distinct = sample.distinct
     loss = family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
-    best = int(np.argmax(~loss @ distinct.counts))
+    best, _ = _lowest_minimizer(loss @ distinct.counts)
     return loss, np.flatnonzero(~loss[best]).tolist()
 
 

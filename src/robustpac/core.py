@@ -159,7 +159,7 @@ class PerturbationMap:
     @classmethod
     def identity(cls, size: int) -> "PerturbationMap":
         """U(x) = {x}: the adversary that cannot move anything."""
-        return cls(tuple((x,) for x in range(size)))
+        return cls(tuple((x,) for x in range(_checked_int("size", size, 1))))
 
     @property
     def size(self) -> int:
@@ -541,32 +541,23 @@ class FiniteDistribution:
 
         return _kept(self, "_support_gather", (perturbations,), build)
 
-    def _atom_losses(self, family: HypothesisFamily, perturbations: PerturbationMap) -> np.ndarray:
-        """(members, atoms) bool: the family's robust loss on each atom, in atom order.
+    def _member_table(
+        self, family: HypothesisFamily, perturbations: PerturbationMap
+    ) -> tuple[np.ndarray, tuple[Fraction, ...]]:
+        """(losses, risks): the read-only (members, atoms) robust loss table, and each member's exact risk.
 
-        One `loss_at` over the support columns, read-only; kept for the last
-        (family, map) asked for.  Column i is the loss on atom i, so the
-        columns of drawn atom indices are the losses on the drawn sample.
+        `losses` is one `loss_at` over the support columns in atom order, so
+        the columns of drawn atom indices are the losses on the drawn sample.
+        `risks[i]`, the `_lost_weight` of row i, is `population_robust_risk`
+        of member i.  Both are kept in one slot for the last (family, map).
         """
 
-        def build() -> np.ndarray:
+        def build() -> tuple[np.ndarray, tuple[Fraction, ...]]:
             points, labels, _ = self._columns
-            return _read_only(family.robust_table(perturbations).loss_at(points, labels))
+            losses = _read_only(family.robust_table(perturbations).loss_at(points, labels))
+            return losses, tuple(_lost_weight(self, row) for row in losses.tolist())
 
-        return _kept(self, "_atom_loss", (family, perturbations), build)
-
-    def _member_risks(self, family: HypothesisFamily, perturbations: PerturbationMap) -> tuple[Fraction, ...]:
-        """`population_robust_risk(family[i], self, perturbations)` for every member i.
-
-        Row i of `_atom_losses` flags the atoms member i loses, and its lost
-        weight is summed by `_lost_weight`, as `population_robust_risk` sums
-        it.  The risks for the last (family, map) asked for are kept.
-        """
-
-        def build() -> tuple[Fraction, ...]:
-            return tuple(_lost_weight(self, row) for row in self._atom_losses(family, perturbations).tolist())
-
-        return _kept(self, "_member_risk", (family, perturbations), build)
+        return _kept(self, "_member_scores", (family, perturbations), build)
 
 
 _Kept = TypeVar("_Kept")

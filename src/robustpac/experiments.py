@@ -122,8 +122,8 @@ def run_separation_experiment(
     either: it draws the m atom indices as `draw_sample` does
     (`sampling._atom_draws`, the same one `rng.random(m)` call), sums those
     columns of the distribution's kept (members, atoms) loss table, takes
-    `rerm`'s lowest-index minimizer (`oracles._lowest_minimizer`) and looks
-    its risk up among the distribution's kept member risks.
+    `rerm`'s lowest-index minimizer (`oracles._lowest_minimizer`) and reads
+    its risk from the risks kept with it (`FiniteDistribution._member_table`).
     """
     if not instance.distributions:
         raise ContractError("separation experiment needs an instance with distributions")
@@ -136,8 +136,8 @@ def run_separation_experiment(
     def one_trial(rng: np.random.Generator) -> tuple:
         dist = dists[int(rng.integers(len(dists)))]
         drawn = _atom_draws(dist, config.m, rng)
-        proper_pick, _ = _lowest_minimizer(dist._atom_losses(family, perturbations)[:, drawn].sum(axis=1))
-        proper_risk = dist._member_risks(family, perturbations)[proper_pick]
+        losses, risks = dist._member_table(family, perturbations)
+        proper_risk = risks[_lowest_minimizer(losses[:, drawn].sum(axis=1))[0]]
         improper_sample = draw_sample(dist, config.improper_budget, rng)
         report = learn_realizable_report(family, improper_sample, perturbations, learner_config, rng=rng)
         improper_risk = population_robust_risk(report.predictor, dist, perturbations)

@@ -1,11 +1,11 @@
 """Exhaustive robust empirical risk minimization over finite hypothesis families.
 
 The oracle is an exact scan: every member of the family is evaluated and the
-lowest-index minimizer is returned (`_lowest_minimizer`, which the
-separation experiment's proper arm also calls).  No heuristics; the
-learner's guarantees assume an exact RERM.  Standard ERM is `rerm` under
-`PerturbationMap.identity(n)`, and a robustly consistent member exists
-exactly when the result has risk 0.
+lowest-index minimizer is returned (`_lowest_minimizer`, RERM's one tie
+rule, which the separation experiment's proper arm and the agnostic
+reduction's core also call).  No heuristics; the learner's guarantees assume
+an exact RERM.  Standard ERM is `rerm` under `PerturbationMap.identity(n)`,
+and a robustly consistent member exists exactly when the result has risk 0.
 """
 
 from __future__ import annotations

@@ -262,7 +262,7 @@ def loads_instance(text: str) -> ConstructedInstance:
     """Parse one instance document; malformed JSON and wrong-typed fields raise StructuralError."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer past int's digit limit, or too deep
         raise StructuralError(f"instance document is not valid JSON: {exc}") from exc
     try:
         return instance_from_dict(doc)
@@ -282,4 +282,8 @@ def save_instance(instance: ConstructedInstance, path: str) -> None:
 
 def load_instance(path: str) -> ConstructedInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise StructuralError(f"instance document is not valid UTF-8: {exc}") from exc
+    return loads_instance(text)

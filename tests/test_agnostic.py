@@ -51,6 +51,7 @@ def test_core_is_the_best_member_coverage():
         best = max(len(c) for c in coverages)
         assert len(core) == best
         assert list(core) in coverages
+        assert list(core) == coverages[rerm(family, sample, perturbations).hypothesis_index]  # rerm's tie rule
         # the kept subsequence really is realizable
         if core:
             kept = Sample(tuple(sample[j] for j in core))

@@ -144,6 +144,7 @@ SITES = {
     "InstanceSpace": (InstanceSpace, 2, 0, "size", StructuralError),
     "Hypothesis.constant": (lambda v: Hypothesis.constant(v, 1), 2, 0, "size", ContractError),
     "HypothesisFamily.full_cube": (HypothesisFamily.full_cube, 2, 0, "size", ContractError),
+    "PerturbationMap.identity": (PerturbationMap.identity, 2, 0, "size", ContractError),
 }
 
 

@@ -430,3 +430,21 @@ def test_oversized_numbers_in_an_instance_exit_two_at_once(tmp_path, capsys, tex
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{", "error: instance document is not valid UTF-8"),
+        (b"[" * 100000, "error: instance document is not valid JSON"),
+    ],
+    ids=["not-utf8", "too-deep"],
+)
+def test_an_unreadable_instance_file_exits_two(tmp_path, capsys, content, message):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    capsys.readouterr()
+    assert main(["dims", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err

@@ -474,34 +474,35 @@ def _dyadic_weighted(dist: FiniteDistribution, seed: int) -> FiniteDistribution:
     [make_proper_failure(1), make_proper_failure(2), make_proper_failure(3), make_union_truncation([1, 2])],
     ids=["pf1", "pf2", "pf3", "union-1-2"],
 )
-def test_member_risks_equal_population_risk_of_every_member(instance):
+def test_member_table_risks_equal_population_risk_of_every_member(instance):
     family, perturbations = instance.family, instance.perturbations
     dists = list(instance.distributions) + [_dyadic_weighted(instance.distributions[0], len(family))]
     for dist in dists:
-        risks = dist._member_risks(family, perturbations)
+        table, risks = dist._member_table(family, perturbations)
         assert len(risks) == len(family)
         for h, risk in zip(family, risks):
             assert _same_risk(risk, population_robust_risk(h, dist, perturbations))
-        assert dist._member_risks(family, perturbations) is risks  # kept
+        again_table, again_risks = dist._member_table(family, perturbations)
+        assert again_table is table and again_risks is risks  # kept
 
 
-def test_member_risks_follow_the_family_and_map_they_are_asked_for():
+def test_member_table_follows_the_family_and_map_it_is_asked_for():
     inst = make_proper_failure(2)
     family, u = inst.family, inst.perturbations
     reversed_family = HypothesisFamily(family.matrix[::-1])
     identity = PerturbationMap.identity(family.space_size)
     for dist in (inst.distributions[3], _dyadic_weighted(inst.distributions[3], 5)):
-        # each new (family, map) replaces the kept risks; an equal family or map built anew reads them
+        # each new (family, map) replaces the kept table; an equal family or map built anew reads it
         for f, v in [
             (family, u), (reversed_family, u), (family, identity), (family, u),
             (HypothesisFamily(family.matrix, name=family.name), PerturbationMap(u.sets)),
         ]:
-            risks = dist._member_risks(f, v)
+            _, risks = dist._member_table(f, v)
             assert all(_same_risk(r, population_robust_risk(h, dist, v)) for h, r in zip(f, risks))
-        assert dist._member_risks(reversed_family, u) != dist._member_risks(family, u)
+        assert dist._member_table(reversed_family, u)[1] != dist._member_table(family, u)[1]
 
 
-def test_atom_losses_are_the_one_read_only_table_the_member_risks_sum(monkeypatch):
+def test_member_table_is_one_read_only_loss_table_and_the_risks_its_rows_sum(monkeypatch):
     inst = make_proper_failure(2)
     family, u = inst.family, inst.perturbations
     reversed_family = HypothesisFamily(family.matrix[::-1])
@@ -517,19 +518,14 @@ def test_atom_losses_are_the_one_read_only_table_the_member_risks_sum(monkeypatc
     dist = FiniteDistribution(inst.distributions[3].atoms)  # a fresh distribution keeps nothing yet
     points, labels, _ = dist._columns
     tables = []
-    # each new (family, map) replaces the kept table; asked in either order, the
-    # table and the risks summed from it cost one loss_at between them
-    for f, v, risks_first in [
-        (family, u, True), (reversed_family, u, False), (family, identity, True), (family, u, False),
-    ]:
+    # each new (family, map) replaces the kept table; the table and the risks
+    # summed from it cost one loss_at between them, and a repeat costs none
+    for f, v in [(family, u), (reversed_family, u), (family, identity), (family, u)]:
         before = len(calls)
-        if risks_first:
-            risks = dist._member_risks(f, v)
-        table = dist._atom_losses(f, v)
-        if not risks_first:
-            risks = dist._member_risks(f, v)
+        table, risks = dist._member_table(f, v)
         assert len(calls) == before + 1
-        assert dist._atom_losses(f, v) is table and dist._member_risks(f, v) is risks
+        again_table, again_risks = dist._member_table(f, v)
+        assert again_table is table and again_risks is risks
         assert len(calls) == before + 1
         assert not table.flags.writeable
         with pytest.raises(ValueError):

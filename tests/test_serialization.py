@@ -508,6 +508,11 @@ def test_over_long_json_integer_is_a_structural_error():
     assert time.perf_counter() - start < 1
 
 
+def test_too_deeply_nested_json_is_a_structural_error():
+    with pytest.raises(StructuralError, match="instance document is not valid JSON"):
+        loads_instance("[" * 100000)
+
+
 @pytest.mark.parametrize("anchors", [[0, 1], {"a": 5}, {"a": "01"}, None])
 def test_wrong_shaped_anchors_are_structural_errors(anchors):
     with pytest.raises(StructuralError, match="anchors that are not named point lists"):
