@@ -31,6 +31,7 @@ from .core import (
     MajorityVotePredictor,
     PerturbationMap,
     Sample,
+    _checked_delta,
     _checked_int,
 )
 from .learner import BoostResult, LearnerConfig, _boost_growing_n, _enumerated_candidates, _vote, alpha_boost
@@ -56,8 +57,6 @@ def max_realizable_subsequence(
     one of robust ERM's pick (`rerm`'s tie rule), in sample order.  No
     strictly larger subsequence admits a member with zero empirical robust risk.
     """
-    if len(sample) == 0:
-        raise ContractError("core extraction requires a nonempty sample")
     runs = sample.distinct.positions
     return tuple(sorted(j for s in _maximal_core(family, sample, perturbations)[1] for j in runs[s]))
 
@@ -104,8 +103,6 @@ def learn_agnostic(
     config = config or LearnerConfig()
     if config.N_sparsify is not None:
         raise ContractError("learn_agnostic does not use N_sparsify; leave it unset")
-    if len(sample) == 0:
-        raise ContractError("agnostic learning requires a nonempty sample")
     loss, core = _maximal_core(family, sample, perturbations)
     if not core:
         return MajorityVotePredictor(
@@ -139,8 +136,7 @@ def agnostic_bound(sc_re: int, m: int, delta: float) -> float:
     """
     sc_re = _checked_int("sc_re", sc_re, 1)
     m = _checked_int("m", m, 1, message=f"agnostic bound requires an integer m >= 1, got m={m}")
-    if not 0 < delta < 1:
-        raise ContractError(f"delta must lie in (0, 1), got {delta}")
+    _checked_delta(delta)
     t_m = 1.0 + 48.0 * math.log(m)
     if m < 2 * sc_re * t_m:
         raise ContractError(

@@ -9,6 +9,7 @@ empirical risks and population risks are all `fractions.Fraction`.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +93,14 @@ def _checked_int(name: str, value: object, low: int, high: int | None = None, me
     if high is not None and value > high:
         raise ContractError(message or f"{name}={value} exceeds the cap {high}")
     return value
+
+
+def _checked_delta(delta: object) -> None:
+    """Raise a ContractError unless `delta` is a real number in the open interval (0, 1)."""
+    if not isinstance(delta, numbers.Real):
+        raise ContractError(f"delta must be a real number, got {delta!r}")
+    if not 0 < delta < 1:
+        raise ContractError(f"delta must lie in (0, 1), got {delta}")
 
 
 _PROBABILITY = re.compile(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+")
@@ -442,7 +451,7 @@ class DistinctExamples(NamedTuple):
 
 @dataclass(frozen=True)
 class Sample:
-    """An ordered sequence of labeled examples; repeats allowed and counted.
+    """An ordered sequence of at least one labeled example; repeats allowed and counted.
 
     Its one derived view, `distinct`, is built on first use and kept: the
     distinct examples with their positions, through which every scorer and
@@ -453,6 +462,8 @@ class Sample:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "examples", tuple(self.examples))
+        if not self.examples:
+            raise StructuralError("sample must have at least one example")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Sample":
@@ -696,8 +707,6 @@ def empirical_robust_risk(
     the example's count.  Under `PerturbationMap.identity(n)` this is the
     standard empirical error.
     """
-    if len(sample) == 0:
-        raise ContractError("empirical robust risk requires a nonempty sample")
     distinct = sample.distinct
     balls = perturbations.balls(distinct.points)
     mistakes = int(_robust_losses(predictor, perturbations, balls, distinct.labels) @ distinct.counts)

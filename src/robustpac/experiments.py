@@ -29,6 +29,7 @@ from .core import (
     InstanceSpace,
     LabeledExample,
     PerturbationMap,
+    _checked_delta,
     _checked_distribution,
     _checked_int,
     _exact_sum,
@@ -78,8 +79,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("m", "trials", "improper_budget"):
             object.__setattr__(self, name, _checked_int(name, getattr(self, name), 1))
-        if not 0 < self.delta < 1:
-            raise ContractError(f"delta must lie in (0, 1), got {self.delta}")
+        _checked_delta(self.delta)
 
     def echo(self, **read) -> dict:
         return {

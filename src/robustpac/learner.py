@@ -55,9 +55,11 @@ from .core import (
     MajorityVotePredictor,
     PerturbationMap,
     Sample,
+    _checked_delta,
     _checked_int,
     _column_masks,
     _kept,
+    _read_only,
     empirical_robust_risk,
 )
 from .dimensions import dual_vc, vc
@@ -324,18 +326,13 @@ def inflate(sample: Sample, perturbations: PerturbationMap) -> tuple[np.ndarray,
     sets; a point reachable from several examples takes the label of the
     earliest one.
     """
-    if len(sample) == 0:
-        raise ContractError("inflation requires a nonempty sample")
     # a repeat reaches the same points as its first appearance, so the
     # distinct examples, in first-appearance order, own exactly what the sample owns
     distinct = sample.distinct
     reach, begins = perturbations.balls(distinct.points)
     points, first = np.unique(reach, return_index=True)  # first occurrence = min-index owner
     owner = np.searchsorted(begins, first, side="right") - 1  # the ball holding each first occurrence
-    labels = distinct.labels[owner]
-    points.setflags(write=False)
-    labels.setflags(write=False)
-    return points, labels
+    return _read_only(points), _read_only(distinct.labels[owner])
 
 
 def discretize(inflated: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> DiscretizedSet:
@@ -354,9 +351,7 @@ def discretize(inflated: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> Dis
     wrong = rows[:, points] != labels
     first: dict[int, int] = {}  # mask -> its first column; kept in column order, so ascending
     keep = [j for j, mask in enumerate(_column_masks(wrong)) if first.setdefault(mask, j) == j]
-    wrong = wrong[:, keep]
-    wrong.setflags(write=False)
-    return DiscretizedSet(points[keep], labels[keep], wrong)
+    return DiscretizedSet(points[keep], labels[keep], _read_only(wrong[:, keep]))
 
 
 def weak_learn(wrong: np.ndarray, dist: np.ndarray) -> tuple[int, np.ndarray]:
@@ -643,8 +638,6 @@ def learn_realizable_report(
     overrides the cached default without replacing it.
     """
     config = config or LearnerConfig()
-    if len(sample) == 0:
-        raise ContractError("learning requires a nonempty sample")
     slot, key, distinct = _stage_slot(family, perturbations), _sample_key(sample), sample.distinct
     runs = distinct.positions
     built: list = []  # the mistake matrix and inflation, made on this call's first miss
@@ -707,6 +700,5 @@ def compression_bound(k: int, m: int, delta: float) -> float:
     """Generalization bound (k ln m + ln(1/delta)) / (m - k) for size-k compressions."""
     k = _checked_int("k", k, 1)
     m = _checked_int("m", m, k + 1, message=f"compression bound requires integers m > k >= 1, got k={k}, m={m}")
-    if not 0 < delta < 1:
-        raise ContractError(f"delta must lie in (0, 1), got {delta}")
+    _checked_delta(delta)
     return (k * math.log(m) + math.log(1.0 / delta)) / (m - k)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ContractError, HypothesisFamily, PerturbationMap, Sample
+from .core import HypothesisFamily, PerturbationMap, Sample
 
 __all__ = ["OracleResult", "rerm"]
 
@@ -32,8 +32,6 @@ def rerm(family: HypothesisFamily, sample: Sample, perturbations: PerturbationMa
     Each member's mistakes are its losses on the sample's distinct examples
     weighted by their counts.
     """
-    if len(sample) == 0:
-        raise ContractError("RERM requires a nonempty sample")
     distinct = sample.distinct
     losses = family.robust_table(perturbations).loss_at(distinct.points, distinct.labels)
     index, count = _lowest_minimizer(losses @ distinct.counts)

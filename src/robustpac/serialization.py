@@ -211,6 +211,9 @@ def instance_from_dict(doc: dict[str, Any]) -> ConstructedInstance:
                 f"instance document has anchor {outside[0]} outside instance space "
                 f"of size {space.size}"
             )
+        metadata = doc.get("metadata", {})
+        if type(metadata) is not dict:
+            raise StructuralError(f"instance document has metadata that is not an object: {metadata!r}")
     except KeyError as exc:
         raise StructuralError(f"instance document is missing key {exc}") from exc
     return ConstructedInstance(
@@ -219,7 +222,7 @@ def instance_from_dict(doc: dict[str, Any]) -> ConstructedInstance:
         family=family,
         anchors=anchors,
         distributions=distributions,
-        metadata=doc.get("metadata", {}),
+        metadata=metadata,
     )
 
 

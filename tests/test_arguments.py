@@ -4,19 +4,22 @@ An integer argument is a Python int or a numpy integer, never a bool.  A
 float, a bool or an integer out of range is refused with a message naming
 the parameter: `ContractError` for function arguments, `StructuralError`
 for the data types that instance documents also build.  A second table
-holds the empty inputs (samples, lists, atoms, trials) each function
-refuses, with its exact message.
+holds the empty inputs (candidates, voters, lists, atoms, trials) each
+function refuses, with its exact message; an empty `Sample` cannot be built
+(`tests/test_core.py`).  Every delta goes through one check, tested at its
+three sites.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from robustpac import experiments, sampling
-from robustpac.agnostic import agnostic_bound, agnostic_round_count, learn_agnostic, max_realizable_subsequence
+from robustpac.agnostic import agnostic_bound, agnostic_round_count
 from robustpac.cli import main
 from robustpac.constructions import (
     make_agnostic_lower_bound,
@@ -61,7 +64,6 @@ from robustpac.learner import (
     default_round_cap,
     discretize,
     inflate,
-    learn_realizable_report,
     sparsify,
 )
 from robustpac.prng import rng_stream
@@ -185,10 +187,40 @@ def test_perturbation_members_are_canonical_python_ints():
     assert all(type(z) is int for s in pm.sets for z in s)
 
 
-@pytest.mark.parametrize("delta", [0, 1, 1.5, -0.5, float("nan")])
+DELTAS = [0, 1, 1.5, -0.5, float("nan"), True, "0.05", None]
+
+
+def _delta_refusal(delta) -> str:
+    """The whole message of the one delta check: a number outside (0, 1) as it is, any other value by its repr."""
+    if isinstance(delta, (int, float)):
+        return rf"^delta must lie in \(0, 1\), got {re.escape(str(delta))}$"
+    return rf"^delta must be a real number, got {re.escape(repr(delta))}$"
+
+
+@pytest.mark.parametrize("delta", DELTAS)
 def test_experiment_config_refuses_delta_outside_the_open_unit_interval(delta):
-    with pytest.raises(ContractError, match=rf"^delta must lie in \(0, 1\), got {delta}$"):
+    with pytest.raises(ContractError, match=_delta_refusal(delta)):
         ExperimentConfig(m=2, trials=1, delta=delta)
+
+
+BOUNDS = {
+    "compression_bound": lambda delta: compression_bound(3, 50, delta),
+    "agnostic_bound": lambda delta: agnostic_bound(1, 10**6, delta),
+}
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("delta", DELTAS)
+def test_the_bounds_refuse_delta_outside_the_open_unit_interval(bound, delta):
+    with pytest.raises(ContractError, match=_delta_refusal(delta)):
+        BOUNDS[bound](delta)
+
+
+def test_every_delta_site_takes_a_real_number_in_the_open_unit_interval():
+    for delta in (0.05, Fraction(1, 20), np.float64(0.05)):
+        ExperimentConfig(m=2, trials=1, delta=delta)
+        assert compression_bound(3, 50, delta) == compression_bound(3, 50, 0.05)
+        assert agnostic_bound(1, 10**6, delta) == agnostic_bound(1, 10**6, 0.05)
 
 
 def test_experiment_config_holds_python_ints():
@@ -238,23 +270,8 @@ def test_a_sample_too_large_to_allocate_exits_2(monkeypatch, capsys, tmp_path, a
     assert capsys.readouterr().err == "error: Unable to allocate 1000000000000 draws\n"
 
 
-NO_EXAMPLES = Sample(())
-
 # id: (the call, its error, its whole message)
 EMPTY_INPUTS = {
-    "max_realizable_subsequence": (
-        lambda: max_realizable_subsequence(FAMILY, NO_EXAMPLES, IDENTITY),
-        ContractError, "core extraction requires a nonempty sample",
-    ),
-    "learn_agnostic": (
-        lambda: learn_agnostic(FAMILY, NO_EXAMPLES, IDENTITY),
-        ContractError, "agnostic learning requires a nonempty sample",
-    ),
-    "learn_realizable_report": (
-        lambda: learn_realizable_report(FAMILY, NO_EXAMPLES, IDENTITY, rng=rng_stream(0)),
-        ContractError, "learning requires a nonempty sample",
-    ),
-    "inflate": (lambda: inflate(NO_EXAMPLES, IDENTITY), ContractError, "inflation requires a nonempty sample"),
     "discretize": (
         lambda: discretize(inflate(SAMPLE, IDENTITY), FAMILY.matrix[:0]),
         ContractError, "discretization requires a nonempty candidate set",

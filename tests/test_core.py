@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustpac.core import (
-    ContractError,
     FiniteDistribution,
     Hypothesis,
     HypothesisFamily,
@@ -70,10 +69,14 @@ def test_empirical_robust_risk_counts_multiplicity():
     assert empirical_robust_risk(h, repeated, u) == Fraction(2, 4)
 
 
-def test_empirical_risk_requires_nonempty_sample():
-    h = Hypothesis((1,))
-    with pytest.raises(ContractError):
-        empirical_robust_risk(h, Sample(()), PerturbationMap.identity(1))
+def test_a_sample_holds_at_least_one_example():
+    # refused where it is built, so no scorer or learner meets an empty sample
+    for build in (lambda: Sample(()), lambda: Sample.from_pairs([]), lambda: Sample(iter(()))):
+        with pytest.raises(StructuralError) as refused:
+            build()
+        assert type(refused.value) is StructuralError
+        assert str(refused.value) == "sample must have at least one example"
+    assert Sample(iter([LabeledExample(0, 1)])).examples == (LabeledExample(0, 1),)
 
 
 def test_population_risk_weighted_count():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from fractions import Fraction
@@ -48,6 +49,7 @@ from robustpac import learner
 from robustpac.oracles import rerm
 from robustpac.agnostic import learn_agnostic
 from robustpac.constructions import make_agnostic_lower_bound, make_proper_failure
+from robustpac.dimensions import dual_vc, vc
 from robustpac.experiments import _random_threshold_distribution, make_threshold_window_instance
 from robustpac.prng import rng_stream
 from robustpac.sampling import draw_sample, sample_iid
@@ -111,6 +113,29 @@ def test_singleton_family_gives_one_candidate():
     assert len(cands) == 1
 
 
+def _candidates_reference(family, sample, perturbations, n) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The literal scan: RERM on every size-n index combination, as (members, provenance).
+
+    Per member it keeps the greatest count vector over the distinct examples
+    among the combinations that yield it; its provenance is the first k
+    positions of each example, sorted, and the members come in ascending
+    order.  RERM reads a subsequence as a multiset (see
+    `test_rerm_is_permutation_invariant`), so it runs once per count vector.
+    """
+    runs = sample.distinct.positions
+    slot = {i: s for s, run in enumerate(runs) for i in run}
+    oracle: dict[tuple[int, ...], int] = {}
+    greatest: dict[int, tuple[int, ...]] = {}
+    for combo in combinations(range(len(sample)), n):
+        vector = tuple(sum(slot[i] == s for i in combo) for s in range(len(runs)))
+        if vector not in oracle:
+            oracle[vector] = rerm(family, Sample(tuple(sample[i] for i in combo)), perturbations).hypothesis_index
+        member = oracle[vector]
+        greatest[member] = max(greatest.get(member, vector), vector)
+    members = sorted(greatest)
+    return members, [tuple(sorted(i for run, k in zip(runs, greatest[c]) for i in run[:k])) for c in members]
+
+
 @st.composite
 def candidate_inputs(draw):
     """A tiny family, free perturbation sets, a sample repeating a few examples, and n."""
@@ -133,21 +158,8 @@ def candidate_inputs(draw):
     None,
 )
 def test_candidates_match_naive_subset_enumeration(inputs, block_rows):
-    # the literal scan: RERM on every index combination, keeping per member
-    # the greatest count vector over the distinct examples among the
-    # combinations that yield it; its provenance is the first k positions of
-    # each example, sorted, and the candidates come in ascending member order
     family, perturbations, sample, n = inputs
-    runs = sample.distinct.positions
-    slot = {i: s for s, run in enumerate(runs) for i in run}
-    greatest: dict[int, tuple[int, ...]] = {}
-    for combo in combinations(range(len(sample)), n):
-        sub = Sample(tuple(sample[i] for i in combo))
-        member = rerm(family, sub, perturbations).hypothesis_index
-        vector = tuple(sum(slot[i] == s for i in combo) for s in range(len(runs)))
-        greatest[member] = max(greatest.get(member, vector), vector)
-    members = sorted(greatest)
-    provenance = [tuple(sorted(i for run, k in zip(runs, greatest[c]) for i in run[:k])) for c in members]
+    members, provenance = _candidates_reference(family, sample, perturbations, n)
     # blocks of 1-3 count vectors put block boundaries inside the enumeration
     with pytest.MonkeyPatch.context() as patch:
         if block_rows is not None:
@@ -992,8 +1004,11 @@ def _pinned_instances() -> list:
     ]
 
 
-def _pinned_reports(instances):
-    """Each (instance, sample, report) of 60 runs per instance, on the generator keyed (15, trial)."""
+def _pinned_draws(instances):
+    """Each (instance, config, sample, generator) of 60 draws per instance, on the generator keyed (15, trial).
+
+    The generator stands where the sample's draw left it, which is where the learner continues it.
+    """
     for inst, m, config in instances:
         for trial in range(60):
             rng = rng_stream(15, trial)
@@ -1001,8 +1016,13 @@ def _pinned_reports(instances):
                 dist = inst.distributions[int(rng.integers(len(inst.distributions)))]
             else:
                 dist = _random_threshold_distribution(inst, rng)
-            sample = draw_sample(dist, m, rng)
-            yield inst, sample, learn_realizable_report(inst.family, sample, inst.perturbations, config, rng=rng)
+            yield inst, config, draw_sample(dist, m, rng), rng
+
+
+def _pinned_reports(instances):
+    """Each (instance, sample, report) of the pinned draws."""
+    for inst, config, sample, rng in _pinned_draws(instances):
+        yield inst, sample, learn_realizable_report(inst.family, sample, inst.perturbations, config, rng=rng)
 
 
 def test_learner_output_is_pinned():
@@ -1081,12 +1101,16 @@ def test_kept_stages_hold_the_candidates_of_their_n():
         assert kept[4] == kept[3]  # the same stage objects: kept for the last (family, map)
 
 
-def _run_outcome(family, sample, perturbations, config, rng: np.random.Generator) -> tuple:
+def _report_outcome(report: RealizableRunReport, rng: np.random.Generator) -> tuple:
     """Every report field, the voters' label rows, the provenance and the generator's state after the run."""
-    report = learn_realizable_report(family, sample, perturbations, config, rng=rng)
     vote = report.predictor
     sizes = [getattr(report, f.name) for f in fields(report) if f.name != "predictor"]
-    return sizes, [v.labels for v in vote.voters], vote.provenance, vote.flags, repr(rng.bit_generator.state)
+    return sizes, [v.labels for v in vote.voters], vote.provenance, vote.flags, generator_state(rng)
+
+
+def _run_outcome(family, sample, perturbations, config, rng: np.random.Generator) -> tuple:
+    """`_report_outcome` of the learner's run."""
+    return _report_outcome(learn_realizable_report(family, sample, perturbations, config, rng=rng), rng)
 
 
 def _fresh(family, perturbations) -> tuple[HypothesisFamily, PerturbationMap]:
@@ -1220,3 +1244,116 @@ def test_stage_cache_keeps_at_most_its_cap_entries(monkeypatch):
         assert len(slot) == min(len(met), 3)
         assert next(reversed(slot))[0] == learner._sample_key(sample)
     assert len(met) == 8
+
+
+# --- the reference learner -------------------------------------------------------
+
+
+def reference_learn_realizable(family, sample, perturbations, config, rng) -> RealizableRunReport:
+    """`learn_realizable_report` composed of the per-stage references, in the paper's order; nothing is kept.
+
+    n starts at vc(family) + 1, or `n_initial`, clamped to m.  The
+    candidates are the literal RERM scan (`_candidates_reference`), the
+    inflation the owner dict loop and the discretization the pattern dict
+    loop over the candidates' rows.  Boosting is plain multiplicative
+    weights to margin 5/9 (`reference_alpha_boost`); while no candidate is a
+    weak learner, n doubles up to m.  The sparsify size is `N_sparsify`, else
+    the candidates' dual VC dimension, at least 3, made odd (the learner
+    skips that search at T <= 3, where any N >= 3 keeps the vote whole), and
+    the per-voter loop draws from `rng`.  A vote with a robust mistake on the
+    sample raises the learner's closing error.
+    """
+    config = config or LearnerConfig()
+    m = len(sample)
+    n = min(vc(family).value + 1 if config.n_initial is None else config.n_initial, m)
+    inflated = _inflate_reference(sample, perturbations)
+    while True:
+        members, provenance = _candidates_reference(family, sample, perturbations, n)
+        candidates = HypothesisFamily(family.matrix[members])
+        reps, _ = _discretize_reference(inflated, candidates)
+        wrong = np.array([[row[z] != y for z, y in reps] for row in candidates.matrix])
+        try:
+            ids, margin = reference_alpha_boost(wrong, MARGIN_TARGET, None)
+            break
+        except WeakLearnerFailure:
+            if n == m:
+                raise
+            n = min(m, 2 * n)
+    N = config.N_sparsify or max(3, dual_vc(candidates).value) | 1
+    chosen = [ids[j] for j in _sparsify_reference([candidates[i] for i in ids], reps, N, rng)]
+    vote = MajorityVotePredictor(tuple(candidates[i] for i in chosen), tuple(provenance[i] for i in chosen))
+    risk = empirical_robust_risk(vote, sample, perturbations)
+    if risk:
+        raise RuntimeError(f"pipeline produced nonzero empirical robust risk {risk}")
+    return RealizableRunReport(vote, n, len(inflated), len(reps), len(ids), margin, len(chosen))
+
+
+def _outcome(learn, rng: np.random.Generator) -> tuple:
+    """`_report_outcome` of `learn(rng)`, or the class and text of the RuntimeError it raised."""
+    try:
+        return _report_outcome(learn(rng), rng)
+    except RuntimeError as exc:  # a weak-learner or boosting failure, or the closing error
+        return type(exc), str(exc)
+
+
+def _matches_the_reference(family, sample, perturbations, config, rng: np.random.Generator) -> None:
+    """The learner equals the reference cold, warm, and with the sample's repeats moved; each run copies `rng`."""
+    family, perturbations = _fresh(family, perturbations)  # no stage kept yet
+    moved = _repeats_moved(sample)
+    wants = {
+        other: _outcome(lambda r: reference_learn_realizable(family, other, perturbations, config, r), copy.deepcopy(rng))
+        for other in (sample, moved)
+    }
+    for other in (sample, sample, moved):  # the second and third runs read the stages the first kept
+        got = _outcome(lambda r: learn_realizable_report(family, other, perturbations, config, rng=r), copy.deepcopy(rng))
+        assert got == wants[other]
+
+
+@st.composite
+def realizable_runs(draw):
+    """A tiny family and map, a repeating sample one member robustly fits, a config and a generator.
+
+    Even sparsify sizes are drawn too: at odd N a strict majority of N and a
+    tie are never confused.
+    """
+    size = draw(st.integers(min_value=1, max_value=5))
+    point = st.integers(min_value=0, max_value=size - 1)
+    rows = draw(st.lists(st.tuples(*[SIGNS] * size), min_size=1, max_size=8, unique=True))
+    balls = draw(st.lists(st.lists(point, min_size=1, max_size=size), min_size=size, max_size=size))
+    fitted = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+    pool = [(x, fitted[ball[0]]) for x, ball in enumerate(balls) if len({fitted[z] for z in ball}) == 1]
+    assume(pool)
+    pairs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    config = LearnerConfig(
+        n_initial=draw(st.sampled_from((None, 1, 2))), N_sparsify=draw(st.sampled_from((None, 1, 2, 4)))
+    )
+    family, perturbations = HypothesisFamily.from_rows(rows), PerturbationMap(tuple(map(tuple, balls)))
+    return family, Sample.from_pairs(pairs), perturbations, config, rng_stream(draw(st.integers(0, 3)))
+
+
+PROPER_FAILURE_2 = make_proper_failure(2)
+# boosting repeats candidates 0 and 2 and adds one erring on two columns: T = 7 at n = 1
+SEVEN_VOTERS = HypothesisFamily.from_rows(
+    [(-1, -1, -1, -1, 1, -1), (-1, -1, 1, -1, -1, 1), (-1, 1, -1, -1, -1, 1),
+     (-1, 1, -1, -1, 1, 1), (-1, 1, 1, 1, -1, -1), (1, -1, -1, -1, -1, -1)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(realizable_runs())
+# three voters over pf(2) (see test_the_learner_reaches_the_sparsify_fallback): draws of two
+@example(
+    (PROPER_FAILURE_2.family, sample_iid(PROPER_FAILURE_2.distributions[7], 32, seed=21),
+     PROPER_FAILURE_2.perturbations, LearnerConfig(N_sparsify=2), rng_stream(17))
+)
+@example(
+    (SEVEN_VOTERS, Sample.from_pairs([(3, -1), (3, -1), (2, -1), (5, -1), (4, -1), (5, -1)]),
+     PerturbationMap.identity(6), LearnerConfig(n_initial=1, N_sparsify=4), rng_stream(67))
+)
+def test_the_learner_matches_the_reference_on_realizable_samples(case):
+    _matches_the_reference(*case)
+
+
+def test_the_learner_matches_the_reference_on_the_pinned_runs():
+    for inst, config, sample, rng in _pinned_draws(_pinned_instances()):
+        _matches_the_reference(inst.family, sample, inst.perturbations, config, rng)

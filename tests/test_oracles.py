@@ -3,10 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-import pytest
-
 from robustpac.core import (
-    ContractError,
     HypothesisFamily,
     PerturbationMap,
     Sample,
@@ -48,12 +45,6 @@ def test_rerm_tie_breaks_to_lowest_index():
     result = rerm(family, sample, PerturbationMap.identity(2))
     assert result.hypothesis_index == 0
     assert result.risk == Fraction(1, 2)
-
-
-def test_rerm_empty_inputs_are_contract_errors():
-    family = HypothesisFamily.from_rows([(1,)])
-    with pytest.raises(ContractError):
-        rerm(family, Sample(()), PerturbationMap.identity(1))
 
 
 def test_rerm_matches_independent_scan_on_random_instances():

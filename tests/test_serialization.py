@@ -115,6 +115,9 @@ def naive_instance_from_dict(doc) -> ConstructedInstance:
                 for entry in doc["distributions"]
             )
         anchors = {k: tuple(v) for k, v in doc.get("anchors", {}).items()}
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise StructuralError(f"instance document has metadata that is not an object: {metadata!r}")
     except KeyError as exc:
         raise StructuralError(f"instance document is missing key {exc}") from exc
     return ConstructedInstance(
@@ -123,7 +126,7 @@ def naive_instance_from_dict(doc) -> ConstructedInstance:
         family=family,
         anchors=anchors,
         distributions=distributions,
-        metadata=doc.get("metadata", {}),
+        metadata=metadata,
     )
 
 
@@ -298,7 +301,7 @@ def instance_documents(draw):
         st.sampled_from(
             ["none", "label", "ragged", "duplicate_member", "empty_row",
              "duplicate_atom", "nonpositive", "off_exact", "off_float", "no_distributions",
-             "later_reordered", "later_sum", "later_duplicate", "later_nonpositive"]
+             "later_reordered", "later_sum", "later_duplicate", "later_nonpositive", "metadata"]
         )
     )
     i = draw(st.integers(0, len(members) - 1))
@@ -336,6 +339,8 @@ def instance_documents(draw):
         members[i] = []
     elif kind == "no_distributions":
         del doc["distributions"]
+    elif kind == "metadata":
+        doc["metadata"] = draw(st.sampled_from([[0], "test", 1, None, {}]))
     elif distributions:
         atoms = draw(st.sampled_from(distributions))["atoms"]
         j = draw(st.integers(0, len(atoms) - 1))
@@ -517,6 +522,18 @@ def test_too_deeply_nested_json_is_a_structural_error():
 def test_wrong_shaped_anchors_are_structural_errors(anchors):
     with pytest.raises(StructuralError, match="anchors that are not named point lists"):
         instance_from_dict(_six_point_doc(anchors=anchors))
+
+
+@pytest.mark.parametrize("metadata", [[0], "generator", 1, None])
+def test_metadata_that_is_not_an_object_is_refused_at_load(metadata):
+    # the experiments read metadata by key, so anything but an object is refused when the document is read
+    doc = json.loads(dumps_instance(make_proper_failure(1)))
+    doc["metadata"] = metadata
+    with pytest.raises(StructuralError) as refused:
+        loads_instance(json.dumps(doc))
+    assert str(refused.value) == f"instance document has metadata that is not an object: {metadata!r}"
+    del doc["metadata"]
+    assert loads_instance(json.dumps(doc)).metadata == {}
 
 
 def test_boolean_probability_is_rejected():
