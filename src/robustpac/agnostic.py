@@ -95,14 +95,11 @@ def learn_agnostic(
     Repeated core examples are boosted once, at their first position.  Of
     `config` only `n_initial` is used, as in the realizable learner.  The
     round count 1 + ceil(48 ln |core|) is fixed, a candidate robustly
-    correct on the whole core is the lone voter, and nothing is sparsified,
-    so a set `N_sparsify` is a contract violation.  No step draws
-    randomness, so unlike `learn_realizable` it takes no generator; a set
-    `seed`, which no library code reads, changes nothing.
+    correct on the whole core is the lone voter, and nothing is sparsified.
+    No step draws randomness, as in `learn_realizable`; a set `seed`, which
+    no library code reads, changes nothing.
     """
     config = config or LearnerConfig()
-    if config.N_sparsify is not None:
-        raise ContractError("learn_agnostic does not use N_sparsify; leave it unset")
     loss, core = _maximal_core(family, sample, perturbations)
     if not core:
         return MajorityVotePredictor(

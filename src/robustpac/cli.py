@@ -123,7 +123,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 
 def _sampled(args: argparse.Namespace):
-    """Instance, `--dist` distribution, m-point sample, config, and the generator after the sample."""
+    """Instance, `--dist` distribution, m-point sample and config; the generator serves the sample alone."""
     instance = load_instance(args.instance)
     dists = instance.distributions or ()
     if not dists:
@@ -131,15 +131,14 @@ def _sampled(args: argparse.Namespace):
             f"this instance ships no distributions; `{args.command}` needs one to sample from"
         )
     dist = dists[_checked_int("--dist", args.dist, 0, len(dists) - 1)]
-    rng = rng_stream(args.seed)
-    sample = draw_sample(dist, args.m, rng)
-    return instance, dist, sample, LearnerConfig(n_initial=args.n_initial), rng
+    sample = draw_sample(dist, args.m, rng_stream(args.seed))
+    return instance, dist, sample, LearnerConfig(n_initial=args.n_initial)
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    instance, dist, sample, config, rng = _sampled(args)
+    instance, dist, sample, config = _sampled(args)
     start = time.perf_counter()
-    report = learn_realizable_report(instance.family, sample, instance.perturbations, config, rng=rng)
+    report = learn_realizable_report(instance.family, sample, instance.perturbations, config)
     elapsed = time.perf_counter() - start
     risk = population_robust_risk(report.predictor, dist, instance.perturbations)
     doc = {
@@ -168,7 +167,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _cmd_agnostic(args: argparse.Namespace) -> int:
-    instance, dist, sample, config, _ = _sampled(args)
+    instance, dist, sample, config = _sampled(args)
     predictor = learn_agnostic(instance.family, sample, instance.perturbations, config)
     achieved = empirical_robust_risk(predictor, sample, instance.perturbations)
     optimum = rerm(instance.family, sample, instance.perturbations).risk

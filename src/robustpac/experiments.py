@@ -4,10 +4,10 @@ Trials run one after another in `_run_trials`, which hands trial t the
 Philox stream keyed (seed, t): one generator serves the whole run and is
 re-keyed to (seed, t) before trial t, so the trial draws exactly what
 `rng_stream(seed, t)` would, and the generator is valid only inside its
-trial.  The trial draws its data from it and the learner's sparsification
-continues it, so each trial is a pure function of the seed and its index
-and reports are identical across runs.  Population risks are exact
-Fractions, stored as floats in the report rows.
+trial.  The trial draws its data from it, and the learner draws nothing,
+so each trial is a pure function of the seed and its index and reports
+are identical across runs.  Population risks are exact Fractions, stored
+as floats in the report rows.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class ExperimentConfig:
     learner, always "compress-boost", plus the knobs its experiment reads,
     which the experiment passes to `echo`.  Failure thresholds are not
     knobs: 1/8 for separation, the compression bound at (k, m, delta) for
-    bound checks.
+    bound checks.  `delta` is kept as a float, which a report's JSON holds.
     """
 
     m: int
@@ -80,6 +80,7 @@ class ExperimentConfig:
         for name in ("m", "trials", "improper_budget"):
             object.__setattr__(self, name, _checked_int(name, getattr(self, name), 1))
         _checked_delta(self.delta)
+        object.__setattr__(self, "delta", float(self.delta))
 
     def echo(self, **read) -> dict:
         return {
@@ -139,7 +140,7 @@ def run_separation_experiment(
         losses, risks = dist._member_table(family, perturbations)
         proper_risk = risks[_lowest_minimizer(losses[:, drawn].sum(axis=1))[0]]
         improper_sample = draw_sample(dist, config.improper_budget, rng)
-        report = learn_realizable_report(family, improper_sample, perturbations, learner_config, rng=rng)
+        report = learn_realizable_report(family, improper_sample, perturbations, learner_config)
         improper_risk = population_robust_risk(report.predictor, dist, perturbations)
         return proper_risk, improper_risk
 
@@ -219,20 +220,19 @@ def run_bound_check(config: ExperimentConfig, k: int = 3) -> ExperimentReport:
 
     Each trial builds a random robustly realizable distribution on the
     threshold-window fixture, draws m points, learns with subset size 1 and
-    at most 3 sparsified voters (compression size <= k = 3), and flags the
-    trial when the population robust risk exceeds the bound at (k, m, delta).
-    Trials whose realized compression exceeds k are counted as violations,
-    conservatively.  A violation rate beyond delta + 3 sigma Monte Carlo
-    slack raises RuntimeError.
+    the minimum vote, counted a violation past k (conservatively), and flags
+    the trial when the population robust risk exceeds the bound at (k, m,
+    delta).  A violation rate beyond delta + 3 sigma Monte Carlo slack
+    raises RuntimeError.
     """
     inst = make_threshold_window_instance()
     eps = compression_bound(k, config.m, config.delta)
-    learner_config = LearnerConfig(n_initial=1, N_sparsify=k)
+    learner_config = LearnerConfig(n_initial=1)
 
     def one_trial(rng: np.random.Generator) -> tuple[float, bool]:
         dist = _random_threshold_distribution(inst, rng)
         sample = draw_sample(dist, config.m, rng)
-        report = learn_realizable_report(inst.family, sample, inst.perturbations, learner_config, rng=rng)
+        report = learn_realizable_report(inst.family, sample, inst.perturbations, learner_config)
         risk = float(population_robust_risk(report.predictor, dist, inst.perturbations))
         failed = risk > eps or report.compression_size > k
         return risk, failed
@@ -349,7 +349,7 @@ def run_bounded_k_scaling(
 
         def one_trial(rng: np.random.Generator) -> tuple[int, int, int, int]:
             sample = draw_sample(dist, config.m, rng)
-            report = learn_realizable_report(instance.family, sample, perturbations, learner_config, rng=rng)
+            report = learn_realizable_report(instance.family, sample, perturbations, learner_config)
             return report.inflated_size, report.discretized_size, report.rounds, report.n_used
 
         outcomes, _ = _run_trials(config, one_trial)

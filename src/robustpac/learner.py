@@ -6,11 +6,12 @@ perturbation points with min-index labels, discretize the inflation down to
 one representative per candidate error pattern, boost weak candidates by
 multiplicative weights until every representative has vote margin >= 5/9
 (doubling n while no candidate is a weak learner, in `_boost_growing_n`,
-which the agnostic reduction shares), then sparsify the ensemble to a few
-voters while preserving strict majority correctness.  Each surviving voter
-carries the sample indices that reconstruct it, so the final majority vote
-is a sample compression scheme and the compression generalization bound
-applies.
+which the agnostic reduction shares), then sparsify the ensemble to its
+smallest sub-multiset whose majority is strictly correct on every
+representative.  Each surviving voter carries the sample indices that
+reconstruct it, so the final majority vote is a sample compression scheme
+and the compression generalization bound applies.  No step draws
+randomness, so the learner takes no generator.
 
 The data between stages are arrays: the inflation is a (points, labels)
 pair, the discretized set adds the (candidates, representatives) mistake
@@ -24,19 +25,18 @@ candidates are listed in member order, every stage at subset size n
 (`_build_stages`) is a function of that matrix, the inflation and the
 counts clipped at n, and receives no sample: the candidate members and the
 greatest count vector that yields each, discretization, boosting or its
-weak-learner failure, sparsify's majority precondition and the default
-sparsify size.  The realizable learner keeps the stages, each with the
-inflation, in a stage cache on the family per perturbation map (`core._kept`):
-one flat dict keyed by (sample key, n, counts clipped at n), the sample key
-being the distinct points and labels as bytes, of at most
-`STAGE_CACHE_ENTRIES` stages, the oldest dropped first.  A call's first miss
-builds the matrix, checks realizability (refusing an unrealizable sample,
-which keeps nothing) and inflates, for all its n.  A hit runs only what
-depends on the sample's positions or on the generator: sparsify's draws,
-the drawn voters' provenance (the sample positions of their count vectors,
-`_vote`) and the closing fit check, so outputs and draws do not depend on
-what the cache holds.  The agnostic learner keeps nothing: it enumerates
-candidates on columns of its own mistake matrix.
+weak-learner failure, and the sparsified vote.  The realizable learner
+keeps the stages, each with the inflation, in a stage cache on the family
+per perturbation map (`core._kept`): one flat dict keyed by (sample key, n,
+counts clipped at n), the sample key being the distinct points and labels
+as bytes, of at most `STAGE_CACHE_ENTRIES` stages, the oldest dropped
+first.  A call's first miss builds the matrix, checks realizability
+(refusing an unrealizable sample, which keeps nothing) and inflates, for
+all its n.  A hit runs only what depends on the sample's positions: the
+voters' provenance (the sample positions of their count vectors, `_vote`)
+and the closing fit check, so outputs do not depend on what the cache
+holds.  The agnostic learner keeps nothing: it enumerates candidates on
+columns of its own mistake matrix.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .core import (
     _read_only,
     empirical_robust_risk,
 )
-from .dimensions import dual_vc, vc
+from .dimensions import vc
 
 __all__ = [
     "LearnerConfig",
@@ -85,10 +85,9 @@ __all__ = [
 
 WEAK_ERROR_BOUND = 1.0 / 3.0
 CANDIDATE_ENUMERATION_LIMIT = 500_000
-_SCORE_BLOCK = 1 << 17  # count vectors x members per product in build_candidates
+_SCORE_BLOCK = 1 << 17  # count vectors x members per product in build_candidates, and per check in sparsify
 ALPHA = 0.125
 MARGIN_TARGET = Fraction(5, 9)
-SPARSIFY_ATTEMPTS = 100
 # stages per stage-cache slot; 20,000 separation trials on proper-failure(2) at seed 7 meet 360
 STAGE_CACHE_ENTRIES = 1024
 
@@ -121,28 +120,21 @@ class LearnerConfig:
     """Knobs of the compression-boosting pipeline.
 
     `n_initial` defaults to vc(family)+1, is clamped to the sample size and
-    doubles on weak-learner failure up to it.  `N_sparsify` defaults to the
-    candidate family's dual VC dimension (minimum 3, forced odd), found when
-    a stage is built.  The search runs only when boosting returns T > 3
-    voters: any N >= 3 keeps T <= 3 voters whole, so there N is 3.
-    The rest is fixed: the realizable round cap ceil(1 + 48 ln
-    |discretized|) + 10 (`default_round_cap`), boosting step `ALPHA` 1/8,
-    `MARGIN_TARGET` 5/9 (which leaves the 1/18 sparsification slack above
-    1/2) and `SPARSIFY_ATTEMPTS` 100 draws before the full-list fallback;
-    with T voters and T <= N, sparsify keeps the full list without a draw.
-    `seed` is read by no library code (sparsify draws from the caller's
-    generator); it stays while `perfbench/workloads.py` passes it.
+    doubles on weak-learner failure up to it.  The rest is fixed: the
+    realizable round cap ceil(1 + 48 ln |discretized|) + 10
+    (`default_round_cap`), boosting step `ALPHA` 1/8, `MARGIN_TARGET` 5/9
+    (which leaves the 1/18 sparsification slack above 1/2), and sparsify's
+    search for the smallest strictly-correct sub-vote, bounded by
+    `CANDIDATE_ENUMERATION_LIMIT`.  `seed` is read by no library code (no
+    step draws randomness); it stays while `perfbench/workloads.py` passes it.
     """
 
     n_initial: int | None = None
-    N_sparsify: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_initial", "N_sparsify"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _checked_int(name, value, 1))
+        if self.n_initial is not None:
+            object.__setattr__(self, "n_initial", _checked_int("n_initial", self.n_initial, 1))
 
 
 @dataclass(frozen=True)
@@ -193,8 +185,9 @@ class BoostResult:
 class RealizableRunReport:
     """Diagnostics of one realizable run (the predictor plus pipeline sizes).
 
-    `sparsified_to` is the vote's voter count: N after a successful draw,
-    else the boosting rounds T (when T <= N, or after the fallback).
+    `sparsified_to` is the vote's voter count: the size of the smallest
+    sub-multiset of the T boosted voters whose majority is strictly correct
+    on every representative, else T (no smaller one, or the search's limit).
     """
 
     predictor: MajorityVotePredictor
@@ -424,31 +417,23 @@ def default_round_cap(n_points: int) -> int:
     return math.ceil(1.0 + 48.0 * math.log(max(n_points, 1))) + 10
 
 
-def sparsify(
-    voter_ids: Sequence[int],
-    wrong: np.ndarray,
-    N: int,
-    rng: np.random.Generator,
-) -> tuple[int, ...]:
-    """Positions into `voter_ids` (with replacement) whose majority stays strictly correct.
+def sparsify(voter_ids: Sequence[int], wrong: np.ndarray) -> tuple[int, ...]:
+    """Positions into `voter_ids` (with replacement) of the smallest vote whose majority stays strictly correct.
 
     Voter ids index the rows of the (candidates, points) mistake matrix
     `wrong`, so voter v is correct on point j exactly when `wrong[v, j]` is
     False; each id must be an integer in 0..len(wrong) - 1, so a negative
-    id or a bool is refused rather than read as a row.  Requires N >= 1 and
-    the full ensemble to hold a strict majority on every point (guaranteed
-    upstream by the 5/9 margin, which leaves 1/18 slack over 1/2).  With T
-    voters and T <= N, returns the full list 0..T-1 and leaves `rng` as it
-    was: a draw cannot shrink the vote, and the full list's compression n*T
-    is at most n*N.  Otherwise draws N positions from `rng` up to
-    `SPARSIFY_ATTEMPTS` times, then falls back to the full voter list, which
-    satisfies the property by the precondition.
+    id or a bool is refused rather than read as a row.  Requires the full
+    ensemble to hold a strict majority on every point (guaranteed upstream
+    by the 5/9 margin, which leaves 1/18 slack over 1/2).  The vote is
+    `_smallest_vote`'s: the first sub-multiset, by size and then in boost
+    order, whose strict majority is correct on every point, or the full list
+    0..T-1 when none smaller than T exists or the search passes its limit.
     """
     if len(voter_ids) == 0:
         raise ContractError("sparsification requires at least one voter")
-    N = _checked_int("N", N, 1)
     voter_ids = [_checked_int("voter id", v, 0, len(wrong) - 1) for v in voter_ids]
-    return _sparse_draw(_majority_correct(voter_ids, wrong), N, rng)
+    return _smallest_vote(_majority_correct(voter_ids, wrong))
 
 
 def _majority_correct(voter_ids: Sequence[int], wrong: np.ndarray) -> np.ndarray:
@@ -462,21 +447,35 @@ def _majority_correct(voter_ids: Sequence[int], wrong: np.ndarray) -> np.ndarray
     return correct
 
 
-def _sparse_draw(correct: np.ndarray, N: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """`sparsify`'s draws over checked rows of `_majority_correct`, for an N >= 1.
+def _smallest_vote(correct: np.ndarray) -> tuple[int, ...]:
+    """`sparsify`'s search over checked rows of `_majority_correct`: positions of the smallest strictly-correct vote.
 
-    With T rows and T <= N it returns 0..T-1 without touching `rng`.
-    Otherwise each attempt is one `rng.integers(0, T, size=N)` call; the
-    first draw whose majority is strictly correct on every column is
-    returned, and after `SPARSIFY_ATTEMPTS` failures the full list.
+    With T rows, odd sizes s = 1, 3, 5, ... < T are tried in turn; an even
+    size is never needed, since dropping one voter from a strict majority
+    of 2k leaves a strict majority of 2k - 1.  Each size runs over the
+    multisets of the distinct rows, in lexicographic order of their first
+    positions, and the first whose strict majority is correct on every
+    column is returned as those positions, ascending: the lexicographically
+    first such multiset of positions.  When no size below T holds one, or
+    the next size would take the multisets tried past
+    `CANDIDATE_ENUMERATION_LIMIT`, the full list 0..T-1 is kept, which the
+    precondition makes correct.
     """
     T = len(correct)
-    if T <= N:
-        return tuple(range(T))
-    for _ in range(SPARSIFY_ATTEMPTS):
-        draw = rng.integers(0, T, size=N)
-        if 2 * correct[draw].sum(axis=0).min() > N:
-            return tuple(draw.tolist())
+    first: dict[bytes, int] = {}  # row -> its first position; kept in position order, so ascending
+    firsts = np.array([t for t, row in enumerate(correct) if first.setdefault(row.tobytes(), t) == t])
+    rows, tried = correct[firsts], 0
+    for s in range(1, T, 2):
+        tried += math.comb(len(firsts) + s - 1, s)
+        if tried > CANDIDATE_ENUMERATION_LIMIT:
+            break
+        multisets = itertools.combinations_with_replacement(range(len(firsts)), s)
+        block = max(1, _SCORE_BLOCK // (s * max(rows.shape[1], 1)))  # multisets x voters x points per check
+        while chunk := list(itertools.islice(multisets, block)):
+            picks = np.array(chunk)
+            held = (2 * rows[picks].sum(axis=1) > s).all(axis=1)
+            if held.any():
+                return tuple(firsts[picks[held.argmax()]].tolist())
     return tuple(range(T))
 
 
@@ -520,11 +519,11 @@ class _Stages:
     greatest count vector whose multiset makes the oracle return
     `members[i]`, from which `_indices` builds provenance for any sample of
     the key: one vector per candidate.  `inflated` is the key's read-only
-    inflation, which the closing fit check reads.  `correct` is
-    `_majority_correct` of the boost's voters, checked once, and `n_sparse`
-    the default sparsify size (`_default_sparsify_size`), both found with
-    the stage.  When no candidate is a weak learner, `boost` is None and
-    `min_error` is the best weighted error.
+    inflation, which the closing fit check reads.  `voters` are the
+    candidate ids of the sparsified vote, the boost's voters at the
+    positions `sparsify` keeps, found with the stage.  When no candidate is
+    a weak learner, `boost` and `voters` are None and `min_error` is the
+    best weighted error.
     """
 
     n: int
@@ -533,8 +532,7 @@ class _Stages:
     inflated: tuple[np.ndarray, np.ndarray]
     discretized_size: int
     boost: BoostResult | None
-    correct: np.ndarray | None = None
-    n_sparse: int | None = None
+    voters: tuple[int, ...] | None = None
     min_error: float | None = None
 
 
@@ -555,9 +553,9 @@ def _build_stages(
         boost = alpha_boost(wrong)
     except WeakLearnerFailure as failure:
         return _Stages(n, members, vectors, inflated, wrong.shape[1], None, min_error=failure.min_error)
-    correct = _majority_correct(boost.voter_ids, wrong)
-    n_sparse = _default_sparsify_size(family, members, boost)
-    return _Stages(n, members, vectors, inflated, wrong.shape[1], boost, correct, n_sparse)
+    chosen = _smallest_vote(_majority_correct(boost.voter_ids, wrong))
+    voters = tuple(boost.voter_ids[j] for j in chosen)
+    return _Stages(n, members, vectors, inflated, wrong.shape[1], boost, voters)
 
 
 def _stage_slot(family: HypothesisFamily, perturbations: PerturbationMap) -> dict[tuple, _Stages]:
@@ -569,13 +567,6 @@ def _sample_key(sample: Sample) -> tuple[bytes, bytes]:
     """The stage cache's key of a sample: its distinct points and labels, in first-appearance order, as bytes."""
     distinct = sample.distinct
     return distinct.points.tobytes(), distinct.labels.tobytes()
-
-
-def _default_sparsify_size(family: HypothesisFamily, members: tuple[int, ...], boost: BoostResult) -> int:
-    """The candidates' dual VC dimension (at least 3, made odd), searched only when it can matter."""
-    if len(boost.voter_ids) <= 3:
-        return 3  # any N >= 3 keeps T <= 3 voters whole, so skip the dual-VC search
-    return max(3, dual_vc(HypothesisFamily(family.matrix[list(members)])).value) | 1
 
 
 def _first_dead_example(mistakes: np.ndarray) -> int | None:
@@ -625,17 +616,14 @@ def learn_realizable_report(
     sample: Sample,
     perturbations: PerturbationMap,
     config: LearnerConfig | None = None,
-    *,
-    rng: np.random.Generator,
 ) -> RealizableRunReport:
     """Full pipeline run returning the predictor plus per-stage diagnostics.
 
-    Sparsification, the only random step, continues the caller's generator
-    `rng`.  Inflation, candidates, discretization, boosting (or its
-    weak-learner failure) and the default sparsify size come from the
-    family's stage cache when this (map, distinct examples) key was met
-    before at this n and these counts clipped at n; a set `N_sparsify`
-    overrides the cached default without replacing it.
+    No step draws randomness: the report is a function of its arguments.
+    Inflation, candidates, discretization, boosting (or its weak-learner
+    failure) and the sparsified vote come from the family's stage cache
+    when this (map, distinct examples) key was met before at this n and
+    these counts clipped at n.
     """
     config = config or LearnerConfig()
     slot, key, distinct = _stage_slot(family, perturbations), _sample_key(sample), sample.distinct
@@ -667,9 +655,7 @@ def learn_realizable_report(
         return found
 
     found = _boost_growing_n(family, len(sample), config.n_initial, stages)
-    n_sparse = found.n_sparse if config.N_sparsify is None else config.N_sparsify
-    chosen = _sparse_draw(found.correct, n_sparse, rng)
-    predictor = _vote(family, found.members, found.vectors, runs, [found.boost.voter_ids[j] for j in chosen])
+    predictor = _vote(family, found.members, found.vectors, runs, found.voters)
     if not _fits_inflation(predictor, found.inflated):
         risk = empirical_robust_risk(predictor, sample, perturbations)
         raise RuntimeError(f"pipeline produced nonzero empirical robust risk {risk}")
@@ -680,7 +666,7 @@ def learn_realizable_report(
         discretized_size=found.discretized_size,
         rounds=found.boost.rounds,
         min_margin=found.boost.min_margin,
-        sparsified_to=len(chosen),
+        sparsified_to=len(found.voters),
     )
 
 
@@ -689,11 +675,9 @@ def learn_realizable(
     sample: Sample,
     perturbations: PerturbationMap,
     config: LearnerConfig | None = None,
-    *,
-    rng: np.random.Generator,
 ) -> MajorityVotePredictor:
     """Majority-vote predictor with empirical robust risk 0 on the sample."""
-    return learn_realizable_report(family, sample, perturbations, config, rng=rng).predictor
+    return learn_realizable_report(family, sample, perturbations, config).predictor
 
 
 def compression_bound(k: int, m: int, delta: float) -> float:

@@ -25,11 +25,6 @@ def decode_labels(code: int, n: int) -> tuple[int, ...]:
     return tuple(-1 if (code >> i) & 1 else +1 for i in range(n))
 
 
-def generator_state(rng: np.random.Generator) -> str:
-    """The generator's whole Philox state (key, counter and buffer), comparable with `==`."""
-    return repr(rng.bit_generator.state)
-
-
 def random_family(rng: np.random.Generator, n_points: int, max_members: int) -> HypothesisFamily:
     universe = 2 ** n_points
     size = int(rng.integers(2, min(max_members, universe) + 1))

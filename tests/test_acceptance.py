@@ -113,7 +113,7 @@ def _fifty_realizable_reports():
         family, perturbations, sample, _ = random_realizable_setup(
             seed, max_points=10, max_members=32, m=12
         )
-        report = learn_realizable_report(family, sample, perturbations, rng=rng_stream(seed))
+        report = learn_realizable_report(family, sample, perturbations)
         reports.append((report, family, perturbations, sample))
     return reports
 

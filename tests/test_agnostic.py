@@ -168,12 +168,6 @@ def test_agnostic_margin_exceeds_half_on_the_core():
         assert Fraction(correct, len(voters)) > Fraction(1, 2)
 
 
-def test_agnostic_rejects_N_sparsify():
-    family, perturbations, sample = random_labeled_sample(3)
-    with pytest.raises(ContractError, match="N_sparsify"):
-        learn_agnostic(family, sample, perturbations, LearnerConfig(N_sparsify=3))
-
-
 def test_agnostic_accepts_and_ignores_the_seed():
     family, perturbations, sample = random_labeled_sample(3)
     plain = learn_agnostic(family, sample, perturbations)

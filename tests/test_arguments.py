@@ -12,6 +12,7 @@ three sites.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
@@ -53,6 +54,7 @@ from robustpac.experiments import (
     group_adversary_for_k,
     make_group_adversary_instance,
     make_threshold_window_instance,
+    run_bound_check,
     run_bounded_k_scaling,
     run_separation_experiment,
 )
@@ -108,12 +110,11 @@ SITES = {
     "sauer_bound/k": (lambda v: sauer_bound(v, 2), 3, -1, "k", ContractError),
     "sauer_bound/dim": (lambda v: sauer_bound(3, v), 2, -1, "dim", ContractError),
     "LearnerConfig/n_initial": (lambda v: LearnerConfig(n_initial=v), 2, 0, "n_initial", ContractError),
-    "LearnerConfig/N_sparsify": (lambda v: LearnerConfig(N_sparsify=v), 3, 0, "N_sparsify", ContractError),
     "build_candidates": (lambda v: build_candidates(FAMILY, SAMPLE, IDENTITY, v), 1, 3, "n", ContractError),
     "alpha_boost": (lambda v: alpha_boost(PERFECT, None, v), 2, 0, "T_max", ContractError),
-    "sparsify": (lambda v: sparsify((0,), PERFECT, v, rng_stream(0)), 1, 0, "N", ContractError),
-    "sparsify/voter id": (lambda v: sparsify((0, v, v), PERFECT, 3, rng_stream(0)), 0, -1, "voter id", ContractError),
-    "sparsify/voter id cap": (lambda v: sparsify((v,), PERFECT, 1, rng_stream(0)), 0, 1, "voter id", ContractError),
+    "sparsify": (lambda v: sparsify((v,), PERFECT), 0, -1, "voter id", ContractError),  # a lone voter is checked too
+    "sparsify/voter id": (lambda v: sparsify((0, v, v), PERFECT), 0, -1, "voter id", ContractError),
+    "sparsify/voter id cap": (lambda v: sparsify((v,), PERFECT), 0, 1, "voter id", ContractError),
     "default_round_cap": (default_round_cap, 5, -3, "n_points", ContractError),
     "agnostic_round_count": (agnostic_round_count, 5, -1, "core_size", ContractError),
     "compression_bound/k": (lambda v: compression_bound(v, 50, 0.05), 3, 0, "k", ContractError),
@@ -228,6 +229,14 @@ def test_experiment_config_holds_python_ints():
     assert [type(v) for v in (config.m, config.trials, config.improper_budget)] == [int] * 3
 
 
+def test_experiment_config_holds_delta_as_a_float():
+    # an exact delta is kept as its float, so a report that echoes it writes JSON
+    config = ExperimentConfig(m=50, trials=3, delta=Fraction(1, 20))
+    assert type(config.delta) is float and config.delta == 0.05
+    doc = json.loads(json.dumps(run_bound_check(config).to_dict()))
+    assert doc["config"]["delta"] == 0.05
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -277,7 +286,7 @@ EMPTY_INPUTS = {
         ContractError, "discretization requires a nonempty candidate set",
     ),
     "sparsify": (
-        lambda: sparsify((), PERFECT, 3, rng_stream(0)), ContractError, "sparsification requires at least one voter"
+        lambda: sparsify((), PERFECT), ContractError, "sparsification requires at least one voter"
     ),
     "make_union_truncation": (
         lambda: make_union_truncation([]), ContractError, "at least one block size is required"

@@ -8,13 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from robustpac import learner
 from robustpac.cli import build_parser, main
-from robustpac.prng import rng_stream
-from robustpac.sampling import draw_sample
-from robustpac.serialization import load_instance
 
-from conftest import generator_state
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -115,29 +110,6 @@ def test_learn_needs_distributions(tmp_path, capsys):
     main(["construct", "vc-blowup", "--m", "2", "--out", inst_path])
     assert main(["learn", inst_path, "--m", "4"]) == 2
     assert "no distributions" in capsys.readouterr().err
-
-
-def test_learn_continues_the_sample_generator_into_sparsify(monkeypatch, capsys):
-    # sparsify continues the generator past the sample; a fresh (seed, 0)
-    # stream would replay the sample's uniforms.  This run boosts three
-    # voters at N = 3, so the full list is kept and the generator not moved.
-    path = str(GOLDEN / "proper_failure_2.json")
-    calls = []
-    real = learner._sparse_draw  # sparsify's draws, over the voters' checked correctness rows
-
-    def recorded(correct, N, rng):
-        before = generator_state(rng)
-        chosen = real(correct, N, rng)
-        calls.append((len(correct), N, chosen, before, generator_state(rng)))
-        return chosen
-
-    monkeypatch.setattr(learner, "_sparse_draw", recorded)
-    assert main(["learn", path, "--m", "64", "--seed", "7"]) == 0
-    [(T, N, chosen, before, after)] = calls
-    rng = rng_stream(7)
-    draw_sample(load_instance(path).distributions[0], 64, rng)
-    assert before == generator_state(rng) != generator_state(rng_stream(7))
-    assert (T, N, chosen, after) == (3, 3, (0, 1, 2), before)
 
 
 def test_agnostic_subcommand_runs(tmp_path, capsys):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -49,7 +48,6 @@ from robustpac.serialization import (
     probability_to_string,
 )
 
-from conftest import generator_state
 
 
 # --- sampling ----------------------------------------------------------------
@@ -234,34 +232,6 @@ def test_separation_single_trial_fixed_seed():
     proper, improper = run_separation_experiment(inst, config)
     assert proper.trials == improper.trials == 1
     assert proper.risks == run_separation_experiment(inst, config)[0].risks
-
-
-def test_trials_sparsify_from_their_own_generators(monkeypatch):
-    # trial t's learner continues stream (seed, t) past the trial's two
-    # samples; every call here has T <= N, so it keeps the full list and
-    # leaves the generator where the samples left it
-    calls = []
-    real = learner._sparse_draw  # sparsify's draws, one correctness row per voter
-
-    def recorded(correct, N, rng):
-        before = generator_state(rng)
-        chosen = real(correct, N, rng)
-        calls.append((len(correct), N, chosen, before, generator_state(rng)))
-        return chosen
-
-    monkeypatch.setattr(learner, "_sparse_draw", recorded)
-    inst = make_proper_failure(2)
-    config = ExperimentConfig(m=2, trials=40, seed=3)
-    run_separation_experiment(inst, config)
-    assert len(calls) == config.trials
-    for t, (T, N, chosen, before, after) in enumerate(calls):
-        rng = rng_stream(config.seed, t)
-        dist = inst.distributions[int(rng.integers(len(inst.distributions)))]
-        draw_sample(dist, config.m, rng)  # the proper arm draws as draw_sample does
-        draw_sample(dist, config.improper_budget, rng)
-        assert before == generator_state(rng), t
-        assert (chosen, after) == (tuple(range(T)), before), t
-    assert sorted(Counter((T, N) for T, N, *_ in calls).items()) == [((1, 3), 17), ((3, 3), 23)]
 
 
 def test_separation_finds_the_default_n_initial_once_per_family(monkeypatch):

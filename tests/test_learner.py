@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 from fractions import Fraction
 from dataclasses import fields
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from robustpac.learner import (
     ALPHA,
     CANDIDATE_ENUMERATION_LIMIT,
     MARGIN_TARGET,
-    SPARSIFY_ATTEMPTS,
     DiscretizedSet,
     BoostingFailure,
     BoostResult,
@@ -49,12 +47,12 @@ from robustpac import learner
 from robustpac.oracles import rerm
 from robustpac.agnostic import learn_agnostic
 from robustpac.constructions import make_agnostic_lower_bound, make_proper_failure
-from robustpac.dimensions import dual_vc, vc
+from robustpac.dimensions import vc
 from robustpac.experiments import _random_threshold_distribution, make_threshold_window_instance
 from robustpac.prng import rng_stream
 from robustpac.sampling import draw_sample, sample_iid
 
-from conftest import generator_state, random_labeled_sample, random_realizable_setup, reference_alpha_boost
+from conftest import random_labeled_sample, random_realizable_setup, reference_alpha_boost
 
 SIGNS = st.sampled_from((-1, 1))
 
@@ -393,19 +391,15 @@ def _disc_for(points: list[tuple[int, int]], family: HypothesisFamily) -> Discre
 def test_sparsify_single_voter_is_trivial():
     family = HypothesisFamily.from_rows([(1, 1)])
     disc = _disc_for([(0, 1), (1, 1)], family)
-    assert sparsify((0,), disc.wrong, N=5, rng=rng_stream(1)) == (0,)
+    assert sparsify((0,), disc.wrong) == (0,)
 
 
-def test_sparsify_identical_correct_voters_any_draw_works():
+def test_sparsify_keeps_one_of_identical_correct_voters():
     family = HypothesisFamily.from_rows([(1, 1, 1), (-1, 1, 1)])
     disc = _disc_for([(0, 1), (1, 1), (2, 1)], family)
-    # T = 3 <= N = 4: the full list, and no draw
-    rng, fresh = rng_stream(3), rng_stream(3)
-    assert sparsify((0, 0, 0), disc.wrong, N=4, rng=rng) == (0, 1, 2)
-    assert generator_state(rng) == generator_state(fresh)
-    # N = 2 < T: every draw holds a majority, so the first one is returned
-    assert sparsify((0, 0, 0), disc.wrong, N=2, rng=rng) == tuple(fresh.integers(0, 3, size=2).tolist())
-    assert generator_state(rng) == generator_state(fresh)
+    # one copy of the perfect voter is a strict majority: its first position
+    assert sparsify((0, 0, 0), disc.wrong) == (0,)
+    assert sparsify((1, 0, 0), disc.wrong) == (1,)
 
 
 def _pair_errors(q: int) -> np.ndarray:
@@ -413,27 +407,41 @@ def _pair_errors(q: int) -> np.ndarray:
     return np.array([[i in pair for pair in combinations(range(q), 2)] for i in range(q)])
 
 
-def test_sparsify_draws_and_falls_back_on_pair_errors():
+def _pair_family_run(q: int, m: int, seed: int) -> tuple[HypothesisFamily, PerturbationMap, Sample]:
+    """The pair family on q and an m-point sample of it, drawn on the generator keyed `seed`.
+
+    Points are the pairs {i, j} of range(q).  Member i labels -1 exactly the
+    pairs holding i, and an all-(+1) member comes last; the map is the
+    identity.  The sample takes m pairs uniformly with replacement, each
+    labeled +1.  The candidates of small subsets are members i, which err
+    as `_pair_errors` does, so boosting runs long and sparsify can shrink it.
+    """
+    pairs = list(combinations(range(q), 2))
+    rows = [[-1 if i in pair else 1 for pair in pairs] for i in range(q)] + [[1] * len(pairs)]
+    sample = Sample.from_pairs([(int(x), 1) for x in rng_stream(seed).integers(len(pairs), size=m)])
+    return HypothesisFamily.from_rows(rows), PerturbationMap.identity(len(pairs)), sample
+
+
+def test_sparsify_keeps_the_minimum_on_pair_errors():
     # Any two voters' error sets meet, and the full list errs twice on every
-    # pair, so it holds a strict majority there once T >= 5.  At T = 5,
-    # N = 3 no draw does: two copies of one voter, or two distinct voters,
-    # err together on a pair.  All SPARSIFY_ATTEMPTS draws are made.
-    rng, fresh = rng_stream(5), rng_stream(5)
-    assert sparsify(range(5), _pair_errors(5), N=3, rng=rng) == (0, 1, 2, 3, 4)
-    for _ in range(SPARSIFY_ATTEMPTS):
-        fresh.integers(0, 5, size=3)
-    assert generator_state(rng) == generator_state(fresh)
-    # At T = 7, N = 5 a pair is safe when its voters are drawn at most
-    # twice together, which among 5 draws holds only for 5 distinct voters:
-    # the first such draw is returned.
-    rng, fresh = rng_stream(7), rng_stream(7)
-    chosen = sparsify(range(7), _pair_errors(7), N=5, rng=rng)
-    assert len(set(chosen)) == 5 and set(chosen) <= set(range(7))
-    draw = fresh.integers(0, 7, size=5)
-    while len(set(draw.tolist())) < 5:
-        draw = fresh.integers(0, 7, size=5)
-    assert chosen == tuple(draw.tolist())
-    assert generator_state(rng) == generator_state(fresh)
+    # pair, so it holds a strict majority there once T >= 5.  No vote of one
+    # or three voters does: two copies of one voter, or two distinct voters,
+    # err together on a pair.  Five distinct voters err at most twice of five
+    # on every pair.  So at T = 5 the full list is kept, and at T = 7 the
+    # first five voters are.
+    assert sparsify(range(5), _pair_errors(5)) == (0, 1, 2, 3, 4)
+    assert sparsify(range(7), _pair_errors(7)) == (0, 1, 2, 3, 4)
+    # each distinct voter is kept at its first position, in boost order
+    assert sparsify((6, 6, 5, 4, 3, 2, 1, 0), _pair_errors(7)) == (0, 2, 3, 4, 5)
+
+
+def test_sparsify_keeps_the_full_list_past_the_enumeration_limit(monkeypatch):
+    # over 7 distinct voters the sizes 1, 3 and 5 hold 7 + 84 + 462 = 553
+    # multisets, and the minimum is at size 5 (see above); a size that would
+    # take the count past the limit is not tried
+    for limit, kept in ((553, (0, 1, 2, 3, 4)), (552, tuple(range(7))), (6, tuple(range(7)))):
+        monkeypatch.setattr(learner, "CANDIDATE_ENUMERATION_LIMIT", limit)
+        assert sparsify(range(7), _pair_errors(7)) == kept, limit
 
 
 def test_sparsify_forty_voters_margin_five_ninths():
@@ -448,8 +456,9 @@ def test_sparsify_forty_voters_margin_five_ninths():
     voter_ids = [t % n_points for t in range(40)]
     disc = _disc_for([(x, 1) for x in range(n_points)], family)
     assert len(disc) == n_points
-    chosen = sparsify(voter_ids, disc.wrong, N=8, rng=rng_stream(11))
-    assert len(chosen) in (8, 40)
+    # no one voter is right everywhere, and any three distinct ones are
+    chosen = sparsify(voter_ids, disc.wrong)
+    assert chosen == (0, 1, 2)
     votes = np.zeros(n_points, dtype=int)
     for j in chosen:
         votes += np.asarray(rows[voter_ids[j]]) == 1
@@ -457,48 +466,89 @@ def test_sparsify_forty_voters_margin_five_ninths():
 
 
 def test_sparsify_falls_back_to_the_full_list():
-    # three voters, margins 2/3; single-voter draws always fail, so N=1 falls
-    # back after SPARSIFY_ATTEMPTS draws
+    # three voters, margins 2/3; no one voter is right everywhere, and no
+    # odd size below T = 3 is left, so the full list is kept
     family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
     disc = _disc_for([(x, 1) for x in range(3)], family)
-    rng = rng_stream(0)
-    assert sparsify((0, 1, 2), disc.wrong, N=1, rng=rng) == (0, 1, 2)
-    fresh = rng_stream(0)
-    fresh.integers(0, 3, size=(SPARSIFY_ATTEMPTS, 1))
-    assert rng.random() == fresh.random()  # exactly SPARSIFY_ATTEMPTS draws were made
-
-
-def test_sparsify_rejects_a_draw_size_below_one():
-    family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
-    disc = _disc_for([(x, 1) for x in range(3)], family)
-    for voter_ids in ((0, 1, 2), (0,)):
-        for N in (0, -1):
-            with pytest.raises(ContractError, match=f"^N must be >= 1, got {N}$"):
-                sparsify(voter_ids, disc.wrong, N, rng=rng_stream(0))
+    assert sparsify((0, 1, 2), disc.wrong) == (0, 1, 2)
 
 
 def test_the_learner_reaches_the_sparsify_fallback():
     # three boosting rounds over pf(2) candidates, no one of them perfect on
-    # the sample: every one-voter draw fails, so all SPARSIFY_ATTEMPTS draws
-    # are made and the full voter list is kept
+    # the sample: no single voter holds a strict majority everywhere, so the
+    # full voter list is kept
     inst = make_proper_failure(2)
     sample = sample_iid(inst.distributions[7], 32, seed=21)
-    rng = rng_stream(17)
-    report = learn_realizable_report(
-        inst.family, sample, inst.perturbations, LearnerConfig(N_sparsify=1), rng=rng
-    )
+    report = learn_realizable_report(inst.family, sample, inst.perturbations)
     assert report.rounds == report.sparsified_to == 3
     assert empirical_robust_risk(report.predictor, sample, inst.perturbations) == 0
-    fresh = rng_stream(17)
-    fresh.integers(0, 3, size=(SPARSIFY_ATTEMPTS, 1))
-    assert rng.random() == fresh.random()
 
 
 def test_sparsify_rejects_sub_majority_ensembles():
     family = HypothesisFamily.from_rows([(-1, 1), (1, -1)])
     disc = _disc_for([(0, 1), (1, 1)], family)
     with pytest.raises(ContractError):
-        sparsify((0, 1), disc.wrong, N=3, rng=rng_stream(0))
+        sparsify((0, 1), disc.wrong)
+
+
+def _smallest_vote_reference(correct) -> tuple[int, ...]:
+    """The first odd multiset of positions whose strict majority is right on every point; else 0..T-1.
+
+    `correct` lists each voter's per-point correctness.  Sizes below T are
+    scanned in increasing order, and each size over every multiset of
+    positions in `combinations_with_replacement` order.
+    """
+    T, points = len(correct), range(len(correct[0]))
+    for size in range(1, T, 2):
+        for positions in combinations_with_replacement(range(T), size):
+            if all(2 * sum(correct[p][j] for p in positions) > size for j in points):
+                return positions
+    return tuple(range(T))
+
+
+@st.composite
+def majority_matrices(draw):
+    """A (T voters, points) correctness matrix with a strict majority on every point.
+
+    Rows are drawn from a small pool, so they repeat, and the pool may hold
+    a perfect row.  A point without a majority is made right for the first
+    voters until it has one.
+    """
+    n_points = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(st.booleans(), min_size=n_points, max_size=n_points)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pool.append([True] * n_points)
+    correct = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9)), dtype=bool)
+    for j in range(n_points):
+        for t in range(len(correct)):
+            if 2 * correct[:, j].sum() > len(correct):
+                break
+            correct[t, j] = True
+    return correct
+
+
+# Rows A, B, C, D, A over four points: no one voter and no three hold a
+# strict majority everywhere, and only the full list of five does.  Its rows
+# are also the multiset A, A, B, C, D of first positions (0, 0, 1, 2, 3),
+# which a search reaching size T would return in its place.
+@example(np.array([[0, 1, 1, 1], [1, 0, 0, 1], [1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 1, 1]]) == 1)
+@settings(max_examples=300, deadline=None)
+@given(majority_matrices())
+def test_sparsify_keeps_the_smallest_strict_majority(correct):
+    assert sparsify(range(len(correct)), ~correct) == _smallest_vote_reference(correct.tolist())
+
+
+def test_the_learner_keeps_a_vote_smaller_than_its_boost_on_the_pair_family():
+    # boosting ends with T = 9 voters on this sample, and five distinct
+    # candidates already hold a strict majority everywhere (see
+    # test_sparsify_keeps_the_minimum_on_pair_errors)
+    family, perturbations, sample = _pair_family_run(7, 32, 0)
+    report = learn_realizable_report(family, sample, perturbations)
+    assert (report.n_used, report.rounds, report.sparsified_to, report.compression_size) == (3, 9, 5, 15)
+    assert len(set(map(id, report.predictor.voters))) == 5
+    assert empirical_robust_risk(report.predictor, sample, perturbations) == 0
+    assert _decoded_voters(family, sample, perturbations, report.predictor) == 5
 
 
 # --- differential tests against the per-example loops ------------------------
@@ -530,8 +580,8 @@ def _discretize_reference(inflated, family: HypothesisFamily):
     return reps, pattern_index
 
 
-def _sparsify_reference(voters, reps, N, rng):
-    """Per-voter correctness recomputed from labels, then the same draws from `rng`."""
+def _sparsify_reference(voters, reps):
+    """Per-voter correctness recomputed from labels, its strict majority checked, then the brute-force minimum."""
     T = len(voters)
     pts = np.asarray([z for z, _ in reps], dtype=np.intp)
     labs = np.asarray([y for _, y in reps], dtype=np.int8)
@@ -539,14 +589,7 @@ def _sparsify_reference(voters, reps, N, rng):
     totals = correct.sum(axis=0)
     if not np.all(2 * totals > T):
         raise ContractError("no strict majority")
-    if T <= N:
-        return tuple(range(T))
-    for _ in range(SPARSIFY_ATTEMPTS):
-        draw = rng.integers(0, T, size=N)
-        votes = correct[draw].sum(axis=0)
-        if np.all(2 * votes > N):
-            return tuple(int(i) for i in draw)
-    return tuple(range(T))
+    return _smallest_vote_reference(correct.tolist())
 
 
 @st.composite
@@ -618,20 +661,16 @@ def test_sparsify_matches_the_per_voter_loop(inputs, data):
     disc = discretize(inflate(sample, perturbations), family.matrix)
     reps, _ = _discretize_reference(_inflate_reference(sample, perturbations), family)
     ids = st.integers(min_value=0, max_value=len(family) - 1)
-    voter_ids = data.draw(st.lists(st.one_of(ids, st.just(target)), min_size=1, max_size=12))
-    # up to T + 1, so most lists of two or more voters are drawn from
-    N = data.draw(st.integers(min_value=1, max_value=len(voter_ids) + 1))
-    seed = data.draw(st.integers(min_value=0, max_value=3))
+    # at most 9 voters, so the brute-force reference scans few multisets
+    voter_ids = data.draw(st.lists(st.one_of(ids, st.just(target)), min_size=1, max_size=9))
     voters = [family[v] for v in voter_ids]
-    ours, theirs = rng_stream(seed), rng_stream(seed)
     try:
-        expected = _sparsify_reference(voters, reps, N, theirs)
+        expected = _sparsify_reference(voters, reps)
     except ContractError:
         with pytest.raises(ContractError, match="strict majority"):
-            sparsify(voter_ids, disc.wrong, N, ours)
+            sparsify(voter_ids, disc.wrong)
         return
-    assert sparsify(voter_ids, disc.wrong, N, ours) == expected
-    assert ours.random() == theirs.random()  # both made the same draws
+    assert sparsify(voter_ids, disc.wrong) == expected
 
 
 # --- the full pipeline -------------------------------------------------------
@@ -641,7 +680,7 @@ def test_small_sample_returns_a_single_oracle_voter():
     inst = make_proper_failure(1)
     sample = Sample(tuple(e for e, _ in inst.distributions[0].atoms[:2]))
     config = LearnerConfig(n_initial=4)
-    report = learn_realizable_report(inst.family, sample, inst.perturbations, config, rng=rng_stream(0))
+    report = learn_realizable_report(inst.family, sample, inst.perturbations, config)
     assert report.sparsified_to == 1
     assert report.predictor.provenance == ((0, 1),)
     assert empirical_robust_risk(report.predictor, sample, inst.perturbations) == 0
@@ -675,9 +714,9 @@ def test_a_sample_no_larger_than_n_initial_gets_the_single_rerm_voter():
         for config in (
             LearnerConfig(n_initial=m),
             LearnerConfig(n_initial=m + 1),
-            LearnerConfig(n_initial=m + 5, N_sparsify=3),
+            LearnerConfig(n_initial=m + 5),
         ):
-            got = learn_realizable_report(family, sample, perturbations, config, rng=rng_stream(seed))
+            got = learn_realizable_report(family, sample, perturbations, config)
             for field in fields(RealizableRunReport):
                 assert getattr(got, field.name) == getattr(want, field.name), (seed, config, field.name)
             assert [v.labels for v in got.predictor.voters] == [v.labels for v in want.predictor.voters]
@@ -719,7 +758,7 @@ def test_the_learner_doubles_n_from_its_default_start(monkeypatch):
     build = learner._build_stages  # each n's stages, the failing n = 2 included
     monkeypatch.setattr(learner, "_build_stages", spy)
     for seed in range(3):
-        report = learn_realizable_report(family, sample, perturbations, LearnerConfig(), rng=rng_stream(seed))
+        report = learn_realizable_report(family, sample, perturbations, LearnerConfig())
         assert (report.n_used, report.rounds, report.min_margin) == (4, 1, 1)
     assert sizes == [2, 4]  # the later runs meet both stages in the cache
 
@@ -731,7 +770,7 @@ def test_a_warm_run_rebuilds_nothing(monkeypatch):
     family = HypothesisFamily.from_rows([(-1, 1, 1), (-1, -1, -1), (1, 1, -1), (-1, 1, -1)])
     perturbations = PerturbationMap.identity(3)
     sample = Sample.from_pairs([(2, -1), (0, -1), (1, 1), (2, -1), (2, -1), (1, 1)])
-    cold = learn_realizable_report(family, sample, perturbations, rng=rng_stream(0))
+    cold = learn_realizable_report(family, sample, perturbations)
     calls: list[str] = []
 
     def spy(name, stage):
@@ -744,38 +783,39 @@ def test_a_warm_run_rebuilds_nothing(monkeypatch):
         monkeypatch.setattr(learner, name, spy(name, getattr(learner, name)))
     for other in (_repeats_moved(sample), sample):
         assert learner._sample_key(other) == learner._sample_key(sample)
-        warm = learn_realizable_report(family, other, perturbations, rng=rng_stream(1))
+        warm = learn_realizable_report(family, other, perturbations)
         assert (warm.n_used, warm.rounds, warm.discretized_size) == (cold.n_used, cold.rounds, cold.discretized_size)
         assert empirical_robust_risk(warm.predictor, other, perturbations) == 0
     assert calls == []
 
 
-def test_learner_config_has_three_validated_fields():
-    assert [f.name for f in fields(LearnerConfig)] == ["n_initial", "N_sparsify", "seed"]
-    for name in ("n_initial", "N_sparsify"):
-        with pytest.raises(ContractError, match=f"{name} must be >= 1"):
-            LearnerConfig(**{name: 0})
+def test_learner_config_has_two_fields():
+    assert [f.name for f in fields(LearnerConfig)] == ["n_initial", "seed"]
+    with pytest.raises(ContractError, match="n_initial must be >= 1"):
+        LearnerConfig(n_initial=0)
 
 
 def test_learner_achieves_zero_risk_on_random_realizable_instances():
     for seed in range(12):
         family, perturbations, sample, _ = random_realizable_setup(seed)
-        predictor = learn_realizable(family, sample, perturbations, rng=rng_stream(seed))
+        predictor = learn_realizable(family, sample, perturbations)
         assert empirical_robust_risk(predictor, sample, perturbations) == 0
 
 
 def test_learner_is_deterministic_given_seed():
-    # equal generator keys give equal votes, and the config's seed is unread;
-    # the proper-failure sample boosts three voters
+    # equal inputs give equal votes, and the config's seed is unread; the
+    # proper-failure sample boosts three voters, the pair-family one seven
     inst = make_proper_failure(2)
     setups = [
         random_realizable_setup(3)[:3],
         (inst.family, inst.perturbations, sample_iid(inst.distributions[7], 32, seed=21)),
+        _pair_family_run(7, 32, 0),
     ]
     for family, perturbations, sample in setups:
-        a = learn_realizable(family, sample, perturbations, rng=rng_stream(17))
-        b = learn_realizable(family, sample, perturbations, LearnerConfig(seed=5), rng=rng_stream(17))
-        assert a.voters == b.voters
+        a = learn_realizable(family, sample, perturbations)
+        fresh_family, fresh_map = _fresh(family, perturbations)  # a cold run
+        b = learn_realizable(fresh_family, sample, fresh_map, LearnerConfig(seed=5))
+        assert [v.labels for v in a.voters] == [v.labels for v in b.voters]
         assert a.provenance == b.provenance
 
 
@@ -786,74 +826,11 @@ def test_learner_grows_n_until_weak_learning_succeeds():
     family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, 1, 1)])
     sample = Sample.from_pairs([(0, 1), (1, 1), (2, 1)])
     report = learn_realizable_report(
-        family, sample, PerturbationMap.identity(3), LearnerConfig(n_initial=1), rng=rng_stream(0)
+        family, sample, PerturbationMap.identity(3), LearnerConfig(n_initial=1)
     )
     assert report.n_used == 3
     assert report.min_margin == 1
     assert empirical_robust_risk(report.predictor, sample, PerturbationMap.identity(3)) == 0
-
-
-def test_dual_vc_runs_only_when_sparsify_uses_it(monkeypatch):
-    calls = []
-
-    def counted(family, *args, **kwargs):
-        calls.append(len(family))
-        return learner_dual_vc(family, *args, **kwargs)
-
-    learner_dual_vc = learner.dual_vc
-    monkeypatch.setattr(learner, "dual_vc", counted)
-    # a perfect candidate at n = 3 (see above): one voter, whatever N_sparsify is
-    family = HypothesisFamily.from_rows([(-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, 1, 1)])
-    sample = Sample.from_pairs([(0, 1), (1, 1), (2, 1)])
-    report = learn_realizable_report(
-        family, sample, PerturbationMap.identity(3), LearnerConfig(n_initial=1), rng=rng_stream(0)
-    )
-    assert (report.rounds, report.sparsified_to, calls) == (1, 1, [])
-    # any N >= 3 keeps T <= 3 voters whole, so N_sparsify is 3 without the
-    # search: three boosting rounds over 3 and over 6 pf(2) candidates
-    inst = make_proper_failure(2)
-    for index, count in ((7, 3), (0, 6)):
-        sample = sample_iid(inst.distributions[index], 32, seed=21)
-        report = learn_realizable_report(inst.family, sample, inst.perturbations, rng=rng_stream(21, 1))
-        assert len(build_candidates(inst.family, sample, inst.perturbations, report.n_used)) == count
-        assert (report.rounds, report.sparsified_to, calls) == (3, 3, [])
-    sizes = []
-
-    def recorded(correct, N, rng):
-        sizes.append(N)
-        return learner_draw(correct, N, rng)
-
-    learner_draw = learner._sparse_draw  # sparsify's draws
-    monkeypatch.setattr(learner, "_sparse_draw", recorded)
-    # rows 0-4 err on one of the five sample points each and row 5 on none;
-    # on 16 more points rows 0-3 take every sign pattern.  At n = 4 the
-    # candidates are rows 0-4, and rows 0-3 are dual-shattered, but boosting
-    # ends with three voters, so N_sparsify is still 3 without the search
-    rows = [
-        [-1 if r == i else 1 for i in range(5)] + [-1 if r < 4 and x >> r & 1 else 1 for x in range(16)]
-        for r in range(6)
-    ]
-    family = HypothesisFamily.from_rows(rows)
-    sample = Sample.from_pairs([(i, 1) for i in range(5)])
-    identity = PerturbationMap.identity(21)
-    report = learn_realizable_report(family, sample, identity, LearnerConfig(n_initial=4), rng=rng_stream(0))
-    assert sorted(build_candidates(family, sample, identity, 4).members) == [0, 1, 2, 3, 4]
-    assert learner_dual_vc(HypothesisFamily(family.matrix[:5])).value == 4
-    assert (report.rounds, calls, sizes) == (3, [], [3])
-    # the T = 7 boost of test_stage_cache_runs_equal_runs_on_fresh_families,
-    # whose n = 2 candidates are rows 0, 1, 2 and 4; on 16 more points these
-    # four take every sign pattern, so they are dual-shattered: one search
-    # over the 4 candidates makes N_sparsify max(3, 4) made odd, 5
-    base = [(-1, -1, -1, -1, 1, -1), (-1, -1, 1, -1, -1, 1), (-1, 1, -1, -1, -1, 1),
-            (-1, 1, -1, -1, 1, 1), (-1, 1, 1, 1, -1, -1), (1, -1, -1, -1, -1, -1)]
-    bit = {0: 0, 1: 1, 2: 2, 4: 3}  # row -> the bit of x it takes
-    rows = [list(r) + [-1 if i in bit and x >> bit[i] & 1 else 1 for x in range(16)] for i, r in enumerate(base)]
-    family = HypothesisFamily.from_rows(rows)
-    sample = Sample.from_pairs([(3, -1), (3, -1), (2, -1), (5, -1), (4, -1), (5, -1)])
-    identity = PerturbationMap.identity(22)
-    report = learn_realizable_report(family, sample, identity, LearnerConfig(n_initial=1), rng=rng_stream(0))
-    assert build_candidates(family, sample, identity, 2).members == (0, 1, 2, 4)
-    assert (report.n_used, report.rounds, report.sparsified_to, calls, sizes) == (2, 7, 5, [4], [3, 5])
 
 
 @st.composite
@@ -886,14 +863,14 @@ def test_every_learned_vote_is_one_voter_or_at_least_two_distinct_ones():
     votes = []
     for seed in range(30):
         family, perturbations, sample, _ = random_realizable_setup(seed)
-        votes.append(learn_realizable(family, sample, perturbations, rng=rng_stream(seed)))
+        votes.append(learn_realizable(family, sample, perturbations))
         family, perturbations, sample = random_labeled_sample(seed)
         votes.append(learn_agnostic(family, sample, perturbations))
     pf2, alb4 = make_proper_failure(2), make_agnostic_lower_bound(4, Fraction(1, 4))
     for seed in range(12):
         rng = rng_stream(seed)
         sample = draw_sample(pf2.distributions[seed], 32, rng)
-        votes.append(learn_realizable(pf2.family, sample, pf2.perturbations, rng=rng))
+        votes.append(learn_realizable(pf2.family, sample, pf2.perturbations))
         votes.append(learn_agnostic(pf2.family, sample, pf2.perturbations))
         sample = draw_sample(alb4.distributions[seed], 64, rng)
         votes.append(learn_agnostic(alb4.family, sample, alb4.perturbations))
@@ -909,10 +886,11 @@ def test_a_losing_sparsified_vote_raises_the_closing_error(monkeypatch):
     sample = Sample.from_pairs([(i, 1) for i in range(5)])
     identity = PerturbationMap.identity(5)
     config = LearnerConfig(n_initial=4)
-    learn_realizable_report(family, sample, identity, config, rng=rng_stream(0))  # unpatched, it fits
-    monkeypatch.setattr(learner, "_sparse_draw", lambda correct, N, rng: (0,))  # sparsify's draws
+    learn_realizable_report(family, sample, identity, config)  # unpatched, it fits
+    monkeypatch.setattr(learner, "_smallest_vote", lambda correct: (0,))  # sparsify's search
+    family, identity = _fresh(family, identity)  # the stage is built, and the vote kept, anew
     with pytest.raises(RuntimeError, match="^pipeline produced nonzero empirical robust risk 1/5$"):
-        learn_realizable_report(family, sample, identity, config, rng=rng_stream(0))
+        learn_realizable_report(family, sample, identity, config)
 
 
 @settings(max_examples=150, deadline=None)
@@ -923,7 +901,7 @@ def test_first_unrealizable_index_matches_the_prefix_scan(inputs, outside, data)
         pairs = [(e.point, e.label) for e in sample]
         pairs.insert(data.draw(st.integers(0, len(pairs))), (perturbations.size + outside, 1))
         with pytest.raises(StructuralError, match=f"point {perturbations.size + outside} outside"):
-            learn_realizable_report(family, Sample.from_pairs(pairs), perturbations, rng=rng_stream(0))
+            learn_realizable_report(family, Sample.from_pairs(pairs), perturbations)
         return
     expected = None
     for i in range(len(sample)):
@@ -940,13 +918,13 @@ def test_learner_rejects_unrealizable_samples_naming_the_example():
     family = HypothesisFamily.from_rows([(1, 1), (-1, 1)])
     sample = Sample.from_pairs([(1, 1), (0, 1), (0, -1)])
     with pytest.raises(ContractError, match="example 2"):
-        learn_realizable(family, sample, PerturbationMap.identity(2), rng=rng_stream(0))
+        learn_realizable(family, sample, PerturbationMap.identity(2))
 
 
 def test_pipeline_margin_implies_zero_risk_and_small_compression():
     inst = make_proper_failure(2)
     sample = sample_iid(inst.distributions[7], 32, seed=21)
-    report = learn_realizable_report(inst.family, sample, inst.perturbations, rng=rng_stream(21, 1))
+    report = learn_realizable_report(inst.family, sample, inst.perturbations)
     assert report.min_margin > Fraction(1, 2)
     assert empirical_robust_risk(report.predictor, sample, inst.perturbations) == 0
     assert report.compression_size <= report.n_used * report.sparsified_to
@@ -1000,15 +978,12 @@ def _pinned_instances() -> list:
     """The (instance, m, config) of the pinned runs: proper-failure(2) and the threshold window."""
     return [
         (make_proper_failure(2), 64, None),
-        (make_threshold_window_instance(), 50, LearnerConfig(n_initial=1, N_sparsify=3)),
+        (make_threshold_window_instance(), 50, LearnerConfig(n_initial=1)),
     ]
 
 
 def _pinned_draws(instances):
-    """Each (instance, config, sample, generator) of 60 draws per instance, on the generator keyed (15, trial).
-
-    The generator stands where the sample's draw left it, which is where the learner continues it.
-    """
+    """Each (instance, config, sample) of 60 draws per instance, on the generator keyed (15, trial)."""
     for inst, m, config in instances:
         for trial in range(60):
             rng = rng_stream(15, trial)
@@ -1016,19 +991,19 @@ def _pinned_draws(instances):
                 dist = inst.distributions[int(rng.integers(len(inst.distributions)))]
             else:
                 dist = _random_threshold_distribution(inst, rng)
-            yield inst, config, draw_sample(dist, m, rng), rng
+            yield inst, config, draw_sample(dist, m, rng)
 
 
 def _pinned_reports(instances):
     """Each (instance, sample, report) of the pinned draws."""
-    for inst, config, sample, rng in _pinned_draws(instances):
-        yield inst, sample, learn_realizable_report(inst.family, sample, inst.perturbations, config, rng=rng)
+    for inst, config, sample in _pinned_draws(instances):
+        yield inst, sample, learn_realizable_report(inst.family, sample, inst.perturbations, config)
 
 
 def test_learner_output_is_pinned():
     # sha256 over every report field, voter member index and provenance of
-    # 120 runs, each on the generator keyed (seed, trial) as the experiments
-    # key them: 60 separation-style runs on proper-failure(2) at m = 64 and
+    # 120 runs, each sample drawn on the generator keyed (seed, trial) as the
+    # experiments key them: 60 separation-style runs on proper-failure(2) at m = 64 and
     # 60 bound-check runs on the threshold-window fixture at m = 50.  A change
     # to any learner stage that alters its output moves the digest.
     runs = _pinned_instances()
@@ -1090,7 +1065,7 @@ def test_kept_stages_hold_the_candidates_of_their_n():
         key, runs = learner._sample_key(sample), sample.distinct.positions
         kept = []
         for f, v in [(family, u), (reversed_family, u), (family, identity), (family, u), (family, PerturbationMap(u.sets))]:
-            learn_realizable_report(f, sample, v, rng=rng_stream(0))
+            learn_realizable_report(f, sample, v)
             stages = {k: s for k, s in learner._stage_slot(f, v).items() if k[0] == key}
             assert stages
             for (_, n, _), found in stages.items():
@@ -1101,16 +1076,16 @@ def test_kept_stages_hold_the_candidates_of_their_n():
         assert kept[4] == kept[3]  # the same stage objects: kept for the last (family, map)
 
 
-def _report_outcome(report: RealizableRunReport, rng: np.random.Generator) -> tuple:
-    """Every report field, the voters' label rows, the provenance and the generator's state after the run."""
+def _report_outcome(report: RealizableRunReport) -> tuple:
+    """Every report field, the voters' label rows and the provenance."""
     vote = report.predictor
     sizes = [getattr(report, f.name) for f in fields(report) if f.name != "predictor"]
-    return sizes, [v.labels for v in vote.voters], vote.provenance, vote.flags, generator_state(rng)
+    return sizes, [v.labels for v in vote.voters], vote.provenance, vote.flags
 
 
-def _run_outcome(family, sample, perturbations, config, rng: np.random.Generator) -> tuple:
+def _run_outcome(family, sample, perturbations, config) -> tuple:
     """`_report_outcome` of the learner's run."""
-    return _report_outcome(learn_realizable_report(family, sample, perturbations, config, rng=rng), rng)
+    return _report_outcome(learn_realizable_report(family, sample, perturbations, config))
 
 
 def _fresh(family, perturbations) -> tuple[HypothesisFamily, PerturbationMap]:
@@ -1118,16 +1093,16 @@ def _fresh(family, perturbations) -> tuple[HypothesisFamily, PerturbationMap]:
     return HypothesisFamily(family.matrix.copy(), name=family.name), PerturbationMap(perturbations.sets)
 
 
-def _fresh_run(family, sample, perturbations, config, seed, stream) -> tuple:
+def _fresh_run(family, sample, perturbations, config) -> tuple:
     """The run on `_fresh` copies of the family and map."""
     family, perturbations = _fresh(family, perturbations)
-    return _run_outcome(family, sample, perturbations, config, rng_stream(seed, stream))
+    return _run_outcome(family, sample, perturbations, config)
 
 
 def _unrealizable_text(family, sample, perturbations) -> str:
     """The text of the ContractError the learner raises on an unrealizable sample."""
     with pytest.raises(ContractError, match="sample is not robustly realizable") as error:
-        learn_realizable_report(family, sample, perturbations, rng=rng_stream(0))
+        learn_realizable_report(family, sample, perturbations)
     return str(error.value)
 
 
@@ -1144,20 +1119,19 @@ def _repeats_moved(sample: Sample) -> Sample:
     return Sample(tuple(sample[run[0]] for run in runs) + tuple(reversed(repeats)))
 
 
-def _runs_equal_fresh_runs(family, runs, seed) -> list:
+def _runs_equal_fresh_runs(family, runs) -> list:
     """Each (sample, map, config) run on the one family equals its fresh run; the outcomes."""
     outcomes = []
     for run, (sample, perturbations, config) in enumerate(runs):
-        got = _run_outcome(family, sample, perturbations, config, rng_stream(seed, run))
-        assert got == _fresh_run(family, sample, perturbations, config, seed, run), run
+        got = _run_outcome(family, sample, perturbations, config)
+        assert got == _fresh_run(family, sample, perturbations, config), run
         outcomes.append(got)
     return outcomes
 
 
 def test_stage_cache_runs_equal_runs_on_fresh_families():
     # One family serves every run, switching between two maps and between an
-    # unset and a set N_sparsify (1, so a boost of three voters makes every
-    # draw and falls back) on samples met three times, so later runs read
+    # unset and a set n_initial on samples met three times, so later runs read
     # stages earlier runs built; n_initial = 1 meets other candidate members
     # for the same distinct examples.  Every member labels the six anchors
     # alike, so the second map, which adds the next anchor to each anchor's
@@ -1168,11 +1142,22 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     assert (anchors == anchors[:, :1]).all()
     sets = inst.perturbations.sets
     shifted = PerturbationMap(tuple(s + ((x + 1) % 6,) if x < 6 else s for x, s in enumerate(sets)))
-    configs = (LearnerConfig(), LearnerConfig(N_sparsify=1), LearnerConfig(n_initial=1))
+    configs = (LearnerConfig(), LearnerConfig(n_initial=1))
     samples = [draw_sample(inst.distributions[i % 5], 24, rng_stream(41, i)) for i in range(8)]
-    for seed, perturbations in ((43, inst.perturbations), (44, shifted), (45, inst.perturbations)):
+    for perturbations in (inst.perturbations, shifted, inst.perturbations):
         # the slot keeps one map, so each map's runs fill their own cache
-        _runs_equal_fresh_runs(inst.family, list(product(samples * 3, (perturbations,), configs)), seed)
+        _runs_equal_fresh_runs(inst.family, list(product(samples * 3, (perturbations,), configs)))
+
+    # pair-family samples, each met twice and once with its repeats moved:
+    # boosting runs past the kept vote on some of them (see
+    # test_the_learner_keeps_a_vote_smaller_than_its_boost_on_the_pair_family),
+    # and a kept vote smaller than T gives the cold run's report when warm
+    family, perturbations, _ = _pair_family_run(7, 32, 0)
+    pair_samples = [_pair_family_run(7, 32, seed)[2] for seed in range(4)]
+    moved = [_repeats_moved(sample) for sample in pair_samples]
+    outcomes = _runs_equal_fresh_runs(family, [(s, perturbations, None) for s in pair_samples * 2 + moved])
+    # the report fields after the predictor: n_used, inflated, discretized, rounds, min_margin, sparsified_to
+    assert sum(sizes[5] < sizes[3] for sizes, *_ in outcomes) >= 3
 
     # Each pair below shares a sample key, so the second run of a pair hits
     # the first one's entry; every run still equals its fresh run.
@@ -1188,7 +1173,7 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     key = learner._sample_key
     assert key(moved) == key(once) == key(sample)
     runs = [(s, inst.perturbations, None) for s in (once, sample, sample, moved)]
-    outcomes = _runs_equal_fresh_runs(inst.family, runs, 59)
+    outcomes = _runs_equal_fresh_runs(inst.family, runs)
     assert outcomes[2][2] != outcomes[3][2]  # the moved repeats change the provenance
 
     # a second label on a sample point makes the sample unrealizable; met
@@ -1213,22 +1198,21 @@ def test_stage_cache_runs_equal_runs_on_fresh_families():
     identity = PerturbationMap.identity(3)
     configs = (None, None, LearnerConfig(n_initial=1))
     runs = [(s, identity, c) for s in (sample, _repeats_moved(sample)) for c in configs]
-    outcomes = _runs_equal_fresh_runs(family, runs, 61)
+    outcomes = _runs_equal_fresh_runs(family, runs)
     assert {outcome[0][0] for outcome in outcomes} == {4}  # n_used
 
     # boosting repeats candidates 0 and 2 and adds one that errs on two
-    # columns: T = 7 voters, above both sparsify sizes, so every run draws
+    # columns: T = 7 voters, of which the kept vote takes three distinct ones
     family = HypothesisFamily.from_rows(
         [(-1, -1, -1, -1, 1, -1), (-1, -1, 1, -1, -1, 1), (-1, 1, -1, -1, -1, 1),
          (-1, 1, -1, -1, 1, 1), (-1, 1, 1, 1, -1, -1), (1, -1, -1, -1, -1, -1)]
     )
     sample = Sample.from_pairs([(3, -1), (3, -1), (2, -1), (5, -1), (4, -1), (5, -1)])
     identity = PerturbationMap.identity(6)
-    configs = (LearnerConfig(n_initial=1), LearnerConfig(n_initial=1, N_sparsify=5))
-    _runs_equal_fresh_runs(family, [(sample, identity, c) for c in configs] * 3, 67)
+    _runs_equal_fresh_runs(family, [(sample, identity, LearnerConfig(n_initial=1))] * 3)
     slot = learner._stage_slot(family, identity)
     [stages] = [s for s in slot.values() if s.boost is not None]
-    assert stages.boost.voter_ids == (0, 2, 0, 2, 0, 2, 3)
+    assert (stages.boost.voter_ids, stages.voters) == ((0, 2, 0, 2, 0, 2, 3), (0, 2, 3))
 
 
 def test_stage_cache_keeps_at_most_its_cap_entries(monkeypatch):
@@ -1237,8 +1221,8 @@ def test_stage_cache_keeps_at_most_its_cap_entries(monkeypatch):
     samples = [draw_sample(inst.distributions[i], 24, rng_stream(47, i)) for i in range(8)]
     met: set = set()
     for run, sample in enumerate(samples * 2):  # the second pass meets keys the cap dropped
-        got = _run_outcome(inst.family, sample, inst.perturbations, None, rng_stream(53, run))
-        assert got == _fresh_run(inst.family, sample, inst.perturbations, None, 53, run), run
+        got = _run_outcome(inst.family, sample, inst.perturbations, None)
+        assert got == _fresh_run(inst.family, sample, inst.perturbations, None), run
         slot = learner._stage_slot(inst.family, inst.perturbations)
         met |= set(slot)  # one stage per (sample key, n, counts clipped at n)
         assert len(slot) == min(len(met), 3)
@@ -1249,7 +1233,7 @@ def test_stage_cache_keeps_at_most_its_cap_entries(monkeypatch):
 # --- the reference learner -------------------------------------------------------
 
 
-def reference_learn_realizable(family, sample, perturbations, config, rng) -> RealizableRunReport:
+def reference_learn_realizable(family, sample, perturbations, config) -> RealizableRunReport:
     """`learn_realizable_report` composed of the per-stage references, in the paper's order; nothing is kept.
 
     n starts at vc(family) + 1, or `n_initial`, clamped to m.  The
@@ -1257,11 +1241,9 @@ def reference_learn_realizable(family, sample, perturbations, config, rng) -> Re
     inflation the owner dict loop and the discretization the pattern dict
     loop over the candidates' rows.  Boosting is plain multiplicative
     weights to margin 5/9 (`reference_alpha_boost`); while no candidate is a
-    weak learner, n doubles up to m.  The sparsify size is `N_sparsify`, else
-    the candidates' dual VC dimension, at least 3, made odd (the learner
-    skips that search at T <= 3, where any N >= 3 keeps the vote whole), and
-    the per-voter loop draws from `rng`.  A vote with a robust mistake on the
-    sample raises the learner's closing error.
+    weak learner, n doubles up to m.  The vote is the per-voter loop's
+    brute-force minimum (`_sparsify_reference`).  A vote with a robust
+    mistake on the sample raises the learner's closing error.
     """
     config = config or LearnerConfig()
     m = len(sample)
@@ -1279,8 +1261,7 @@ def reference_learn_realizable(family, sample, perturbations, config, rng) -> Re
             if n == m:
                 raise
             n = min(m, 2 * n)
-    N = config.N_sparsify or max(3, dual_vc(candidates).value) | 1
-    chosen = [ids[j] for j in _sparsify_reference([candidates[i] for i in ids], reps, N, rng)]
+    chosen = [ids[j] for j in _sparsify_reference([candidates[i] for i in ids], reps)]
     vote = MajorityVotePredictor(tuple(candidates[i] for i in chosen), tuple(provenance[i] for i in chosen))
     risk = empirical_robust_risk(vote, sample, perturbations)
     if risk:
@@ -1288,34 +1269,30 @@ def reference_learn_realizable(family, sample, perturbations, config, rng) -> Re
     return RealizableRunReport(vote, n, len(inflated), len(reps), len(ids), margin, len(chosen))
 
 
-def _outcome(learn, rng: np.random.Generator) -> tuple:
-    """`_report_outcome` of `learn(rng)`, or the class and text of the RuntimeError it raised."""
+def _outcome(learn) -> tuple:
+    """`_report_outcome` of `learn()`, or the class and text of the RuntimeError it raised."""
     try:
-        return _report_outcome(learn(rng), rng)
+        return _report_outcome(learn())
     except RuntimeError as exc:  # a weak-learner or boosting failure, or the closing error
         return type(exc), str(exc)
 
 
-def _matches_the_reference(family, sample, perturbations, config, rng: np.random.Generator) -> None:
-    """The learner equals the reference cold, warm, and with the sample's repeats moved; each run copies `rng`."""
+def _matches_the_reference(family, sample, perturbations, config) -> None:
+    """The learner equals the reference cold, warm, and with the sample's repeats moved."""
     family, perturbations = _fresh(family, perturbations)  # no stage kept yet
     moved = _repeats_moved(sample)
     wants = {
-        other: _outcome(lambda r: reference_learn_realizable(family, other, perturbations, config, r), copy.deepcopy(rng))
+        other: _outcome(lambda: reference_learn_realizable(family, other, perturbations, config))
         for other in (sample, moved)
     }
     for other in (sample, sample, moved):  # the second and third runs read the stages the first kept
-        got = _outcome(lambda r: learn_realizable_report(family, other, perturbations, config, rng=r), copy.deepcopy(rng))
+        got = _outcome(lambda: learn_realizable_report(family, other, perturbations, config))
         assert got == wants[other]
 
 
 @st.composite
 def realizable_runs(draw):
-    """A tiny family and map, a repeating sample one member robustly fits, a config and a generator.
-
-    Even sparsify sizes are drawn too: at odd N a strict majority of N and a
-    tie are never confused.
-    """
+    """A tiny family and map, a repeating sample one member robustly fits, and a config."""
     size = draw(st.integers(min_value=1, max_value=5))
     point = st.integers(min_value=0, max_value=size - 1)
     rows = draw(st.lists(st.tuples(*[SIGNS] * size), min_size=1, max_size=8, unique=True))
@@ -1324,11 +1301,9 @@ def realizable_runs(draw):
     pool = [(x, fitted[ball[0]]) for x, ball in enumerate(balls) if len({fitted[z] for z in ball}) == 1]
     assume(pool)
     pairs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
-    config = LearnerConfig(
-        n_initial=draw(st.sampled_from((None, 1, 2))), N_sparsify=draw(st.sampled_from((None, 1, 2, 4)))
-    )
+    config = LearnerConfig(n_initial=draw(st.sampled_from((None, 1, 2))))
     family, perturbations = HypothesisFamily.from_rows(rows), PerturbationMap(tuple(map(tuple, balls)))
-    return family, Sample.from_pairs(pairs), perturbations, config, rng_stream(draw(st.integers(0, 3)))
+    return family, Sample.from_pairs(pairs), perturbations, config
 
 
 PROPER_FAILURE_2 = make_proper_failure(2)
@@ -1337,23 +1312,26 @@ SEVEN_VOTERS = HypothesisFamily.from_rows(
     [(-1, -1, -1, -1, 1, -1), (-1, -1, 1, -1, -1, 1), (-1, 1, -1, -1, -1, 1),
      (-1, 1, -1, -1, 1, 1), (-1, 1, 1, 1, -1, -1), (1, -1, -1, -1, -1, -1)]
 )
+PAIR_FAMILY_7, PAIR_MAP_7, PAIR_SAMPLE_7 = _pair_family_run(7, 32, 0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(realizable_runs())
-# three voters over pf(2) (see test_the_learner_reaches_the_sparsify_fallback): draws of two
+# three voters over pf(2), no one of them right everywhere (see test_the_learner_reaches_the_sparsify_fallback)
 @example(
     (PROPER_FAILURE_2.family, sample_iid(PROPER_FAILURE_2.distributions[7], 32, seed=21),
-     PROPER_FAILURE_2.perturbations, LearnerConfig(N_sparsify=2), rng_stream(17))
+     PROPER_FAILURE_2.perturbations, LearnerConfig())
 )
 @example(
     (SEVEN_VOTERS, Sample.from_pairs([(3, -1), (3, -1), (2, -1), (5, -1), (4, -1), (5, -1)]),
-     PerturbationMap.identity(6), LearnerConfig(n_initial=1, N_sparsify=4), rng_stream(67))
+     PerturbationMap.identity(6), LearnerConfig(n_initial=1))
 )
+# nine voters kept as five (see test_the_learner_keeps_a_vote_smaller_than_its_boost_on_the_pair_family)
+@example((PAIR_FAMILY_7, PAIR_SAMPLE_7, PAIR_MAP_7, LearnerConfig()))
 def test_the_learner_matches_the_reference_on_realizable_samples(case):
     _matches_the_reference(*case)
 
 
 def test_the_learner_matches_the_reference_on_the_pinned_runs():
-    for inst, config, sample, rng in _pinned_draws(_pinned_instances()):
-        _matches_the_reference(inst.family, sample, inst.perturbations, config, rng)
+    for inst, config, sample in _pinned_draws(_pinned_instances()):
+        _matches_the_reference(inst.family, sample, inst.perturbations, config)

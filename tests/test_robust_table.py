@@ -30,7 +30,6 @@ from robustpac.core import (
 from robustpac.dimensions import _slot_table, _structural_bound, restriction_count
 from robustpac.learner import _first_dead_example, inflate, learn_realizable_report
 from robustpac.oracles import rerm
-from robustpac.prng import rng_stream
 
 SIGNS = st.sampled_from((-1, 1))
 
@@ -190,7 +189,7 @@ def test_out_of_range_points_and_mismatched_maps_raise_structural_errors():
         lambda: robust_loss(family[0], LabeledExample(3, 1), u),
         lambda: empirical_robust_risk(vote, outside, u),
         lambda: rerm(family, outside, u),
-        lambda: learn_realizable_report(family, outside, u, rng=rng_stream(0)),
+        lambda: learn_realizable_report(family, outside, u),
         lambda: max_realizable_subsequence(family, outside, u),
     ):
         with pytest.raises(StructuralError, match="point 3 outside instance space of size 3"):
